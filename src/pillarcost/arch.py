@@ -111,17 +111,26 @@ class ArchConfig:
 
     # -- loading and overrides ---------------------------------------------
 
-    _FRACTION_FIELDS = ("squeezenext_reduce", "resnet_bottleneck", "resnext_width")
-    _TUPLE_FIELDS = ("block_channels", "block_units", "block_strides",
-                     "neck_out_channels", "neck_upsample")
-
     @classmethod
     def _coerce(cls, key: str, value):
-        if key in cls._FRACTION_FIELDS:
-            return Fraction(value) if not isinstance(value, Fraction) else value
-        if key in cls._TUPLE_FIELDS:
-            return tuple(int(v) for v in value)
-        return value
+        """Check a loaded value against the field's annotation; unknown keys
+        pass through for the caller to report."""
+        annotation = {f.name: f.type for f in fields(cls)}.get(key)
+        if annotation is None:
+            return value
+        if annotation == "int" and _is_int(value):
+            return value
+        if annotation == "tuple[int, ...]" and isinstance(value, (list, tuple)) \
+                and all(_is_int(v) for v in value):
+            return tuple(value)
+        if annotation == "Fraction" and not isinstance(value, bool):
+            try:
+                return Fraction(value)
+            except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+                pass
+        want = {"int": "an integer", "tuple[int, ...]": "a list of integers",
+                "Fraction": "a number or fraction"}[annotation]
+        raise ArchError(f"{key} must be {want}, got {value!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ArchConfig":
@@ -164,12 +173,16 @@ class ArchConfig:
         return replace(self, **doc)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_value(raw: str):
     raw = raw.strip()
     if "/" in raw and "[" not in raw:
         try:
             return Fraction(raw)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             pass
     try:
         value = json.loads(raw)

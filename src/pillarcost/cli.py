@@ -201,7 +201,8 @@ def _cmd_export(args: argparse.Namespace) -> None:
     if args.format == "svg":
         raise CliError("export emits graph structure; use csv or json")
     if args.format == "csv":
-        _emit(graph_cost(graph).to_csv(), args.output)
+        report = graph_cost(graph, count_batchnorm=not args.fold_batchnorm)
+        _emit(report.to_csv(), args.output)
         return
     _emit(graph.to_json() + "\n", args.output)
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .graph import (
     BatchNorm, Conv, Graph, NodeSpec, TensorShape, TransposedConv,
 )
-from .shapes import ShapeError, infer_all, node_output_shape
+from .shapes import ShapeError, walk_shapes
 
 
 class ShapeInconsistent(ShapeError):
@@ -146,15 +146,11 @@ def graph_cost(graph: Graph, count_batchnorm: bool = True) -> CostReport:
     ``count_batchnorm=False`` treats BatchNorm as folded into the preceding
     convolution (0 MAdd, 0 params).
     """
-    shapes = infer_all(graph)
     rows: list[NodeCost] = []
-    for node_id in graph.topo_order():
-        node = graph.node(node_id)
+    for node, in_shapes, out_shapes in walk_shapes(graph):
         if not count_batchnorm and isinstance(node.spec, BatchNorm):
             rows.append(NodeCost(node.name, node.spec.kind, 0, 0))
             continue
-        in_shapes = [shapes[key] for key in graph.inputs_of(node_id)]
-        out_shapes = node_output_shape(node.spec, in_shapes)
         rows.append(NodeCost(node.name, node.spec.kind,
                              node_madds(node.spec, in_shapes, out_shapes),
                              node_params(node.spec, in_shapes)))

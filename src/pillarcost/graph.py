@@ -260,8 +260,9 @@ class Diagnostic:
 class Graph:
     """Append-only DAG of layer nodes.
 
-    Node ids are dense and assigned in insertion order, which also fixes
-    the tie-break order used by :meth:`topo_order`.
+    Node ids are dense and assigned in insertion order.  ``add_node`` only
+    accepts producers that already exist, so insertion order is also the
+    topological order that :meth:`topo_order` returns.
     """
 
     def __init__(self) -> None:
@@ -317,11 +318,18 @@ class Graph:
             self._edges.append(Edge(src, port, node_id, dst_port))
         return node_id
 
+    def input_table(self) -> list[list[tuple[int, int]]]:
+        """Every node's (producer id, producer port) inputs in port order,
+        grouped from the edges in one pass."""
+        table: list[list[tuple[int, int, int]]] = [[] for _ in self._nodes]
+        for e in self._edges:
+            table[e.dst].append((e.dst_port, e.src, e.src_port))
+        return [[(src, port) for _, src, port in sorted(row)] for row in table]
+
     def inputs_of(self, node_id: int) -> list[tuple[int, int]]:
         """(producer id, producer port) per input port, in port order."""
-        found = sorted((e.dst_port, e.src, e.src_port)
-                       for e in self._edges if e.dst == node_id)
-        return [(src, port) for _, src, port in found]
+        self.node(node_id)  # raises UnknownInputError for an unknown id
+        return self.input_table()[node_id]
 
     def consumers_of(self, node_id: int) -> list[int]:
         return [e.dst for e in self._edges if e.src == node_id]
@@ -390,28 +398,11 @@ class Graph:
         return []
 
     def topo_order(self) -> list[int]:
-        """Topological node order, ties broken by insertion order."""
+        """Node ids in insertion order, which is topological (see class doc)."""
         problems = self.validate()
         if problems:
             raise InvalidGraphError("; ".join(d.message for d in problems))
-        n = len(self._nodes)
-        succ: dict[int, list[int]] = {i: [] for i in range(n)}
-        indeg = [0] * n
-        for e in self._edges:
-            succ[e.src].append(e.dst)
-            indeg[e.dst] += 1
-        import heapq
-        ready = [i for i in range(n) if indeg[i] == 0]
-        heapq.heapify(ready)
-        order: list[int] = []
-        while ready:
-            cur = heapq.heappop(ready)
-            order.append(cur)
-            for nxt in succ[cur]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    heapq.heappush(ready, nxt)
-        return order
+        return list(range(len(self._nodes)))
 
     def input_nodes(self) -> list[Node]:
         return [node for node in self._nodes if isinstance(node.spec, Input)]
@@ -441,6 +432,9 @@ class Graph:
     def from_json_dict(cls, doc: dict) -> "Graph":
         graph = cls()
         nodes = sorted(doc["nodes"], key=lambda item: item["id"])
+        ids = [item["id"] for item in nodes]
+        if ids != list(range(len(ids))):
+            raise GraphError(f"node ids must be 0..{len(ids) - 1}, each exactly once")
         by_dst: dict[int, list[tuple[int, int, int]]] = {}
         for src, src_port, dst, dst_port in doc["edges"]:
             by_dst.setdefault(dst, []).append((dst_port, src, src_port))
@@ -456,6 +450,8 @@ class Graph:
             spec = spec_cls(**attrs)
             inputs = [(src, port) for _, src, port in sorted(by_dst.get(item["id"], []))]
             graph.add_node(spec, inputs, item["name"])
+        if len(graph._edges) != len(doc["edges"]):
+            raise GraphError("an edge feeds a node id that does not exist")
         return graph
 
     @classmethod

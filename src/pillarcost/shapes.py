@@ -1,15 +1,18 @@
 """Output shape computation for every node kind.
 
-All functions are pure; ``infer_all`` walks a graph in topological order and
-returns a total map from (node id, output port) to TensorShape.
+All functions are pure; ``walk_shapes`` validates a graph once and yields
+every node with its input and output shapes in topological order, and
+``infer_all`` collects them into a total map from (node id, output port) to
+TensorShape.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
 from .graph import (
     Add, BatchNorm, ChannelShuffle, ChannelSplit, Concat, Conv, Graph, Input,
-    InvalidGraphError, MaxPool, NodeSpec, ReLU, Scatter, TensorShape,
+    InvalidGraphError, MaxPool, Node, NodeSpec, ReLU, Scatter, TensorShape,
     TransposedConv,
 )
 
@@ -135,8 +138,10 @@ def node_output_shape(spec: NodeSpec,
 ShapeMap = dict[tuple[int, int], TensorShape]
 
 
-def infer_all(graph: Graph) -> ShapeMap:
-    """Infer the shape at every (node, output port) of a valid graph."""
+def walk_shapes(graph: Graph) -> Iterator[
+        tuple[Node, list[TensorShape], list[TensorShape]]]:
+    """Validate a single-input graph once, then yield (node, input shapes,
+    output shapes) for every node in id order, which is topological."""
     problems = graph.validate()
     if problems:
         raise InvalidGraphError("; ".join(d.message for d in problems))
@@ -145,14 +150,19 @@ def infer_all(graph: Graph) -> ShapeMap:
             f"shape inference needs exactly one input node, "
             f"found {len(graph.input_nodes())}")
 
-    shapes: ShapeMap = {}
-    for node_id in graph.topo_order():
-        node = graph.node(node_id)
-        in_shapes = [shapes[key] for key in graph.inputs_of(node_id)]
+    outputs: list[list[TensorShape]] = []
+    for node, sources in zip(graph.nodes, graph.input_table()):
+        in_shapes = [outputs[src][port] for src, port in sources]
         try:
-            outs = node_output_shape(node.spec, in_shapes)
+            out_shapes = node_output_shape(node.spec, in_shapes)
         except ShapeError as err:
             raise type(err)(f"{node.name}: {err}") from err
-        for port, shape in enumerate(outs):
-            shapes[(node_id, port)] = shape
-    return shapes
+        outputs.append(out_shapes)
+        yield node, in_shapes, out_shapes
+
+
+def infer_all(graph: Graph) -> ShapeMap:
+    """Infer the shape at every (node, output port) of a valid graph."""
+    return {(node.id, port): shape
+            for node, _, out_shapes in walk_shapes(graph)
+            for port, shape in enumerate(out_shapes)}

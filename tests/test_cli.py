@@ -160,6 +160,18 @@ class TestPlotExport:
         assert restored.validate() == []
         assert restored.to_json() + "\n" == out
 
+    def test_export_csv_honours_fold_batchnorm(self, capsys):
+        code, counted, _ = invoke(capsys, "export", "base", "--format", "csv")
+        assert code == 0
+        code, folded, _ = invoke(capsys, "export", "base", "--format", "csv",
+                                 "--fold-batchnorm")
+        assert code == 0
+        report = graph_cost(build_pointpillars(Variant.BASE), count_batchnorm=False)
+        assert folded == report.to_csv()
+        bn_rows = [r for r in csv.reader(io.StringIO(folded)) if r[1] == "batch_norm"]
+        assert bn_rows and all(r[2:] == ["0", "0"] for r in bn_rows)
+        assert folded != counted
+
     def test_export_refuses_svg(self, capsys):
         code, _, err = invoke(capsys, "export", "base", "--format", "svg")
         assert code == 1 and err.startswith("error:")
@@ -191,3 +203,13 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "cost", "base", "--config", str(bad))
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("override", [
+        "max_pillars=abc", "block_units=7", "max_pillars=true",
+        "block_units=[1,true,1]", "resnet_bottleneck=[1]", "resnet_bottleneck=1/0",
+    ])
+    def test_mistyped_override_is_domain_error(self, capsys, override):
+        code, out, err = invoke(capsys, "cost", "base", "--set", override)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert override.split("=")[0] in err

@@ -2,9 +2,12 @@
 import csv
 import io
 import json
+from collections import Counter
 
 import pytest
 
+import pillarcost.shapes
+from pillarcost.arch import Variant, build_pointpillars
 from pillarcost.cost import (
     CostReport, graph_cost, node_madds, node_params, speedup_vs_base,
 )
@@ -161,6 +164,28 @@ class TestGraphCost:
         assert rows[-1][0] == "TOTAL"
         assert int(rows[-1][2]) == report.total_madds
         assert sum(int(r[2]) for r in rows[1:-1]) == report.total_madds
+
+    @pytest.mark.parametrize("count_batchnorm", [True, False])
+    def test_single_walk(self, monkeypatch, count_batchnorm):
+        """One validation and one shape inference per node; no per-node edge
+        scan and no separate ordering pass."""
+        graph = build_pointpillars(Variant.SHUFFLENET_V2)
+        calls = Counter()
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        for name in ("validate", "inputs_of", "topo_order"):
+            count(Graph, name)
+        count(pillarcost.shapes, "node_output_shape")
+        report = graph_cost(graph, count_batchnorm=count_batchnorm)
+        assert len(report.per_node) == len(graph)
+        assert calls == {"validate": 1, "node_output_shape": len(graph)}
 
     def test_json_report(self):
         report = graph_cost(tiny_graph())

@@ -5,8 +5,8 @@ import pytest
 
 from pillarcost.graph import (
     Add, ArityMismatchError, BatchNorm, ChannelShuffle, ChannelSplit, Concat,
-    Conv, DuplicateNameError, Edge, Graph, Input, InvalidGraphError, MaxPool,
-    ReLU, Scatter, TensorShape, TransposedConv, UnknownInputError,
+    Conv, DuplicateNameError, Edge, Graph, GraphError, Input,
+    InvalidGraphError, MaxPool, ReLU, Scatter, TensorShape, TransposedConv, UnknownInputError,
     input_arity, num_outputs,
 )
 
@@ -105,6 +105,20 @@ class TestAddNode:
         assert g.inputs_of(d) == [(c, 0), (b, 0)]
         assert sorted(g.consumers_of(a)) == [b, c]
 
+    def test_input_table_matches_inputs_of(self):
+        g = Graph()
+        a = g.add_node(Input(TensorShape(4, 2, 2)), name="in")
+        s = g.add_node(ChannelSplit(fractions=(Fraction(1, 2), Fraction(1, 2))),
+                       [(a, 0)], name="split")
+        g.add_node(Concat(), [(s, 1), (a, 0), (s, 0)], name="cat")
+        table = g.input_table()
+        assert table == [[], [(a, 0)], [(s, 1), (a, 0), (s, 0)]]
+        assert table == [g.inputs_of(n.id) for n in g.nodes]
+
+    def test_inputs_of_unknown_node_rejected(self):
+        with pytest.raises(UnknownInputError):
+            small_chain().inputs_of(4)
+
 
 class TestValidate:
     def test_valid_graph_has_no_diagnostics(self):
@@ -181,4 +195,22 @@ class TestJsonRoundTrip:
         doc = small_chain().to_json_dict()
         doc["nodes"][1]["kind"] = "warp"
         with pytest.raises(Exception):
+            Graph.from_json_dict(doc)
+
+    @pytest.mark.parametrize("ids", [[0, 2, 3, 4], [1, 2, 3, 4], [0, 1, 1, 2]])
+    def test_non_dense_ids_rejected(self, ids):
+        # with ids 0, 2, 3, 4 the edge 2 -> 4 used to feed "c" from "b"
+        relu = {"kind": "relu", "attrs": {}}
+        doc = {"nodes": [{"id": ids[0], "name": "in", "kind": "input",
+                          "attrs": {"shape": [4, 2, 2]}}]
+                        + [dict(relu, id=i, name=n) for i, n in zip(ids[1:], "abc")],
+               "edges": [[ids[0], 0, ids[1], 0], [ids[1], 0, ids[2], 0],
+                         [ids[1], 0, ids[3], 0]]}
+        with pytest.raises(GraphError, match="node ids"):
+            Graph.from_json_dict(doc)
+
+    def test_edge_to_missing_node_rejected(self):
+        doc = small_chain().to_json_dict()
+        doc["edges"].append([3, 0, 9, 0])
+        with pytest.raises(GraphError, match="does not exist"):
             Graph.from_json_dict(doc)

@@ -3,14 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from pillarcost.cost import graph_cost
 from pillarcost.graph import (
     Add, BatchNorm, ChannelShuffle, ChannelSplit, Concat, Conv, Graph, Input,
     InvalidGraphError, MaxPool, ReLU, Scatter, TensorShape, TransposedConv,
 )
 from pillarcost.shapes import (
     AddShapeMismatch, ConcatSpatialMismatch, GroupMismatch, NegativeOutputDim,
-    NonIntegralSplit, ShapeError, ShuffleGroupMismatch, infer_all,
-    node_output_shape,
+    NonIntegralSplit, ShuffleGroupMismatch, infer_all, node_output_shape,
 )
 
 
@@ -130,17 +130,38 @@ class TestInferAll:
         assert shapes[(2, 0)] == TensorShape(8, 6, 6)
         assert set(shapes) == {(0, 0), (1, 0), (1, 1), (2, 0)}
 
+    # infer_all and graph_cost share one walk, so each check runs through both
+
     def test_requires_exactly_one_input_node(self):
         g = Graph()
         a = g.add_node(Input(TensorShape(2, 4, 4)), name="a")
         b = g.add_node(Input(TensorShape(2, 4, 4)), name="b")
         g.add_node(Add(), [(a, 0), (b, 0)], name="sum")
-        with pytest.raises(InvalidGraphError):
-            infer_all(g)
+        for walk in (infer_all, graph_cost):
+            with pytest.raises(InvalidGraphError):
+                walk(g)
 
     def test_error_names_offending_node(self):
         g = Graph()
         a = g.add_node(Input(TensorShape(7, 4, 4)), name="in")
         g.add_node(ChannelShuffle(2), [(a, 0)], name="bad_shuffle")
-        with pytest.raises(ShapeError, match="bad_shuffle"):
-            infer_all(g)
+        for walk in (infer_all, graph_cost):
+            with pytest.raises(ShuffleGroupMismatch, match="^bad_shuffle: "):
+                walk(g)
+
+    @pytest.mark.parametrize("spec,error", [
+        (Conv(6, 3, 3, groups=4), GroupMismatch),
+        (Conv(6, 9, 9), NegativeOutputDim),
+        (ChannelSplit(fractions=(Fraction(1, 3), Fraction(2, 3))), NonIntegralSplit),
+        (Add(), AddShapeMismatch),
+        (Concat(), ConcatSpatialMismatch),
+    ])
+    def test_conflict_raised_alike_by_infer_all_and_graph_cost(self, spec, error):
+        g = Graph()
+        a = g.add_node(Input(TensorShape(8, 4, 4)), name="in")
+        pool = g.add_node(MaxPool(2, 2, 2, 2), [(a, 0)], name="pool")
+        inputs = [(a, 0), (pool, 0)] if isinstance(spec, (Add, Concat)) else [(a, 0)]
+        g.add_node(spec, inputs, name="culprit")
+        for walk in (infer_all, graph_cost):
+            with pytest.raises(error, match="^culprit: "):
+                walk(g)
