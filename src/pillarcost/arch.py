@@ -197,13 +197,14 @@ def _parse_value(raw: str):
 
 def _conv(g: Graph, src: int, name: str, in_ch: int, out_ch: int,
           kernel=(1, 1), stride=(1, 1), pad=(0, 0), groups: int = 1,
-          bias: bool = False) -> int:
+          bias: bool = False, port: int = 0) -> int:
+    """Conv fed by output ``port`` of ``src`` (ChannelSplit has several)."""
     if in_ch % groups or out_ch % groups:
         raise ChannelConstraintError(
             f"{name}: channels {in_ch}->{out_ch} not divisible by groups={groups}")
     spec = Conv(out_ch, kernel[0], kernel[1], stride[0], stride[1],
                 pad[0], pad[1], groups, bias)
-    return g.add_node(spec, [(src, 0)], name)
+    return g.add_node(spec, [(src, port)], name)
 
 
 def _bn_relu(g: Graph, src: int, prefix: str, relu: bool = True) -> int:
@@ -218,6 +219,17 @@ def _cbr(g: Graph, src: int, name: str, in_ch: int, out_ch: int,
          relu: bool = True) -> int:
     node = _conv(g, src, f"{name}.conv", in_ch, out_ch, kernel, stride, pad, groups)
     return _bn_relu(g, node, name, relu)
+
+
+def _skip(g: Graph, src: int, name: str, in_ch: int, out_ch: int,
+          stride: int) -> int:
+    """A unit's residual skip: ``src`` itself when the unit keeps its shape,
+    else a strided 1x1 projection conv and batch norm."""
+    if stride == 1 and in_ch == out_ch:
+        return src
+    node = _conv(g, src, f"{name}.proj.conv", in_ch, out_ch, (1, 1),
+                 (stride, stride))
+    return g.add_node(BatchNorm(), [(node, 0)], f"{name}.proj.bn")
 
 
 def _dw(g: Graph, src: int, name: str, channels: int, stride: int) -> int:
@@ -253,11 +265,7 @@ def _unit_squeezenext(g, src, in_ch, out_ch, stride, name, cfg) -> int:
     node = _cbr(g, node, f"{name}.conv1x3", hidden, hidden, (1, 3), pad=(0, 1))
     node = _cbr(g, node, f"{name}.conv3x1", hidden, hidden, (3, 1), pad=(1, 0))
     node = _cbr(g, node, f"{name}.expand", hidden, out_ch, (1, 1), pad=(0, 0))
-    skip = src
-    if stride != 1 or in_ch != out_ch:
-        skip = _conv(g, src, f"{name}.proj.conv", in_ch, out_ch, (1, 1),
-                     (stride, stride))
-        skip = g.add_node(BatchNorm(), [(skip, 0)], f"{name}.proj.bn")
+    skip = _skip(g, src, name, in_ch, out_ch, stride)
     node = g.add_node(Add(), [(skip, 0), (node, 0)], f"{name}.add")
     return g.add_node(ReLU(), [(node, 0)], f"{name}.out_relu")
 
@@ -273,11 +281,7 @@ def _unit_bottleneck(g, src, in_ch, out_ch, stride, name, cfg,
     node = _cbr(g, node, f"{name}.conv3x3", hidden, hidden, groups=groups)
     node = _cbr(g, node, f"{name}.expand", hidden, out_ch, (1, 1),
                 pad=(0, 0), relu=False)
-    skip = src
-    if stride != 1 or in_ch != out_ch:
-        skip = _conv(g, src, f"{name}.proj.conv", in_ch, out_ch, (1, 1),
-                     (stride, stride))
-        skip = g.add_node(BatchNorm(), [(skip, 0)], f"{name}.proj.bn")
+    skip = _skip(g, src, name, in_ch, out_ch, stride)
     node = g.add_node(Add(), [(skip, 0), (node, 0)], f"{name}.add")
     return g.add_node(ReLU(), [(node, 0)], f"{name}.out_relu")
 
@@ -340,23 +344,9 @@ def _unit_shufflenet_v1(g, src, in_ch, out_ch, stride, name, cfg) -> int:
         node = g.add_node(Concat(), [(skip, 0), (branch, 0)], f"{name}.concat")
     else:
         branch = _shuffle_branch(g, src, name, in_ch, out_ch, 2, groups)
-        skip = _conv(g, src, f"{name}.proj.conv", in_ch, out_ch, (1, 1), (2, 2))
-        skip = g.add_node(BatchNorm(), [(skip, 0)], f"{name}.proj.bn")
+        skip = _skip(g, src, name, in_ch, out_ch, 2)
         node = g.add_node(Add(), [(skip, 0), (branch, 0)], f"{name}.add")
     return g.add_node(ReLU(), [(node, 0)], f"{name}.out_relu")
-
-
-# ChannelSplit is multi-output, so the ShufflenetV2 unit wires its first
-# convolution to an explicit (node, port) pair.
-def _conv_from(g: Graph, src: tuple[int, int], name: str, in_ch: int,
-               out_ch: int, kernel=(1, 1), stride=(1, 1), pad=(0, 0),
-               groups: int = 1) -> int:
-    if in_ch % groups or out_ch % groups:
-        raise ChannelConstraintError(
-            f"{name}: channels {in_ch}->{out_ch} not divisible by groups={groups}")
-    spec = Conv(out_ch, kernel[0], kernel[1], stride[0], stride[1],
-                pad[0], pad[1], groups, False)
-    return g.add_node(spec, [src], name)
 
 
 def _shufflenet_v2_unit(g, src, in_ch, out_ch, stride, name, cfg) -> int:
@@ -367,7 +357,7 @@ def _shufflenet_v2_unit(g, src, in_ch, out_ch, stride, name, cfg) -> int:
         c = in_ch // 2
         split = g.add_node(ChannelSplit((Fraction(1, 2), Fraction(1, 2))),
                            [(src, 0)], f"{name}.split")
-        node = _conv_from(g, (split, 1), f"{name}.pw1.conv", c, c)
+        node = _conv(g, split, f"{name}.pw1.conv", c, c, port=1)
         node = _bn_relu(g, node, f"{name}.pw1")
         node = _dw(g, node, f"{name}.dw.conv", c, 1)
         node = g.add_node(BatchNorm(), [(node, 0)], f"{name}.dw.bn")
@@ -425,8 +415,7 @@ def _unit_xception(g, src, in_ch, out_ch, stride, name, cfg) -> int:
     node = _sepconv(g, src, f"{name}.sep1", in_ch, out_ch)
     node = g.add_node(MaxPool(3, 3, 2, 2, 1, 1), [(node, 0)], f"{name}.pool")
     node = _sepconv(g, node, f"{name}.sep2", out_ch, out_ch)
-    skip = _conv(g, src, f"{name}.proj.conv", in_ch, out_ch, (1, 1), (2, 2))
-    skip = g.add_node(BatchNorm(), [(skip, 0)], f"{name}.proj.bn")
+    skip = _skip(g, src, name, in_ch, out_ch, 2)
     return g.add_node(Add(), [(skip, 0), (node, 0)], f"{name}.add")
 
 
@@ -505,13 +494,8 @@ def _build_block(variant, g, src, in_ch, out_ch, units, stride, prefix, cfg,
             name = f"{prefix}.block{index}"
             if take == 1:  # odd unit count: trailing single separable conv
                 sep = _sepconv(g, node, f"{name}.sep1", cur, out_ch)
-                if cur_stride == 1 and cur == out_ch:
-                    node = g.add_node(Add(), [(node, 0), (sep, 0)], f"{name}.add")
-                else:
-                    skip = _conv(g, node, f"{name}.proj.conv", cur, out_ch,
-                                 (1, 1), (cur_stride, cur_stride))
-                    skip = g.add_node(BatchNorm(), [(skip, 0)], f"{name}.proj.bn")
-                    node = g.add_node(Add(), [(skip, 0), (sep, 0)], f"{name}.add")
+                skip = _skip(g, node, name, cur, out_ch, cur_stride)
+                node = g.add_node(Add(), [(skip, 0), (sep, 0)], f"{name}.add")
             else:
                 node = _unit_xception(g, node, cur, out_ch, cur_stride, name, cfg)
             cur = out_ch

@@ -198,8 +198,6 @@ def _cmd_export(args: argparse.Namespace) -> None:
     variant = Variant.parse(args.variant)
     cfg = _load_config(args)
     graph = build_pointpillars(variant, cfg)
-    if args.format == "svg":
-        raise CliError("export emits graph structure; use csv or json")
     if args.format == "csv":
         report = graph_cost(graph, count_batchnorm=not args.fold_batchnorm)
         _emit(report.to_csv(), args.output)
@@ -250,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cost)
 
     p = sub.add_parser("compare", help="cost table over all variants")
-    p.add_argument("--metric", choices=("gmadds", "params"), default="gmadds",
-                   help="kept for symmetry; both columns are always shown")
     _add_config_flags(p)
     _add_io_flags(p)
     p.set_defaults(func=_cmd_compare)
@@ -280,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="emit a variant's graph or cost table")
     p.add_argument("variant")
     _add_config_flags(p)
-    _add_io_flags(p, formats=("json", "csv", "svg"))
+    _add_io_flags(p, formats=("json", "csv"))
     p.set_defaults(func=_cmd_export)
 
     return parser

@@ -5,84 +5,27 @@ left to the reporting layer.
 """
 from __future__ import annotations
 
+import csv
 import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import (
-    BatchNorm, Conv, Graph, NodeSpec, TensorShape, TransposedConv,
+from .graph import (  # ShapeError and ShapeInconsistent are re-exported
+    BatchNorm, Graph, NodeSpec, ShapeError, ShapeInconsistent, TensorShape,
 )
-from .shapes import ShapeError, walk_shapes
-
-
-class ShapeInconsistent(ShapeError):
-    code = "ShapeInconsistent"
-
-
-def _check(condition: bool, message: str) -> None:
-    if not condition:
-        raise ShapeInconsistent(message)
+from .shapes import walk_shapes
 
 
 def node_madds(spec: NodeSpec, input_shapes: list[TensorShape],
                output_shapes: list[TensorShape]) -> int:
-    """Multiply-add count of one node.
-
-    Convolutions count one MAdd per kernel tap per output element; a
-    transposed convolution counts one per kernel tap per *input* element
-    (each input pixel is multiplied by the full kernel before the strided
-    scatter-add).  BatchNorm counts one fused scale-and-shift per element.
-    Everything else is MAdd-free.
-    """
-    if isinstance(spec, Conv):
-        _check(len(input_shapes) == 1 and len(output_shapes) == 1,
-               "conv takes one input and one output")
-        (si,), (so,) = input_shapes, output_shapes
-        _check(so.channels == spec.out_channels, "conv output channels mismatch")
-        _check(si.channels % spec.groups == 0, "conv group mismatch")
-        macs = (so.channels * (si.channels // spec.groups)
-                * spec.kernel_h * spec.kernel_w * so.pixels)
-        if spec.has_bias:
-            macs += so.channels * so.pixels
-        return macs
-
-    if isinstance(spec, TransposedConv):
-        _check(len(input_shapes) == 1 and len(output_shapes) == 1,
-               "transposed conv takes one input and one output")
-        (si,), (so,) = input_shapes, output_shapes
-        _check(so.channels == spec.out_channels,
-               "transposed conv output channels mismatch")
-        _check(si.channels % spec.groups == 0, "transposed conv group mismatch")
-        macs = (so.channels * (si.channels // spec.groups)
-                * spec.kernel_h * spec.kernel_w * si.pixels)
-        if spec.has_bias:
-            macs += so.channels * so.pixels
-        return macs
-
-    if isinstance(spec, BatchNorm):
-        _check(len(output_shapes) == 1, "batch norm has one output")
-        (so,) = output_shapes
-        return so.channels * so.pixels
-
-    return 0
+    """Multiply-add count of one node; see the kind's ``madds`` method."""
+    return spec.madds(input_shapes, output_shapes)
 
 
 def node_params(spec: NodeSpec, input_shapes: list[TensorShape]) -> int:
     """Learnable parameter count of one node."""
-    if isinstance(spec, (Conv, TransposedConv)):
-        _check(len(input_shapes) == 1, "conv takes one input")
-        (si,) = input_shapes
-        _check(si.channels % spec.groups == 0, "conv group mismatch")
-        count = (spec.out_channels * (si.channels // spec.groups)
-                 * spec.kernel_h * spec.kernel_w)
-        if spec.has_bias:
-            count += spec.out_channels
-        return count
-    if isinstance(spec, BatchNorm):
-        (si,) = input_shapes
-        return 2 * si.channels  # scale and shift per channel
-    return 0
+    return spec.params(input_shapes)
 
 
 @dataclass(frozen=True)
@@ -118,10 +61,10 @@ class CostReport:
 
     def to_csv(self) -> str:
         out = io.StringIO()
-        out.write("name,kind,madds,params\n")
-        for cost in self.per_node:
-            out.write(f"{cost.name},{cost.kind},{cost.madds},{cost.params}\n")
-        out.write(f"TOTAL,,{self.total_madds},{self.total_params}\n")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(("name", "kind", "madds", "params"))
+        writer.writerows((c.name, c.kind, c.madds, c.params) for c in self.per_node)
+        writer.writerow(("TOTAL", "", self.total_madds, self.total_params))
         return out.getvalue()
 
     def to_json(self) -> str:
@@ -152,8 +95,8 @@ def graph_cost(graph: Graph, count_batchnorm: bool = True) -> CostReport:
             rows.append(NodeCost(node.name, node.spec.kind, 0, 0))
             continue
         rows.append(NodeCost(node.name, node.spec.kind,
-                             node_madds(node.spec, in_shapes, out_shapes),
-                             node_params(node.spec, in_shapes)))
+                             node.spec.madds(in_shapes, out_shapes),
+                             node.spec.params(in_shapes)))
     return CostReport(tuple(rows))
 
 

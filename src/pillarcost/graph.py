@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import ClassVar, Union
+from typing import ClassVar
 
 
 class GraphError(Exception):
@@ -32,9 +32,50 @@ class InvalidGraphError(GraphError):
     """An operation requiring a valid graph was called on a broken one."""
 
 
-def _require_positive(value: int, what: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+class ShapeError(Exception):
+    """A node's input shapes violate its kind constraints."""
+
+    code = "ShapeError"
+
+
+class GroupMismatch(ShapeError):
+    code = "GroupMismatch"
+
+
+class AddShapeMismatch(ShapeError):
+    code = "AddShapeMismatch"
+
+
+class ConcatSpatialMismatch(ShapeError):
+    code = "ConcatSpatialMismatch"
+
+
+class NonIntegralSplit(ShapeError):
+    code = "NonIntegralSplit"
+
+
+class ShuffleGroupMismatch(ShapeError):
+    code = "ShuffleGroupMismatch"
+
+
+class NegativeOutputDim(ShapeError):
+    code = "NegativeOutputDim"
+
+
+class ShapeInconsistent(ShapeError):
+    """Shapes handed to a cost method disagree with the node's own fields."""
+
+    code = "ShapeInconsistent"
+
+
+def _check(condition: bool, message: str) -> None:
+    if not condition:
+        raise ShapeInconsistent(message)
+
+
+def _require_int(value: int, what: str, minimum: int = 1) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -46,9 +87,9 @@ class TensorShape:
     width: int
 
     def __post_init__(self) -> None:
-        _require_positive(self.channels, "channels")
-        _require_positive(self.height, "height")
-        _require_positive(self.width, "width")
+        _require_int(self.channels, "channels")
+        _require_int(self.height, "height")
+        _require_int(self.width, "width")
 
     @property
     def pixels(self) -> int:
@@ -62,14 +103,125 @@ class TensorShape:
 # Node kinds (closed enumeration)
 # --------------------------------------------------------------------------
 
+class NodeSpec:
+    """Base of the node kinds; each kind defines all of its behaviour here.
+
+    ``arity`` is the (min, max) number of inputs, max None = unbounded.  The
+    defaults describe a single-input, single-output, shape-preserving node
+    that costs nothing; kinds override what differs.  Input shapes are given
+    in port order, and one output shape is returned per output port.
+    """
+
+    kind: ClassVar[str]
+    arity: ClassVar[tuple[int, int | None]] = (1, 1)
+
+    def num_outputs(self) -> int:
+        return 1
+
+    def output_shapes(self, input_shapes: list[TensorShape]) -> list[TensorShape]:
+        (s,) = input_shapes
+        return [s]
+
+    def madds(self, input_shapes: list[TensorShape],
+              output_shapes: list[TensorShape]) -> int:
+        return 0
+
+    def params(self, input_shapes: list[TensorShape]) -> int:
+        return 0
+
+    @classmethod
+    def from_attrs(cls, attrs: dict) -> "NodeSpec":
+        """Inverse of the ``attrs`` object that ``Graph.to_json_dict`` writes."""
+        return cls(**attrs)
+
+
 @dataclass(frozen=True)
-class Input:
+class Input(NodeSpec):
     kind: ClassVar[str] = "input"
+    arity: ClassVar[tuple[int, int | None]] = (0, 0)
     shape: TensorShape
 
+    def output_shapes(self, input_shapes: list[TensorShape]) -> list[TensorShape]:
+        return [self.shape]
+
+    @classmethod
+    def from_attrs(cls, attrs: dict) -> "Input":
+        return cls(**{**attrs, "shape": TensorShape(*attrs["shape"])})
+
+
+def _window_out(size: int, pad: int, kernel: int, stride: int, what: str) -> int:
+    out = (size + 2 * pad - kernel) // stride + 1
+    if out < 1:
+        raise NegativeOutputDim(
+            f"{what}: window (k={kernel}, s={stride}, p={pad}) over size {size} "
+            f"yields output dim {out}")
+    return out
+
+
+class _Window(NodeSpec):
+    """Sliding-window kinds: their fields are positive integers, except
+    paddings, which are non-negative integers."""
+
+    _positive: ClassVar[tuple[str, ...]] = (
+        "kernel_h", "kernel_w", "stride_h", "stride_w")
+    _padding: ClassVar[tuple[str, ...]] = ("pad_h", "pad_w")
+
+    def __post_init__(self) -> None:
+        for name in self._positive:
+            _require_int(getattr(self, name), name)
+        for name in self._padding:
+            _require_int(getattr(self, name), name, minimum=0)
+
+    def _out_hw(self, s: TensorShape) -> tuple[int, int]:
+        return (_window_out(s.height, self.pad_h, self.kernel_h, self.stride_h,
+                            f"{self.kind} height"),
+                _window_out(s.width, self.pad_w, self.kernel_w, self.stride_w,
+                            f"{self.kind} width"))
+
+
+class _Conv(_Window):
+    """What Conv and TransposedConv share: the group check, the weight count,
+    and one MAdd per weight at every pixel the kernel is applied to.  They
+    differ in which pixels those are (``_kernel_pixels``) and in the spatial
+    rule (``_out_hw``)."""
+
+    _positive = _Window._positive + ("out_channels", "groups")
+
+    def output_shapes(self, input_shapes: list[TensorShape]) -> list[TensorShape]:
+        (s,) = input_shapes
+        if s.channels % self.groups or self.out_channels % self.groups:
+            raise GroupMismatch(
+                f"{self.kind} channels ({s.channels} -> {self.out_channels}) "
+                f"not divisible by groups={self.groups}")
+        return [TensorShape(self.out_channels, *self._out_hw(s))]
+
+    def _weights(self, input_shapes: list[TensorShape]) -> int:
+        _check(len(input_shapes) == 1, f"{self.kind} takes one input")
+        (si,) = input_shapes
+        _check(si.channels % self.groups == 0, f"{self.kind} group mismatch")
+        return (self.out_channels * (si.channels // self.groups)
+                * self.kernel_h * self.kernel_w)
+
+    def madds(self, input_shapes: list[TensorShape],
+              output_shapes: list[TensorShape]) -> int:
+        """Weights times kernel pixels, plus one per output element for the
+        bias."""
+        _check(len(output_shapes) == 1, f"{self.kind} has one output")
+        (so,) = output_shapes
+        _check(so.channels == self.out_channels,
+               f"{self.kind} output channels mismatch")
+        macs = self._weights(input_shapes) * self._kernel_pixels(input_shapes[0], so)
+        if self.has_bias:
+            macs += so.channels * so.pixels
+        return macs
+
+    def params(self, input_shapes: list[TensorShape]) -> int:
+        bias = self.out_channels if self.has_bias else 0
+        return self._weights(input_shapes) + bias
+
 
 @dataclass(frozen=True)
-class Conv:
+class Conv(_Conv):
     kind: ClassVar[str] = "conv"
     out_channels: int
     kernel_h: int
@@ -81,20 +233,14 @@ class Conv:
     groups: int = 1
     has_bias: bool = False
 
-    def __post_init__(self) -> None:
-        _require_positive(self.out_channels, "out_channels")
-        _require_positive(self.kernel_h, "kernel_h")
-        _require_positive(self.kernel_w, "kernel_w")
-        _require_positive(self.stride_h, "stride_h")
-        _require_positive(self.stride_w, "stride_w")
-        _require_positive(self.groups, "groups")
-        if self.pad_h < 0 or self.pad_w < 0:
-            raise ValueError("padding must be non-negative")
+    def _kernel_pixels(self, si: TensorShape, so: TensorShape) -> int:
+        return so.pixels
 
 
 @dataclass(frozen=True)
-class TransposedConv:
+class TransposedConv(_Conv):
     kind: ClassVar[str] = "transposed_conv"
+    _padding = _Window._padding + ("output_pad_h", "output_pad_w")
     out_channels: int
     kernel_h: int
     kernel_w: int
@@ -107,29 +253,42 @@ class TransposedConv:
     groups: int = 1
     has_bias: bool = False
 
-    def __post_init__(self) -> None:
-        _require_positive(self.out_channels, "out_channels")
-        _require_positive(self.kernel_h, "kernel_h")
-        _require_positive(self.kernel_w, "kernel_w")
-        _require_positive(self.stride_h, "stride_h")
-        _require_positive(self.stride_w, "stride_w")
-        _require_positive(self.groups, "groups")
-        if min(self.pad_h, self.pad_w, self.output_pad_h, self.output_pad_w) < 0:
-            raise ValueError("padding must be non-negative")
+    def _out_hw(self, s: TensorShape) -> tuple[int, int]:
+        h = (s.height - 1) * self.stride_h - 2 * self.pad_h + self.kernel_h + self.output_pad_h
+        w = (s.width - 1) * self.stride_w - 2 * self.pad_w + self.kernel_w + self.output_pad_w
+        if h < 1 or w < 1:
+            raise NegativeOutputDim(f"transposed conv output dims {h}x{w}")
+        return h, w
+
+    def _kernel_pixels(self, si: TensorShape, so: TensorShape) -> int:
+        # each input pixel is multiplied by the full kernel before the
+        # strided scatter-add
+        return si.pixels
 
 
 @dataclass(frozen=True)
-class BatchNorm:
+class BatchNorm(NodeSpec):
     kind: ClassVar[str] = "batch_norm"
 
+    def madds(self, input_shapes: list[TensorShape],
+              output_shapes: list[TensorShape]) -> int:
+        """One fused scale-and-shift per element."""
+        _check(len(output_shapes) == 1, "batch norm has one output")
+        (so,) = output_shapes
+        return so.channels * so.pixels
+
+    def params(self, input_shapes: list[TensorShape]) -> int:
+        (si,) = input_shapes
+        return 2 * si.channels  # scale and shift per channel
+
 
 @dataclass(frozen=True)
-class ReLU:
+class ReLU(NodeSpec):
     kind: ClassVar[str] = "relu"
 
 
 @dataclass(frozen=True)
-class MaxPool:
+class MaxPool(_Window):
     kind: ClassVar[str] = "max_pool"
     kernel_h: int
     kernel_w: int
@@ -138,31 +297,45 @@ class MaxPool:
     pad_h: int = 0
     pad_w: int = 0
 
-    def __post_init__(self) -> None:
-        _require_positive(self.kernel_h, "kernel_h")
-        _require_positive(self.kernel_w, "kernel_w")
-        _require_positive(self.stride_h, "stride_h")
-        _require_positive(self.stride_w, "stride_w")
-        if self.pad_h < 0 or self.pad_w < 0:
-            raise ValueError("padding must be non-negative")
+    def output_shapes(self, input_shapes: list[TensorShape]) -> list[TensorShape]:
+        (s,) = input_shapes
+        return [TensorShape(s.channels, *self._out_hw(s))]
 
 
 @dataclass(frozen=True)
-class Add:
+class Add(NodeSpec):
     """Elementwise merge of >= 2 identically shaped inputs."""
 
     kind: ClassVar[str] = "add"
+    arity: ClassVar[tuple[int, int | None]] = (2, None)
+
+    def output_shapes(self, input_shapes: list[TensorShape]) -> list[TensorShape]:
+        first = input_shapes[0]
+        for other in input_shapes[1:]:
+            if other != first:
+                raise AddShapeMismatch(f"add inputs differ: {first} vs {other}")
+        return [first]
 
 
 @dataclass(frozen=True)
-class Concat:
+class Concat(NodeSpec):
     """Channel-axis concatenation of >= 2 inputs with equal spatial dims."""
 
     kind: ClassVar[str] = "concat"
+    arity: ClassVar[tuple[int, int | None]] = (2, None)
+
+    def output_shapes(self, input_shapes: list[TensorShape]) -> list[TensorShape]:
+        first = input_shapes[0]
+        for other in input_shapes[1:]:
+            if (other.height, other.width) != (first.height, first.width):
+                raise ConcatSpatialMismatch(
+                    f"concat spatial dims differ: {first} vs {other}")
+        return [TensorShape(sum(s.channels for s in input_shapes),
+                            first.height, first.width)]
 
 
 @dataclass(frozen=True)
-class ChannelSplit:
+class ChannelSplit(NodeSpec):
     """Multi-output partition of channels into the given fractions."""
 
     kind: ClassVar[str] = "channel_split"
@@ -178,18 +351,39 @@ class ChannelSplit:
         if sum(fracs) != 1:
             raise ValueError(f"split fractions must sum to 1, got {sum(fracs)}")
 
+    def num_outputs(self) -> int:
+        return len(self.fractions)
+
+    def output_shapes(self, input_shapes: list[TensorShape]) -> list[TensorShape]:
+        (s,) = input_shapes
+        outs = []
+        for frac in self.fractions:
+            part = Fraction(s.channels) * frac
+            if part.denominator != 1:
+                raise NonIntegralSplit(
+                    f"fraction {frac} of {s.channels} channels is not integral")
+            outs.append(TensorShape(int(part), s.height, s.width))
+        return outs
+
 
 @dataclass(frozen=True)
-class ChannelShuffle:
+class ChannelShuffle(NodeSpec):
     kind: ClassVar[str] = "channel_shuffle"
     groups: int
 
     def __post_init__(self) -> None:
-        _require_positive(self.groups, "groups")
+        _require_int(self.groups, "groups")
+
+    def output_shapes(self, input_shapes: list[TensorShape]) -> list[TensorShape]:
+        (s,) = input_shapes
+        if s.channels % self.groups:
+            raise ShuffleGroupMismatch(
+                f"{s.channels} channels not divisible by shuffle groups={self.groups}")
+        return [s]
 
 
 @dataclass(frozen=True)
-class Scatter:
+class Scatter(NodeSpec):
     """Zero-cost placement of per-pillar feature columns onto a 2D grid.
 
     Channels are preserved; the spatial extent is replaced by the grid size.
@@ -200,14 +394,13 @@ class Scatter:
     out_width: int
 
     def __post_init__(self) -> None:
-        _require_positive(self.out_height, "out_height")
-        _require_positive(self.out_width, "out_width")
+        _require_int(self.out_height, "out_height")
+        _require_int(self.out_width, "out_width")
 
+    def output_shapes(self, input_shapes: list[TensorShape]) -> list[TensorShape]:
+        (s,) = input_shapes
+        return [TensorShape(s.channels, self.out_height, self.out_width)]
 
-NodeSpec = Union[
-    Input, Conv, TransposedConv, BatchNorm, ReLU, MaxPool,
-    Add, Concat, ChannelSplit, ChannelShuffle, Scatter,
-]
 
 _KIND_CLASSES = {
     cls.kind: cls
@@ -218,17 +411,11 @@ _KIND_CLASSES = {
 
 def input_arity(spec: NodeSpec) -> tuple[int, int | None]:
     """(min, max) number of inputs accepted by a node kind; max None = unbounded."""
-    if isinstance(spec, Input):
-        return (0, 0)
-    if isinstance(spec, (Add, Concat)):
-        return (2, None)
-    return (1, 1)
+    return spec.arity
 
 
 def num_outputs(spec: NodeSpec) -> int:
-    if isinstance(spec, ChannelSplit):
-        return len(spec.fractions)
-    return 1
+    return spec.num_outputs()
 
 
 # --------------------------------------------------------------------------
@@ -294,7 +481,7 @@ class Graph:
         on error the graph is left unchanged.
         """
         inputs = list(inputs)
-        lo, hi = input_arity(spec)
+        lo, hi = spec.arity
         if len(inputs) < lo or (hi is not None and len(inputs) > hi):
             want = f">= {lo}" if hi is None else (str(lo) if lo == hi else f"{lo}..{hi}")
             raise ArityMismatchError(
@@ -302,10 +489,11 @@ class Graph:
         for src, port in inputs:
             if not 0 <= src < len(self._nodes):
                 raise UnknownInputError(f"node {name!r} references unknown input {src}")
-            if not 0 <= port < num_outputs(self._nodes[src].spec):
+            outputs = self._nodes[src].spec.num_outputs()
+            if not 0 <= port < outputs:
                 raise UnknownInputError(
                     f"node {name!r} references port {port} of node {src}, "
-                    f"which has {num_outputs(self._nodes[src].spec)} outputs")
+                    f"which has {outputs} outputs")
         if not name:
             name = f"{spec.kind}_{len(self._nodes)}"
         if name in self._names:
@@ -337,31 +525,23 @@ class Graph:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> list[Diagnostic]:
-        """Return all structural violations; an empty list means valid."""
+        """Return every port or arity violation; an empty list means valid.
+
+        ``add_node`` is the only writer and accepts only existing producers
+        and unused names, so edges cannot dangle or form a cycle and names
+        are unique; those need no check here.
+        """
         out: list[Diagnostic] = []
-        n = len(self._nodes)
-
-        seen: set[str] = set()
-        for node in self._nodes:
-            if node.name in seen:
-                out.append(Diagnostic("DuplicateName", node.id,
-                                      f"duplicate node name {node.name!r}"))
-            seen.add(node.name)
-
-        in_ports: dict[int, list[int]] = {node.id: [] for node in self._nodes}
+        in_ports: list[list[int]] = [[] for _ in self._nodes]
         for e in self._edges:
-            if not (0 <= e.src < n and 0 <= e.dst < n):
-                out.append(Diagnostic("DanglingEdge", None,
-                                      f"edge {e} references a missing node"))
-                continue
-            if not 0 <= e.src_port < num_outputs(self._nodes[e.src].spec):
+            if not 0 <= e.src_port < self._nodes[e.src].spec.num_outputs():
                 out.append(Diagnostic("BadPort", e.src,
                                       f"edge {e} uses nonexistent output port"))
             in_ports[e.dst].append(e.dst_port)
 
-        for node in self._nodes:
-            ports = sorted(in_ports[node.id])
-            lo, hi = input_arity(node.spec)
+        for node, ports in zip(self._nodes, in_ports):
+            ports.sort()
+            lo, hi = node.spec.arity
             if len(ports) < lo or (hi is not None and len(ports) > hi):
                 out.append(Diagnostic("ArityMismatch", node.id,
                                       f"{node.spec.kind} node {node.name!r} has "
@@ -370,32 +550,7 @@ class Graph:
                 out.append(Diagnostic("BadPort", node.id,
                                       f"node {node.name!r} has non-contiguous "
                                       f"input ports {ports}"))
-
-        out.extend(self._find_cycles())
         return out
-
-    def _find_cycles(self) -> list[Diagnostic]:
-        n = len(self._nodes)
-        succ: dict[int, list[int]] = {i: [] for i in range(n)}
-        indeg = [0] * n
-        for e in self._edges:
-            if 0 <= e.src < n and 0 <= e.dst < n:
-                succ[e.src].append(e.dst)
-                indeg[e.dst] += 1
-        ready = [i for i in range(n) if indeg[i] == 0]
-        visited = 0
-        while ready:
-            cur = ready.pop()
-            visited += 1
-            for nxt in succ[cur]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    ready.append(nxt)
-        if visited != n:
-            stuck = [i for i in range(n) if indeg[i] > 0]
-            return [Diagnostic("CycleDetected", stuck[0] if stuck else None,
-                               f"cycle through nodes {stuck}")]
-        return []
 
     def topo_order(self) -> list[int]:
         """Node ids in insertion order, which is topological (see class doc)."""
@@ -442,14 +597,13 @@ class Graph:
             spec_cls = _KIND_CLASSES.get(item["kind"])
             if spec_cls is None:
                 raise GraphError(f"unknown node kind {item['kind']!r}")
-            attrs = dict(item["attrs"])
-            if spec_cls is Input:
-                attrs["shape"] = TensorShape(*attrs["shape"])
-            if spec_cls is ChannelSplit:
-                attrs["fractions"] = tuple(Fraction(f) for f in attrs["fractions"])
-            spec = spec_cls(**attrs)
-            inputs = [(src, port) for _, src, port in sorted(by_dst.get(item["id"], []))]
-            graph.add_node(spec, inputs, item["name"])
+            row = sorted(by_dst.get(item["id"], ()))
+            ports = [port for port, _, _ in row]
+            if ports != list(range(len(row))):
+                raise GraphError(f"node {item['name']!r} has input ports {ports}; "
+                                 f"they must be 0..{len(row) - 1}, each exactly once")
+            graph.add_node(spec_cls.from_attrs(item["attrs"]),
+                           [(src, port) for _, src, port in row], item["name"])
         if len(graph._edges) != len(doc["edges"]):
             raise GraphError("an edge feeds a node id that does not exist")
         return graph

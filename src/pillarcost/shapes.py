@@ -1,138 +1,25 @@
-"""Output shape computation for every node kind.
+"""Shape inference over whole graphs.
 
-All functions are pure; ``walk_shapes`` validates a graph once and yields
-every node with its input and output shapes in topological order, and
-``infer_all`` collects them into a total map from (node id, output port) to
-TensorShape.
+Each node kind's shape rule is its spec's ``output_shapes`` in ``graph``.
+``walk_shapes`` validates a graph once and yields every node with its input
+and output shapes in topological order, and ``infer_all`` collects them into
+a total map from (node id, output port) to TensorShape.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator
 
-from .graph import (
-    Add, BatchNorm, ChannelShuffle, ChannelSplit, Concat, Conv, Graph, Input,
-    InvalidGraphError, MaxPool, Node, NodeSpec, ReLU, Scatter, TensorShape,
-    TransposedConv,
+from .graph import (  # the ShapeError family is re-exported from here
+    AddShapeMismatch, ConcatSpatialMismatch, Graph, GroupMismatch,
+    InvalidGraphError, NegativeOutputDim, Node, NodeSpec, NonIntegralSplit,
+    ShapeError, ShuffleGroupMismatch, TensorShape,
 )
-
-
-class ShapeError(Exception):
-    """A node's input shapes violate its kind constraints."""
-
-    code = "ShapeError"
-
-
-class GroupMismatch(ShapeError):
-    code = "GroupMismatch"
-
-
-class AddShapeMismatch(ShapeError):
-    code = "AddShapeMismatch"
-
-
-class ConcatSpatialMismatch(ShapeError):
-    code = "ConcatSpatialMismatch"
-
-
-class NonIntegralSplit(ShapeError):
-    code = "NonIntegralSplit"
-
-
-class ShuffleGroupMismatch(ShapeError):
-    code = "ShuffleGroupMismatch"
-
-
-class NegativeOutputDim(ShapeError):
-    code = "NegativeOutputDim"
-
-
-def _window_out(size: int, pad: int, kernel: int, stride: int, what: str) -> int:
-    out = (size + 2 * pad - kernel) // stride + 1
-    if out < 1:
-        raise NegativeOutputDim(
-            f"{what}: window (k={kernel}, s={stride}, p={pad}) over size {size} "
-            f"yields output dim {out}")
-    return out
 
 
 def node_output_shape(spec: NodeSpec,
                       input_shapes: list[TensorShape]) -> list[TensorShape]:
     """Output shape per output port, given input shapes in port order."""
-    if isinstance(spec, Input):
-        return [spec.shape]
-
-    if isinstance(spec, Conv):
-        (s,) = input_shapes
-        if s.channels % spec.groups or spec.out_channels % spec.groups:
-            raise GroupMismatch(
-                f"conv channels ({s.channels} -> {spec.out_channels}) not "
-                f"divisible by groups={spec.groups}")
-        h = _window_out(s.height, spec.pad_h, spec.kernel_h, spec.stride_h, "conv height")
-        w = _window_out(s.width, spec.pad_w, spec.kernel_w, spec.stride_w, "conv width")
-        return [TensorShape(spec.out_channels, h, w)]
-
-    if isinstance(spec, TransposedConv):
-        (s,) = input_shapes
-        if s.channels % spec.groups or spec.out_channels % spec.groups:
-            raise GroupMismatch(
-                f"transposed conv channels ({s.channels} -> {spec.out_channels}) "
-                f"not divisible by groups={spec.groups}")
-        h = (s.height - 1) * spec.stride_h - 2 * spec.pad_h + spec.kernel_h + spec.output_pad_h
-        w = (s.width - 1) * spec.stride_w - 2 * spec.pad_w + spec.kernel_w + spec.output_pad_w
-        if h < 1 or w < 1:
-            raise NegativeOutputDim(f"transposed conv output dims {h}x{w}")
-        return [TensorShape(spec.out_channels, h, w)]
-
-    if isinstance(spec, MaxPool):
-        (s,) = input_shapes
-        h = _window_out(s.height, spec.pad_h, spec.kernel_h, spec.stride_h, "pool height")
-        w = _window_out(s.width, spec.pad_w, spec.kernel_w, spec.stride_w, "pool width")
-        return [TensorShape(s.channels, h, w)]
-
-    if isinstance(spec, (BatchNorm, ReLU)):
-        (s,) = input_shapes
-        return [s]
-
-    if isinstance(spec, ChannelShuffle):
-        (s,) = input_shapes
-        if s.channels % spec.groups:
-            raise ShuffleGroupMismatch(
-                f"{s.channels} channels not divisible by shuffle groups={spec.groups}")
-        return [s]
-
-    if isinstance(spec, Add):
-        first = input_shapes[0]
-        for other in input_shapes[1:]:
-            if other != first:
-                raise AddShapeMismatch(f"add inputs differ: {first} vs {other}")
-        return [first]
-
-    if isinstance(spec, Concat):
-        first = input_shapes[0]
-        for other in input_shapes[1:]:
-            if (other.height, other.width) != (first.height, first.width):
-                raise ConcatSpatialMismatch(
-                    f"concat spatial dims differ: {first} vs {other}")
-        return [TensorShape(sum(s.channels for s in input_shapes),
-                            first.height, first.width)]
-
-    if isinstance(spec, ChannelSplit):
-        (s,) = input_shapes
-        outs = []
-        for frac in spec.fractions:
-            part = Fraction(s.channels) * frac
-            if part.denominator != 1:
-                raise NonIntegralSplit(
-                    f"fraction {frac} of {s.channels} channels is not integral")
-            outs.append(TensorShape(int(part), s.height, s.width))
-        return outs
-
-    if isinstance(spec, Scatter):
-        (s,) = input_shapes
-        return [TensorShape(s.channels, spec.out_height, spec.out_width)]
-
-    raise TypeError(f"unknown node spec {spec!r}")
+    return spec.output_shapes(input_shapes)
 
 
 ShapeMap = dict[tuple[int, int], TensorShape]

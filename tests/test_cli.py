@@ -174,13 +174,14 @@ class TestPlotExport:
 
     def test_export_refuses_svg(self, capsys):
         code, _, err = invoke(capsys, "export", "base", "--format", "svg")
-        assert code == 1 and err.startswith("error:")
+        assert code == 2 and "invalid choice: 'svg'" in err
 
 
 class TestExitCodes:
     def test_usage_error_is_two(self, capsys):
         assert invoke(capsys, "pareto", "--scope", "truck")[0] == 2
         assert invoke(capsys, "frobnicate")[0] == 2
+        assert invoke(capsys, "compare", "--metric", "params")[0] == 2
 
     @pytest.mark.parametrize("payload", [
         "", "{", "[]", '{"points": "no"}', '[{"gmadds": 1}]',

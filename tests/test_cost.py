@@ -165,6 +165,16 @@ class TestGraphCost:
         assert int(rows[-1][2]) == report.total_madds
         assert sum(int(r[2]) for r in rows[1:-1]) == report.total_madds
 
+    def test_csv_quotes_node_names(self):
+        doc = tiny_graph().to_json_dict()
+        doc["nodes"][2]["name"] = "a,b"
+        doc["nodes"][3]["name"] = 'say "hi"'
+        report = graph_cost(Graph.from_json(json.dumps(doc)))
+        rows = list(csv.reader(io.StringIO(report.to_csv())))
+        assert [r[0] for r in rows[1:-1]] == [c.name for c in report.per_node]
+        assert rows[3] == ["a,b", "batch_norm", str(16 * 64), "32"]
+        assert all(len(r) == 4 for r in rows)
+
     @pytest.mark.parametrize("count_batchnorm", [True, False])
     def test_single_walk(self, monkeypatch, count_batchnorm):
         """One validation and one shape inference per node; no per-node edge

@@ -5,9 +5,9 @@ import pytest
 
 from pillarcost.graph import (
     Add, ArityMismatchError, BatchNorm, ChannelShuffle, ChannelSplit, Concat,
-    Conv, DuplicateNameError, Edge, Graph, GraphError, Input,
-    InvalidGraphError, MaxPool, ReLU, Scatter, TensorShape, TransposedConv, UnknownInputError,
-    input_arity, num_outputs,
+    Conv, DuplicateNameError, Graph, GraphError, Input, MaxPool, ReLU, Scatter,
+    TensorShape, TransposedConv, UnknownInputError, _KIND_CLASSES, input_arity,
+    num_outputs,
 )
 
 
@@ -47,6 +47,16 @@ class TestNodeSpecs:
         with pytest.raises(ValueError):
             Conv(8, 3, 3, pad_h=-1)
 
+    @pytest.mark.parametrize("make", [
+        lambda pad: Conv(8, 3, 3, pad_h=pad),
+        lambda pad: TransposedConv(8, 3, 3, pad_h=pad),
+        lambda pad: MaxPool(3, 3, pad_h=pad),
+    ], ids=["conv", "transposed_conv", "max_pool"])
+    def test_window_kinds_reject_float_padding(self, make):
+        assert make(1).pad_h == 1
+        with pytest.raises(ValueError, match="pad_h"):
+            make(1.0)
+
     def test_arity_table(self):
         assert input_arity(Input(TensorShape(1, 1, 1))) == (0, 0)
         assert input_arity(Add()) == (2, None)
@@ -57,6 +67,48 @@ class TestNodeSpecs:
         split = ChannelSplit(fractions=(Fraction(1, 4),) * 4)
         assert num_outputs(split) == 4
         assert num_outputs(ReLU()) == 1
+
+    # one instance of every kind, with input shapes it accepts
+    SAMPLES = {
+        "input": (Input(TensorShape(4, 6, 6)), []),
+        "conv": (Conv(8, 3, 3, 2, 2, 1, 1, groups=2, has_bias=True), [TensorShape(4, 6, 6)]),
+        "transposed_conv": (TransposedConv(2, 2, 2, 2, 2, output_pad_h=1),
+                            [TensorShape(4, 6, 6)]),
+        "batch_norm": (BatchNorm(), [TensorShape(4, 6, 6)]),
+        "relu": (ReLU(), [TensorShape(4, 6, 6)]),
+        "max_pool": (MaxPool(3, 3, 2, 2, 1, 1), [TensorShape(4, 6, 6)]),
+        "add": (Add(), [TensorShape(4, 6, 6)] * 3),
+        "concat": (Concat(), [TensorShape(4, 6, 6)] * 2),
+        "channel_split": (ChannelSplit((Fraction(1, 4), Fraction(3, 4))),
+                          [TensorShape(4, 6, 6)]),
+        "channel_shuffle": (ChannelShuffle(2), [TensorShape(4, 6, 6)]),
+        "scatter": (Scatter(5, 7), [TensorShape(4, 6, 6)]),
+    }
+
+    def test_samples_cover_every_kind(self):
+        assert set(self.SAMPLES) == set(_KIND_CLASSES)
+
+    @pytest.mark.parametrize("kind", sorted(_KIND_CLASSES))
+    def test_every_kind_defines_its_behaviour(self, kind):
+        spec, in_shapes = self.SAMPLES[kind]
+        assert type(spec) is _KIND_CLASSES[kind] and spec.kind == kind
+        lo, hi = input_arity(spec)
+        assert lo <= len(in_shapes) and (hi is None or len(in_shapes) <= hi)
+        out_shapes = spec.output_shapes(in_shapes)
+        assert len(out_shapes) == num_outputs(spec) >= 1
+        assert all(isinstance(s, TensorShape) for s in out_shapes)
+        assert spec.madds(in_shapes, out_shapes) >= 0
+        assert spec.params(in_shapes) >= 0
+
+        g = Graph()
+        if in_shapes:
+            src = g.add_node(Input(in_shapes[0]), name="in")
+            g.add_node(spec, [(src, 0)] * len(in_shapes), name="node")
+        else:
+            g.add_node(spec, name="node")
+        restored = Graph.from_json(g.to_json())
+        assert restored.nodes[-1].spec == spec
+        assert restored.to_json() == g.to_json()
 
 
 class TestAddNode:
@@ -125,16 +177,16 @@ class TestValidate:
         assert small_chain().validate() == []
 
     def test_cycle_detected(self):
-        g = small_chain()
-        g._edges.append(Edge(3, 0, 1, 1))  # back edge, bypassing add_node
-        codes = {d.code for d in g.validate()}
-        assert "CycleDetected" in codes
+        doc = small_chain().to_json_dict()
+        doc["edges"].append([3, 0, 1, 1])  # back edge relu -> conv
+        with pytest.raises(GraphError):
+            Graph.from_json_dict(doc)
 
     def test_dangling_edge_detected(self):
-        g = small_chain()
-        g._edges.append(Edge(17, 0, 3, 1))
-        codes = {d.code for d in g.validate()}
-        assert "DanglingEdge" in codes
+        doc = small_chain().to_json_dict()
+        doc["edges"].append([17, 0, 3, 1])
+        with pytest.raises(GraphError):
+            Graph.from_json_dict(doc)
 
     def test_missing_input_port_detected(self):
         g = small_chain()
@@ -161,10 +213,10 @@ class TestTopoOrder:
         assert all(pos[e.src] < pos[e.dst] for e in g.edges)
 
     def test_invalid_graph_raises(self):
-        g = small_chain()
-        g._edges.append(Edge(3, 0, 1, 1))
-        with pytest.raises(InvalidGraphError):
-            g.topo_order()
+        doc = small_chain().to_json_dict()
+        doc["edges"].append([3, 0, 1, 1])
+        with pytest.raises(GraphError):
+            Graph.from_json_dict(doc).topo_order()
 
 
 class TestJsonRoundTrip:
@@ -207,6 +259,16 @@ class TestJsonRoundTrip:
                "edges": [[ids[0], 0, ids[1], 0], [ids[1], 0, ids[2], 0],
                          [ids[1], 0, ids[3], 0]]}
         with pytest.raises(GraphError, match="node ids"):
+            Graph.from_json_dict(doc)
+
+    @pytest.mark.parametrize("ports", [[0, 7], [0, 0], [1, 2], [0, 1, 1]])
+    def test_input_ports_must_be_dense(self, ports):
+        # these used to load renumbered as ports 0..k-1
+        doc = {"nodes": [{"id": 0, "name": "in", "kind": "input",
+                          "attrs": {"shape": [4, 2, 2]}},
+                         {"id": 1, "name": "cat", "kind": "concat", "attrs": {}}],
+               "edges": [[0, 0, 1, port] for port in ports]}
+        with pytest.raises(GraphError, match="input ports"):
             Graph.from_json_dict(doc)
 
     def test_edge_to_missing_node_rejected(self):
