@@ -99,10 +99,12 @@ class ArchConfig:
                   self.points_per_pillar, self.pfn_in_features,
                   self.num_classes, self.anchors_per_location,
                   self.box_code_size, self.dir_bins,
-                  *self.block_channels, *self.block_units, *self.block_strides,
+                  *self.block_channels, *self.block_units,
                   *self.neck_out_channels, *self.neck_upsample)
         if any(c < 1 for c in counts):
             raise ArchError("all counts must be positive")
+        for i, stride in enumerate(self.block_strides):
+            _check_stride(stride, f"block_strides[{i}]")
 
     @property
     def pseudo_image(self) -> TensorShape:

@@ -8,6 +8,8 @@ line on stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from fractions import Fraction
@@ -46,6 +48,14 @@ def _emit(text: str, output: str | None) -> None:
         Path(output).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _csv_text(header: tuple[str, ...], rows) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def _gmadd_str(madds: int) -> str:
@@ -115,11 +125,10 @@ def _cmd_compare(args: argparse.Namespace) -> None:
         _emit(json.dumps(doc, indent=2) + "\n", args.output)
         return
     if args.format == "csv":
-        out = ["name,madds,params,gmadds,madd_speedup"]
-        for name, madds, params in rows:
-            out.append(f"{name},{madds},{params},{_gmadd_str(madds)},"
-                       f"{round2(Fraction(base, madds)):.2f}")
-        _emit("\n".join(out) + "\n", args.output)
+        _emit(_csv_text(("name", "madds", "params", "gmadds", "madd_speedup"),
+                        ((name, madds, params, _gmadd_str(madds),
+                          f"{round2(Fraction(base, madds)):.2f}")
+                         for name, madds, params in rows)), args.output)
         return
     lines = [f"{'name':<14} {'GMAdd':>8} {'params':>10} {'speedup':>8}"]
     for name, madds, params in rows:
@@ -137,12 +146,10 @@ def _cmd_pareto(args: argparse.Namespace) -> None:
         return
     if args.format == "csv":
         by_name = {p.name: p for p in points}
-        out = ["name,gmadds,map"]
-        for name in front:
-            p = by_name[name]
-            out.append(f"{name},{round2(p.gmadds):.2f},"
-                       f"{round2(map_of(p, args.scope)):.2f}")
-        _emit("\n".join(out) + "\n", args.output)
+        _emit(_csv_text(("name", "gmadds", "map"),
+                        ((p.name, f"{round2(p.gmadds):.2f}",
+                          f"{round2(map_of(p, args.scope)):.2f}")
+                         for p in [by_name[name] for name in front])), args.output)
         return
     _emit("".join(name + "\n" for name in front), args.output)
 
@@ -181,9 +188,9 @@ def _cmd_amdahl(args: argparse.Namespace) -> None:
                          indent=2) + "\n", args.output)
         return
     if args.format == "csv":
-        out = ["quantity,value"]
-        out += [f"{name},{value:.2f}" for name, value in rows]
-        _emit("\n".join(out) + "\n", args.output)
+        _emit(_csv_text(("quantity", "value"),
+                        ((name, f"{value:.2f}") for name, value in rows)),
+              args.output)
         return
     _emit("".join(f"{name:<22} {value:.2f}\n" for name, value in rows),
           args.output)

@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .graph import (  # ShapeError and ShapeInconsistent are re-exported
     BatchNorm, Graph, NodeSpec, ShapeError, ShapeInconsistent, TensorShape,
@@ -68,19 +68,23 @@ class CostReport:
         return out.getvalue()
 
     def to_json(self) -> str:
-        doc = {
-            "per_node": [
-                {"name": c.name, "kind": c.kind, "madds": c.madds, "params": c.params}
-                for c in self.per_node
-            ],
-            "per_stage": {
-                stage: {"madds": madds, "params": params}
-                for stage, (madds, params) in sorted(self.per_stage().items())
-            },
-            "total_madds": self.total_madds,
-            "total_params": self.total_params,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        """Exactly ``json.dumps(doc, indent=2, sort_keys=True)`` of the
+        document ``{"per_node": [{"name", "kind", "madds", "params"}, ...],
+        "per_stage": {stage: {"madds", "params"}}, "total_madds",
+        "total_params"}``, written directly as ``Graph.to_json`` is."""
+        rows = ",\n".join(
+            f'    {{\n      "kind": {_json_str(c.kind)},\n      "madds": {c.madds},\n'
+            f'      "name": {_json_str(c.name)},\n      "params": {c.params}\n    }}'
+            for c in self.per_node)
+        stages = ",\n".join(
+            f'    {_json_str(stage)}: {{\n      "madds": {madds},\n'
+            f'      "params": {params}\n    }}'
+            for stage, (madds, params) in sorted(self.per_stage().items()))
+        rows = f"[\n{rows}\n  ]" if rows else "[]"
+        stages = f"{{\n{stages}\n  }}" if stages else "{}"
+        return (f'{{\n  "per_node": {rows},\n  "per_stage": {stages},\n'
+                f'  "total_madds": {self.total_madds},\n'
+                f'  "total_params": {self.total_params}\n}}')
 
 
 def graph_cost(graph: Graph, count_batchnorm: bool = True) -> CostReport:

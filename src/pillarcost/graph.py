@@ -7,8 +7,9 @@ during construction and treated as immutable afterwards.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import ClassVar
 
 
@@ -408,6 +409,10 @@ _KIND_CLASSES = {
                 Add, Concat, ChannelSplit, ChannelShuffle, Scatter)
 }
 
+# What each kind serialises: its attribute names, sorted as the JSON has them.
+_ATTR_NAMES = {cls: tuple(sorted(f.name for f in fields(cls)))
+               for cls in _KIND_CLASSES.values()}
+
 
 def input_arity(spec: NodeSpec) -> tuple[int, int | None]:
     """(min, max) number of inputs accepted by a node kind; max None = unbounded."""
@@ -477,8 +482,9 @@ class Graph:
                  name: str = "") -> int:
         """Append a node fed by ``inputs`` (list of (producer id, output port)).
 
-        Raises UnknownInputError, ArityMismatchError or DuplicateNameError;
-        on error the graph is left unchanged.
+        Raises UnknownInputError, ArityMismatchError, DuplicateNameError, or
+        GraphError for a name that is not a string; on error the graph is
+        left unchanged.
         """
         inputs = list(inputs)
         lo, hi = spec.arity
@@ -487,6 +493,9 @@ class Graph:
             raise ArityMismatchError(
                 f"{spec.kind} node {name!r} takes {want} inputs, got {len(inputs)}")
         for src, port in inputs:
+            if type(src) is not int or type(port) is not int:
+                raise UnknownInputError(
+                    f"node {name!r} input {(src, port)!r} is not a pair of integers")
             if not 0 <= src < len(self._nodes):
                 raise UnknownInputError(f"node {name!r} references unknown input {src}")
             outputs = self._nodes[src].spec.num_outputs()
@@ -496,6 +505,8 @@ class Graph:
                     f"which has {outputs} outputs")
         if not name:
             name = f"{spec.kind}_{len(self._nodes)}"
+        elif not isinstance(name, str):
+            raise GraphError(f"node name {name!r} is not a string")
         if name in self._names:
             raise DuplicateNameError(f"duplicate node name {name!r}")
 
@@ -565,49 +576,133 @@ class Graph:
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        nodes = []
-        for node in self._nodes:
-            attrs: dict = {}
-            for f in fields(node.spec):
-                value = getattr(node.spec, f.name)
-                if isinstance(value, TensorShape):
-                    value = [value.channels, value.height, value.width]
-                elif isinstance(value, tuple):
-                    value = [str(v) if isinstance(v, Fraction) else v for v in value]
-                attrs[f.name] = value
-            nodes.append({"id": node.id, "name": node.name,
-                          "kind": node.spec.kind, "attrs": attrs})
+        nodes = [{"id": node.id, "name": node.name, "kind": node.spec.kind,
+                  "attrs": {name: _json_value(getattr(node.spec, name))
+                            for name in _ATTR_NAMES[type(node.spec)]}}
+                 for node in self._nodes]
         edges = [[e.src, e.src_port, e.dst, e.dst_port] for e in self._edges]
         return {"nodes": nodes, "edges": edges}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        """Exactly ``json.dumps(self.to_json_dict(), indent=2, sort_keys=True)``.
+
+        Written directly, because the standard encoder leaves its C path
+        whenever ``indent`` is set and then takes most of a round trip.
+        """
+        edges = ",\n".join(
+            f"    [\n      {e.src},\n      {e.src_port},\n      {e.dst},\n"
+            f"      {e.dst_port}\n    ]" for e in self._edges)
+        nodes = ",\n".join(map(_node_json, self._nodes))
+        edges = f"[\n{edges}\n  ]" if edges else "[]"
+        nodes = f"[\n{nodes}\n  ]" if nodes else "[]"
+        return f'{{\n  "edges": {edges},\n  "nodes": {nodes}\n}}'
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Graph":
-        graph = cls()
-        nodes = sorted(doc["nodes"], key=lambda item: item["id"])
-        ids = [item["id"] for item in nodes]
-        if ids != list(range(len(ids))):
-            raise GraphError(f"node ids must be 0..{len(ids) - 1}, each exactly once")
+        """Inverse of :meth:`to_json_dict`.  A malformed document raises a
+        one-line GraphError that names the offending node or edge."""
+        try:
+            items, edge_rows = list(doc["nodes"]), list(doc["edges"])
+        except (KeyError, TypeError) as err:
+            raise GraphError("a graph document is an object with 'nodes' and "
+                             f"'edges' lists; {type(err).__name__}: {err}") from None
+        decoded = []
+        for pos, item in enumerate(items):
+            try:
+                item_id, kind, attrs, name = (item["id"], item["kind"],
+                                              item["attrs"], item["name"])
+                spec_cls = _KIND_CLASSES.get(kind)
+                if spec_cls is None:
+                    raise GraphError(f"node {_label(item, pos)} has unknown kind {kind!r}")
+                if type(item_id) is not int:
+                    raise TypeError(f"id {item_id!r} is not an integer")
+                decoded.append((item_id, spec_cls.from_attrs(attrs), name))
+            except KeyError as err:
+                raise GraphError(f"node {_label(item, pos)} lacks the key {err}") from None
+            except (TypeError, ValueError, ArithmeticError) as err:
+                raise GraphError(f"node {_label(item, pos)}: {err}") from None
+        decoded.sort(key=lambda row: row[0])
+        if [item_id for item_id, _, _ in decoded] != list(range(len(decoded))):
+            raise GraphError(f"node ids must be 0..{len(decoded) - 1}, each exactly once")
+
         by_dst: dict[int, list[tuple[int, int, int]]] = {}
-        for src, src_port, dst, dst_port in doc["edges"]:
+        for edge in edge_rows:
+            try:
+                src, src_port, dst, dst_port = edge
+                if not type(src) is type(src_port) is type(dst) is type(dst_port) is int:
+                    raise TypeError
+            except (TypeError, ValueError):
+                raise GraphError(f"edge {edge!r} is not a list of four integers "
+                                 "[src, src_port, dst, dst_port]") from None
             by_dst.setdefault(dst, []).append((dst_port, src, src_port))
-        for item in nodes:
-            spec_cls = _KIND_CLASSES.get(item["kind"])
-            if spec_cls is None:
-                raise GraphError(f"unknown node kind {item['kind']!r}")
-            row = sorted(by_dst.get(item["id"], ()))
+
+        graph = cls()
+        for item_id, spec, name in decoded:
+            row = sorted(by_dst.get(item_id, ()))
             ports = [port for port, _, _ in row]
             if ports != list(range(len(row))):
-                raise GraphError(f"node {item['name']!r} has input ports {ports}; "
+                raise GraphError(f"node {name!r} has input ports {ports}; "
                                  f"they must be 0..{len(row) - 1}, each exactly once")
-            graph.add_node(spec_cls.from_attrs(item["attrs"]),
-                           [(src, port) for _, src, port in row], item["name"])
-        if len(graph._edges) != len(doc["edges"]):
+            graph.add_node(spec, [(src, port) for _, src, port in row], name)
+        if len(graph._edges) != len(edge_rows):
             raise GraphError("an edge feeds a node id that does not exist")
         return graph
 
     @classmethod
     def from_json(cls, text: str) -> "Graph":
         return cls.from_json_dict(json.loads(text))
+
+
+# --------------------------------------------------------------------------
+# JSON helpers.  The writers build the text of json.dumps(..., indent=2,
+# sort_keys=True) from templates: nodes sit at indent level 2, attribute
+# values at level 4.
+# --------------------------------------------------------------------------
+
+_ATTR_PAD = "\n" + " " * 8
+
+
+def _json_value(value):
+    """An attribute value as ``to_json_dict`` holds it."""
+    if isinstance(value, TensorShape):
+        return [value.channels, value.height, value.width]
+    if isinstance(value, tuple):
+        return [str(v) if isinstance(v, Fraction) else v for v in value]
+    return value
+
+
+def _label(item, pos: int) -> str:
+    """How a decode error names a node: its name, else its position."""
+    if isinstance(item, dict) and "name" in item:
+        return repr(item["name"])
+    return f"#{pos}"
+
+
+def _attr_json(value) -> str:
+    """``_json_value(value)`` encoded at an attribute's indent level: fast
+    paths for the value types the node kinds hold, the standard encoder for
+    anything else (re-indenting its lines is byte-identical at any depth)."""
+    kind = type(value)
+    if kind is int:
+        return str(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is TensorShape:
+        pad = _ATTR_PAD + "  "
+        return (f"[{pad}{value.channels},{pad}{value.height},{pad}{value.width}"
+                f"{_ATTR_PAD}]")
+    if kind is tuple and value and all(type(v) is Fraction for v in value):
+        pad = _ATTR_PAD + "  "
+        return f"[{','.join(pad + _json_str(str(v)) for v in value)}{_ATTR_PAD}]"
+    return json.dumps(_json_value(value), indent=2,
+                      sort_keys=True).replace("\n", _ATTR_PAD)
+
+
+def _node_json(node: Node) -> str:
+    spec = node.spec
+    attrs = ",".join([f'{_ATTR_PAD}"{name}": {_attr_json(getattr(spec, name))}'
+                      for name in _ATTR_NAMES[type(spec)]])
+    attrs = f"{{{attrs}\n      }}" if attrs else "{}"
+    return (f'    {{\n      "attrs": {attrs},\n      "id": {node.id},\n'
+            f'      "kind": {_json_str(spec.kind)},\n'
+            f'      "name": {_json_str(node.name)}\n    }}')

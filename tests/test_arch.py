@@ -141,6 +141,16 @@ class TestBuildBackbone:
 
 class TestBuildPointPillars:
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_block_strides_must_be_one_or_two(self, variant):
+        # ShufflenetV1, ShufflenetV2 and Xception used to build stride 2
+        # where the config said 3, while the other families honoured it
+        with pytest.raises(UnsupportedStrideError, match=r"block_strides\[0\]"):
+            build_pointpillars(variant, ArchConfig(block_strides=(3, 2, 2)))
+        g, outputs = build_backbone(variant, ArchConfig(block_strides=(1, 2, 2)))
+        shapes = infer_all(g)
+        assert [shapes[(out, 0)].height for out in outputs] == [496, 248, 124]
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_graphs_validate_and_infer(self, variant):
         g = build_pointpillars(variant)
         assert g.validate() == []

@@ -115,6 +115,16 @@ class TestPareto:
         assert doc["front"] == ["ShufflenetV2", "MobilenetV2", "Xception",
                                 "CSPDarknet"]
 
+    def test_csv_quotes_a_variant_name_with_a_comma(self, capsys, tmp_path):
+        data = tmp_path / "points.json"
+        data.write_text(json.dumps([{"name": "a,b", "gmadds": 1, "ap": {
+            "Car": {"Easy": 50, "Mod": 50, "Hard": 50}}}]))
+        code, out, _ = invoke(capsys, "pareto", "--data", str(data),
+                              "--scope", "car", "--format", "csv")
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out))) == [
+            ["name", "gmadds", "map"], ["a,b", "1.00", "50.00"]]
+
     def test_missing_file_is_domain_error(self, capsys):
         code, _, err = invoke(capsys, "pareto", "--data", "/no/such/file.json")
         assert code == 1 and err.startswith("error:")
@@ -129,6 +139,19 @@ class TestAmdahl:
         values = dict(row for row in csv.reader(io.StringIO(out)) if len(row) == 2)
         assert float(values["projected_fps"]) == pytest.approx(8.90, abs=0.01)
         assert float(values["pipeline_speedup"]) == pytest.approx(3.33, abs=0.01)
+
+    def test_csv_quotes_a_stage_name_with_a_comma(self, capsys, tmp_path):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"base_latency_ms": 100,
+                                       "stage_fractions": {"a,b": 0.5}}))
+        code, out, _ = invoke(capsys, "amdahl", "--profile", str(profile),
+                              "--speedup", "a,b=2", "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["quantity", "value"]
+        assert all(len(row) == 2 for row in rows)
+        assert dict(rows[1:])["limit_speedup_a,b"] == "2.00"
+        assert dict(rows[1:])["pipeline_speedup"] == "1.33"
 
     def test_bad_speedup_is_domain_error(self, capsys):
         code, _, err = invoke(
@@ -204,6 +227,14 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "cost", "base", "--config", str(bad))
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("variant", ["ShufflenetV1", "base"])
+    def test_unsupported_block_stride_is_domain_error(self, capsys, variant):
+        code, out, err = invoke(capsys, "cost", variant, "--set",
+                                "block_strides=[3,2,2]")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "stride must be 1 or 2" in err
 
     @pytest.mark.parametrize("override", [
         "max_pillars=abc", "block_units=7", "max_pillars=true",

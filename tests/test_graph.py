@@ -128,6 +128,11 @@ class TestAddNode:
         g = small_chain()
         with pytest.raises(UnknownInputError):
             g.add_node(ReLU(), [(1, 1)], name="bad")
+        # True == 1 and 0.0 == 0 pass the range checks, but the JSON form of
+        # an edge holds integers
+        for bad in [(True, 0), (1, False), (1, 0.0), ("1", 0)]:
+            with pytest.raises(UnknownInputError, match="pair of integers"):
+                g.add_node(ReLU(), [bad], name="bad")
 
     def test_arity_enforced(self):
         g = small_chain()
@@ -276,3 +281,28 @@ class TestJsonRoundTrip:
         doc["edges"].append([3, 0, 9, 0])
         with pytest.raises(GraphError, match="does not exist"):
             Graph.from_json_dict(doc)
+
+    @pytest.mark.parametrize("breakage, names", [
+        (lambda doc: doc["nodes"][1]["attrs"].update(bogus=1), "'conv'"),
+        (lambda doc: doc["nodes"][1].pop("attrs"), "'conv'.*'attrs'"),
+        (lambda doc: doc["nodes"][1].pop("name"), "#1.*'name'"),
+        (lambda doc: doc["nodes"][1].pop("kind"), "'conv'.*'kind'"),
+        (lambda doc: doc["nodes"][1].pop("id"), "'conv'.*'id'"),
+        (lambda doc: doc.pop("nodes"), "'nodes'"),
+        (lambda doc: doc.pop("edges"), "'edges'"),
+        (lambda doc: doc["nodes"][1]["attrs"].update(pad_h=-1), "'conv'.*pad_h"),
+        (lambda doc: doc["nodes"][0]["attrs"].update(shape=[3, 8]), "'in'"),
+        (lambda doc: doc["nodes"][1].update(id="1"), "'conv'"),
+        (lambda doc: doc["nodes"][1].update(name=7), "7"),
+        (lambda doc: doc["edges"][0].__setitem__(1, "0"), r"edge \[0, '0', 1, 0\]"),
+        (lambda doc: doc["edges"][0].__setitem__(1, True), r"edge \[0, True, 1, 0\]"),
+        (lambda doc: doc["edges"][0].pop(), r"edge \[0, 0, 1\]"),
+    ], ids=["unknown_attr", "no_attrs", "no_name", "no_kind", "no_id",
+            "no_nodes", "no_edges", "negative_pad", "short_shape", "string_id",
+            "int_name", "string_port", "bool_port", "three_item_edge"])
+    def test_malformed_document_is_one_line_graph_error(self, breakage, names):
+        doc = small_chain().to_json_dict()
+        breakage(doc)
+        with pytest.raises(GraphError, match=names) as info:
+            Graph.from_json_dict(doc)
+        assert "\n" not in str(info.value)

@@ -1,13 +1,15 @@
 """Property-based and randomized invariants over graphs, shapes and costs."""
+import json
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pillarcost.analysis import DesignPoint, amdahl, amdahl_max, map_of, \
     pareto_front, round2
-from pillarcost.cost import graph_cost, node_madds, node_params
+from pillarcost.cost import CostReport, graph_cost, node_madds, node_params
 from pillarcost.graph import (
     Add, BatchNorm, ChannelShuffle, ChannelSplit, Concat, Conv, Graph, Input,
     MaxPool, ReLU, Scatter, TensorShape, TransposedConv, num_outputs,
@@ -192,3 +194,77 @@ def test_ten_thousand_random_dags_uphold_invariants():
         report = graph_cost(g)
         assert report.total_madds >= 0 and report.total_params >= 0
         assert len(report.per_node) == len(g)
+
+
+# -- JSON writers against the reference encoder -----------------------------
+
+def reference_json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def reference_report_doc(report: CostReport) -> dict:
+    """The document that CostReport.to_json passed to json.dumps before it
+    wrote its text directly."""
+    return {
+        "per_node": [{"name": c.name, "kind": c.kind, "madds": c.madds,
+                      "params": c.params} for c in report.per_node],
+        "per_stage": {stage: {"madds": madds, "params": params}
+                      for stage, (madds, params) in sorted(report.per_stage().items())},
+        "total_madds": report.total_madds,
+        "total_params": report.total_params,
+    }
+
+
+def assert_writers_match_reference(g: Graph) -> None:
+    assert g.to_json() == reference_json(g.to_json_dict())
+    try:
+        reports = [graph_cost(g), graph_cost(g, count_batchnorm=False)]
+    except ShapeError:
+        return
+    for report in reports:
+        assert report.to_json() == reference_json(reference_report_doc(report))
+
+
+def test_writers_match_reference_encoder_on_random_dags():
+    rng = random.Random(20261018)
+    for _ in range(2_000):
+        g = random_graph(rng)
+        # the two kinds random_graph does not draw: a multi-output split
+        # feeding a transposed conv from a random port
+        fractions = rng.choice(((Fraction(1, 2),) * 2, (Fraction(1, 4), Fraction(3, 4)),
+                                (Fraction(1, 3), Fraction(2, 3))))
+        split = g.add_node(ChannelSplit(fractions), [(rng.randrange(len(g)), 0)],
+                           name="split")
+        g.add_node(TransposedConv(rng.choice((2, 4)), 2, 3, 2, 1, 0, 1,
+                                  output_pad_h=rng.randint(0, 1),
+                                  has_bias=rng.random() < 0.5),
+                   [(split, rng.randrange(len(fractions)))], name="up")
+        assert_writers_match_reference(g)
+
+
+def test_writers_match_reference_encoder_on_empty_inputs():
+    assert Graph().to_json() == reference_json({"edges": [], "nodes": []})
+    assert CostReport(()).to_json() == reference_json(reference_report_doc(CostReport(())))
+
+
+def test_writers_escape_names_like_the_reference_encoder():
+    g = Graph()
+    src = g.add_node(Input(TensorShape(4, 6, 6)), name='in"put')
+    for i, name in enumerate(["back\\slash", "new\nline", "caf\u00e9.x", "a,b",
+                              "\u2603.tab\t", ""]):
+        src = g.add_node(ReLU(), [(src, 0)], name=name)
+    assert_writers_match_reference(g)
+
+
+@pytest.mark.parametrize("has_bias", [
+    True, False, None, 1.5, float("inf"), "yes", (), (Fraction(1, 2), 3),
+    [1, {"b": [2, {}], "a": []}], {"z": (3, 4), "k": None},
+], ids=["true", "false", "none", "float", "inf", "str", "empty_tuple",
+        "mixed_tuple", "nested_list", "nested_dict"])
+def test_writers_match_reference_encoder_on_any_attribute_value(has_bias):
+    # has_bias is not type-checked, so it can hold any value; values other
+    # than bool and int take the writer's fallback to the standard encoder
+    g = Graph()
+    src = g.add_node(Input(TensorShape(4, 6, 6)), name="in")
+    g.add_node(Conv(8, 3, 3, 1, 1, 1, 1, has_bias=has_bias), [(src, 0)], name="conv")
+    assert g.to_json() == reference_json(g.to_json_dict())
