@@ -151,8 +151,8 @@ class TimingProfile:
     def from_file(cls, path: str | Path) -> "TimingProfile":
         doc = json.loads(Path(path).read_text(), parse_float=Fraction)
         try:
-            fractions = {stage: Fraction(value)
-                         for stage, value in doc["stage_fractions"].items()}
+            fractions = {stage: Fraction(value) for stage, value
+                         in _object(doc["stage_fractions"], "stage_fractions").items()}
             latency = Fraction(doc["base_latency_ms"])
         except (KeyError, TypeError) as err:
             raise AnalysisError(f"{path}: bad timing profile: {err}") from err
@@ -215,6 +215,14 @@ def ratio_table(points: list[DesignPoint], metric: str,
 # Measurement ingestion
 # --------------------------------------------------------------------------
 
+def _object(value, what: str) -> dict:
+    """``value`` if it is a JSON object; a loader turns the TypeError into an
+    AnalysisError."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} must be an object, got {value!r}")
+    return value
+
+
 def load_points(path: str | Path) -> list[DesignPoint]:
     """Read design points from a JSON document of per-variant records."""
     doc = json.loads(Path(path).read_text(), parse_float=Fraction)
@@ -227,8 +235,8 @@ def load_points(path: str | Path) -> list[DesignPoint]:
             raise AnalysisError(f"{path}: design point record is not an object")
         try:
             ap: dict[tuple[str, str], Fraction] = {}
-            for cls_name, by_diff in record.get("ap", {}).items():
-                for diff, value in by_diff.items():
+            for cls_name, by_diff in _object(record.get("ap", {}), "ap").items():
+                for diff, value in _object(by_diff, f"ap[{cls_name!r}]").items():
                     diff = _DIFFICULTY_ALIASES.get(diff, diff)
                     ap[(cls_name, diff)] = Fraction(value)
             points.append(DesignPoint(

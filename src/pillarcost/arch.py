@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from .graph import (
@@ -105,6 +106,12 @@ class ArchConfig:
             raise ArchError("all counts must be positive")
         for i, stride in enumerate(self.block_strides):
             _check_stride(stride, f"block_strides[{i}]")
+        for name in ("mobilenet_v2_expand", "shufflenet_v1_groups", "resnext_groups"):
+            if getattr(self, name) < 1:
+                raise ArchError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("squeezenext_reduce", "resnet_bottleneck", "resnext_width"):
+            if getattr(self, name) <= 0:
+                raise ArchError(f"{name} must be > 0, got {getattr(self, name)}")
 
     @property
     def pseudo_image(self) -> TensorShape:
@@ -342,7 +349,7 @@ def _unit_shufflenet_v1(g, src, in_ch, out_ch, stride, name, cfg) -> int:
     if out_ch > in_ch:
         # downsampling unit: pooled identity concatenated with the branch
         branch = _shuffle_branch(g, src, name, in_ch, out_ch - in_ch, 2, groups)
-        skip = g.add_node(MaxPool(3, 3, 2, 2, 1, 1), [(src, 0)], f"{name}.pool")
+        skip = _pool(g, src, f"{name}.pool")
         node = g.add_node(Concat(), [(skip, 0), (branch, 0)], f"{name}.concat")
     else:
         branch = _shuffle_branch(g, src, name, in_ch, out_ch, 2, groups)
@@ -405,6 +412,10 @@ def _sepconv(g, src, name, in_ch, out_ch, relu: bool = True) -> int:
     return _bn_relu(g, node, name, relu)
 
 
+def _pool(g, src, name) -> int:
+    return g.add_node(MaxPool(3, 3, 2, 2, 1, 1), [(src, 0)], name)
+
+
 def _unit_xception(g, src, in_ch, out_ch, stride, name, cfg) -> int:
     """Xception block: two separable convs with a skip; the stride-2 form
     pools between them and projects the skip with a strided 1x1."""
@@ -415,9 +426,19 @@ def _unit_xception(g, src, in_ch, out_ch, stride, name, cfg) -> int:
         node = _sepconv(g, node, f"{name}.sep2", out_ch, out_ch)
         return g.add_node(Add(), [(src, 0), (node, 0)], f"{name}.add")
     node = _sepconv(g, src, f"{name}.sep1", in_ch, out_ch)
-    node = g.add_node(MaxPool(3, 3, 2, 2, 1, 1), [(node, 0)], f"{name}.pool")
+    node = _pool(g, node, f"{name}.pool")
     node = _sepconv(g, node, f"{name}.sep2", out_ch, out_ch)
     skip = _skip(g, src, name, in_ch, out_ch, 2)
+    return g.add_node(Add(), [(skip, 0), (node, 0)], f"{name}.add")
+
+
+def _xception_single(g, src, in_ch, out_ch, stride, name) -> int:
+    """The block that ends an odd unit count: one separable conv with a
+    skip, pooled after ``sep1`` when strided, as the stride-2 block is."""
+    node = _sepconv(g, src, f"{name}.sep1", in_ch, out_ch)
+    if stride == 2:
+        node = _pool(g, node, f"{name}.pool")
+    skip = _skip(g, src, name, in_ch, out_ch, stride)
     return g.add_node(Add(), [(skip, 0), (node, 0)], f"{name}.add")
 
 
@@ -431,7 +452,7 @@ _UNIT_BUILDERS = {
     Variant.SHUFFLENET_V1: _unit_shufflenet_v1,
     Variant.SHUFFLENET_V2: _shufflenet_v2_unit,
     Variant.DARKNET: _unit_darknet,
-    Variant.CSPDARKNET: _darknet_unit,  # dispatched specially in blocks
+    Variant.CSPDARKNET: _unit_darknet,
     Variant.XCEPTION: _unit_xception,
 }
 
@@ -442,9 +463,6 @@ def basic_unit(variant: Variant, graph: Graph, input_id: int, in_channels: int,
     """Append one basic unit of the given family; returns its output node."""
     cfg = cfg or ArchConfig()
     _check_stride(stride, name_prefix)
-    if variant is Variant.CSPDARKNET:
-        return _unit_darknet(graph, input_id, in_channels, out_channels,
-                             stride, name_prefix, cfg)
     return _UNIT_BUILDERS[variant](graph, input_id, in_channels, out_channels,
                                    stride, name_prefix, cfg)
 
@@ -453,66 +471,60 @@ def basic_unit(variant: Variant, graph: Graph, input_id: int, in_channels: int,
 # Blocks and full network
 # --------------------------------------------------------------------------
 
-def _build_block(variant, g, src, in_ch, out_ch, units, stride, prefix, cfg,
-                 first_block: bool) -> int:
-    if variant is Variant.DARKNET:
-        node = _cbr(g, src, f"{prefix}.entry", in_ch, out_ch,
-                    stride=(stride, stride))
-        for i in range(units - 1):
-            node = _darknet_unit(g, node, out_ch, out_ch // 2,
-                                 f"{prefix}.unit{i + 1}")
-        return node
-
-    if variant is Variant.CSPDARKNET:
-        # cross-stage partial wrapper: the first block keeps the lane at full
-        # width (as the original CSP backbone does), later blocks halve it
-        node = _cbr(g, src, f"{prefix}.entry", in_ch, out_ch,
-                    stride=(stride, stride))
-        lane_ch = out_ch if first_block else out_ch // 2
-        hidden = out_ch // 2
-        skip = _cbr(g, node, f"{prefix}.route_skip", out_ch, lane_ch, (1, 1),
-                    pad=(0, 0))
-        lane = _cbr(g, node, f"{prefix}.route_lane", out_ch, lane_ch, (1, 1),
-                    pad=(0, 0))
-        for i in range(units - 1):
-            lane = _darknet_unit(g, lane, lane_ch, hidden,
-                                 f"{prefix}.unit{i + 1}")
-        lane = _cbr(g, lane, f"{prefix}.post", lane_ch, lane_ch, (1, 1),
-                    pad=(0, 0))
-        node = g.add_node(Concat(), [(skip, 0), (lane, 0)], f"{prefix}.concat")
-        return _cbr(g, node, f"{prefix}.final", 2 * lane_ch, out_ch, (1, 1),
-                    pad=(0, 0))
-
-    if variant is Variant.XCEPTION:
-        # each block covers two of the original conv units
-        node = src
-        cur = in_ch
-        remaining = units
-        index = 0
-        cur_stride = stride
-        while remaining > 0:
-            index += 1
-            take = min(2, remaining)
-            name = f"{prefix}.block{index}"
-            if take == 1:  # odd unit count: trailing single separable conv
-                sep = _sepconv(g, node, f"{name}.sep1", cur, out_ch)
-                skip = _skip(g, node, name, cur, out_ch, cur_stride)
-                node = g.add_node(Add(), [(skip, 0), (sep, 0)], f"{name}.add")
-            else:
-                node = _unit_xception(g, node, cur, out_ch, cur_stride, name, cfg)
-            cur = out_ch
-            cur_stride = 1
-            remaining -= take
-        return node
-
+def _block_of_units(unit, g, src, in_ch, out_ch, units, stride, prefix, cfg,
+                    first_block) -> int:
+    """``units`` basic units in a row; only the first is strided."""
     node = src
-    cur = in_ch
     for i in range(units):
-        unit_stride = stride if i == 0 else 1
-        node = _UNIT_BUILDERS[variant](g, node, cur, out_ch, unit_stride,
-                                       f"{prefix}.unit{i + 1}", cfg)
-        cur = out_ch
+        node = unit(g, node, in_ch, out_ch, stride, f"{prefix}.unit{i + 1}", cfg)
+        in_ch, stride = out_ch, 1
     return node
+
+
+def _block_darknet(g, src, in_ch, out_ch, units, stride, prefix, cfg,
+                   first_block) -> int:
+    node = _cbr(g, src, f"{prefix}.entry", in_ch, out_ch, stride=(stride, stride))
+    for i in range(1, units):
+        node = _darknet_unit(g, node, out_ch, out_ch // 2, f"{prefix}.unit{i}")
+    return node
+
+
+def _block_cspdarknet(g, src, in_ch, out_ch, units, stride, prefix, cfg,
+                      first_block) -> int:
+    """Cross-stage partial wrapper: the first block keeps the lane at full
+    width (as the original CSP backbone does), later blocks halve it."""
+    node = _cbr(g, src, f"{prefix}.entry", in_ch, out_ch, stride=(stride, stride))
+    lane_ch = out_ch if first_block else out_ch // 2
+    skip = _cbr(g, node, f"{prefix}.route_skip", out_ch, lane_ch, (1, 1), pad=(0, 0))
+    lane = _cbr(g, node, f"{prefix}.route_lane", out_ch, lane_ch, (1, 1), pad=(0, 0))
+    for i in range(1, units):
+        lane = _darknet_unit(g, lane, lane_ch, out_ch // 2, f"{prefix}.unit{i}")
+    lane = _cbr(g, lane, f"{prefix}.post", lane_ch, lane_ch, (1, 1), pad=(0, 0))
+    node = g.add_node(Concat(), [(skip, 0), (lane, 0)], f"{prefix}.concat")
+    return _cbr(g, node, f"{prefix}.final", 2 * lane_ch, out_ch, (1, 1), pad=(0, 0))
+
+
+def _block_xception(g, src, in_ch, out_ch, units, stride, prefix, cfg,
+                    first_block) -> int:
+    """Each Xception block covers two of the original conv units; only the
+    first is strided."""
+    node = src
+    for index, start in enumerate(range(0, units, 2), 1):
+        name = f"{prefix}.block{index}"
+        if start + 1 < units:
+            node = _unit_xception(g, node, in_ch, out_ch, stride, name, cfg)
+        else:
+            node = _xception_single(g, node, in_ch, out_ch, stride, name)
+        in_ch, stride = out_ch, 1
+    return node
+
+
+_BLOCK_BUILDERS = {
+    **{variant: partial(_block_of_units, unit) for variant, unit in _UNIT_BUILDERS.items()},
+    Variant.DARKNET: _block_darknet,
+    Variant.CSPDARKNET: _block_cspdarknet,
+    Variant.XCEPTION: _block_xception,
+}
 
 
 def build_backbone(variant: Variant, cfg: ArchConfig | None = None,
@@ -533,8 +545,8 @@ def build_backbone(variant: Variant, cfg: ArchConfig | None = None,
     outputs: list[int] = []
     for i, (out_ch, units, stride) in enumerate(
             zip(cfg.block_channels, cfg.block_units, cfg.block_strides)):
-        node = _build_block(variant, graph, node, in_ch, out_ch, units, stride,
-                            f"backbone.block{i + 1}", cfg, first_block=(i == 0))
+        node = _BLOCK_BUILDERS[variant](graph, node, in_ch, out_ch, units, stride,
+                                        f"backbone.block{i + 1}", cfg, i == 0)
         outputs.append(node)
         in_ch = out_ch
     return graph, outputs

@@ -204,12 +204,7 @@ def _cmd_plot(args: argparse.Namespace) -> None:
 def _cmd_export(args: argparse.Namespace) -> None:
     variant = Variant.parse(args.variant)
     cfg = _load_config(args)
-    graph = build_pointpillars(variant, cfg)
-    if args.format == "csv":
-        report = graph_cost(graph, count_batchnorm=not args.fold_batchnorm)
-        _emit(report.to_csv(), args.output)
-        return
-    _emit(graph.to_json() + "\n", args.output)
+    _emit(build_pointpillars(variant, cfg).to_json() + "\n", args.output)
 
 
 # --------------------------------------------------------------------------
@@ -221,6 +216,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="architecture config file (JSON or key = value)")
     parser.add_argument("--set", metavar="KEY=VALUE", action="append",
                         help="override one config field (repeatable)")
+
+
+def _add_cost_flags(parser: argparse.ArgumentParser) -> None:
+    _add_config_flags(parser)
     parser.add_argument("--fold-batchnorm", action="store_true",
                         help="treat batch norm as folded into convolutions")
 
@@ -244,18 +243,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("describe", help="per-stage summary of one variant")
     p.add_argument("variant")
-    _add_config_flags(p)
+    _add_cost_flags(p)
     p.add_argument("--output", metavar="PATH")
     p.set_defaults(func=_cmd_describe)
 
     p = sub.add_parser("cost", help="per-node cost report for one variant")
     p.add_argument("variant")
-    _add_config_flags(p)
+    _add_cost_flags(p)
     _add_io_flags(p)
     p.set_defaults(func=_cmd_cost)
 
     p = sub.add_parser("compare", help="cost table over all variants")
-    _add_config_flags(p)
+    _add_cost_flags(p)
     _add_io_flags(p)
     p.set_defaults(func=_cmd_compare)
 
@@ -280,10 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", metavar="PATH")
     p.set_defaults(func=_cmd_plot)
 
-    p = sub.add_parser("export", help="emit a variant's graph or cost table")
+    p = sub.add_parser("export", help="emit a variant's graph as JSON")
     p.add_argument("variant")
     _add_config_flags(p)
-    _add_io_flags(p, formats=("json", "csv"))
+    p.add_argument("--output", metavar="PATH")
     p.set_defaults(func=_cmd_export)
 
     return parser

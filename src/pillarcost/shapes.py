@@ -1,9 +1,10 @@
 """Shape inference over whole graphs.
 
 Each node kind's shape rule is its spec's ``output_shapes`` in ``graph``.
-``walk_shapes`` validates a graph once and yields every node with its input
-and output shapes in topological order, and ``infer_all`` collects them into
-a total map from (node id, output port) to TensorShape.
+``walk_shapes`` yields every node of a graph with its input and output
+shapes in topological order, reading each node's inputs off the node, and
+``infer_all`` collects them into a total map from (node id, output port) to
+TensorShape.  A graph is valid by construction, so neither re-checks it.
 """
 from __future__ import annotations
 
@@ -27,19 +28,16 @@ ShapeMap = dict[tuple[int, int], TensorShape]
 
 def walk_shapes(graph: Graph) -> Iterator[
         tuple[Node, list[TensorShape], list[TensorShape]]]:
-    """Validate a single-input graph once, then yield (node, input shapes,
-    output shapes) for every node in id order, which is topological."""
-    problems = graph.validate()
-    if problems:
-        raise InvalidGraphError("; ".join(d.message for d in problems))
+    """Yield (node, input shapes, output shapes) for every node of a
+    single-input graph in id order, which is topological."""
     if len(graph.input_nodes()) != 1:
         raise InvalidGraphError(
             f"shape inference needs exactly one input node, "
             f"found {len(graph.input_nodes())}")
 
     outputs: list[list[TensorShape]] = []
-    for node, sources in zip(graph.nodes, graph.input_table()):
-        in_shapes = [outputs[src][port] for src, port in sources]
+    for node in graph.nodes:
+        in_shapes = [outputs[src][port] for src, port in node.inputs]
         try:
             out_shapes = node_output_shape(node.spec, in_shapes)
         except ShapeError as err:

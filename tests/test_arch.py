@@ -97,7 +97,7 @@ class TestBasicUnit:
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_stride_one_preserves_spatial_dims(self, variant):
         g, out = unit_graph(variant, 64, 64, 1)
-        assert not g.validate()
+        assert len(graph_cost(g).per_node) == len(g)
         shape = infer_all(g)[(out, 0)]
         assert shape == TensorShape(64, 16, 16)
 
@@ -127,7 +127,7 @@ class TestBuildBackbone:
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_block_boundary_shapes_shared(self, variant):
         g, outputs = build_backbone(variant)
-        assert not g.validate()
+        assert len(graph_cost(g).per_node) == len(g)
         shapes = infer_all(g)
         assert [shapes[(o, 0)] for o in outputs] == [
             TensorShape(64, 248, 216),
@@ -151,9 +151,23 @@ class TestBuildPointPillars:
         assert [shapes[(out, 0)].height for out in outputs] == [496, 248, 124]
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_single_unit_blocks_build_and_cost(self, variant):
+        # Xception's strided single-unit block used to project its skip with
+        # stride 2 but not downsample its separable conv
+        cfg = ArchConfig(block_units=(1, 1, 1))
+        g, outputs = build_backbone(variant, cfg)
+        shapes = infer_all(g)
+        assert [shapes[(out, 0)] for out in outputs] == [
+            TensorShape(64, 248, 216),
+            TensorShape(128, 124, 108),
+            TensorShape(256, 62, 54)]
+        g = build_pointpillars(variant, cfg)
+        assert len(graph_cost(g).per_node) == len(g)
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_graphs_validate_and_infer(self, variant):
         g = build_pointpillars(variant)
-        assert g.validate() == []
+        assert len(graph_cost(g).per_node) == len(g)
         assert len(g.input_nodes()) == 1
         infer_all(g)
 

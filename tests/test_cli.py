@@ -54,6 +54,18 @@ class TestCost:
         assert rows[-1] == ["TOTAL", "", str(report.total_madds),
                             str(report.total_params)]
 
+    def test_csv_honours_fold_batchnorm(self, capsys):
+        code, counted, _ = invoke(capsys, "cost", "base", "--format", "csv")
+        assert code == 0
+        code, folded, _ = invoke(capsys, "cost", "base", "--format", "csv",
+                                 "--fold-batchnorm")
+        assert code == 0
+        report = graph_cost(build_pointpillars(Variant.BASE), count_batchnorm=False)
+        assert folded == report.to_csv()
+        bn_rows = [r for r in csv.reader(io.StringIO(folded)) if r[1] == "batch_norm"]
+        assert bn_rows and all(r[2:] == ["0", "0"] for r in bn_rows)
+        assert folded != counted
+
     def test_csv_round_trips(self, capsys):
         _, out, _ = invoke(capsys, "cost", "base", "--format", "csv")
         rows = list(csv.reader(io.StringIO(out)))
@@ -180,24 +192,12 @@ class TestPlotExport:
         code, out, _ = invoke(capsys, "export", "ShufflenetV2")
         assert code == 0
         restored = Graph.from_json(out)
-        assert restored.validate() == []
+        assert restored.edges == build_pointpillars(Variant.SHUFFLENET_V2).edges
         assert restored.to_json() + "\n" == out
-
-    def test_export_csv_honours_fold_batchnorm(self, capsys):
-        code, counted, _ = invoke(capsys, "export", "base", "--format", "csv")
-        assert code == 0
-        code, folded, _ = invoke(capsys, "export", "base", "--format", "csv",
-                                 "--fold-batchnorm")
-        assert code == 0
-        report = graph_cost(build_pointpillars(Variant.BASE), count_batchnorm=False)
-        assert folded == report.to_csv()
-        bn_rows = [r for r in csv.reader(io.StringIO(folded)) if r[1] == "batch_norm"]
-        assert bn_rows and all(r[2:] == ["0", "0"] for r in bn_rows)
-        assert folded != counted
 
     def test_export_refuses_svg(self, capsys):
         code, _, err = invoke(capsys, "export", "base", "--format", "svg")
-        assert code == 2 and "invalid choice: 'svg'" in err
+        assert code == 2 and "unrecognized arguments: --format svg" in err
 
 
 class TestExitCodes:
@@ -205,6 +205,9 @@ class TestExitCodes:
         assert invoke(capsys, "pareto", "--scope", "truck")[0] == 2
         assert invoke(capsys, "frobnicate")[0] == 2
         assert invoke(capsys, "compare", "--metric", "params")[0] == 2
+        # export prints graph JSON only; cost prints the cost table
+        assert invoke(capsys, "export", "base", "--format", "csv")[0] == 2
+        assert invoke(capsys, "export", "base", "--fold-batchnorm")[0] == 2
 
     @pytest.mark.parametrize("payload", [
         "", "{", "[]", '{"points": "no"}', '[{"gmadds": 1}]',
@@ -227,6 +230,32 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "cost", "base", "--config", str(bad))
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("variant, override", [
+        ("ShufflenetV1", "shufflenet_v1_groups=0"), ("ResNeXt", "resnext_groups=0"),
+        ("MobilenetV2", "mobilenet_v2_expand=0"), ("MobilenetV2", "mobilenet_v2_expand=-3"),
+        ("SqueezeNext", "squeezenext_reduce=0"), ("ResNet", "resnet_bottleneck=-1/2"),
+        ("ResNeXt", "resnext_width=0"),
+    ])
+    def test_out_of_range_family_knob_is_domain_error(self, capsys, variant, override):
+        code, out, err = invoke(capsys, "cost", variant, "--set", override)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert override.split("=")[0] in err
+
+    @pytest.mark.parametrize("command, key, doc", [
+        ("amdahl", "--profile", {"stage_fractions": [1], "base_latency_ms": 10}),
+        ("pareto", "--data", [{"name": "x", "gmadds": 1, "ap": [1]}]),
+        ("pareto", "--data", [{"name": "x", "gmadds": 1, "ap": {"Car": [1]}}]),
+    ], ids=["profile_fractions_list", "data_ap_list", "data_ap_class_list"])
+    def test_list_in_place_of_an_object_is_domain_error(self, capsys, tmp_path,
+                                                         command, key, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, command, key, str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be an object, got [1]" in err
 
     @pytest.mark.parametrize("variant", ["ShufflenetV1", "base"])
     def test_unsupported_block_stride_is_domain_error(self, capsys, variant):

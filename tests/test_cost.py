@@ -177,8 +177,8 @@ class TestGraphCost:
 
     @pytest.mark.parametrize("count_batchnorm", [True, False])
     def test_single_walk(self, monkeypatch, count_batchnorm):
-        """One validation and one shape inference per node; no per-node edge
-        scan and no separate ordering pass."""
+        """One shape inference per node; no validation pass, no per-node
+        edge scan and no separate ordering pass."""
         graph = build_pointpillars(Variant.SHUFFLENET_V2)
         calls = Counter()
 
@@ -195,7 +195,7 @@ class TestGraphCost:
         count(pillarcost.shapes, "node_output_shape")
         report = graph_cost(graph, count_batchnorm=count_batchnorm)
         assert len(report.per_node) == len(graph)
-        assert calls == {"validate": 1, "node_output_shape": len(graph)}
+        assert calls == {"node_output_shape": len(graph)}
 
     def test_json_report(self):
         report = graph_cost(tiny_graph())
