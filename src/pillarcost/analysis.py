@@ -11,6 +11,8 @@ from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from pathlib import Path
 
+from .core import PillarcostError
+
 CLASSES = ("Car", "Pedestrian", "Cyclist")
 DIFFICULTIES = ("Easy", "Moderate", "Hard")
 SCOPES = ("overall",) + tuple(c.lower() for c in CLASSES)
@@ -18,7 +20,7 @@ SCOPES = ("overall",) + tuple(c.lower() for c in CLASSES)
 _DIFFICULTY_ALIASES = {"Mod": "Moderate", "Mod.": "Moderate"}
 
 
-class AnalysisError(Exception):
+class AnalysisError(PillarcostError):
     pass
 
 

@@ -14,49 +14,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, replace
-from enum import Enum
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
+from .core import (  # re-exported: the same classes as in core
+    ArchError, ChannelConstraintError, UnsupportedStrideError, Variant,
+)
 from .graph import (
     Add, BatchNorm, ChannelShuffle, ChannelSplit, Concat, Conv, Graph, Input,
     MaxPool, ReLU, Scatter, TensorShape, TransposedConv,
 )
-
-
-class ArchError(Exception):
-    """Invalid architecture configuration."""
-
-
-class ChannelConstraintError(ArchError):
-    """Channel counts violate a divisibility requirement of the unit."""
-
-
-class UnsupportedStrideError(ArchError):
-    """Unit asked for a stride other than 1 or 2."""
-
-
-class Variant(str, Enum):
-    BASE = "base"
-    SQUEEZENEXT = "SqueezeNext"
-    RESNET = "ResNet"
-    RESNEXT = "ResNeXt"
-    MOBILENET_V1 = "MobilenetV1"
-    MOBILENET_V2 = "MobilenetV2"
-    SHUFFLENET_V1 = "ShufflenetV1"
-    SHUFFLENET_V2 = "ShufflenetV2"
-    DARKNET = "Darknet"
-    CSPDARKNET = "CSPDarknet"
-    XCEPTION = "Xception"
-
-    @classmethod
-    def parse(cls, text: str) -> "Variant":
-        for variant in cls:
-            if variant.value.lower() == text.lower():
-                return variant
-        raise ArchError(f"unknown variant {text!r}; choose from "
-                        + ", ".join(v.value for v in cls))
 
 
 @dataclass(frozen=True)
@@ -151,12 +119,16 @@ class ArchConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ArchConfig":
-        """Read a JSON document or a flat ``key = value`` file."""
+        """Read a JSON document or a flat ``key = value`` file; malformed
+        JSON and a key given twice raise ``ArchError`` naming the path."""
         text = Path(path).read_text()
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
-            return cls.from_dict(json.loads(text))
-        doc: dict = {}
+        if text.lstrip().startswith("{"):
+            try:
+                doc = json.loads(text, object_pairs_hook=partial(_unique_keys, path))
+            except (ValueError, RecursionError) as err:  # incl. JSONDecodeError
+                raise ArchError(f"{path}: malformed JSON: {err}") from err
+            return cls.from_dict(doc)
+        doc = {}
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -164,6 +136,8 @@ class ArchConfig:
             if "=" not in line:
                 raise ArchError(f"{path}:{lineno}: expected 'key = value'")
             key, raw = (part.strip() for part in line.split("=", 1))
+            if key in doc:
+                raise ArchError(f"{path}:{lineno}: key {key!r} given twice")
             doc[key] = _parse_value(raw)
         return cls.from_dict(doc)
 
@@ -186,6 +160,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _unique_keys(path: str | Path, pairs: list[tuple[str, object]]) -> dict:
+    doc: dict = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ArchError(f"{path}: key {key!r} given twice")
+        doc[key] = value
+    return doc
+
+
 def _parse_value(raw: str):
     raw = raw.strip()
     if "/" in raw and "[" not in raw:
@@ -195,7 +178,7 @@ def _parse_value(raw: str):
             pass
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):  # too deep, or over the int digit limit
         return raw
     return value
 

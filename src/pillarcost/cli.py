@@ -14,24 +14,28 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
+# arch, cost and svg are imported by the subcommands that use them, so a
+# process that runs list, pareto, amdahl or plot never compiles graph code
 from . import analysis
-from .analysis import (AnalysisError, SCOPES, TimingProfile, amdahl_max,
-                       load_points, map_of, pareto_front, project_fps, round2)
-from .arch import ArchConfig, ArchError, Variant, build_pointpillars
-from .cost import graph_cost
-from .graph import GraphError
-from .shapes import ShapeError
-from .svg import render_scatter
+from .analysis import (SCOPES, TimingProfile, amdahl_max, load_points, map_of,
+                       pareto_front, project_fps, round2)
+from .core import PillarcostError, Variant
+
+if TYPE_CHECKING:
+    from .arch import ArchConfig
+    from .cost import CostReport
 
 _GIGA = 10 ** 9
 
 
-class CliError(Exception):
+class CliError(PillarcostError):
     """Domain error surfaced as exit code 1."""
 
 
 def _load_config(args: argparse.Namespace) -> ArchConfig:
+    from .arch import ArchConfig
     cfg = ArchConfig.from_file(args.config) if args.config else ArchConfig()
     if args.set:
         cfg = cfg.with_overrides(args.set)
@@ -70,11 +74,17 @@ def _cmd_list(args: argparse.Namespace) -> None:
     _emit("".join(v.value + "\n" for v in Variant), args.output)
 
 
-def _cmd_describe(args: argparse.Namespace) -> None:
+def _report(args: argparse.Namespace) -> tuple[Variant, CostReport]:
+    """Build and cost the variant that ``describe`` or ``cost`` names."""
+    from .arch import build_pointpillars
+    from .cost import graph_cost
     variant = Variant.parse(args.variant)
-    cfg = _load_config(args)
-    graph = build_pointpillars(variant, cfg)
-    report = graph_cost(graph, count_batchnorm=not args.fold_batchnorm)
+    graph = build_pointpillars(variant, _load_config(args))
+    return variant, graph_cost(graph, count_batchnorm=not args.fold_batchnorm)
+
+
+def _cmd_describe(args: argparse.Namespace) -> None:
+    variant, report = _report(args)
     lines = [f"variant: {variant.value}", f"nodes: {len(report.per_node)}", ""]
     lines.append(f"{'stage':<12} {'MAdd':>16} {'params':>12}")
     for stage, (madds, params) in report.per_stage().items():
@@ -86,10 +96,7 @@ def _cmd_describe(args: argparse.Namespace) -> None:
 
 
 def _cmd_cost(args: argparse.Namespace) -> None:
-    variant = Variant.parse(args.variant)
-    cfg = _load_config(args)
-    graph = build_pointpillars(variant, cfg)
-    report = graph_cost(graph, count_batchnorm=not args.fold_batchnorm)
+    _, report = _report(args)
     if args.format == "csv":
         _emit(report.to_csv(), args.output)
         return
@@ -105,6 +112,8 @@ def _cmd_cost(args: argparse.Namespace) -> None:
 
 
 def _compare_rows(cfg: ArchConfig, fold_bn: bool) -> list[tuple[str, int, int]]:
+    from .arch import build_pointpillars
+    from .cost import graph_cost
     rows = []
     for variant in Variant:
         report = graph_cost(build_pointpillars(variant, cfg),
@@ -197,11 +206,13 @@ def _cmd_amdahl(args: argparse.Namespace) -> None:
 
 
 def _cmd_plot(args: argparse.Namespace) -> None:
+    from .svg import render_scatter
     points = _load_data(args)
     _emit(render_scatter(points, args.scope), args.output)
 
 
 def _cmd_export(args: argparse.Namespace) -> None:
+    from .arch import build_pointpillars
     variant = Variant.parse(args.variant)
     cfg = _load_config(args)
     _emit(build_pointpillars(variant, cfg).to_json() + "\n", args.output)
@@ -288,9 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DOMAIN_ERRORS = (CliError, ArchError, AnalysisError, GraphError, ShapeError,
-                  OSError, json.JSONDecodeError, KeyError, ValueError,
-                  ZeroDivisionError)
+_DOMAIN_ERRORS = (PillarcostError, OSError, json.JSONDecodeError, KeyError,
+                  ValueError, ZeroDivisionError)
 
 
 def run(argv: list[str] | None = None) -> int:

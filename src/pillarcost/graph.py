@@ -12,8 +12,10 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import ClassVar
 
+from .core import PillarcostError
 
-class GraphError(Exception):
+
+class GraphError(PillarcostError):
     """Base class for structural graph errors."""
 
 
@@ -33,7 +35,7 @@ class InvalidGraphError(GraphError):
     """A graph lacks what an operation needs, such as exactly one input."""
 
 
-class ShapeError(Exception):
+class ShapeError(PillarcostError):
     """A node's input shapes violate its kind constraints."""
 
     code = "ShapeError"

@@ -75,6 +75,42 @@ class TestArchConfig:
         with pytest.raises(ArchError):
             ArchConfig.from_file(path)
 
+    @pytest.mark.parametrize("text, where", [
+        ('{"block_units": [1, 1, 1], "block_units": [2, 2, 2]}', ""),
+        ('{"neck_upsample": [1, 2, 4], "block_units": [1, 1, 1],\n'
+         ' "neck_upsample": [1, 2, 4]}', ""),
+        ("block_units = [1, 1, 1]\n# again\nblock_units = [2, 2, 2]\n", ":3"),
+    ], ids=["json", "json_equal_values", "key_value"])
+    def test_key_given_twice_rejected(self, tmp_path, text, where):
+        path = tmp_path / "cfg"
+        path.write_text(text)
+        with pytest.raises(ArchError, match="given twice") as info:
+            ArchConfig.from_file(path)
+        assert str(info.value).startswith(f"{path}{where}: ")
+
+    @pytest.mark.parametrize("text", [
+        "{", '{"block_units": [1, 1, 1],}', '{"block_units": [1, 2 3]}',
+        '{"max_pillars": ' + "1" * 5000 + "}", '{"block_units": ' + "[" * 100_000,
+    ], ids=["open_brace", "trailing_comma", "missing_comma", "int_over_digit_limit",
+            "too_deep"])
+    def test_malformed_json_rejected_naming_the_path(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ArchError, match="malformed JSON") as info:
+            ArchConfig.from_file(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("override", [
+        "max_pillars=" + "1" * 5000, "block_units=" + "[" * 100_000,
+    ], ids=["int_over_digit_limit", "too_deep"])
+    def test_unparsable_value_is_arch_error(self, tmp_path, override):
+        with pytest.raises(ArchError, match=override.split("=")[0]):
+            ArchConfig().with_overrides([override])
+        path = tmp_path / "cfg"
+        path.write_text(override + "\n")
+        with pytest.raises(ArchError):
+            ArchConfig.from_file(path)
+
     def test_overrides(self):
         cfg = ArchConfig().with_overrides(
             ["num_classes=1", "neck_out_channels=[64,64,64]"])

@@ -265,6 +265,33 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "stride must be 1 or 2" in err
 
+    @pytest.mark.parametrize("variant", [v.value for v in Variant])
+    def test_stride_one_block_that_widens(self, capsys, variant):
+        # block 2 keeps the resolution of block 1 but doubles its channels;
+        # three families have no stride-1 unit that changes the width
+        code, out, err = invoke(capsys, "describe", variant,
+                                "--set", "block_strides=[2,1,2]",
+                                "--set", "neck_upsample=[1,1,2]")
+        if variant in ("ShufflenetV1", "ShufflenetV2", "Xception"):
+            assert code == 1 and out == ""
+            assert err.startswith("error: backbone.block2.") and err.count("\n") == 1
+        else:
+            assert code == 0 and err == ""
+            assert "total MAdd:" in out
+
+    @pytest.mark.parametrize("payload", [
+        '{"block_units": [1, 1, 1], "block_units": [2, 2, 2]}',
+        "block_units = [1, 1, 1]\nblock_units = [2, 2, 2]\n",
+        '{"block_units": [1, 1, 1], "neck_upsample": [1, 2, 4',
+        '{"block_units": ' + "[" * 100_000,
+    ], ids=["json_duplicate", "key_value_duplicate", "json_truncated", "json_too_deep"])
+    def test_bad_config_file_is_domain_error_naming_it(self, capsys, tmp_path, payload):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(payload)
+        code, out, err = invoke(capsys, "cost", "base", "--config", str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {bad}") and err.count("\n") == 1
+
     @pytest.mark.parametrize("override", [
         "max_pillars=abc", "block_units=7", "max_pillars=true",
         "block_units=[1,true,1]", "resnet_bottleneck=[1]", "resnet_bottleneck=1/0",

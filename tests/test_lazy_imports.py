@@ -1,0 +1,93 @@
+"""Cold start: each subcommand loads only the modules it runs.
+
+The checks on what is loaded run in a fresh interpreter, since this test
+process has long since imported every module.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import pillarcost
+from pillarcost import analysis, arch, core, graph, shapes
+from pillarcost.cli import CliError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+GRAPH_MODULES = ("pillarcost.graph", "pillarcost.arch", "pillarcost.cost",
+                 "pillarcost.shapes")
+
+
+def loaded_after(code: str) -> set[str]:
+    """The pillarcost modules loaded once ``code`` has run in a fresh
+    interpreter (its own output goes to a buffer)."""
+    script = ("import contextlib, io, json, sys\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              + "".join(f"    {line}\n" for line in code.splitlines())
+              + "print(json.dumps(sorted(m for m in sys.modules"
+                " if m.startswith('pillarcost'))))\n")
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path},
+                          timeout=60, check=True)
+    return set(json.loads(proc.stdout))
+
+
+def test_importing_the_cli_loads_no_graph_code():
+    loaded = loaded_after("import pillarcost.cli")
+    assert "pillarcost.analysis" in loaded
+    assert not loaded & {*GRAPH_MODULES, "pillarcost.svg"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["list"],
+    ["pareto", "--scope", "car", "--format", "csv"],
+    ["amdahl", "--profile", str(SRC / "pillarcost/data/fpga_timing.json"),
+     "--speedup", "backbone=inf"],
+    ["plot", "--scope", "overall"],
+], ids=lambda argv: argv[0])
+def test_commands_without_graphs_never_load_graph_code(argv):
+    loaded = loaded_after(f"from pillarcost.cli import run\nassert run({argv!r}) == 0")
+    assert not loaded & set(GRAPH_MODULES)
+
+
+def test_costing_commands_load_what_they_run():
+    loaded = loaded_after("from pillarcost.cli import run\nassert run(['describe', 'base']) == 0")
+    assert set(GRAPH_MODULES) <= loaded
+    assert "pillarcost.svg" not in loaded
+
+
+def test_every_public_name_is_its_defining_modules_object():
+    resolved = {}
+    for name in pillarcost.__all__:
+        value = getattr(pillarcost, name)
+        home = sys.modules[value.__module__]
+        assert getattr(home, name) is value, name
+        resolved[name] = value
+    assert vars(pillarcost).keys() >= resolved.keys()  # cached after first use
+    assert pillarcost.ShapeError is shapes.ShapeError is graph.ShapeError
+
+
+def test_arch_re_exports_the_core_classes():
+    for name in ("ArchError", "ChannelConstraintError", "UnsupportedStrideError",
+                 "Variant"):
+        assert getattr(arch, name) is getattr(core, name)
+
+
+def test_dir_covers_all():
+    assert set(pillarcost.__all__) <= set(dir(pillarcost))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        getattr(pillarcost, "no_such_name")
+    assert not hasattr(pillarcost, "no_such_name")
+
+
+@pytest.mark.parametrize("error", [arch.ArchError, graph.GraphError,
+                                   graph.ShapeError, analysis.AnalysisError,
+                                   CliError])
+def test_domain_errors_share_one_base(error):
+    assert issubclass(error, core.PillarcostError)

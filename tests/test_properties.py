@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pillarcost.analysis import DesignPoint, amdahl, amdahl_max, map_of, \
     pareto_front, round2
+from pillarcost.arch import ArchConfig, ArchError
 from pillarcost.cost import CostReport, graph_cost, node_madds, node_params
 from pillarcost.graph import (
     Add, BatchNorm, ChannelShuffle, ChannelSplit, Concat, Conv, Graph, Input,
@@ -272,3 +273,64 @@ def test_writers_match_reference_encoder_on_any_attribute_value(has_bias):
     src = g.add_node(Input(TensorShape(4, 6, 6)), name="in")
     g.add_node(Conv(8, 3, 3, 1, 1, 1, 1, has_bias=has_bias), [(src, 0)], name="conv")
     assert g.to_json() == reference_json(g.to_json_dict())
+
+
+# -- config loaders: any input either loads or raises ArchError -------------
+
+CONFIG_KEYS = ["block_units", "block_strides", "block_channels", "max_pillars",
+               "num_classes", "neck_upsample", "resnet_bottleneck",
+               "shufflenet_v1_groups", "squeezenext_reduce", "depth", ""]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 600) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(CONFIG_KEYS), inner, max_size=3),
+    max_leaves=8)
+
+config_keys = st.sampled_from(CONFIG_KEYS) | st.text(max_size=8)
+raw_values = (json_values.map(json.dumps) | st.text(max_size=12)
+              | st.builds("{}/{}".format, st.integers(-3, 9), st.integers(-3, 9)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.builds("{}={}".format, config_keys, raw_values),
+                          st.text(max_size=12)), max_size=4))
+def test_overrides_load_or_raise_arch_error(overrides):
+    try:
+        cfg = ArchConfig().with_overrides(overrides)
+    except ArchError:
+        return
+    assert isinstance(cfg, ArchConfig)
+
+
+def _json_object_text(pairs) -> str:
+    """A JSON object written pair by pair, so that a key may repeat."""
+    return "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs) + "}"
+
+
+pairs = st.lists(st.tuples(config_keys, json_values), max_size=4)
+config_texts = st.one_of(
+    st.text(max_size=40),
+    st.text(max_size=40).map("{".__add__),
+    pairs.map(_json_object_text),
+    st.builds(lambda text, cut: text[:cut], pairs.map(_json_object_text),
+              st.integers(0, 60)),
+    st.lists(st.builds("{} = {}".format, config_keys, raw_values), max_size=4)
+    .map("\n".join),
+)
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "cfg"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=config_texts)
+def test_config_files_load_or_raise_arch_error(config_path, text):
+    config_path.write_text(text)
+    try:
+        cfg = ArchConfig.from_file(config_path)
+    except ArchError:
+        return
+    assert isinstance(cfg, ArchConfig)
