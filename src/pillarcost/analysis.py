@@ -151,12 +151,12 @@ class TimingProfile:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TimingProfile":
-        doc = json.loads(Path(path).read_text(), parse_float=Fraction)
+        doc = _read_json(path)
         try:
             fractions = {stage: Fraction(value) for stage, value
                          in _object(doc["stage_fractions"], "stage_fractions").items()}
             latency = Fraction(doc["base_latency_ms"])
-        except (KeyError, TypeError) as err:
+        except (KeyError, TypeError, ValueError, ArithmeticError) as err:
             raise AnalysisError(f"{path}: bad timing profile: {err}") from err
         return cls(fractions, latency)
 
@@ -225,9 +225,20 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _read_json(path: str | Path):
+    """The JSON document at ``path``, with floats read as Fractions.
+    Malformed JSON, nesting too deep and an integer over Python's digit
+    limit raise an AnalysisError naming the path."""
+    text = Path(path).read_text()
+    try:
+        return json.loads(text, parse_float=Fraction)
+    except (ValueError, RecursionError) as err:  # incl. JSONDecodeError
+        raise AnalysisError(f"{path}: malformed JSON: {err}") from err
+
+
 def load_points(path: str | Path) -> list[DesignPoint]:
     """Read design points from a JSON document of per-variant records."""
-    doc = json.loads(Path(path).read_text(), parse_float=Fraction)
+    doc = _read_json(path)
     records = doc.get("points") if isinstance(doc, dict) else doc
     if not isinstance(records, list):
         raise AnalysisError(f"{path}: expected a list of design point records")
@@ -241,8 +252,11 @@ def load_points(path: str | Path) -> list[DesignPoint]:
                 for diff, value in _object(by_diff, f"ap[{cls_name!r}]").items():
                     diff = _DIFFICULTY_ALIASES.get(diff, diff)
                     ap[(cls_name, diff)] = Fraction(value)
+            name = record["name"]
+            if type(name) is not str:
+                raise TypeError(f"name {name!r} is not a string")
             points.append(DesignPoint(
-                name=record["name"],
+                name=name,
                 gmadds=Fraction(record["gmadds"]),
                 ap=ap,
                 fps_backbone=(Fraction(record["fps_backbone"])
@@ -250,7 +264,7 @@ def load_points(path: str | Path) -> list[DesignPoint]:
                 fps_total=(Fraction(record["fps_total"])
                            if record.get("fps_total") is not None else None),
             ))
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError, ValueError, ArithmeticError) as err:
             raise AnalysisError(f"{path}: bad design point record: {err}") from err
     if not points:
         raise AnalysisError(f"{path}: no design points found")

@@ -10,6 +10,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
+from typing import NamedTuple
 
 from .graph import (  # ShapeError and ShapeInconsistent are re-exported
     BatchNorm, Graph, NodeSpec, ShapeError, ShapeInconsistent, TensorShape,
@@ -28,8 +29,10 @@ def node_params(spec: NodeSpec, input_shapes: list[TensorShape]) -> int:
     return spec.params(input_shapes)
 
 
-@dataclass(frozen=True)
-class NodeCost:
+class NodeCost(NamedTuple):
+    """One node's cost row.  A tuple: it compares equal to, and unpacks
+    like, ``(name, kind, madds, params)``, the row ``to_csv`` writes."""
+
     name: str
     kind: str
     madds: int
@@ -63,7 +66,7 @@ class CostReport:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(("name", "kind", "madds", "params"))
-        writer.writerows((c.name, c.kind, c.madds, c.params) for c in self.per_node)
+        writer.writerows(self.per_node)
         writer.writerow(("TOTAL", "", self.total_madds, self.total_params))
         return out.getvalue()
 

@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 from .core import PillarcostError
 
@@ -81,18 +81,34 @@ def _require_int(value: int, what: str, minimum: int = 1) -> None:
         raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class TensorShape:
-    """channels x height x width of a feature map (batch is implicitly 1)."""
-
+class _Dims(NamedTuple):
     channels: int
     height: int
     width: int
 
-    def __post_init__(self) -> None:
-        _require_int(self.channels, "channels")
-        _require_int(self.height, "height")
-        _require_int(self.width, "width")
+
+class TensorShape(_Dims):
+    """channels x height x width of a feature map (batch is implicitly 1).
+
+    A validated tuple: each dimension is an ``int`` >= 1 (not a bool or any
+    other int subclass).  It compares equal to, and unpacks like, the plain
+    tuple ``(channels, height, width)``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, channels: int, height: int, width: int) -> "TensorShape":
+        if not (type(channels) is type(height) is type(width) is int
+                and channels >= 1 and height >= 1 and width >= 1):
+            _require_int(channels, "channels")
+            _require_int(height, "height")
+            _require_int(width, "width")
+        return tuple.__new__(cls, (channels, height, width))
+
+    @classmethod
+    def _make(cls, iterable) -> "TensorShape":
+        # ``_replace`` builds through ``_make``, so it is checked too
+        return cls(*iterable)
 
     @property
     def pixels(self) -> int:
@@ -429,18 +445,20 @@ _ATTR_NAMES = {cls: tuple(sorted(f.name for f in fields(cls)))
 # Graph
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """An input as an edge.  A tuple: it compares equal to, and unpacks
+    like, ``(src, src_port, dst, dst_port)``."""
+
     src: int
     src_port: int
     dst: int
     dst_port: int
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """A node and its inputs: (producer id, producer port) per input port,
-    in port order."""
+    in port order.  A tuple: it compares equal to, and unpacks like,
+    ``(id, spec, name, inputs)``."""
 
     id: int
     spec: NodeSpec
@@ -460,6 +478,7 @@ class Graph:
     def __init__(self) -> None:
         self._nodes: list[Node] = []
         self._names: set[str] = set()
+        self._outputs: list[int] = []  # output-port count per node id
 
     @property
     def nodes(self) -> tuple[Node, ...]:
@@ -493,25 +512,26 @@ class Graph:
             want = f">= {lo}" if hi is None else (str(lo) if lo == hi else f"{lo}..{hi}")
             raise ArityMismatchError(
                 f"{spec.kind} node {name!r} takes {want} inputs, got {len(inputs)}")
+        node_id = len(self._nodes)
+        outputs = self._outputs
         for src, port in inputs:
             if type(src) is not int or type(port) is not int:
                 raise UnknownInputError(
                     f"node {name!r} input {(src, port)!r} is not a pair of integers")
-            if not 0 <= src < len(self._nodes):
+            if not 0 <= src < node_id:
                 raise UnknownInputError(f"node {name!r} references unknown input {src}")
-            outputs = self._nodes[src].spec.num_outputs()
-            if not 0 <= port < outputs:
+            if not 0 <= port < outputs[src]:
                 raise UnknownInputError(
                     f"node {name!r} references port {port} of node {src}, "
-                    f"which has {outputs} outputs")
+                    f"which has {outputs[src]} outputs")
         if not name:
-            name = f"{spec.kind}_{len(self._nodes)}"
+            name = f"{spec.kind}_{node_id}"
         elif not isinstance(name, str):
             raise GraphError(f"node name {name!r} is not a string")
         if name in self._names:
             raise DuplicateNameError(f"duplicate node name {name!r}")
 
-        node_id = len(self._nodes)
+        outputs.append(spec.num_outputs())
         self._nodes.append(Node(node_id, spec, name, inputs))
         self._names.add(name)
         return node_id
@@ -613,7 +633,14 @@ class Graph:
 
     @classmethod
     def from_json(cls, text: str) -> "Graph":
-        return cls.from_json_dict(json.loads(text))
+        """Inverse of :meth:`to_json`.  Malformed JSON, nesting too deep and
+        an integer over Python's digit limit raise a one-line GraphError,
+        as a malformed document does."""
+        try:
+            doc = json.loads(text)
+        except (ValueError, RecursionError) as err:  # incl. JSONDecodeError
+            raise GraphError(f"malformed graph JSON: {err}") from None
+        return cls.from_json_dict(doc)
 
 
 # --------------------------------------------------------------------------

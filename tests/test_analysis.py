@@ -1,5 +1,6 @@
 """Trade-off analysis: mAP aggregation, Pareto fronts, latency projection."""
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,10 @@ from pillarcost.analysis import (
 
 CLASSES = ("Car", "Pedestrian", "Cyclist")
 DIFFS = ("Easy", "Moderate", "Hard")
+
+
+MALFORMED_JSON = {"too_deep": "[" * 100_000, "int_over_digit_limit": "[" + "9" * 5000 + "]",
+                  "truncated": "{", "empty": ""}
 
 
 def point(name, gmadds, ap_value, **kw):
@@ -139,6 +144,23 @@ class TestTimingProfile:
         with pytest.raises(AnalysisError):
             TimingProfile.from_file(path)
 
+    @pytest.mark.parametrize("text", MALFORMED_JSON.values(), ids=MALFORMED_JSON.keys())
+    def test_malformed_json_reported_naming_the_path(self, tmp_path, text):
+        path = tmp_path / "timing.json"
+        path.write_text(text)
+        with pytest.raises(AnalysisError, match=f"^{re.escape(str(path))}: malformed JSON: "):
+            TimingProfile.from_file(path)
+
+    @pytest.mark.parametrize("fraction, latency", [
+        ('"abc"', "5"), ('"1/0"', "5"), ("NaN", "5"), ("0.5", "Infinity"),
+    ])
+    def test_value_that_is_not_a_fraction_reported(self, tmp_path, fraction, latency):
+        path = tmp_path / "timing.json"
+        path.write_text(f'{{"stage_fractions": {{"backbone": {fraction}}}, '
+                        f'"base_latency_ms": {latency}}}')
+        with pytest.raises(AnalysisError, match="bad timing profile"):
+            TimingProfile.from_file(path)
+
 
 class TestProjectFps:
     def test_matches_amdahl_for_single_stage(self):
@@ -212,4 +234,22 @@ class TestLoadPoints:
         path = tmp_path / "pts.json"
         path.write_text("[]")
         with pytest.raises(AnalysisError):
+            load_points(path)
+
+    @pytest.mark.parametrize("text", MALFORMED_JSON.values(), ids=MALFORMED_JSON.keys())
+    def test_malformed_json_reported_naming_the_path(self, tmp_path, text):
+        path = tmp_path / "pts.json"
+        path.write_text(text)
+        with pytest.raises(AnalysisError, match=f"^{re.escape(str(path))}: malformed JSON: "):
+            load_points(path)
+
+    @pytest.mark.parametrize("record", [
+        '{"name": "x", "gmadds": Infinity}', '{"name": "x", "gmadds": "1/0"}',
+        '{"name": "x", "gmadds": 1, "fps_total": NaN}',
+        '{"name": ["x"], "gmadds": 1}', '{"name": 7, "gmadds": 1}',
+    ], ids=["inf_gmadds", "zero_denominator", "nan_fps", "list_name", "int_name"])
+    def test_bad_value_reported(self, tmp_path, record):
+        path = tmp_path / "pts.json"
+        path.write_text(f"[{record}]")
+        with pytest.raises(AnalysisError, match="bad design point record"):
             load_points(path)

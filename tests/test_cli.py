@@ -257,6 +257,31 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "must be an object, got [1]" in err
 
+    @pytest.mark.parametrize("command, key", [
+        ("pareto", "--data"), ("plot", "--data"), ("amdahl", "--profile")])
+    @pytest.mark.parametrize("payload", ["[" * 100_000, '{"points": [' + "9" * 5000 + "]}", "{"],
+                             ids=["too_deep", "int_over_digit_limit", "truncated"])
+    def test_malformed_json_is_domain_error_naming_the_file(self, capsys, tmp_path,
+                                                           command, key, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(payload)
+        code, out, err = invoke(capsys, command, key, str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {bad}: malformed JSON: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, key, payload", [
+        ("amdahl", "--profile", '{"stage_fractions": {"a": 0.5}, "base_latency_ms": Infinity}'),
+        ("pareto", "--data", '[{"name": "x", "gmadds": Infinity}]'),
+        ("plot", "--data", '[{"name": ["x"], "gmadds": 1}]'),
+    ], ids=["profile_infinity", "data_infinity", "data_list_name"])
+    def test_unusable_value_is_domain_error_naming_the_file(self, capsys, tmp_path,
+                                                           command, key, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(payload)
+        code, out, err = invoke(capsys, command, key, str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {bad}: bad ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("variant", ["ShufflenetV1", "base"])
     def test_unsupported_block_stride_is_domain_error(self, capsys, variant):
         code, out, err = invoke(capsys, "cost", variant, "--set",

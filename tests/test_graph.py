@@ -1,13 +1,21 @@
 """Structural graph behavior: construction, validation, ordering, JSON."""
+import re
 from fractions import Fraction
 
 import pytest
 
 from pillarcost.graph import (
     Add, ArityMismatchError, BatchNorm, ChannelShuffle, ChannelSplit, Concat,
-    Conv, DuplicateNameError, Edge, Graph, GraphError, Input, MaxPool, ReLU,
-    Scatter, TensorShape, TransposedConv, UnknownInputError, _KIND_CLASSES,
+    Conv, DuplicateNameError, Edge, Graph, GraphError, Input, MaxPool, Node,
+    ReLU, Scatter, ShapeError, TensorShape, TransposedConv, UnknownInputError,
+    _KIND_CLASSES,
 )
+from pillarcost.cost import NodeCost
+from pillarcost.shapes import infer_all
+
+
+class Int(int):
+    """An int subclass: shapes and node fields take exact ints only."""
 
 
 def small_chain() -> Graph:
@@ -25,10 +33,52 @@ class TestTensorShape:
         assert s.pixels == 20
         assert s.with_channels(7) == TensorShape(7, 4, 5)
 
-    @pytest.mark.parametrize("bad", [(0, 1, 1), (1, -2, 1), (1, 1, 0)])
+    @pytest.mark.parametrize("bad", [(0, 1, 1), (1, -2, 1), (1, 1, 0), (True, 1, 1),
+                                     (1, Int(2), 1), (1, 1, 2.0)])
     def test_rejects_non_positive_dims(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
             TensorShape(*bad)
+
+    def test_replace_is_checked(self):
+        assert TensorShape(3, 4, 5)._replace(width=6) == TensorShape(3, 4, 6)
+        with pytest.raises(ValueError, match="channels must be an integer >= 1"):
+            TensorShape(3, 4, 5)._replace(channels=0)
+
+
+class TestRecords:
+    """The per-node records are tuples with named fields.  Error messages
+    such as AddShapeMismatch embed their reprs."""
+
+    @pytest.mark.parametrize("record, text, values", [
+        (TensorShape(3, 4, 5), "TensorShape(channels=3, height=4, width=5)", (3, 4, 5)),
+        (Edge(0, 1, 2, 0), "Edge(src=0, src_port=1, dst=2, dst_port=0)", (0, 1, 2, 0)),
+        (Node(1, ReLU(), "relu", ((0, 0),)),
+         "Node(id=1, spec=ReLU(), name='relu', inputs=((0, 0),))",
+         (1, ReLU(), "relu", ((0, 0),))),
+        (NodeCost("conv", "conv", 432, 16),
+         "NodeCost(name='conv', kind='conv', madds=432, params=16)",
+         ("conv", "conv", 432, 16)),
+    ], ids=["TensorShape", "Edge", "Node", "NodeCost"])
+    def test_repr_frozen_fields_and_tuple_equality(self, record, text, values):
+        assert repr(record) == text
+        field = text[text.index("(") + 1:text.index("=")]
+        with pytest.raises(AttributeError):
+            setattr(record, field, values[0])
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert record == values and hash(record) == hash(values)
+        first, *_ = record
+        assert first == values[0] == getattr(record, field)
+
+    def test_error_message_embeds_shape_reprs(self):
+        g = Graph()
+        a = g.add_node(Input(TensorShape(3, 8, 8)), name="in")
+        b = g.add_node(Conv(4, 3, 3), [(a, 0)], name="conv")
+        g.add_node(Add(), [(a, 0), (b, 0)], name="add")
+        with pytest.raises(ShapeError, match=re.escape(
+                "add: add inputs differ: TensorShape(channels=3, height=8, width=8) "
+                "vs TensorShape(channels=4, height=6, width=6)")):
+            infer_all(g)
 
 
 class TestNodeSpecs:
@@ -45,9 +95,6 @@ class TestNodeSpecs:
             Conv(0, 3, 3)
         with pytest.raises(ValueError):
             Conv(8, 3, 3, pad_h=-1)
-
-        class Int(int):
-            pass
         with pytest.raises(ValueError, match="out_channels"):
             Conv(Int(8), 3, 3)
 
@@ -151,6 +198,12 @@ class TestAddNode:
         for bad in [(True, 0), (1, False), (1, 0.0), ("1", 0)]:
             with pytest.raises(UnknownInputError, match="pair of integers"):
                 g.add_node(ReLU(), [bad], name="bad")
+        # a multi-output producer has exactly its own ports
+        split = g.add_node(ChannelSplit((Fraction(1, 2),) * 2), [(3, 0)], name="split")
+        g.add_node(ReLU(), [(split, 1)], name="second_half")
+        with pytest.raises(UnknownInputError, match="port 2 of node 4, which has 2 outputs"):
+            g.add_node(ReLU(), [(split, 2)], name="bad")
+        assert len(g) == 6
 
     def test_arity_enforced(self):
         g = small_chain()
@@ -326,4 +379,11 @@ class TestJsonRoundTrip:
         breakage(doc)
         with pytest.raises(GraphError, match=names) as info:
             Graph.from_json_dict(doc)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, "[" + "9" * 5000 + "]", "{", ""],
+                             ids=["too_deep", "int_over_digit_limit", "truncated", "empty"])
+    def test_malformed_json_is_one_line_graph_error(self, text):
+        with pytest.raises(GraphError, match="^malformed graph JSON: ") as info:
+            Graph.from_json(text)
         assert "\n" not in str(info.value)

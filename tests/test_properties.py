@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pillarcost.analysis import DesignPoint, amdahl, amdahl_max, map_of, \
-    pareto_front, round2
+from pillarcost.analysis import DesignPoint, TimingProfile, amdahl, amdahl_max, \
+    default_dataset_path, load_points, map_of, pareto_front, round2
 from pillarcost.arch import ArchConfig, ArchError
+from pillarcost.core import PillarcostError
 from pillarcost.cost import CostReport, graph_cost, node_madds, node_params
 from pillarcost.graph import (
     Add, BatchNorm, ChannelShuffle, ChannelSplit, Concat, Conv, Graph, Input,
@@ -334,3 +335,95 @@ def test_config_files_load_or_raise_arch_error(config_path, text):
     except ArchError:
         return
     assert isinstance(cfg, ArchConfig)
+
+
+# -- JSON loaders: any text either loads or raises a PillarcostError -------
+
+LOADER_KEYS = ["points", "name", "gmadds", "ap", "Car", "Easy", "Mod", "fps_total",
+               "stage_fractions", "base_latency_ms", "backbone", "nodes", "edges",
+               "id", "kind", "attrs", "shape", "fractions", "input", "channel_split", ""]
+
+loader_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 600) | st.floats() | st.text(max_size=6)
+    | st.sampled_from(LOADER_KEYS),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(LOADER_KEYS), inner, max_size=4),
+    max_leaves=12)
+
+
+def _replace_one(doc, rnd: random.Random, value):
+    """A copy of ``doc`` with one list item or object value, chosen by
+    ``rnd``, replaced by ``value``."""
+    doc = json.loads(json.dumps(doc))
+    slots = []
+
+    def collect(node):
+        items = (node.items() if isinstance(node, dict)
+                 else enumerate(node) if isinstance(node, list) else ())
+        for key, child in items:
+            slots.append((node, key))
+            collect(child)
+    collect(doc)
+    owner, key = rnd.choice(slots)
+    owner[key] = value
+    return doc
+
+
+def _loader_texts(valid_doc):
+    """Arbitrary text, arbitrary JSON, and ``valid_doc`` with one value
+    replaced, whole or cut short."""
+    near_valid = st.builds(_replace_one, st.just(valid_doc), st.randoms(),
+                           loader_values).map(json.dumps)
+    return st.one_of(
+        st.text(max_size=40),
+        loader_values.map(json.dumps),
+        near_valid,
+        st.builds(lambda text, cut: text[:cut], near_valid, st.integers(0, 400)),
+    )
+
+
+def _small_graph_doc() -> dict:
+    g = Graph()
+    src = g.add_node(Input(TensorShape(4, 6, 6)), name="in")
+    split = g.add_node(ChannelSplit((Fraction(1, 2), Fraction(1, 2))), [(src, 0)], name="split")
+    conv = g.add_node(Conv(2, 3, 3, 1, 1, 1, 1), [(split, 1)], name="conv")
+    g.add_node(Concat(), [(split, 0), (conv, 0)], name="cat")
+    return g.to_json_dict()
+
+
+@pytest.fixture(scope="module")
+def json_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_loader_texts(json.loads(
+    (default_dataset_path().parent / "mmdet3d_timing.json").read_text())))
+def test_timing_profiles_load_or_raise_pillarcost_error(json_path, text):
+    json_path.write_text(text)
+    try:
+        profile = TimingProfile.from_file(json_path)
+    except PillarcostError:
+        return
+    assert isinstance(profile, TimingProfile)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_loader_texts(json.loads(default_dataset_path().read_text())["points"][:2]))
+def test_datasets_load_or_raise_pillarcost_error(json_path, text):
+    json_path.write_text(text)
+    try:
+        points = load_points(json_path)
+    except PillarcostError:
+        return
+    assert points and all(isinstance(p, DesignPoint) for p in points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_loader_texts(_small_graph_doc()))
+def test_graph_json_loads_or_raises_pillarcost_error(text):
+    try:
+        graph = Graph.from_json(text)
+    except PillarcostError:
+        return
+    assert isinstance(graph, Graph)

@@ -3,7 +3,12 @@ import importlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+
+import pytest
+
+from pillarcost.core import Variant
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,6 +28,29 @@ def test_every_traced_target_resolves(monkeypatch):
         tracer.install()
     finally:
         tracer.uninstall()
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_one_add_node_and_one_shape_call_per_node(monkeypatch, variant):
+    """The per-layer counts graph.add_node.calls, arch.nodes_built and
+    shapes.node_output_shape.calls stay comparable across changes: per node
+    built, a build calls Graph.add_node once and graph_cost calls
+    shapes.node_output_shape once."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracing = importlib.import_module("tracing")
+    arch, cost = (importlib.import_module(f"pillarcost.{name}") for name in ("arch", "cost"))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        graph = arch.build_pointpillars(variant)
+        built = Counter(span[0] for span in tracer.spans)
+        cost.graph_cost(graph)
+    finally:
+        tracer.uninstall()
+    costed = Counter(span[0] for span in tracer.spans) - built
+    assert built == {"arch.build": 1, "graph.add_node": len(graph)}
+    assert tracer.counters["arch.nodes_built"] == len(graph)
+    assert costed == {"cost.graph_cost": 1, "shapes.node_output_shape": len(graph)}
 
 
 def test_importing_the_package_loads_analysis():
