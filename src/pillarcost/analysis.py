@@ -11,7 +11,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from pathlib import Path
 
-from .core import PillarcostError
+from .core import PillarcostError, exact_fraction
 
 CLASSES = ("Car", "Pedestrian", "Cyclist")
 DIFFICULTIES = ("Easy", "Moderate", "Hard")
@@ -153,9 +153,9 @@ class TimingProfile:
     def from_file(cls, path: str | Path) -> "TimingProfile":
         doc = _read_json(path)
         try:
-            fractions = {stage: Fraction(value) for stage, value
+            fractions = {stage: exact_fraction(value) for stage, value
                          in _object(doc["stage_fractions"], "stage_fractions").items()}
-            latency = Fraction(doc["base_latency_ms"])
+            latency = exact_fraction(doc["base_latency_ms"])
         except (KeyError, TypeError, ValueError, ArithmeticError) as err:
             raise AnalysisError(f"{path}: bad timing profile: {err}") from err
         return cls(fractions, latency)
@@ -227,11 +227,11 @@ def _object(value, what: str) -> dict:
 
 def _read_json(path: str | Path):
     """The JSON document at ``path``, with floats read as Fractions.
-    Malformed JSON, nesting too deep and an integer over Python's digit
-    limit raise an AnalysisError naming the path."""
+    Malformed JSON, nesting too deep, an integer over Python's digit limit
+    and a decimal exponent over it raise an AnalysisError naming the path."""
     text = Path(path).read_text()
     try:
-        return json.loads(text, parse_float=Fraction)
+        return json.loads(text, parse_float=exact_fraction)
     except (ValueError, RecursionError) as err:  # incl. JSONDecodeError
         raise AnalysisError(f"{path}: malformed JSON: {err}") from err
 
@@ -251,17 +251,17 @@ def load_points(path: str | Path) -> list[DesignPoint]:
             for cls_name, by_diff in _object(record.get("ap", {}), "ap").items():
                 for diff, value in _object(by_diff, f"ap[{cls_name!r}]").items():
                     diff = _DIFFICULTY_ALIASES.get(diff, diff)
-                    ap[(cls_name, diff)] = Fraction(value)
+                    ap[(cls_name, diff)] = exact_fraction(value)
             name = record["name"]
             if type(name) is not str:
                 raise TypeError(f"name {name!r} is not a string")
             points.append(DesignPoint(
                 name=name,
-                gmadds=Fraction(record["gmadds"]),
+                gmadds=exact_fraction(record["gmadds"]),
                 ap=ap,
-                fps_backbone=(Fraction(record["fps_backbone"])
+                fps_backbone=(exact_fraction(record["fps_backbone"])
                               if record.get("fps_backbone") is not None else None),
-                fps_total=(Fraction(record["fps_total"])
+                fps_total=(exact_fraction(record["fps_total"])
                            if record.get("fps_total") is not None else None),
             ))
         except (KeyError, TypeError, ValueError, ArithmeticError) as err:

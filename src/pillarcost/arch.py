@@ -21,6 +21,7 @@ from pathlib import Path
 from .core import (  # re-exported: the same classes as in core
     ArchError, ChannelConstraintError, UnsupportedStrideError, Variant,
 )
+from .core import exact_fraction
 from .graph import (
     Add, BatchNorm, ChannelShuffle, ChannelSplit, Concat, Conv, Graph, Input,
     MaxPool, ReLU, Scatter, TensorShape, TransposedConv,
@@ -102,7 +103,7 @@ class ArchConfig:
             return tuple(value)
         if annotation == "Fraction" and not isinstance(value, bool):
             try:
-                return Fraction(value)
+                return exact_fraction(value)
             except (TypeError, ValueError, OverflowError, ZeroDivisionError):
                 pass
         want = {"int": "an integer", "tuple[int, ...]": "a list of integers",

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 from . import analysis
 from .analysis import (SCOPES, TimingProfile, amdahl_max, load_points, map_of,
                        pareto_front, project_fps, round2)
-from .core import PillarcostError, Variant
+from .core import PillarcostError, Variant, exact_fraction
 
 if TYPE_CHECKING:
     from .arch import ArchConfig
@@ -173,7 +173,7 @@ def _parse_speedups(items: list[str]) -> dict[str, Fraction | float]:
             speedups[stage] = float("inf")
             continue
         try:
-            value = Fraction(raw)
+            value = exact_fraction(raw)
         except (ValueError, ZeroDivisionError) as err:
             raise CliError(f"bad speedup value {raw!r}: {err}") from err
         speedups[stage] = value

@@ -1,5 +1,6 @@
 """Names shared by every pillarcost module: the error base class, the
-architecture errors and the backbone variants.
+architecture errors, the backbone variants and the reader of numbers from
+outside (``exact_fraction``).
 
 This module imports no graph code, so a command that only names the
 variants or reads the dataset loads nothing more than it needs.
@@ -7,10 +8,29 @@ variants or reads the dataset loads nothing more than it needs.
 from __future__ import annotations
 
 from enum import Enum
+from fractions import Fraction
+
+# Python refuses to read an int string of more digits than this; a decimal
+# exponent larger in magnitude would make Fraction build such a number.
+MAX_EXPONENT = 4300
 
 
 class PillarcostError(Exception):
     """Base class of the errors the command line reports as domain errors."""
+
+
+def exact_fraction(value) -> Fraction:
+    """``Fraction(value)``, except that a string whose decimal exponent is
+    over MAX_EXPONENT in magnitude raises a ValueError naming it: Fraction
+    expands the exponent exactly, in time that grows faster than it."""
+    if isinstance(value, str):
+        _, e, exponent = value.lower().partition("e")
+        exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if e and exponent.isdecimal() and (len(exponent) > len(str(MAX_EXPONENT))
+                                           or int(exponent) > MAX_EXPONENT):
+            raise ValueError(f"number {value!r} has a decimal exponent over "
+                             f"{MAX_EXPONENT} in magnitude")
+    return Fraction(value)
 
 
 class ArchError(PillarcostError):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import ClassVar, NamedTuple
 
-from .core import PillarcostError
+from .core import PillarcostError, exact_fraction
 
 
 class GraphError(PillarcostError):
@@ -370,7 +370,7 @@ class ChannelSplit(NodeSpec):
     fractions: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        fracs = tuple(Fraction(f) for f in self.fractions)
+        fracs = tuple(map(exact_fraction, self.fractions))
         object.__setattr__(self, "fractions", fracs)
         if not fracs:
             raise ValueError("channel split needs at least one fraction")
@@ -439,6 +439,11 @@ _KIND_CLASSES = {
 # What each kind serialises: its attribute names, sorted as the JSON has them.
 _ATTR_NAMES = {cls: tuple(sorted(f.name for f in fields(cls)))
                for cls in _KIND_CLASSES.values()}
+
+# The kinds whose attributes are all scalars, so that equal attrs of equal
+# types decode to equal specs.  Input and ChannelSplit take a list or tuple,
+# whose items' types a key would not see: (4.0, 2, 2) equals (4, 2, 2).
+_SCALAR_KINDS = frozenset(_KIND_CLASSES) - {Input.kind, ChannelSplit.kind}
 
 
 # --------------------------------------------------------------------------
@@ -568,25 +573,48 @@ class Graph:
 
         Written directly, because the standard encoder leaves its C path
         whenever ``indent`` is set and then takes most of a round trip.
+        Each distinct spec is formatted once per call.
         """
-        edges = ",\n".join(
-            f"    [\n      {src},\n      {port},\n      {node.id},\n"
-            f"      {dst_port}\n    ]" for node in self._nodes
-            for dst_port, (src, port) in enumerate(node.inputs))
-        nodes = ",\n".join(map(_node_json, self._nodes))
-        edges = f"[\n{edges}\n  ]" if edges else "[]"
-        nodes = f"[\n{nodes}\n  ]" if nodes else "[]"
+        # Spec -> its text before the id and between the id and the name.
+        # Every spec field is type-checked (an exact int, a bool, a
+        # TensorShape or normalised Fractions), so equal specs write
+        # identical text and a spec's value can key it.
+        texts: dict[NodeSpec, tuple[str, str]] = {}
+        nodes, edges = [], []
+        for node_id, spec, name, inputs in self._nodes:
+            text = texts.get(spec)
+            if text is None:
+                attrs = ",".join([f'{_ATTR_PAD}"{attr}": {_attr_json(getattr(spec, attr))}'
+                                  for attr in _ATTR_NAMES[type(spec)]])
+                attrs = f"{{{attrs}\n      }}" if attrs else "{}"
+                text = texts[spec] = (
+                    f'    {{\n      "attrs": {attrs},\n      "id": ',
+                    f',\n      "kind": {_json_str(spec.kind)},\n      "name": ')
+            nodes.append(f"{text[0]}{node_id}{text[1]}{_json_str(name)}\n    }}")
+            for dst_port, (src, port) in enumerate(inputs):
+                edges.append(f"    [\n      {src},\n      {port},\n      {node_id},\n"
+                             f"      {dst_port}\n    ]")
+        edges = "[\n" + ",\n".join(edges) + "\n  ]" if edges else "[]"
+        nodes = "[\n" + ",\n".join(nodes) + "\n  ]" if nodes else "[]"
         return f'{{\n  "edges": {edges},\n  "nodes": {nodes}\n}}'
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Graph":
         """Inverse of :meth:`to_json_dict`.  A malformed document raises a
-        one-line GraphError that names the offending node or edge."""
+        one-line GraphError that names the offending node or edge.
+
+        Each distinct spec is decoded once per call, so nodes with equal
+        specs share one spec object; specs are frozen, so only ``is`` can
+        tell.
+        """
         try:
             items, edge_rows = list(doc["nodes"]), list(doc["edges"])
         except (KeyError, TypeError) as err:
             raise GraphError("a graph document is an object with 'nodes' and "
                              f"'edges' lists; {type(err).__name__}: {err}") from None
+        # (kind, attrs, each attr value's exact type) -> spec, so that 1,
+        # True and 1.0 never share an entry; for this call only
+        specs: dict[tuple, NodeSpec] = {}
         decoded = []
         for pos, item in enumerate(items):
             try:
@@ -599,14 +627,27 @@ class Graph:
                     raise TypeError(f"id {item_id!r} is not an integer")
                 if type(name) is not str or not name:
                     raise TypeError(f"name {name!r} is not a non-empty string")
-                decoded.append((item_id, spec_cls.from_attrs(attrs), name))
+                key = spec = None
+                if kind in _SCALAR_KINDS and type(attrs) is dict:
+                    key = (kind, *attrs.items(), *map(type, attrs.values()))
+                    try:
+                        spec = specs.get(key)
+                    except TypeError:  # a list or object value: decode it as is
+                        key = None
+                if spec is None:
+                    spec = spec_cls.from_attrs(attrs)
+                    if key is not None:
+                        specs[key] = spec
+                decoded.append((item_id, spec, name))
             except KeyError as err:
                 raise GraphError(f"node {_label(item, pos)} lacks the key {err}") from None
             except (TypeError, ValueError, ArithmeticError) as err:
                 raise GraphError(f"node {_label(item, pos)}: {err}") from None
-        decoded.sort(key=lambda row: row[0])
-        if [item_id for item_id, _, _ in decoded] != list(range(len(decoded))):
-            raise GraphError(f"node ids must be 0..{len(decoded) - 1}, each exactly once")
+        dense = list(range(len(decoded)))
+        if [row[0] for row in decoded] != dense:
+            decoded.sort(key=lambda row: row[0])
+            if [row[0] for row in decoded] != dense:
+                raise GraphError(f"node ids must be 0..{len(decoded) - 1}, each exactly once")
 
         by_dst: dict[int, list[tuple[int, int, int]]] = {}
         for edge in edge_rows:
@@ -621,11 +662,14 @@ class Graph:
 
         graph = cls()
         for item_id, spec, name in decoded:
-            row = sorted(by_dst.pop(item_id, ()))
-            ports = [port for port, _, _ in row]
-            if ports != list(range(len(row))):
-                raise GraphError(f"node {name!r} has input ports {ports}; "
-                                 f"they must be 0..{len(row) - 1}, each exactly once")
+            row = by_dst.pop(item_id, ())
+            if len(row) > 1:
+                row.sort()
+            for port, edge in enumerate(row):
+                if edge[0] != port:
+                    raise GraphError(
+                        f"node {name!r} has input ports {[p for p, _, _ in row]}; "
+                        f"they must be 0..{len(row) - 1}, each exactly once")
             graph.add_node(spec, [(src, port) for _, src, port in row], name)
         if by_dst:
             raise GraphError("an edge feeds a node id that does not exist")
@@ -682,13 +726,3 @@ def _attr_json(value) -> str:
         return (f"[{pad}{value.channels},{pad}{value.height},{pad}{value.width}"
                 f"{_ATTR_PAD}]")
     return f"[{','.join(pad + _json_str(str(v)) for v in value)}{_ATTR_PAD}]"
-
-
-def _node_json(node: Node) -> str:
-    spec = node.spec
-    attrs = ",".join([f'{_ATTR_PAD}"{name}": {_attr_json(getattr(spec, name))}'
-                      for name in _ATTR_NAMES[type(spec)]])
-    attrs = f"{{{attrs}\n      }}" if attrs else "{}"
-    return (f'    {{\n      "attrs": {attrs},\n      "id": {node.id},\n'
-            f'      "kind": {_json_str(spec.kind)},\n'
-            f'      "name": {_json_str(node.name)}\n    }}')

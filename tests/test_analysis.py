@@ -161,6 +161,19 @@ class TestTimingProfile:
         with pytest.raises(AnalysisError, match="bad timing profile"):
             TimingProfile.from_file(path)
 
+    @pytest.mark.parametrize("fraction, latency", [
+        ("1e-99999999", "5"), ("0.5", "1e99999999"), ('"1e-99999999"', "5"),
+        ("0.5", '"1e99999999"'),
+    ], ids=["fraction", "latency", "fraction_string", "latency_string"])
+    def test_huge_decimal_exponent_reported(self, tmp_path, fraction, latency):
+        path = tmp_path / "timing.json"
+        path.write_text(f'{{"stage_fractions": {{"backbone": {fraction}}}, '
+                        f'"base_latency_ms": {latency}}}')
+        with pytest.raises(AnalysisError, match="'1e-?99999999' has a decimal exponent "
+                                                "over 4300") as info:
+            TimingProfile.from_file(path)
+        assert str(info.value).startswith(f"{path}: ") and "\n" not in str(info.value)
+
 
 class TestProjectFps:
     def test_matches_amdahl_for_single_stage(self):
@@ -253,3 +266,16 @@ class TestLoadPoints:
         path.write_text(f"[{record}]")
         with pytest.raises(AnalysisError, match="bad design point record"):
             load_points(path)
+
+    @pytest.mark.parametrize("record", [
+        '{"name": "x", "gmadds": 1e99999999}', '{"name": "x", "gmadds": "1e99999999"}',
+        '{"name": "x", "gmadds": 1, "ap": {"Car": {"Easy": 1e-99999999}}}',
+        '{"name": "x", "gmadds": 1, "fps_total": "1e-99999999"}',
+    ], ids=["gmadds", "gmadds_string", "ap", "fps_string"])
+    def test_huge_decimal_exponent_reported(self, tmp_path, record):
+        path = tmp_path / "pts.json"
+        path.write_text(f"[{record}]")
+        with pytest.raises(AnalysisError, match="'1e-?99999999' has a decimal exponent "
+                                                "over 4300") as info:
+            load_points(path)
+        assert str(info.value).startswith(f"{path}: ") and "\n" not in str(info.value)

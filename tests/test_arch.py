@@ -111,6 +111,16 @@ class TestArchConfig:
         with pytest.raises(ArchError):
             ArchConfig.from_file(path)
 
+    @pytest.mark.parametrize("number", ["1e99999999", "1e-99999999"])
+    def test_huge_decimal_exponent_is_arch_error(self, tmp_path, number):
+        # Fraction would expand the exponent exactly, for minutes
+        with pytest.raises(ArchError, match=f"squeezenext_reduce .*'{number}'"):
+            ArchConfig().with_overrides([f'squeezenext_reduce="{number}"'])
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"squeezenext_reduce": "{number}"}}')
+        with pytest.raises(ArchError, match=f"'{number}'"):
+            ArchConfig.from_file(path)
+
     def test_overrides(self):
         cfg = ArchConfig().with_overrides(
             ["num_classes=1", "neck_out_channels=[64,64,64]"])

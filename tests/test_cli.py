@@ -282,6 +282,28 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {bad}: bad ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, key, payload", [
+        ("amdahl", "--profile", '{"stage_fractions": {"a": 0.5}, "base_latency_ms": 1e99999999}'),
+        ("amdahl", "--profile", '{"stage_fractions": {"a": "1e-99999999"}, '
+                                '"base_latency_ms": 5}'),
+        ("pareto", "--data", '[{"name": "x", "gmadds": 1e99999999}]'),
+        ("pareto", "--data", '[{"name": "x", "gmadds": "1e99999999"}]'),
+    ], ids=["profile_number", "profile_string", "data_number", "data_string"])
+    def test_huge_decimal_exponent_is_domain_error_naming_the_file(
+            self, capsys, tmp_path, command, key, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(payload)
+        code, out, err = invoke(capsys, command, key, str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        assert "has a decimal exponent over 4300" in err
+
+    def test_huge_decimal_exponent_in_a_speedup_is_domain_error(self, capsys):
+        code, out, err = invoke(capsys, "amdahl", "--profile", timing_path("fpga_timing.json"),
+                                "--speedup", "backbone=1e99999999")
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad speedup value '1e99999999'") and err.count("\n") == 1
+
     @pytest.mark.parametrize("variant", ["ShufflenetV1", "base"])
     def test_unsupported_block_stride_is_domain_error(self, capsys, variant):
         code, out, err = invoke(capsys, "cost", variant, "--set",

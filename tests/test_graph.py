@@ -1,4 +1,5 @@
 """Structural graph behavior: construction, validation, ordering, JSON."""
+import json
 import re
 from fractions import Fraction
 
@@ -24,6 +25,14 @@ def small_chain() -> Graph:
     b = g.add_node(Conv(16, 3, 3, pad_h=1, pad_w=1), [(a, 0)], name="conv")
     c = g.add_node(BatchNorm(), [(b, 0)], name="bn")
     g.add_node(ReLU(), [(c, 0)], name="relu")
+    return g
+
+
+def two_equal_convs() -> Graph:
+    g = Graph()
+    a = g.add_node(Input(TensorShape(4, 8, 8)), name="in")
+    b = g.add_node(Conv(4, 3, 3, pad_h=1, pad_w=1), [(a, 0)], name="a")
+    g.add_node(Conv(4, 3, 3, pad_h=1, pad_w=1), [(b, 0)], name="b")
     return g
 
 
@@ -314,6 +323,16 @@ class TestJsonRoundTrip:
         assert [n.spec for n in restored.nodes] == [n.spec for n in g.nodes]
         assert restored.edges == g.edges
 
+    def test_nodes_and_edges_load_in_any_order(self):
+        g = Graph()
+        a = g.add_node(Input(TensorShape(4, 6, 6)), name="in")
+        b = g.add_node(ReLU(), [(a, 0)], name="relu")
+        g.add_node(Concat(), [(b, 0), (a, 0), (b, 0)], name="cat")
+        doc = g.to_json_dict()
+        doc["nodes"].reverse()
+        doc["edges"].reverse()
+        assert Graph.from_json_dict(doc).to_json() == g.to_json()
+
     def test_serialization_is_deterministic(self):
         assert small_chain().to_json() == small_chain().to_json()
 
@@ -370,15 +389,66 @@ class TestJsonRoundTrip:
         (lambda doc: doc["edges"][0].__setitem__(1, "0"), r"edge \[0, '0', 1, 0\]"),
         (lambda doc: doc["edges"][0].__setitem__(1, True), r"edge \[0, True, 1, 0\]"),
         (lambda doc: doc["edges"][0].pop(), r"edge \[0, 0, 1\]"),
+        (lambda doc: doc["nodes"][1].update(attrs=[16, 3, 3]), "'conv'.*mapping"),
+        (lambda doc: doc["nodes"][1].update(attrs="16"), "'conv'.*mapping"),
+        (lambda doc: doc["nodes"][1].update(attrs=None), "'conv'.*mapping"),
+        (lambda doc: doc["nodes"][1].update(attrs=16), "'conv'.*mapping"),
+        (lambda doc: doc["nodes"][3].update(attrs=[]), "'relu'.*mapping"),
+        (lambda doc: doc["nodes"][0].update(attrs=[[3, 8, 8]]), "'in'"),
+        (lambda doc: doc["nodes"][1]["attrs"].update(kernel_h=[3]), r"'conv'.*kernel_h.*\[3\]"),
+        (lambda doc: doc["nodes"][1]["attrs"].update(groups={}), r"'conv'.*groups.*\{\}"),
     ], ids=["unknown_attr", "no_attrs", "no_name", "no_kind", "no_id",
             "no_nodes", "no_edges", "negative_pad", "short_shape", "string_id",
             "int_name", "null_name", "empty_name", "string_bias", "int_bias",
-            "string_port", "bool_port", "three_item_edge"])
+            "string_port", "bool_port", "three_item_edge", "list_attrs",
+            "string_attrs", "null_attrs", "number_attrs", "list_attrs_of_relu",
+            "list_attrs_of_input", "list_attr_value", "object_attr_value"])
     def test_malformed_document_is_one_line_graph_error(self, breakage, names):
         doc = small_chain().to_json_dict()
         breakage(doc)
         with pytest.raises(GraphError, match=names) as info:
             Graph.from_json_dict(doc)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("attr, first, second", [
+        ("has_bias", True, 1), ("groups", 1, True), ("kernel_h", 3, 3.0),
+    ])
+    def test_decoded_spec_is_not_reused_for_a_value_of_another_type(self, attr, first,
+                                                                     second):
+        # 1, True and 1.0 are equal and hash alike; only the first is valid
+        doc = two_equal_convs().to_json_dict()
+        doc["nodes"][1]["attrs"][attr] = first
+        doc["nodes"][2]["attrs"][attr] = second
+        with pytest.raises(GraphError, match=f"^node 'b': {attr} ") as info:
+            Graph.from_json_dict(doc)
+        assert "\n" not in str(info.value)
+
+    def test_decoded_input_shape_is_checked_for_every_node(self):
+        # the tuple (4.0, 2, 2) equals (4, 2, 2)
+        doc = {"nodes": [{"id": 0, "name": "a", "kind": "input", "attrs": {"shape": (4, 2, 2)}},
+                         {"id": 1, "name": "b", "kind": "input",
+                          "attrs": {"shape": (4.0, 2, 2)}}],
+               "edges": []}
+        with pytest.raises(GraphError, match="^node 'b': channels .* got 4.0$") as info:
+            Graph.from_json_dict(doc)
+        assert "\n" not in str(info.value)
+
+    def test_equal_specs_decode_to_one_object_per_call(self):
+        text = two_equal_convs().to_json()
+        g = Graph.from_json(text)
+        assert g.node(1).spec is g.node(2).spec
+        assert g.node(0).spec is not g.node(1).spec
+        assert Graph.from_json(text).node(1).spec is not g.node(1).spec
+        assert g.to_json() == text
+
+    def test_huge_decimal_exponent_in_a_split_is_graph_error(self):
+        doc = {"nodes": [{"id": 0, "name": "in", "kind": "input", "attrs": {"shape": [4, 2, 2]}},
+                         {"id": 1, "name": "split", "kind": "channel_split",
+                          "attrs": {"fractions": ["1e-99999999", "1"]}}],
+               "edges": [[0, 0, 1, 0]]}
+        with pytest.raises(GraphError, match="^node 'split': number '1e-99999999' has a "
+                                             "decimal exponent over 4300") as info:
+            Graph.from_json(json.dumps(doc))
         assert "\n" not in str(info.value)
 
     @pytest.mark.parametrize("text", ["[" * 100_000, "[" + "9" * 5000 + "]", "{", ""],

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from pillarcost.analysis import DesignPoint, TimingProfile, amdahl, amdahl_max, \
     default_dataset_path, load_points, map_of, pareto_front, round2
-from pillarcost.arch import ArchConfig, ArchError
-from pillarcost.core import PillarcostError
+from pillarcost.arch import ArchConfig, ArchError, build_pointpillars
+from pillarcost.core import PillarcostError, Variant
 from pillarcost.cost import CostReport, graph_cost, node_madds, node_params
 from pillarcost.graph import (
     Add, BatchNorm, ChannelShuffle, ChannelSplit, Concat, Conv, Graph, Input,
@@ -218,7 +218,12 @@ def reference_report_doc(report: CostReport) -> dict:
 
 
 def assert_writers_match_reference(g: Graph) -> None:
-    assert g.to_json() == reference_json(g.to_json_dict())
+    text = g.to_json()
+    assert text == reference_json(g.to_json_dict())
+    restored = Graph.from_json(text)
+    assert restored.to_json() == text
+    assert [n.spec for n in restored.nodes] == [n.spec for n in g.nodes]
+    assert restored.edges == g.edges
     try:
         reports = [graph_cost(g), graph_cost(g, count_batchnorm=False)]
     except ShapeError:
@@ -242,6 +247,14 @@ def test_writers_match_reference_encoder_on_random_dags():
                                   has_bias=rng.random() < 0.5),
                    [(split, rng.randrange(len(fractions)))], name="up")
         assert_writers_match_reference(g)
+
+
+@pytest.mark.parametrize("units", [(1, 1, 1), None, (12, 12, 12)],
+                         ids=["units1", "default", "units12"])
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_writers_match_reference_encoder_on_variants(variant, units):
+    cfg = ArchConfig() if units is None else ArchConfig(block_units=units)
+    assert_writers_match_reference(build_pointpillars(variant, cfg))
 
 
 def test_writers_match_reference_encoder_on_empty_inputs():
