@@ -13,6 +13,7 @@ defaults were tuned to reproduce the measured MAdd/parameter counts.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import partial
@@ -125,7 +126,8 @@ class ArchConfig:
         text = Path(path).read_text()
         if text.lstrip().startswith("{"):
             try:
-                doc = json.loads(text, object_pairs_hook=partial(_unique_keys, path))
+                doc = json.loads(text, object_pairs_hook=partial(_unique_keys, path),
+                                 parse_float=_Decimal)
             except (ValueError, RecursionError) as err:  # incl. JSONDecodeError
                 raise ArchError(f"{path}: malformed JSON: {err}") from err
             return cls.from_dict(doc)
@@ -178,10 +180,55 @@ def _parse_value(raw: str):
         except (ValueError, ZeroDivisionError):
             pass
     try:
-        value = json.loads(raw)
-    except (ValueError, RecursionError):  # too deep, or over the int digit limit
+        value = json.loads(raw, parse_float=_Decimal)
+    except (ValueError, RecursionError):  # too deep, or a number too large
         return raw
     return value
+
+
+class _Decimal(Fraction):
+    """A JSON number with a fraction or an exponent, read exactly (``0.1``
+    is 1/10); its repr is the number as written, so an error names ``64.0``
+    rather than ``Fraction(64, 1)``.  Config fields hold plain Fractions."""
+
+    def __new__(cls, text: str) -> "_Decimal":
+        self = super().__new__(cls, exact_fraction(text))
+        self._text = text
+        return self
+
+    def __repr__(self) -> str:
+        return self._text
+
+
+# --------------------------------------------------------------------------
+# Specs.  Specs are frozen, so nodes with equal specs can share one object.
+# --------------------------------------------------------------------------
+
+# The specs whose arguments are literals here, shared by every graph
+_BATCH_NORM = BatchNorm()
+_RELU = ReLU()
+_ADD = Add()
+_CONCAT = Concat()
+_SPLIT_HALVES = ChannelSplit((Fraction(1, 2), Fraction(1, 2)))
+_SHUFFLE_2 = ChannelShuffle(2)
+_POOL_3X3_S2 = MaxPool(3, 3, 2, 2, 1, 1)
+
+# Graph -> the specs made from config values for its nodes, keyed by class,
+# arguments and each argument's exact type, so that 1, True and an int
+# subclass never share an entry.  Weak: a table lives as long as its graph.
+_SPECS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _shared_spec(g: Graph, cls, args: tuple):
+    """``cls(*args)``, made once per distinct value among the nodes of ``g``."""
+    table = _SPECS.get(g)
+    if table is None:
+        table = _SPECS[g] = {}
+    key = (cls, *args, *map(type, args))
+    spec = table.get(key)
+    if spec is None:
+        spec = table[key] = cls(*args)
+    return spec
 
 
 # --------------------------------------------------------------------------
@@ -195,15 +242,15 @@ def _conv(g: Graph, src: int, name: str, in_ch: int, out_ch: int,
     if in_ch % groups or out_ch % groups:
         raise ChannelConstraintError(
             f"{name}: channels {in_ch}->{out_ch} not divisible by groups={groups}")
-    spec = Conv(out_ch, kernel[0], kernel[1], stride[0], stride[1],
-                pad[0], pad[1], groups, bias)
+    spec = _shared_spec(g, Conv, (out_ch, kernel[0], kernel[1], stride[0], stride[1],
+                                  pad[0], pad[1], groups, bias))
     return g.add_node(spec, [(src, port)], name)
 
 
 def _bn_relu(g: Graph, src: int, prefix: str, relu: bool = True) -> int:
-    node = g.add_node(BatchNorm(), [(src, 0)], f"{prefix}.bn")
+    node = g.add_node(_BATCH_NORM, [(src, 0)], f"{prefix}.bn")
     if relu:
-        node = g.add_node(ReLU(), [(node, 0)], f"{prefix}.relu")
+        node = g.add_node(_RELU, [(node, 0)], f"{prefix}.relu")
     return node
 
 
@@ -222,7 +269,7 @@ def _skip(g: Graph, src: int, name: str, in_ch: int, out_ch: int,
         return src
     node = _conv(g, src, f"{name}.proj.conv", in_ch, out_ch, (1, 1),
                  (stride, stride))
-    return g.add_node(BatchNorm(), [(node, 0)], f"{name}.proj.bn")
+    return g.add_node(_BATCH_NORM, [(node, 0)], f"{name}.proj.bn")
 
 
 def _dw(g: Graph, src: int, name: str, channels: int, stride: int) -> int:
@@ -259,8 +306,8 @@ def _unit_squeezenext(g, src, in_ch, out_ch, stride, name, cfg) -> int:
     node = _cbr(g, node, f"{name}.conv3x1", hidden, hidden, (3, 1), pad=(1, 0))
     node = _cbr(g, node, f"{name}.expand", hidden, out_ch, (1, 1), pad=(0, 0))
     skip = _skip(g, src, name, in_ch, out_ch, stride)
-    node = g.add_node(Add(), [(skip, 0), (node, 0)], f"{name}.add")
-    return g.add_node(ReLU(), [(node, 0)], f"{name}.out_relu")
+    node = g.add_node(_ADD, [(skip, 0), (node, 0)], f"{name}.add")
+    return g.add_node(_RELU, [(node, 0)], f"{name}.out_relu")
 
 
 def _unit_bottleneck(g, src, in_ch, out_ch, stride, name, cfg,
@@ -275,8 +322,8 @@ def _unit_bottleneck(g, src, in_ch, out_ch, stride, name, cfg,
     node = _cbr(g, node, f"{name}.expand", hidden, out_ch, (1, 1),
                 pad=(0, 0), relu=False)
     skip = _skip(g, src, name, in_ch, out_ch, stride)
-    node = g.add_node(Add(), [(skip, 0), (node, 0)], f"{name}.add")
-    return g.add_node(ReLU(), [(node, 0)], f"{name}.out_relu")
+    node = g.add_node(_ADD, [(skip, 0), (node, 0)], f"{name}.add")
+    return g.add_node(_RELU, [(node, 0)], f"{name}.out_relu")
 
 
 def _unit_resnet(g, src, in_ch, out_ch, stride, name, cfg) -> int:
@@ -305,20 +352,21 @@ def _unit_mobilenet_v2(g, src, in_ch, out_ch, stride, name, cfg) -> int:
     node = _dw(g, node, f"{name}.dw.conv", hidden, stride)
     node = _bn_relu(g, node, f"{name}.dw")
     node = _conv(g, node, f"{name}.project.conv", hidden, out_ch)
-    node = g.add_node(BatchNorm(), [(node, 0)], f"{name}.project.bn")
+    node = g.add_node(_BATCH_NORM, [(node, 0)], f"{name}.project.bn")
     if stride == 1 and in_ch == out_ch:
-        node = g.add_node(Add(), [(src, 0), (node, 0)], f"{name}.add")
+        node = g.add_node(_ADD, [(src, 0), (node, 0)], f"{name}.add")
     return node
 
 
 def _shuffle_branch(g, src, name, in_ch, out_ch, stride, groups) -> int:
     node = _cbr(g, src, f"{name}.gconv1", in_ch, out_ch, (1, 1), pad=(0, 0),
                 groups=groups)
-    node = g.add_node(ChannelShuffle(groups), [(node, 0)], f"{name}.shuffle")
+    node = g.add_node(_shared_spec(g, ChannelShuffle, (groups,)), [(node, 0)],
+                      f"{name}.shuffle")
     node = _dw(g, node, f"{name}.dw.conv", out_ch, stride)
-    node = g.add_node(BatchNorm(), [(node, 0)], f"{name}.dw.bn")
+    node = g.add_node(_BATCH_NORM, [(node, 0)], f"{name}.dw.bn")
     node = _conv(g, node, f"{name}.gconv2.conv", out_ch, out_ch, groups=groups)
-    return g.add_node(BatchNorm(), [(node, 0)], f"{name}.gconv2.bn")
+    return g.add_node(_BATCH_NORM, [(node, 0)], f"{name}.gconv2.bn")
 
 
 def _unit_shufflenet_v1(g, src, in_ch, out_ch, stride, name, cfg) -> int:
@@ -328,18 +376,18 @@ def _unit_shufflenet_v1(g, src, in_ch, out_ch, stride, name, cfg) -> int:
             raise ChannelConstraintError(
                 f"{name}: stride-1 shuffle unit needs in == out channels")
         branch = _shuffle_branch(g, src, name, in_ch, out_ch, 1, groups)
-        node = g.add_node(Add(), [(src, 0), (branch, 0)], f"{name}.add")
-        return g.add_node(ReLU(), [(node, 0)], f"{name}.out_relu")
+        node = g.add_node(_ADD, [(src, 0), (branch, 0)], f"{name}.add")
+        return g.add_node(_RELU, [(node, 0)], f"{name}.out_relu")
     if out_ch > in_ch:
         # downsampling unit: pooled identity concatenated with the branch
         branch = _shuffle_branch(g, src, name, in_ch, out_ch - in_ch, 2, groups)
         skip = _pool(g, src, f"{name}.pool")
-        node = g.add_node(Concat(), [(skip, 0), (branch, 0)], f"{name}.concat")
+        node = g.add_node(_CONCAT, [(skip, 0), (branch, 0)], f"{name}.concat")
     else:
         branch = _shuffle_branch(g, src, name, in_ch, out_ch, 2, groups)
         skip = _skip(g, src, name, in_ch, out_ch, 2)
-        node = g.add_node(Add(), [(skip, 0), (branch, 0)], f"{name}.add")
-    return g.add_node(ReLU(), [(node, 0)], f"{name}.out_relu")
+        node = g.add_node(_ADD, [(skip, 0), (branch, 0)], f"{name}.add")
+    return g.add_node(_RELU, [(node, 0)], f"{name}.out_relu")
 
 
 def _shufflenet_v2_unit(g, src, in_ch, out_ch, stride, name, cfg) -> int:
@@ -348,37 +396,36 @@ def _shufflenet_v2_unit(g, src, in_ch, out_ch, stride, name, cfg) -> int:
             raise ChannelConstraintError(
                 f"{name}: stride-1 unit needs even, equal in/out channels")
         c = in_ch // 2
-        split = g.add_node(ChannelSplit((Fraction(1, 2), Fraction(1, 2))),
-                           [(src, 0)], f"{name}.split")
+        split = g.add_node(_SPLIT_HALVES, [(src, 0)], f"{name}.split")
         node = _conv(g, split, f"{name}.pw1.conv", c, c, port=1)
         node = _bn_relu(g, node, f"{name}.pw1")
         node = _dw(g, node, f"{name}.dw.conv", c, 1)
-        node = g.add_node(BatchNorm(), [(node, 0)], f"{name}.dw.bn")
+        node = g.add_node(_BATCH_NORM, [(node, 0)], f"{name}.dw.bn")
         node = _conv(g, node, f"{name}.pw2.conv", c, c)
         node = _bn_relu(g, node, f"{name}.pw2")
-        node = g.add_node(Concat(), [(split, 0), (node, 0)], f"{name}.concat")
-        return g.add_node(ChannelShuffle(2), [(node, 0)], f"{name}.shuffle")
+        node = g.add_node(_CONCAT, [(split, 0), (node, 0)], f"{name}.concat")
+        return g.add_node(_SHUFFLE_2, [(node, 0)], f"{name}.shuffle")
 
     if out_ch % 2:
         raise ChannelConstraintError(f"{name}: output channels must be even")
     branch = out_ch // 2
     left = _dw(g, src, f"{name}.left.dw.conv", in_ch, 2)
-    left = g.add_node(BatchNorm(), [(left, 0)], f"{name}.left.dw.bn")
+    left = g.add_node(_BATCH_NORM, [(left, 0)], f"{name}.left.dw.bn")
     left = _conv(g, left, f"{name}.left.pw.conv", in_ch, branch)
     left = _bn_relu(g, left, f"{name}.left.pw")
     right = _cbr(g, src, f"{name}.right.pw1", in_ch, branch, (1, 1), pad=(0, 0))
     right = _dw(g, right, f"{name}.right.dw.conv", branch, 2)
-    right = g.add_node(BatchNorm(), [(right, 0)], f"{name}.right.dw.bn")
+    right = g.add_node(_BATCH_NORM, [(right, 0)], f"{name}.right.dw.bn")
     right = _conv(g, right, f"{name}.right.pw2.conv", branch, branch)
     right = _bn_relu(g, right, f"{name}.right.pw2")
-    node = g.add_node(Concat(), [(left, 0), (right, 0)], f"{name}.concat")
-    return g.add_node(ChannelShuffle(2), [(node, 0)], f"{name}.shuffle")
+    node = g.add_node(_CONCAT, [(left, 0), (right, 0)], f"{name}.concat")
+    return g.add_node(_SHUFFLE_2, [(node, 0)], f"{name}.shuffle")
 
 
 def _darknet_unit(g, src, channels, hidden, name) -> int:
     node = _cbr(g, src, f"{name}.reduce", channels, hidden, (1, 1), pad=(0, 0))
     node = _cbr(g, node, f"{name}.conv3x3", hidden, channels)
-    return g.add_node(Add(), [(src, 0), (node, 0)], f"{name}.add")
+    return g.add_node(_ADD, [(src, 0), (node, 0)], f"{name}.add")
 
 
 def _unit_darknet(g, src, in_ch, out_ch, stride, name, cfg) -> int:
@@ -397,7 +444,7 @@ def _sepconv(g, src, name, in_ch, out_ch, relu: bool = True) -> int:
 
 
 def _pool(g, src, name) -> int:
-    return g.add_node(MaxPool(3, 3, 2, 2, 1, 1), [(src, 0)], name)
+    return g.add_node(_POOL_3X3_S2, [(src, 0)], name)
 
 
 def _unit_xception(g, src, in_ch, out_ch, stride, name, cfg) -> int:
@@ -408,12 +455,12 @@ def _unit_xception(g, src, in_ch, out_ch, stride, name, cfg) -> int:
             raise ChannelConstraintError(f"{name}: stride-1 block needs in == out")
         node = _sepconv(g, src, f"{name}.sep1", in_ch, out_ch)
         node = _sepconv(g, node, f"{name}.sep2", out_ch, out_ch)
-        return g.add_node(Add(), [(src, 0), (node, 0)], f"{name}.add")
+        return g.add_node(_ADD, [(src, 0), (node, 0)], f"{name}.add")
     node = _sepconv(g, src, f"{name}.sep1", in_ch, out_ch)
     node = _pool(g, node, f"{name}.pool")
     node = _sepconv(g, node, f"{name}.sep2", out_ch, out_ch)
     skip = _skip(g, src, name, in_ch, out_ch, 2)
-    return g.add_node(Add(), [(skip, 0), (node, 0)], f"{name}.add")
+    return g.add_node(_ADD, [(skip, 0), (node, 0)], f"{name}.add")
 
 
 def _xception_single(g, src, in_ch, out_ch, stride, name) -> int:
@@ -423,7 +470,7 @@ def _xception_single(g, src, in_ch, out_ch, stride, name) -> int:
     if stride == 2:
         node = _pool(g, node, f"{name}.pool")
     skip = _skip(g, src, name, in_ch, out_ch, stride)
-    return g.add_node(Add(), [(skip, 0), (node, 0)], f"{name}.add")
+    return g.add_node(_ADD, [(skip, 0), (node, 0)], f"{name}.add")
 
 
 _UNIT_BUILDERS = {
@@ -484,7 +531,7 @@ def _block_cspdarknet(g, src, in_ch, out_ch, units, stride, prefix, cfg,
     for i in range(1, units):
         lane = _darknet_unit(g, lane, lane_ch, out_ch // 2, f"{prefix}.unit{i}")
     lane = _cbr(g, lane, f"{prefix}.post", lane_ch, lane_ch, (1, 1), pad=(0, 0))
-    node = g.add_node(Concat(), [(skip, 0), (lane, 0)], f"{prefix}.concat")
+    node = g.add_node(_CONCAT, [(skip, 0), (lane, 0)], f"{prefix}.concat")
     return _cbr(g, node, f"{prefix}.final", 2 * lane_ch, out_ch, (1, 1), pad=(0, 0))
 
 
@@ -562,11 +609,11 @@ def build_pointpillars(variant: Variant, cfg: ArchConfig | None = None) -> Graph
             zip(block_outputs, cfg.neck_out_channels, cfg.neck_upsample)):
         in_ch = cfg.block_channels[i]
         name = f"neck.branch{i + 1}"
-        branch = g.add_node(
-            TransposedConv(out_ch, up, up, up, up), [(src, 0)], f"{name}.deconv")
+        branch = g.add_node(_shared_spec(g, TransposedConv, (out_ch, up, up, up, up)),
+                            [(src, 0)], f"{name}.deconv")
         branch = _bn_relu(g, branch, name)
         branches.append(branch)
-    neck = g.add_node(Concat(), [(b, 0) for b in branches], "neck.concat")
+    neck = g.add_node(_CONCAT, [(b, 0) for b in branches], "neck.concat")
 
     # SSD-style head: parallel 1x1 predictors (with bias; no BN follows)
     head_in = sum(cfg.neck_out_channels)

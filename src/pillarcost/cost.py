@@ -97,13 +97,13 @@ def graph_cost(graph: Graph, count_batchnorm: bool = True) -> CostReport:
     convolution (0 MAdd, 0 params).
     """
     rows: list[NodeCost] = []
-    for node, in_shapes, out_shapes in walk_shapes(graph):
-        if not count_batchnorm and isinstance(node.spec, BatchNorm):
-            rows.append(NodeCost(node.name, node.spec.kind, 0, 0))
+    for (_, spec, name, _), in_shapes, out_shapes in walk_shapes(graph):
+        if not count_batchnorm and isinstance(spec, BatchNorm):
+            rows.append(tuple.__new__(NodeCost, (name, spec.kind, 0, 0)))
             continue
-        rows.append(NodeCost(node.name, node.spec.kind,
-                             node.spec.madds(in_shapes, out_shapes),
-                             node.spec.params(in_shapes)))
+        rows.append(tuple.__new__(NodeCost, (name, spec.kind,
+                                             spec.madds(in_shapes, out_shapes),
+                                             spec.params(in_shapes))))
     return CostReport(tuple(rows))
 
 

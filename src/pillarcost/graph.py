@@ -71,11 +71,6 @@ class ShapeInconsistent(ShapeError):
     code = "ShapeInconsistent"
 
 
-def _check(condition: bool, message: str) -> None:
-    if not condition:
-        raise ShapeInconsistent(message)
-
-
 def _require_int(value: int, what: str, minimum: int = 1) -> None:
     if type(value) is not int or value < minimum:
         raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
@@ -172,11 +167,12 @@ class Input(NodeSpec):
         return cls(**{**attrs, "shape": TensorShape(*attrs["shape"])})
 
 
-def _window_out(size: int, pad: int, kernel: int, stride: int, what: str) -> int:
+def _window_out(size: int, pad: int, kernel: int, stride: int, kind: str,
+                axis: str) -> int:
     out = (size + 2 * pad - kernel) // stride + 1
     if out < 1:
         raise NegativeOutputDim(
-            f"{what}: window (k={kernel}, s={stride}, p={pad}) over size {size} "
+            f"{kind} {axis}: window (k={kernel}, s={stride}, p={pad}) over size {size} "
             f"yields output dim {out}")
     return out
 
@@ -197,9 +193,9 @@ class _Window(NodeSpec):
 
     def _out_hw(self, s: TensorShape) -> tuple[int, int]:
         return (_window_out(s.height, self.pad_h, self.kernel_h, self.stride_h,
-                            f"{self.kind} height"),
+                            self.kind, "height"),
                 _window_out(s.width, self.pad_w, self.kernel_w, self.stride_w,
-                            f"{self.kind} width"))
+                            self.kind, "width"))
 
 
 class _Conv(_Window):
@@ -224,9 +220,11 @@ class _Conv(_Window):
         return [TensorShape(self.out_channels, *self._out_hw(s))]
 
     def _weights(self, input_shapes: list[TensorShape]) -> int:
-        _check(len(input_shapes) == 1, f"{self.kind} takes one input")
+        if len(input_shapes) != 1:
+            raise ShapeInconsistent(f"{self.kind} takes one input")
         (si,) = input_shapes
-        _check(si.channels % self.groups == 0, f"{self.kind} group mismatch")
+        if si.channels % self.groups:
+            raise ShapeInconsistent(f"{self.kind} group mismatch")
         return (self.out_channels * (si.channels // self.groups)
                 * self.kernel_h * self.kernel_w)
 
@@ -234,10 +232,11 @@ class _Conv(_Window):
               output_shapes: list[TensorShape]) -> int:
         """Weights times kernel pixels, plus one per output element for the
         bias."""
-        _check(len(output_shapes) == 1, f"{self.kind} has one output")
+        if len(output_shapes) != 1:
+            raise ShapeInconsistent(f"{self.kind} has one output")
         (so,) = output_shapes
-        _check(so.channels == self.out_channels,
-               f"{self.kind} output channels mismatch")
+        if so.channels != self.out_channels:
+            raise ShapeInconsistent(f"{self.kind} output channels mismatch")
         macs = self._weights(input_shapes) * self._kernel_pixels(input_shapes[0], so)
         if self.has_bias:
             macs += so.channels * so.pixels
@@ -301,7 +300,8 @@ class BatchNorm(NodeSpec):
     def madds(self, input_shapes: list[TensorShape],
               output_shapes: list[TensorShape]) -> int:
         """One fused scale-and-shift per element."""
-        _check(len(output_shapes) == 1, "batch norm has one output")
+        if len(output_shapes) != 1:
+            raise ShapeInconsistent("batch norm has one output")
         (so,) = output_shapes
         return so.channels * so.pixels
 
@@ -537,7 +537,7 @@ class Graph:
             raise DuplicateNameError(f"duplicate node name {name!r}")
 
         outputs.append(spec.num_outputs())
-        self._nodes.append(Node(node_id, spec, name, inputs))
+        self._nodes.append(tuple.__new__(Node, (node_id, spec, name, inputs)))
         self._names.add(name)
         return node_id
 

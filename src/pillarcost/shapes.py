@@ -30,10 +30,10 @@ def walk_shapes(graph: Graph) -> Iterator[
         tuple[Node, list[TensorShape], list[TensorShape]]]:
     """Yield (node, input shapes, output shapes) for every node of a
     single-input graph in id order, which is topological."""
-    if len(graph.input_nodes()) != 1:
+    inputs = len(graph.input_nodes())
+    if inputs != 1:
         raise InvalidGraphError(
-            f"shape inference needs exactly one input node, "
-            f"found {len(graph.input_nodes())}")
+            f"shape inference needs exactly one input node, found {inputs}")
 
     outputs: list[list[TensorShape]] = []
     for node in graph.nodes:

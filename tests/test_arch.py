@@ -1,17 +1,26 @@
 """Architecture construction: config handling, units, blocks, full networks."""
+import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import pillarcost.arch
 from pillarcost.arch import (
     ArchConfig, ArchError, ChannelConstraintError, UnsupportedStrideError,
     Variant, basic_unit, build_backbone, build_pointpillars,
 )
 from pillarcost.cost import graph_cost
-from pillarcost.graph import Graph, Input, TensorShape
+from pillarcost.graph import Conv, Graph, Input, TensorShape
 from pillarcost.shapes import infer_all
 
 ALL_VARIANTS = list(Variant)
+CONFIGS = {"default": ArchConfig(), "units3": ArchConfig(block_units=(3, 3, 3))}
+
+
+class I(int):
+    """An int subclass: equal to and hashing like its int, yet not an int
+    to the node specs' checks."""
 
 
 class TestVariant:
@@ -120,6 +129,26 @@ class TestArchConfig:
         path.write_text(f'{{"squeezenext_reduce": "{number}"}}')
         with pytest.raises(ArchError, match=f"'{number}'"):
             ArchConfig.from_file(path)
+
+    @pytest.mark.parametrize("source", ["set", "json", "flat"])
+    def test_decimal_is_read_exactly(self, tmp_path, source):
+        values = {"squeezenext_reduce": "0.1", "pseudo_image_channels": "80",
+                  "block_channels": "[80, 160, 320]"}
+        if source == "set":
+            cfg = ArchConfig().with_overrides([f"{k}={v}" for k, v in values.items()])
+        else:
+            path = tmp_path / "cfg"
+            path.write_text(
+                "{" + ", ".join(f'"{k}": {v}' for k, v in values.items()) + "}"
+                if source == "json" else "".join(f"{k} = {v}\n" for k, v in values.items()))
+            cfg = ArchConfig.from_file(path)
+        tenth = ArchConfig().with_overrides(
+            [f"{k}={v}" for k, v in {**values, "squeezenext_reduce": "1/10"}.items()])
+        assert cfg == tenth
+        assert type(cfg.squeezenext_reduce) is Fraction
+        assert repr(cfg) == repr(tenth)
+        assert (build_pointpillars(Variant.SQUEEZENEXT, cfg).to_json()
+                == build_pointpillars(Variant.SQUEEZENEXT, tenth).to_json())
 
     def test_overrides(self):
         cfg = ArchConfig().with_overrides(
@@ -254,3 +283,53 @@ class TestBuildPointPillars:
         full = graph_cost(build_pointpillars(Variant.BASE)).total_madds
         quarter = graph_cost(build_pointpillars(Variant.BASE, small)).total_madds
         assert full / 5 < quarter < full / 3.5  # pfn term does not scale
+
+
+class TestSpecSharing:
+    """Nodes with equal specs share one spec object within a build, and
+    builds share only the specs whose arguments are literals."""
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.value)
+    def test_one_object_per_distinct_spec_within_a_build(self, variant, config):
+        specs = [node.spec for node in build_pointpillars(variant, CONFIGS[config]).nodes]
+        assert len({id(spec) for spec in specs}) == len(set(specs))
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.value)
+    def test_two_builds_share_no_conv(self, variant, config):
+        first, second = (build_pointpillars(variant, CONFIGS[config]) for _ in range(2))
+        convs = [{id(node.spec) for node in g.nodes if isinstance(node.spec, Conv)}
+                 for g in (first, second)]
+        assert convs[0] and not convs[0] & convs[1]
+
+    def test_no_conv_spec_outlives_its_graph(self):
+        graph = build_pointpillars(Variant.RESNET)
+        conv = weakref.ref(next(n.spec for n in graph.nodes if isinstance(n.spec, Conv)))
+        del graph
+        assert conv() is None
+
+    def test_int_subclass_channel_still_rejected(self):
+        # block 3's first conv equals block 2's in value, but not in type
+        with pytest.raises(ValueError, match=r"^out_channels must be an integer >= 1, got 128$"):
+            build_pointpillars(Variant.BASE, ArchConfig(block_channels=(64, 128, I(128))))
+
+    @pytest.mark.parametrize("field,value", [
+        ("block_channels", (64, 128, I(128))), ("block_strides", (2, 2, I(2))),
+    ], ids=["channels", "strides"])
+    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.value)
+    def test_sharing_changes_no_outcome(self, monkeypatch, variant, config, field, value):
+        """With an int subclass in the config, a build ends as it does when
+        every node gets a new spec: the same graph or the same error."""
+        cfg = replace(CONFIGS[config], **{field: value})
+
+        def outcome():
+            try:
+                return build_pointpillars(variant, cfg).to_json()
+            except ValueError as err:
+                return f"ValueError: {err}"
+
+        shared = outcome()
+        monkeypatch.setattr(pillarcost.arch, "_shared_spec", lambda g, cls, args: cls(*args))
+        assert shared == outcome()

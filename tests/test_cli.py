@@ -304,6 +304,18 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("error: bad speedup value '1e99999999'") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("source", ["set", "json", "flat"])
+    def test_decimal_for_an_integer_field_is_domain_error(self, capsys, tmp_path, source):
+        flags = ["--set", "pseudo_image_channels=64.0"]
+        if source != "set":
+            path = tmp_path / "cfg"
+            path.write_text('{"pseudo_image_channels": 64.0}' if source == "json"
+                            else "pseudo_image_channels = 64.0\n")
+            flags = ["--config", str(path)]
+        code, out, err = invoke(capsys, "cost", "base", *flags)
+        assert (code, out) == (1, "")
+        assert err == "error: pseudo_image_channels must be an integer, got 64.0\n"
+
     @pytest.mark.parametrize("variant", ["ShufflenetV1", "base"])
     def test_unsupported_block_stride_is_domain_error(self, capsys, variant):
         code, out, err = invoke(capsys, "cost", variant, "--set",

@@ -9,7 +9,8 @@ import pytest
 import pillarcost.shapes
 from pillarcost.arch import Variant, build_pointpillars
 from pillarcost.cost import (
-    CostReport, graph_cost, node_madds, node_params, speedup_vs_base,
+    CostReport, ShapeInconsistent, graph_cost, node_madds, node_params,
+    speedup_vs_base,
 )
 from pillarcost.graph import (
     Add, BatchNorm, ChannelShuffle, Concat, Conv, Graph, Input, MaxPool, ReLU,
@@ -127,6 +128,35 @@ def tiny_graph() -> Graph:
     d = g.add_node(ReLU(), [(c, 0)], name="stem.relu")
     g.add_node(Conv(4, 1, 1, has_bias=True), [(d, 0)], name="head.cls")
     return g
+
+
+S = TensorShape
+
+
+class TestInconsistentShapes:
+    """Shapes that disagree with a node's own fields raise ShapeInconsistent
+    with these words."""
+
+    @pytest.mark.parametrize("spec,in_shapes,out_shapes,text", [
+        (Conv(4, 1, 1), [S(2, 4, 4), S(2, 4, 4)], None, "conv takes one input"),
+        (Conv(4, 1, 1), [S(2, 4, 4), S(2, 4, 4)], [S(4, 4, 4)], "conv takes one input"),
+        (Conv(4, 1, 1, groups=2), [S(3, 4, 4)], None, "conv group mismatch"),
+        (Conv(4, 1, 1, groups=2), [S(3, 4, 4)], [S(4, 4, 4)], "conv group mismatch"),
+        (Conv(4, 1, 1), [S(2, 4, 4)], [S(4, 4, 4), S(4, 4, 4)], "conv has one output"),
+        (Conv(4, 1, 1), [S(2, 4, 4)], [S(5, 4, 4)], "conv output channels mismatch"),
+        (TransposedConv(4, 2, 2), [S(2, 4, 4)], [S(5, 8, 8)],
+         "transposed_conv output channels mismatch"),
+        (TransposedConv(4, 2, 2), [], None, "transposed_conv takes one input"),
+        (BatchNorm(), [S(2, 4, 4)], [], "batch norm has one output"),
+        (BatchNorm(), [S(2, 4, 4)], [S(2, 4, 4), S(2, 4, 4)], "batch norm has one output"),
+    ])
+    def test_message(self, spec, in_shapes, out_shapes, text):
+        with pytest.raises(ShapeInconsistent) as info:
+            if out_shapes is None:
+                node_params(spec, in_shapes)
+            else:
+                node_madds(spec, in_shapes, out_shapes)
+        assert str(info.value) == text
 
 
 class TestGraphCost:

@@ -165,3 +165,54 @@ class TestInferAll:
         for walk in (infer_all, graph_cost):
             with pytest.raises(error, match="^culprit: "):
                 walk(g)
+
+
+class TestErrorTexts:
+    """Shape error messages, word for word."""
+
+    @pytest.mark.parametrize("spec,shape,text", [
+        (Conv(4, 5, 1), TensorShape(2, 3, 8),
+         "conv height: window (k=5, s=1, p=0) over size 3 yields output dim -1"),
+        (Conv(4, 1, 7, stride_w=2, pad_w=1), TensorShape(2, 8, 3),
+         "conv width: window (k=7, s=2, p=1) over size 3 yields output dim 0"),
+        (MaxPool(4, 1), TensorShape(2, 3, 8),
+         "max_pool height: window (k=4, s=1, p=0) over size 3 yields output dim 0"),
+        (MaxPool(1, 4, stride_w=3), TensorShape(2, 8, 3),
+         "max_pool width: window (k=4, s=3, p=0) over size 3 yields output dim 0"),
+        (TransposedConv(4, 3, 3, pad_h=3), TensorShape(2, 1, 1),
+         "transposed conv output dims -3x3"),
+    ], ids=["conv_height", "conv_width", "pool_height", "pool_width", "transposed"])
+    def test_negative_output_dim(self, spec, shape, text):
+        with pytest.raises(NegativeOutputDim) as info:
+            node_output_shape(spec, [shape])
+        assert str(info.value) == text
+
+    @pytest.mark.parametrize("spec,text", [
+        (Conv(6, 3, 3, groups=4), "conv channels (8 -> 6) not divisible by groups=4"),
+        (TransposedConv(8, 2, 2, groups=3),
+         "transposed_conv channels (8 -> 8) not divisible by groups=3"),
+    ], ids=["conv", "transposed"])
+    def test_group_mismatch(self, spec, text):
+        with pytest.raises(GroupMismatch) as info:
+            node_output_shape(spec, [TensorShape(8, 4, 4)])
+        assert str(info.value) == text
+
+    def test_walk_prefixes_the_node_name(self):
+        g = Graph()
+        a = g.add_node(Input(TensorShape(8, 4, 4)), name="in")
+        g.add_node(Conv(8, 9, 1), [(a, 0)], name="too.tall")
+        for walk in (infer_all, graph_cost):
+            with pytest.raises(NegativeOutputDim) as info:
+                walk(g)
+            assert str(info.value) == (
+                "too.tall: conv height: window (k=9, s=1, p=0) over size 4 "
+                "yields output dim -4")
+
+    def test_input_count_message(self):
+        g = Graph()
+        for name in ("a", "b", "c"):
+            g.add_node(Input(TensorShape(2, 4, 4)), name=name)
+        for walk in (infer_all, graph_cost):
+            with pytest.raises(InvalidGraphError) as info:
+                walk(g)
+            assert str(info.value) == "shape inference needs exactly one input node, found 3"
