@@ -6,12 +6,11 @@ exact rational arithmetic, with half-up rounding applied only for display.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
-from .core import PillarcostError, exact_fraction
+from .core import PillarcostError, Record, exact_fraction
 
 CLASSES = ("Car", "Pedestrian", "Cyclist")
 DIFFICULTIES = ("Easy", "Moderate", "Hard")
@@ -41,21 +40,28 @@ class DomainError(AnalysisError):
 
 
 def round2(value: Fraction | float) -> float:
-    """Half-up rounding to 2 decimals, for display and printed-table checks."""
-    if isinstance(value, Fraction):
-        dec = Decimal(value.numerator) / Decimal(value.denominator)
-    else:
-        dec = Decimal(repr(float(value)))
-    return float(dec.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    """Half-up rounding to 2 decimals, for display and printed-table checks.
+
+    The value is first divided out to 28 significant digits, as in
+    ``decimal``'s default context; from 10**26 - 1 up, where 28 digits
+    could not hold the integer part and two decimals, to 3 digits more than
+    the integer part has, or a few more.
+    """
+    if not isinstance(value, Fraction):
+        value = Fraction(Decimal(repr(float(value))))
+    whole = abs(value.numerator) // value.denominator
+    # a digit is over 3 bits, so bit_length() // 3 is at least whole's digits
+    context = Context(prec=28 if whole < 10 ** 26 - 1 else whole.bit_length() // 3 + 3)
+    dec = context.divide(Decimal(value.numerator), Decimal(value.denominator))
+    return float(dec.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP, context=context))
 
 
-@dataclass(frozen=True)
-class DesignPoint:
+class DesignPoint(Record):
     """One backbone variant's measured operating point."""
 
     name: str
     gmadds: Fraction
-    ap: dict[tuple[str, str], Fraction] = field(default_factory=dict)
+    ap: dict[tuple[str, str], Fraction] = {}
     fps_backbone: Fraction | None = None
     fps_total: Fraction | None = None
 
@@ -128,8 +134,7 @@ def amdahl_max(fraction: Fraction | float) -> Fraction:
     return 1 / (1 - p)
 
 
-@dataclass(frozen=True)
-class TimingProfile:
+class TimingProfile(Record):
     """Fractional latency shares of named pipeline stages; shares may sum to
     less than 1, the remainder being unprofiled time."""
 
@@ -229,10 +234,9 @@ def _read_json(path: str | Path):
     """The JSON document at ``path``, with floats read as Fractions.
     Malformed JSON, nesting too deep, an integer over Python's digit limit
     and a decimal exponent over it raise an AnalysisError naming the path."""
-    text = Path(path).read_text()
     try:
-        return json.loads(text, parse_float=exact_fraction)
-    except (ValueError, RecursionError) as err:  # incl. JSONDecodeError
+        return json.loads(Path(path).read_text(), parse_float=exact_fraction)
+    except (ValueError, RecursionError) as err:  # incl. JSONDecodeError, UnicodeDecodeError
         raise AnalysisError(f"{path}: malformed JSON: {err}") from err
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import weakref
-from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -22,15 +21,14 @@ from pathlib import Path
 from .core import (  # re-exported: the same classes as in core
     ArchError, ChannelConstraintError, UnsupportedStrideError, Variant,
 )
-from .core import exact_fraction
+from .core import Record, exact_fraction
 from .graph import (
     Add, BatchNorm, ChannelShuffle, ChannelSplit, Concat, Conv, Graph, Input,
     MaxPool, ReLU, Scatter, TensorShape, TransposedConv,
 )
 
 
-@dataclass(frozen=True)
-class ArchConfig:
+class ArchConfig(Record):
     """Structural parameters of the network; defaults follow the reference
     KITTI configuration (pseudo-image 64x496x432, three blocks)."""
 
@@ -94,7 +92,7 @@ class ArchConfig:
     def _coerce(cls, key: str, value):
         """Check a loaded value against the field's annotation; unknown keys
         pass through for the caller to report."""
-        annotation = {f.name: f.type for f in fields(cls)}.get(key)
+        annotation = cls.__annotations__.get(key)
         if annotation is None:
             return value
         if annotation == "int" and _is_int(value):
@@ -113,17 +111,20 @@ class ArchConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ArchConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
+        unknown = set(doc) - set(cls._fields)
         if unknown:
             raise ArchError(f"unknown config keys: {sorted(unknown)}")
         return cls(**{k: cls._coerce(k, v) for k, v in doc.items()})
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ArchConfig":
-        """Read a JSON document or a flat ``key = value`` file; malformed
-        JSON and a key given twice raise ``ArchError`` naming the path."""
-        text = Path(path).read_text()
+        """Read a JSON document or a flat ``key = value`` file; text that is
+        not UTF-8, malformed JSON and a key given twice raise ``ArchError``
+        naming the path."""
+        try:
+            text = Path(path).read_text()
+        except UnicodeDecodeError as err:
+            raise ArchError(f"{path}: {err}") from err
         if text.lstrip().startswith("{"):
             try:
                 doc = json.loads(text, object_pairs_hook=partial(_unique_keys, path),
@@ -152,11 +153,10 @@ class ArchConfig:
                 raise ArchError(f"override {item!r} is not of the form key=value")
             key, raw = (part.strip() for part in item.split("=", 1))
             doc[key] = self._coerce(key, _parse_value(raw))
-        known = {f.name for f in fields(self)}
-        unknown = set(doc) - known
+        unknown = set(doc) - set(self._fields)
         if unknown:
             raise ArchError(f"unknown config keys: {sorted(unknown)}")
-        return replace(self, **doc)
+        return self._replace(**doc)
 
 
 def _is_int(value) -> bool:
@@ -488,11 +488,15 @@ _UNIT_BUILDERS = {
 }
 
 
+# The config of a build given none; records are frozen, so builds share it
+_DEFAULT = ArchConfig()
+
+
 def basic_unit(variant: Variant, graph: Graph, input_id: int, in_channels: int,
                out_channels: int, stride: int, name_prefix: str,
                cfg: ArchConfig | None = None) -> int:
     """Append one basic unit of the given family; returns its output node."""
-    cfg = cfg or ArchConfig()
+    cfg = cfg or _DEFAULT
     _check_stride(stride, name_prefix)
     return _UNIT_BUILDERS[variant](graph, input_id, in_channels, out_channels,
                                    stride, name_prefix, cfg)
@@ -566,7 +570,7 @@ def build_backbone(variant: Variant, cfg: ArchConfig | None = None,
     When no graph is given, a fresh one is created with the pseudo-image as
     its input node.
     """
-    cfg = cfg or ArchConfig()
+    cfg = cfg or _DEFAULT
     if graph is None:
         graph = Graph()
         input_id = graph.add_node(Input(cfg.pseudo_image), name="backbone.input")
@@ -585,7 +589,7 @@ def build_backbone(variant: Variant, cfg: ArchConfig | None = None,
 
 def build_pointpillars(variant: Variant, cfg: ArchConfig | None = None) -> Graph:
     """Full network graph: pfn -> scatter -> backbone -> neck -> head."""
-    cfg = cfg or ArchConfig()
+    cfg = cfg or _DEFAULT
     g = Graph()
 
     # pillar feature encoder: a linear layer over (features x pillars x points)

@@ -74,13 +74,23 @@ def _cmd_list(args: argparse.Namespace) -> None:
     _emit("".join(v.value + "\n" for v in Variant), args.output)
 
 
+def _printable(report: CostReport) -> CostReport:
+    """``report``, if Python will write its totals as text, else a CliError:
+    ints over its 4,300-digit limit refuse conversion."""
+    try:
+        str(report.total_madds), str(report.total_params)
+    except ValueError as err:
+        raise CliError(str(err)) from None
+    return report
+
+
 def _report(args: argparse.Namespace) -> tuple[Variant, CostReport]:
     """Build and cost the variant that ``describe`` or ``cost`` names."""
     from .arch import build_pointpillars
     from .cost import graph_cost
     variant = Variant.parse(args.variant)
     graph = build_pointpillars(variant, _load_config(args))
-    return variant, graph_cost(graph, count_batchnorm=not args.fold_batchnorm)
+    return variant, _printable(graph_cost(graph, count_batchnorm=not args.fold_batchnorm))
 
 
 def _cmd_describe(args: argparse.Namespace) -> None:
@@ -116,8 +126,8 @@ def _compare_rows(cfg: ArchConfig, fold_bn: bool) -> list[tuple[str, int, int]]:
     from .cost import graph_cost
     rows = []
     for variant in Variant:
-        report = graph_cost(build_pointpillars(variant, cfg),
-                            count_batchnorm=not fold_bn)
+        report = _printable(graph_cost(build_pointpillars(variant, cfg),
+                                       count_batchnorm=not fold_bn))
         rows.append((variant.value, report.total_madds, report.total_params))
     return rows
 
@@ -299,8 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DOMAIN_ERRORS = (PillarcostError, OSError, json.JSONDecodeError, KeyError,
-                  ValueError, ZeroDivisionError)
+_DOMAIN_ERRORS = (PillarcostError, OSError, json.JSONDecodeError)
 
 
 def run(argv: list[str] | None = None) -> int:

@@ -1,6 +1,6 @@
 """Names shared by every pillarcost module: the error base class, the
-architecture errors, the backbone variants and the reader of numbers from
-outside (``exact_fraction``).
+architecture errors, the backbone variants, the reader of numbers from
+outside (``exact_fraction``) and the frozen record base (``Record``).
 
 This module imports no graph code, so a command that only names the
 variants or reads the dataset loads nothing more than it needs.
@@ -19,18 +19,154 @@ class PillarcostError(Exception):
     """Base class of the errors the command line reports as domain errors."""
 
 
+class NumberError(PillarcostError, ValueError):
+    """A number from outside that pillarcost will not read exactly."""
+
+
 def exact_fraction(value) -> Fraction:
     """``Fraction(value)``, except that a string whose decimal exponent is
-    over MAX_EXPONENT in magnitude raises a ValueError naming it: Fraction
+    over MAX_EXPONENT in magnitude raises a NumberError naming it: Fraction
     expands the exponent exactly, in time that grows faster than it."""
     if isinstance(value, str):
         _, e, exponent = value.lower().partition("e")
         exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
         if e and exponent.isdecimal() and (len(exponent) > len(str(MAX_EXPONENT))
                                            or int(exponent) > MAX_EXPONENT):
-            raise ValueError(f"number {value!r} has a decimal exponent over "
-                             f"{MAX_EXPONENT} in magnitude")
+            raise NumberError(f"number {value!r} has a decimal exponent over "
+                              f"{MAX_EXPONENT} in magnitude")
     return Fraction(value)
+
+
+class Record:
+    """Base of the frozen records: the node specs, ``ArchConfig``,
+    ``DesignPoint``, ``TimingProfile`` and ``CostReport``.
+
+    Fields are the annotated class attributes, in order, ``ClassVar`` ones
+    excepted (annotations are read as text, as ``from __future__ import
+    annotations`` leaves them); a value is the field's default, and a dict,
+    list or set default is copied per record.  ``__init__`` takes fields by
+    position or keyword, runs the check table ``_checks`` (field -> function
+    of value and field name that returns the value to store or raises),
+    stores the fields, then calls ``__post_init__`` if the class has one.
+
+    A record cannot be changed; ``_replace(**changes)`` makes a changed copy
+    and ``_fields`` names the fields.  Records are equal when their classes
+    are the same and their fields equal, so ``ReLU() != Add()``.  The hash
+    is computed once.
+    """
+
+    _fields: ClassVar[tuple[str, ...]] = ()
+    _defaults: ClassVar[dict] = {}
+    _checks: ClassVar[dict] = {}
+    __post_init__ = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = fields = cls._fields + tuple(
+            name for name, kind in vars(cls).get("__annotations__", {}).items()
+            if not kind.startswith("ClassVar"))
+        cls._defaults = {name: getattr(cls, name) for name in fields if hasattr(cls, name)}
+        # _tails[n]: the defaults of the fields after the first n, or None
+        # when one of them has no default or is copied per record
+        fixed = [cls._defaults.get(name, _NO_DEFAULT) for name in fields]
+        cls._tails = tuple(
+            None if any(value is _NO_DEFAULT or type(value) in _MUTABLE_TYPES
+                        for value in fixed[n:]) else tuple(fixed[n:])
+            for n in range(len(fields) + 1))
+        cls._check_at = tuple((fields.index(name), name, check)
+                              for name, check in cls._checks.items())
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = self.__class__
+        tails = cls._tails
+        if kwargs or len(args) >= len(tails) or tails[len(args)] is None:
+            args = cls._bind(args, kwargs)
+        else:
+            args += tails[len(args)]
+        if cls._check_at:
+            args = list(args)
+            for index, name, check in cls._check_at:
+                args[index] = check(args[index], name)
+        for name, value in zip(cls._fields, args):
+            _set(self, name, value)
+        if cls.__post_init__ is not None:
+            self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values of a call that names fields or leaves some out,
+        or the TypeError Python raises for a call that fits no signature."""
+        fields, defaults = cls._fields, cls._defaults
+        if not args and len(kwargs) == len(fields):
+            try:  # every field named, as Graph.from_json does
+                return [kwargs[name] for name in fields]
+            except KeyError:  # an unknown name, reported below
+                pass
+        call = f"{cls.__qualname__}.__init__()"
+        if len(args) > len(fields):
+            most = len(fields) + 1  # Python counts self
+            takes = f"from {most - len(defaults)} to {most}" if defaults else str(most)
+            raise TypeError(f"{call} takes {takes} positional argument"
+                            f"{'' if takes == '1' else 's'} but {len(args) + 1} were given")
+        values = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields:
+                raise TypeError(f"{call} got an unexpected keyword argument {name!r}")
+            if name in values:
+                raise TypeError(f"{call} got multiple values for argument {name!r}")
+            values[name] = value
+        missing = [repr(name) for name in fields if name not in values and name not in defaults]
+        if missing:
+            names = missing[0] if len(missing) == 1 else (
+                f"{', '.join(missing[:-1])}{',' if len(missing) > 2 else ''} and {missing[-1]}")
+            raise TypeError(f"{call} missing {len(missing)} required positional argument"
+                            f"{'s' if len(missing) > 1 else ''}: {names}")
+        for name in fields:
+            if name not in values:
+                value = defaults[name]
+                values[name] = type(value)(value) if type(value) in _MUTABLE_TYPES else value
+        return [values[name] for name in fields]
+
+    # Fields are read with getattr, never through __dict__: reading an
+    # instance's __dict__ makes every later attribute read of it slower.
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def _replace(self, **changes) -> "Record":
+        """A copy with the named fields changed, checked as a new record is."""
+        return self.__class__(**dict(zip(self._fields, self._values()), **changes))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.__class__, *self._values()))
+            _set(self, "_hash", value)
+            return value
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={value!r}"
+                            for name, value in zip(self._fields, self._values())])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+_set = object.__setattr__
+_NO_DEFAULT = object()
+_MUTABLE_TYPES = (dict, list, set)
 
 
 class ArchError(PillarcostError):

@@ -7,11 +7,11 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
 
+from .core import PillarcostError, Record
 from .graph import (  # ShapeError and ShapeInconsistent are re-exported
     BatchNorm, Graph, NodeSpec, ShapeError, ShapeInconsistent, TensorShape,
 )
@@ -39,8 +39,7 @@ class NodeCost(NamedTuple):
     params: int
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(Record):
     """Per-node costs in topological order, plus aggregates."""
 
     per_node: tuple[NodeCost, ...]
@@ -107,8 +106,12 @@ def graph_cost(graph: Graph, count_batchnorm: bool = True) -> CostReport:
     return CostReport(tuple(rows))
 
 
+class ZeroMAddsError(PillarcostError, ZeroDivisionError):
+    """A ratio was asked of a report that counts no MAdds."""
+
+
 def speedup_vs_base(base: CostReport, other: CostReport) -> Fraction:
     """Exact MAdd ratio base/other (>1 means 'other' is cheaper)."""
     if other.total_madds == 0:
-        raise ZeroDivisionError("cannot compute speedup against 0 MAdds")
+        raise ZeroMAddsError("cannot compute speedup against 0 MAdds")
     return Fraction(base.total_madds, other.total_madds)

@@ -7,12 +7,11 @@ append-only during construction and treated as immutable afterwards.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import ClassVar, NamedTuple
 
-from .core import PillarcostError, exact_fraction
+from .core import PillarcostError, Record, exact_fraction
 
 
 class GraphError(PillarcostError):
@@ -33,6 +32,10 @@ class DuplicateNameError(GraphError):
 
 class InvalidGraphError(GraphError):
     """A graph lacks what an operation needs, such as exactly one input."""
+
+
+class FieldError(GraphError, ValueError):
+    """A node kind or a shape was given a field value it does not take."""
 
 
 class ShapeError(PillarcostError):
@@ -71,9 +74,10 @@ class ShapeInconsistent(ShapeError):
     code = "ShapeInconsistent"
 
 
-def _require_int(value: int, what: str, minimum: int = 1) -> None:
+def _require_int(value: int, what: str, minimum: int = 1) -> int:
     if type(value) is not int or value < minimum:
-        raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
+        raise FieldError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 class _Dims(NamedTuple):
@@ -117,13 +121,52 @@ class TensorShape(_Dims):
 # Node kinds (closed enumeration)
 # --------------------------------------------------------------------------
 
-class NodeSpec:
+def _non_negative(value: int, what: str) -> int:
+    return _require_int(value, what, 0)
+
+
+def _bool(value: bool, what: str) -> bool:
+    if type(value) is not bool:
+        raise FieldError(f"{what} must be a bool, got {value!r}")
+    return value
+
+
+def _shape(value: TensorShape, what: str) -> TensorShape:
+    if type(value) is not TensorShape:
+        raise FieldError(f"{what} must be a TensorShape, got {value!r}")
+    return value
+
+
+def _split(value, what: str) -> tuple[Fraction, ...]:
+    fracs = tuple(map(exact_fraction, value))
+    if not fracs:
+        raise FieldError("channel split needs at least one fraction")
+    if any(f <= 0 for f in fracs):
+        raise FieldError("split fractions must be positive")
+    if sum(fracs) != 1:
+        raise FieldError(f"split fractions must sum to 1, got {sum(fracs)}")
+    return fracs
+
+
+def _table(positive: tuple[str, ...] = (), non_negative: tuple[str, ...] = (),
+           **others) -> dict:
+    """A check table: each field's check, in the order they run."""
+    return {**dict.fromkeys(positive, _require_int),
+            **dict.fromkeys(non_negative, _non_negative), **others}
+
+
+_KERNEL = ("kernel_h", "kernel_w", "stride_h", "stride_w")
+_PADS = ("pad_h", "pad_w")
+
+
+class NodeSpec(Record):
     """Base of the node kinds; each kind defines all of its behaviour here.
 
     ``arity`` is the (min, max) number of inputs, max None = unbounded.  The
     defaults describe a single-input, single-output, shape-preserving node
     that costs nothing; kinds override what differs.  Input shapes are given
     in port order, and one output shape is returned per output port.
+    A kind's field checks (its ``_checks`` table) raise FieldError.
     """
 
     kind: ClassVar[str]
@@ -149,15 +192,11 @@ class NodeSpec:
         return cls(**attrs)
 
 
-@dataclass(frozen=True)
 class Input(NodeSpec):
     kind: ClassVar[str] = "input"
     arity: ClassVar[tuple[int, int | None]] = (0, 0)
+    _checks = {"shape": _shape}
     shape: TensorShape
-
-    def __post_init__(self) -> None:
-        if type(self.shape) is not TensorShape:
-            raise ValueError(f"shape must be a TensorShape, got {self.shape!r}")
 
     def output_shapes(self, input_shapes: list[TensorShape]) -> list[TensorShape]:
         return [self.shape]
@@ -181,16 +220,6 @@ class _Window(NodeSpec):
     """Sliding-window kinds: their fields are positive integers, except
     paddings, which are non-negative integers."""
 
-    _positive: ClassVar[tuple[str, ...]] = (
-        "kernel_h", "kernel_w", "stride_h", "stride_w")
-    _padding: ClassVar[tuple[str, ...]] = ("pad_h", "pad_w")
-
-    def __post_init__(self) -> None:
-        for name in self._positive:
-            _require_int(getattr(self, name), name)
-        for name in self._padding:
-            _require_int(getattr(self, name), name, minimum=0)
-
     def _out_hw(self, s: TensorShape) -> tuple[int, int]:
         return (_window_out(s.height, self.pad_h, self.kernel_h, self.stride_h,
                             self.kind, "height"),
@@ -203,13 +232,6 @@ class _Conv(_Window):
     and one MAdd per weight at every pixel the kernel is applied to.  They
     differ in which pixels those are (``_kernel_pixels``) and in the spatial
     rule (``_out_hw``)."""
-
-    _positive = _Window._positive + ("out_channels", "groups")
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if type(self.has_bias) is not bool:
-            raise ValueError(f"has_bias must be a bool, got {self.has_bias!r}")
 
     def output_shapes(self, input_shapes: list[TensorShape]) -> list[TensorShape]:
         (s,) = input_shapes
@@ -247,9 +269,9 @@ class _Conv(_Window):
         return self._weights(input_shapes) + bias
 
 
-@dataclass(frozen=True)
 class Conv(_Conv):
     kind: ClassVar[str] = "conv"
+    _checks = _table(_KERNEL + ("out_channels", "groups"), _PADS, has_bias=_bool)
     out_channels: int
     kernel_h: int
     kernel_w: int
@@ -264,10 +286,10 @@ class Conv(_Conv):
         return so.pixels
 
 
-@dataclass(frozen=True)
 class TransposedConv(_Conv):
     kind: ClassVar[str] = "transposed_conv"
-    _padding = _Window._padding + ("output_pad_h", "output_pad_w")
+    _checks = _table(_KERNEL + ("out_channels", "groups"),
+                     _PADS + ("output_pad_h", "output_pad_w"), has_bias=_bool)
     out_channels: int
     kernel_h: int
     kernel_w: int
@@ -293,7 +315,6 @@ class TransposedConv(_Conv):
         return si.pixels
 
 
-@dataclass(frozen=True)
 class BatchNorm(NodeSpec):
     kind: ClassVar[str] = "batch_norm"
 
@@ -310,14 +331,13 @@ class BatchNorm(NodeSpec):
         return 2 * si.channels  # scale and shift per channel
 
 
-@dataclass(frozen=True)
 class ReLU(NodeSpec):
     kind: ClassVar[str] = "relu"
 
 
-@dataclass(frozen=True)
 class MaxPool(_Window):
     kind: ClassVar[str] = "max_pool"
+    _checks = _table(_KERNEL, _PADS)
     kernel_h: int
     kernel_w: int
     stride_h: int = 1
@@ -330,7 +350,6 @@ class MaxPool(_Window):
         return [TensorShape(s.channels, *self._out_hw(s))]
 
 
-@dataclass(frozen=True)
 class Add(NodeSpec):
     """Elementwise merge of >= 2 identically shaped inputs."""
 
@@ -345,7 +364,6 @@ class Add(NodeSpec):
         return [first]
 
 
-@dataclass(frozen=True)
 class Concat(NodeSpec):
     """Channel-axis concatenation of >= 2 inputs with equal spatial dims."""
 
@@ -362,22 +380,12 @@ class Concat(NodeSpec):
                             first.height, first.width)]
 
 
-@dataclass(frozen=True)
 class ChannelSplit(NodeSpec):
     """Multi-output partition of channels into the given fractions."""
 
     kind: ClassVar[str] = "channel_split"
+    _checks = {"fractions": _split}
     fractions: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        fracs = tuple(map(exact_fraction, self.fractions))
-        object.__setattr__(self, "fractions", fracs)
-        if not fracs:
-            raise ValueError("channel split needs at least one fraction")
-        if any(f <= 0 for f in fracs):
-            raise ValueError("split fractions must be positive")
-        if sum(fracs) != 1:
-            raise ValueError(f"split fractions must sum to 1, got {sum(fracs)}")
 
     def num_outputs(self) -> int:
         return len(self.fractions)
@@ -394,13 +402,10 @@ class ChannelSplit(NodeSpec):
         return outs
 
 
-@dataclass(frozen=True)
 class ChannelShuffle(NodeSpec):
     kind: ClassVar[str] = "channel_shuffle"
+    _checks = _table(("groups",))
     groups: int
-
-    def __post_init__(self) -> None:
-        _require_int(self.groups, "groups")
 
     def output_shapes(self, input_shapes: list[TensorShape]) -> list[TensorShape]:
         (s,) = input_shapes
@@ -410,7 +415,6 @@ class ChannelShuffle(NodeSpec):
         return [s]
 
 
-@dataclass(frozen=True)
 class Scatter(NodeSpec):
     """Zero-cost placement of per-pillar feature columns onto a 2D grid.
 
@@ -418,12 +422,9 @@ class Scatter(NodeSpec):
     """
 
     kind: ClassVar[str] = "scatter"
+    _checks = _table(("out_height", "out_width"))
     out_height: int
     out_width: int
-
-    def __post_init__(self) -> None:
-        _require_int(self.out_height, "out_height")
-        _require_int(self.out_width, "out_width")
 
     def output_shapes(self, input_shapes: list[TensorShape]) -> list[TensorShape]:
         (s,) = input_shapes
@@ -437,7 +438,7 @@ _KIND_CLASSES = {
 }
 
 # What each kind serialises: its attribute names, sorted as the JSON has them.
-_ATTR_NAMES = {cls: tuple(sorted(f.name for f in fields(cls)))
+_ATTR_NAMES = {cls: tuple(sorted(cls._fields))
                for cls in _KIND_CLASSES.values()}
 
 # The kinds whose attributes are all scalars, so that equal attrs of equal

@@ -33,6 +33,18 @@ class TestRound2:
     def test_half_up(self, value, expect):
         assert round2(value) == expect
 
+    @pytest.mark.parametrize("whole_digits", [26, 27, 28, 40, 300])
+    def test_a_value_of_any_size_rounds_half_up(self, whole_digits):
+        whole = 10 ** (whole_digits - 1) + 7
+        for cents, expect in ((Fraction(1, 8), 13), (Fraction(1, 200), 1),
+                              (Fraction(9999, 10000), 100)):
+            want = float(Fraction(100 * whole + expect, 100))
+            assert round2(whole + cents) == want
+            assert round2(-whole - cents) == -want
+
+    def test_a_value_past_the_float_range_is_infinite(self):
+        assert round2(10 ** 5000 + Fraction(1, 8)) == float("inf")
+
 
 class TestDesignPoint:
     def test_rejects_non_positive_cost(self):

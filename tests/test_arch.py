@@ -1,6 +1,5 @@
 """Architecture construction: config handling, units, blocks, full networks."""
 import weakref
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -168,6 +167,16 @@ def unit_graph(variant, in_ch, out_ch, stride, cfg=None):
     return g, out
 
 
+def test_builds_given_no_config_share_one_default(monkeypatch):
+    made = []
+    monkeypatch.setattr(ArchConfig, "__post_init__", lambda self: made.append(self))
+    graph = build_pointpillars(Variant.RESNET)
+    backbone, _ = build_backbone(Variant.RESNET)
+    basic_unit(Variant.RESNET, backbone, 0, 64, 64, 1, "extra")
+    assert made == []
+    assert graph.to_json() == build_pointpillars(Variant.RESNET, ArchConfig()).to_json()
+
+
 class TestBasicUnit:
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_stride_one_preserves_spatial_dims(self, variant):
@@ -322,7 +331,7 @@ class TestSpecSharing:
     def test_sharing_changes_no_outcome(self, monkeypatch, variant, config, field, value):
         """With an int subclass in the config, a build ends as it does when
         every node gets a new spec: the same graph or the same error."""
-        cfg = replace(CONFIGS[config], **{field: value})
+        cfg = CONFIGS[config]._replace(**{field: value})
 
         def outcome():
             try:

@@ -2,11 +2,13 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
+import pillarcost.cli
 from pillarcost.analysis import round2
-from pillarcost.arch import Variant, build_pointpillars
+from pillarcost.arch import ArchConfig, Variant, build_pointpillars
 from pillarcost.cli import run
 from pillarcost.cost import graph_cost
 
@@ -360,3 +362,74 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert override.split("=")[0] in err
+
+    @pytest.mark.parametrize("command, key", [
+        ("pareto", "--data"), ("plot", "--data"), ("amdahl", "--profile"),
+        ("cost", "--config")])
+    def test_file_that_is_not_utf8_is_domain_error_naming_it(self, capsys, tmp_path,
+                                                            command, key):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        argv = [command, *(["base"] if command == "cost" else []), key, str(bad)]
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        assert "can't decode byte 0xff" in err
+
+    @pytest.mark.parametrize("error", [KeyError("k"), ValueError("v"),
+                                       ZeroDivisionError("z")], ids=lambda e: type(e).__name__)
+    def test_a_builtin_error_in_a_command_is_a_traceback(self, capsys, monkeypatch, error):
+        def broken(args):
+            raise error
+        monkeypatch.setattr(pillarcost.cli, "_cmd_list", broken)
+        with pytest.raises(type(error)):
+            run(["list"])
+        assert capsys.readouterr().err == ""
+
+
+def half_up_hundredths(value: Fraction) -> str:
+    """``value`` (>= 0) rounded half up to 0.01, as the commands print it."""
+    return f"{float(Fraction(int(value * 100 + Fraction(1, 2)), 100)):.2f}"
+
+
+class TestHugeCost:
+    """A cost of more than 28 digits prints in full; it used to end in a
+    decimal.InvalidOperation traceback from the display rounding."""
+
+    HEIGHT = 10 ** 28
+    FLAGS = ("--set", f"pseudo_image_height={HEIGHT}")
+
+    def report(self, variant):
+        return graph_cost(build_pointpillars(variant, ArchConfig(pseudo_image_height=self.HEIGHT)))
+
+    def test_describe(self, capsys):
+        report = self.report(Variant.BASE)
+        code, out, err = invoke(capsys, "describe", "base", *self.FLAGS)
+        assert (code, err) == (0, "")
+        gmadds = half_up_hundredths(Fraction(report.total_madds, 10 ** 9))
+        assert f"total MAdd:   {report.total_madds} ({gmadds} GMAdd)\n" in out
+        assert out.endswith(f"total params: {report.total_params}\n")
+        assert len(str(report.total_madds)) > 30
+
+    @pytest.mark.parametrize("command", ["describe", "cost", "compare"])
+    def test_a_cost_too_long_to_print_is_domain_error(self, capsys, command):
+        side = "1" + "0" * 2200  # two sides make a cost of over 4,300 digits
+        code, out, err = invoke(capsys, command, *(["base"] if command != "compare" else []),
+                                "--set", f"pseudo_image_height={side}",
+                                "--set", f"pseudo_image_width={side}")
+        assert code == 1 and out == ""
+        assert err.startswith("error: Exceeds the limit (4300 digits)") and err.count("\n") == 1
+
+    def test_compare_csv(self, capsys):
+        code, out, err = invoke(capsys, "compare", "--format", "csv", *self.FLAGS)
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        base = self.report(Variant.BASE).total_madds
+        assert [row["name"] for row in rows] == [v.value for v in Variant]
+        for row, variant in zip(rows, Variant):
+            report = self.report(variant)
+            assert row == {
+                "name": variant.value, "madds": str(report.total_madds),
+                "params": str(report.total_params),
+                "gmadds": half_up_hundredths(Fraction(report.total_madds, 10 ** 9)),
+                "madd_speedup": half_up_hundredths(Fraction(base, report.total_madds))}

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import pillarcost
-from pillarcost import analysis, arch, core, graph, shapes
+from pillarcost import analysis, arch, core, cost, graph, shapes
 from pillarcost.cli import CliError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -21,13 +21,12 @@ GRAPH_MODULES = ("pillarcost.graph", "pillarcost.arch", "pillarcost.cost",
 
 
 def loaded_after(code: str) -> set[str]:
-    """The pillarcost modules loaded once ``code`` has run in a fresh
-    interpreter (its own output goes to a buffer)."""
+    """The modules loaded once ``code`` has run in a fresh interpreter (its
+    own output goes to a buffer)."""
     script = ("import contextlib, io, json, sys\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               + "".join(f"    {line}\n" for line in code.splitlines())
-              + "print(json.dumps(sorted(m for m in sys.modules"
-                " if m.startswith('pillarcost'))))\n")
+              + "print(json.dumps(sorted(sys.modules)))\n")
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path},
@@ -51,6 +50,20 @@ def test_importing_the_cli_loads_no_graph_code():
 def test_commands_without_graphs_never_load_graph_code(argv):
     loaded = loaded_after(f"from pillarcost.cli import run\nassert run({argv!r}) == 0")
     assert not loaded & set(GRAPH_MODULES)
+
+
+@pytest.mark.parametrize("argv", [
+    ["list"], ["describe", "base"], ["cost", "ResNet", "--format", "csv"],
+    ["compare", "--format", "json"], ["pareto", "--scope", "car"],
+    ["amdahl", "--profile", str(SRC / "pillarcost/data/fpga_timing.json"),
+     "--speedup", "backbone=2"],
+    ["plot", "--scope", "overall"], ["export", "ShufflenetV2"],
+], ids=lambda argv: argv[0])
+def test_no_command_loads_dataclasses_or_inspect(argv):
+    # dataclasses imports inspect, and both cost every cold start
+    loaded = loaded_after(f"from pillarcost.cli import run\nassert run({argv!r}) == 0")
+    assert "pillarcost.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_costing_commands_load_what_they_run():
@@ -91,3 +104,23 @@ def test_unknown_attribute_raises_attribute_error():
                                    CliError])
 def test_domain_errors_share_one_base(error):
     assert issubclass(error, core.PillarcostError)
+
+
+@pytest.mark.parametrize("error, builtin", [
+    (graph.FieldError, ValueError), (core.NumberError, ValueError),
+    (cost.ZeroMAddsError, ZeroDivisionError)])
+def test_domain_errors_keep_the_builtin_base_they_replace(error, builtin):
+    assert issubclass(error, core.PillarcostError) and issubclass(error, builtin)
+
+
+@pytest.mark.parametrize("raise_it, error", [
+    (lambda: graph.Conv(0, 3, 3), graph.FieldError),
+    (lambda: graph.TensorShape(1, 0, 1), graph.FieldError),
+    (lambda: graph.ChannelSplit(()), graph.FieldError),
+    (lambda: core.exact_fraction("1e99999"), core.NumberError),
+    (lambda: cost.speedup_vs_base(cost.CostReport(()), cost.CostReport(())),
+     cost.ZeroMAddsError),
+], ids=["conv_field", "shape", "split", "exact_fraction", "speedup"])
+def test_library_checks_raise_domain_errors(raise_it, error):
+    with pytest.raises(error):
+        raise_it()

@@ -51,8 +51,7 @@ def test_conv_cost_scales_linearly_in_output_channels(spec, shape):
         return
     if spec.has_bias or spec.out_channels % spec.groups:
         return
-    import dataclasses
-    doubled = dataclasses.replace(spec, out_channels=2 * spec.out_channels)
+    doubled = spec._replace(out_channels=2 * spec.out_channels)
     douts = node_output_shape(doubled, [shape])
     assert node_madds(doubled, [shape], douts) == \
         2 * node_madds(spec, [shape], outs)
@@ -107,6 +106,20 @@ def test_round2_is_idempotent_and_close(value):
     once = round2(value)
     assert round2(Fraction(once).limit_denominator(10**6)) == once
     assert abs(once - float(value)) <= 0.005 + 1e-9
+
+
+@given(st.integers(min_value=-10 ** 30, max_value=10 ** 30),
+       st.integers(min_value=1, max_value=10 ** 30))
+def test_round2_below_26_integer_digits_matches_the_default_context(num, den):
+    """Where quantizing in decimal's default 28-digit context works, round2
+    rounds as that does: through 28 significant digits, then half up."""
+    from decimal import ROUND_HALF_UP, Decimal, DefaultContext, localcontext
+    if abs(num) // den >= 10 ** 26 - 1:
+        return
+    with localcontext(DefaultContext):
+        dec = Decimal(num) / Decimal(den)
+        want = float(dec.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    assert round2(Fraction(num, den)) == want
 
 
 points_lists = st.lists(

@@ -1,0 +1,167 @@
+"""The frozen-record contract that every ``core.Record`` subclass keeps:
+the 11 node kinds, ArchConfig, DesignPoint, TimingProfile and CostReport.
+
+The pinned reprs are the text these classes printed when they were
+dataclasses; error messages embed them, so they must not drift.
+"""
+import copy
+import itertools
+import pickle
+import weakref
+from fractions import Fraction
+
+import pytest
+
+from pillarcost.analysis import DesignPoint, TimingProfile
+from pillarcost.arch import ArchConfig
+from pillarcost.core import Record
+from pillarcost.cost import CostReport, NodeCost
+from pillarcost.graph import (
+    Add, BatchNorm, ChannelShuffle, ChannelSplit, Concat, Conv, Graph, Input,
+    MaxPool, ReLU, Scatter, TensorShape, TransposedConv,
+)
+
+# (class, arguments of an instance, its repr, arguments of an unequal one)
+CASES = [
+    (Input, (TensorShape(64, 496, 432),),
+     "Input(shape=TensorShape(channels=64, height=496, width=432))",
+     (TensorShape(64, 496, 431),)),
+    (Conv, (64, 3, 3, 2, 2, 1, 1, 1, False),
+     "Conv(out_channels=64, kernel_h=3, kernel_w=3, stride_h=2, stride_w=2, "
+     "pad_h=1, pad_w=1, groups=1, has_bias=False)",
+     (64, 3, 3, 2, 2, 1, 1, 1, True)),
+    (TransposedConv, (128, 2, 2, 2, 2),
+     "TransposedConv(out_channels=128, kernel_h=2, kernel_w=2, stride_h=2, "
+     "stride_w=2, pad_h=0, pad_w=0, output_pad_h=0, output_pad_w=0, groups=1, "
+     "has_bias=False)",
+     (128, 2, 2, 2, 2, 0, 0, 1)),
+    (BatchNorm, (), "BatchNorm()", None),
+    (ReLU, (), "ReLU()", None),
+    (MaxPool, (3, 3, 2, 2, 1, 1),
+     "MaxPool(kernel_h=3, kernel_w=3, stride_h=2, stride_w=2, pad_h=1, pad_w=1)",
+     (3, 3, 2, 2)),
+    (Add, (), "Add()", None),
+    (Concat, (), "Concat()", None),
+    (ChannelSplit, (("1/4", 0.75),),
+     "ChannelSplit(fractions=(Fraction(1, 4), Fraction(3, 4)))",
+     ((Fraction(3, 4), Fraction(1, 4)),)),
+    (ChannelShuffle, (2,), "ChannelShuffle(groups=2)", (4,)),
+    (Scatter, (496, 432), "Scatter(out_height=496, out_width=432)", (432, 496)),
+    (ArchConfig, (),
+     "ArchConfig(pseudo_image_channels=64, pseudo_image_height=496, "
+     "pseudo_image_width=432, max_pillars=16000, points_per_pillar=32, "
+     "pfn_in_features=10, block_channels=(64, 128, 256), block_units=(4, 6, 6), "
+     "block_strides=(2, 2, 2), neck_out_channels=(128, 128, 128), "
+     "neck_upsample=(1, 2, 4), num_classes=3, anchors_per_location=6, "
+     "box_code_size=7, dir_bins=2, mobilenet_v2_expand=1, shufflenet_v1_groups=2, "
+     "squeezenext_reduce=Fraction(1, 2), resnet_bottleneck=Fraction(3, 8), "
+     "resnext_width=Fraction(1, 1), resnext_groups=32)",
+     (32,)),
+    (DesignPoint, ("y", Fraction(7), {("Car", "Easy"): Fraction(1, 3)}, Fraction(10)),
+     "DesignPoint(name='y', gmadds=Fraction(7, 1), ap={('Car', 'Easy'): "
+     "Fraction(1, 3)}, fps_backbone=Fraction(10, 1), fps_total=None)",
+     ("y", Fraction(7))),
+    (TimingProfile, ({"backbone": Fraction(1, 2)}, Fraction(25)),
+     "TimingProfile(stage_fractions={'backbone': Fraction(1, 2)}, "
+     "base_latency_ms=Fraction(25, 1))",
+     ({"backbone": Fraction(1, 2)}, Fraction(26))),
+    (CostReport, ((NodeCost("a", "conv", 1, 2),),),
+     "CostReport(per_node=(NodeCost(name='a', kind='conv', madds=1, params=2),))",
+     ((),)),
+]
+IDS = [case[0].__name__ for case in CASES]
+FIELDLESS = (ReLU, Add, BatchNorm, Concat)
+UNHASHABLE = (DesignPoint, TimingProfile)  # they hold a dict
+
+
+def test_every_record_class_is_covered():
+    covered = {case[0] for case in CASES}
+    assert len(covered) == 15
+    assert all(issubclass(cls, Record) for cls in covered)
+
+
+@pytest.mark.parametrize("cls, args, text, other", CASES, ids=IDS)
+class TestContract:
+    def test_repr_is_pinned(self, cls, args, text, other):
+        assert repr(cls(*args)) == text
+
+    def test_equality_and_hash_agree(self, cls, args, text, other):
+        first, second = cls(*args), cls(*args)
+        assert first == second and not first != second
+        if cls in UNHASHABLE:
+            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                hash(first)
+        else:
+            assert hash(first) == hash(second) == hash(first)
+        if other is not None:
+            assert cls(*other) != first
+        assert first != tuple(getattr(first, name) for name in cls._fields)
+
+    def test_fields_cannot_be_set_or_deleted(self, cls, args, text, other):
+        record = cls(*args)
+        for name in (*cls._fields, "extra"):
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                setattr(record, name, 1)
+            with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                delattr(record, name)
+        assert repr(record) == text
+
+    def test_bad_arguments_raise_type_error(self, cls, args, text, other):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'nope'"):
+            cls(*args, nope=1)
+        with pytest.raises(TypeError, match="positional argument"):
+            cls(*args, *[1] * (len(cls._fields) - len(args) + 1))
+        required = [name for name in cls._fields if name not in cls._defaults]
+        if required:
+            with pytest.raises(TypeError, match=f"missing {len(required)} required"):
+                cls()
+        if args:
+            with pytest.raises(TypeError, match="multiple values for argument"):
+                cls(*args, **{cls._fields[0]: args[0]})
+
+    def test_weak_referenceable(self, cls, args, text, other):
+        record = cls(*args)
+        assert weakref.ref(record)() is record
+
+    def test_replace_copy_and_pickle(self, cls, args, text, other):
+        record = cls(*args)
+        assert record._replace() == record
+        assert copy.copy(record) == record == copy.deepcopy(record)
+        assert pickle.loads(pickle.dumps(record)) == record
+        if cls._fields:
+            name = cls._fields[0]
+            changed = record._replace(**{name: getattr(cls(*other), name)})
+            assert getattr(changed, name) == getattr(cls(*other), name)
+
+
+def test_fieldless_kinds_differ_from_each_other():
+    for a, b in itertools.combinations(FIELDLESS, 2):
+        assert a() != b() and b() != a()
+    assert len({cls() for cls in FIELDLESS}) == len(FIELDLESS)
+
+
+def test_graph_of_fieldless_kinds_round_trips_byte_identical():
+    g = Graph()
+    x = g.add_node(Input(TensorShape(4, 8, 8)), name="in")
+    bn = g.add_node(BatchNorm(), [(x, 0)], name="bn")
+    relu = g.add_node(ReLU(), [(bn, 0)], name="relu")
+    add = g.add_node(Add(), [(x, 0), (relu, 0)], name="add")
+    g.add_node(Concat(), [(add, 0), (relu, 0), (bn, 0)], name="cat")
+    text = g.to_json()
+    again = Graph.from_json(text)
+    assert again.to_json() == text
+    assert [n.spec.kind for n in again.nodes] == [
+        "input", "batch_norm", "relu", "add", "concat"]
+
+
+def test_each_design_point_gets_a_fresh_ap_dict():
+    first, second = DesignPoint("a", Fraction(1)), DesignPoint("b", Fraction(1))
+    assert first.ap == {} and first.ap is not second.ap
+    first.ap[("Car", "Easy")] = Fraction(1)
+    assert DesignPoint("c", Fraction(1)).ap == {}
+
+
+def test_a_replaced_record_is_checked():
+    with pytest.raises(ValueError, match="^out_channels must be an integer >= 1, got 0$"):
+        Conv(8, 3, 3)._replace(out_channels=0)
+    assert Conv(8, 3, 3)._replace(pad_h=1) == Conv(8, 3, 3, pad_h=1)
