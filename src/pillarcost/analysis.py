@@ -40,7 +40,14 @@ class DomainError(AnalysisError):
 
 
 def round2(value: Fraction | float) -> float:
-    """Half-up rounding to 2 decimals, for display and printed-table checks.
+    """``fmt2(value)`` as a float, for printed-table checks; past the float
+    range it is infinite."""
+    return float(fmt2(value))
+
+
+def fmt2(value: Fraction | float) -> str:
+    """Half-up rounding to 2 decimals, as the text with two decimals that
+    the commands and plots print; exact at any size.
 
     The value is first divided out to 28 significant digits, as in
     ``decimal``'s default context; from 10**26 - 1 up, where 28 digits
@@ -53,7 +60,8 @@ def round2(value: Fraction | float) -> float:
     # a digit is over 3 bits, so bit_length() // 3 is at least whole's digits
     context = Context(prec=28 if whole < 10 ** 26 - 1 else whole.bit_length() // 3 + 3)
     dec = context.divide(Decimal(value.numerator), Decimal(value.denominator))
-    return float(dec.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP, context=context))
+    # the exponent is -2, so the text is never in exponent notation
+    return str(dec.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP, context=context))
 
 
 class DesignPoint(Record):

@@ -13,7 +13,6 @@ defaults were tuned to reproduce the measured MAdd/parameter counts.
 from __future__ import annotations
 
 import json
-import weakref
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -204,7 +203,8 @@ class _Decimal(Fraction):
 # Specs.  Specs are frozen, so nodes with equal specs can share one object.
 # --------------------------------------------------------------------------
 
-# The specs whose arguments are literals here, shared by every graph
+# The specs whose arguments are literals here, shared by every graph; the
+# ones made from config values come from each graph's table (``Graph.spec``)
 _BATCH_NORM = BatchNorm()
 _RELU = ReLU()
 _ADD = Add()
@@ -212,23 +212,6 @@ _CONCAT = Concat()
 _SPLIT_HALVES = ChannelSplit((Fraction(1, 2), Fraction(1, 2)))
 _SHUFFLE_2 = ChannelShuffle(2)
 _POOL_3X3_S2 = MaxPool(3, 3, 2, 2, 1, 1)
-
-# Graph -> the specs made from config values for its nodes, keyed by class,
-# arguments and each argument's exact type, so that 1, True and an int
-# subclass never share an entry.  Weak: a table lives as long as its graph.
-_SPECS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _shared_spec(g: Graph, cls, args: tuple):
-    """``cls(*args)``, made once per distinct value among the nodes of ``g``."""
-    table = _SPECS.get(g)
-    if table is None:
-        table = _SPECS[g] = {}
-    key = (cls, *args, *map(type, args))
-    spec = table.get(key)
-    if spec is None:
-        spec = table[key] = cls(*args)
-    return spec
 
 
 # --------------------------------------------------------------------------
@@ -242,8 +225,8 @@ def _conv(g: Graph, src: int, name: str, in_ch: int, out_ch: int,
     if in_ch % groups or out_ch % groups:
         raise ChannelConstraintError(
             f"{name}: channels {in_ch}->{out_ch} not divisible by groups={groups}")
-    spec = _shared_spec(g, Conv, (out_ch, kernel[0], kernel[1], stride[0], stride[1],
-                                  pad[0], pad[1], groups, bias))
+    spec = g.spec(Conv, out_ch, kernel[0], kernel[1], stride[0], stride[1],
+                  pad[0], pad[1], groups, bias)
     return g.add_node(spec, [(src, port)], name)
 
 
@@ -361,8 +344,7 @@ def _unit_mobilenet_v2(g, src, in_ch, out_ch, stride, name, cfg) -> int:
 def _shuffle_branch(g, src, name, in_ch, out_ch, stride, groups) -> int:
     node = _cbr(g, src, f"{name}.gconv1", in_ch, out_ch, (1, 1), pad=(0, 0),
                 groups=groups)
-    node = g.add_node(_shared_spec(g, ChannelShuffle, (groups,)), [(node, 0)],
-                      f"{name}.shuffle")
+    node = g.add_node(g.spec(ChannelShuffle, groups), [(node, 0)], f"{name}.shuffle")
     node = _dw(g, node, f"{name}.dw.conv", out_ch, stride)
     node = g.add_node(_BATCH_NORM, [(node, 0)], f"{name}.dw.bn")
     node = _conv(g, node, f"{name}.gconv2.conv", out_ch, out_ch, groups=groups)
@@ -447,28 +429,18 @@ def _pool(g, src, name) -> int:
     return g.add_node(_POOL_3X3_S2, [(src, 0)], name)
 
 
-def _unit_xception(g, src, in_ch, out_ch, stride, name, cfg) -> int:
+def _unit_xception(g, src, in_ch, out_ch, stride, name, cfg,
+                   single: bool = False) -> int:
     """Xception block: two separable convs with a skip; the stride-2 form
-    pools between them and projects the skip with a strided 1x1."""
-    if stride == 1:
-        if in_ch != out_ch:
-            raise ChannelConstraintError(f"{name}: stride-1 block needs in == out")
-        node = _sepconv(g, src, f"{name}.sep1", in_ch, out_ch)
-        node = _sepconv(g, node, f"{name}.sep2", out_ch, out_ch)
-        return g.add_node(_ADD, [(src, 0), (node, 0)], f"{name}.add")
-    node = _sepconv(g, src, f"{name}.sep1", in_ch, out_ch)
-    node = _pool(g, node, f"{name}.pool")
-    node = _sepconv(g, node, f"{name}.sep2", out_ch, out_ch)
-    skip = _skip(g, src, name, in_ch, out_ch, 2)
-    return g.add_node(_ADD, [(skip, 0), (node, 0)], f"{name}.add")
-
-
-def _xception_single(g, src, in_ch, out_ch, stride, name) -> int:
-    """The block that ends an odd unit count: one separable conv with a
-    skip, pooled after ``sep1`` when strided, as the stride-2 block is."""
+    pools between them and projects the skip with a strided 1x1.  The
+    ``single`` block that ends an odd unit count keeps only ``sep1``."""
+    if stride == 1 and in_ch != out_ch and not single:
+        raise ChannelConstraintError(f"{name}: stride-1 block needs in == out")
     node = _sepconv(g, src, f"{name}.sep1", in_ch, out_ch)
     if stride == 2:
         node = _pool(g, node, f"{name}.pool")
+    if not single:
+        node = _sepconv(g, node, f"{name}.sep2", out_ch, out_ch)
     skip = _skip(g, src, name, in_ch, out_ch, stride)
     return g.add_node(_ADD, [(skip, 0), (node, 0)], f"{name}.add")
 
@@ -545,11 +517,8 @@ def _block_xception(g, src, in_ch, out_ch, units, stride, prefix, cfg,
     first is strided."""
     node = src
     for index, start in enumerate(range(0, units, 2), 1):
-        name = f"{prefix}.block{index}"
-        if start + 1 < units:
-            node = _unit_xception(g, node, in_ch, out_ch, stride, name, cfg)
-        else:
-            node = _xception_single(g, node, in_ch, out_ch, stride, name)
+        node = _unit_xception(g, node, in_ch, out_ch, stride, f"{prefix}.block{index}",
+                              cfg, single=start + 1 == units)
         in_ch, stride = out_ch, 1
     return node
 
@@ -613,7 +582,7 @@ def build_pointpillars(variant: Variant, cfg: ArchConfig | None = None) -> Graph
             zip(block_outputs, cfg.neck_out_channels, cfg.neck_upsample)):
         in_ch = cfg.block_channels[i]
         name = f"neck.branch{i + 1}"
-        branch = g.add_node(_shared_spec(g, TransposedConv, (out_ch, up, up, up, up)),
+        branch = g.add_node(g.spec(TransposedConv, out_ch, up, up, up, up),
                             [(src, 0)], f"{name}.deconv")
         branch = _bn_relu(g, branch, name)
         branches.append(branch)

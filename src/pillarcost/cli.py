@@ -19,8 +19,8 @@ from typing import TYPE_CHECKING
 # arch, cost and svg are imported by the subcommands that use them, so a
 # process that runs list, pareto, amdahl or plot never compiles graph code
 from . import analysis
-from .analysis import (SCOPES, TimingProfile, amdahl_max, load_points, map_of,
-                       pareto_front, project_fps, round2)
+from .analysis import (SCOPES, TimingProfile, amdahl_max, fmt2, load_points,
+                       map_of, pareto_front, project_fps)
 from .core import PillarcostError, Variant, exact_fraction
 
 if TYPE_CHECKING:
@@ -63,7 +63,7 @@ def _csv_text(header: tuple[str, ...], rows) -> str:
 
 
 def _gmadd_str(madds: int) -> str:
-    return f"{round2(Fraction(madds, _GIGA)):.2f}"
+    return fmt2(Fraction(madds, _GIGA))
 
 
 # --------------------------------------------------------------------------
@@ -139,20 +139,19 @@ def _cmd_compare(args: argparse.Namespace) -> None:
     if args.format == "json":
         doc = [{"name": name, "madds": madds, "params": params,
                 "gmadds": _gmadd_str(madds),
-                "madd_speedup": f"{round2(Fraction(base, madds)):.2f}"}
+                "madd_speedup": fmt2(Fraction(base, madds))}
                for name, madds, params in rows]
         _emit(json.dumps(doc, indent=2) + "\n", args.output)
         return
     if args.format == "csv":
         _emit(_csv_text(("name", "madds", "params", "gmadds", "madd_speedup"),
-                        ((name, madds, params, _gmadd_str(madds),
-                          f"{round2(Fraction(base, madds)):.2f}")
+                        ((name, madds, params, _gmadd_str(madds), fmt2(Fraction(base, madds)))
                          for name, madds, params in rows)), args.output)
         return
     lines = [f"{'name':<14} {'GMAdd':>8} {'params':>10} {'speedup':>8}"]
     for name, madds, params in rows:
         lines.append(f"{name:<14} {_gmadd_str(madds):>8} {params:>10} "
-                     f"{round2(Fraction(base, madds)):>8.2f}")
+                     f"{fmt2(Fraction(base, madds)):>8}")
     _emit("\n".join(lines) + "\n", args.output)
 
 
@@ -166,8 +165,7 @@ def _cmd_pareto(args: argparse.Namespace) -> None:
     if args.format == "csv":
         by_name = {p.name: p for p in points}
         _emit(_csv_text(("name", "gmadds", "map"),
-                        ((p.name, f"{round2(p.gmadds):.2f}",
-                          f"{round2(map_of(p, args.scope)):.2f}")
+                        ((p.name, fmt2(p.gmadds), fmt2(map_of(p, args.scope)))
                          for p in [by_name[name] for name in front])), args.output)
         return
     _emit("".join(name + "\n" for name in front), args.output)
@@ -196,23 +194,19 @@ def _cmd_amdahl(args: argparse.Namespace) -> None:
     fps = project_fps(profile, speedups)
     pipeline = fps / profile.base_fps
     rows = [
-        ("base_fps", round2(profile.base_fps)),
-        ("projected_fps", round2(fps)),
-        ("pipeline_speedup", round2(pipeline)),
+        ("base_fps", fmt2(profile.base_fps)),
+        ("projected_fps", fmt2(fps)),
+        ("pipeline_speedup", fmt2(pipeline)),
     ]
     for stage, frac in profile.stage_fractions.items():
-        rows.append((f"limit_speedup_{stage}", round2(amdahl_max(frac))))
+        rows.append((f"limit_speedup_{stage}", fmt2(amdahl_max(frac))))
     if args.format == "json":
-        _emit(json.dumps({name: f"{value:.2f}" for name, value in rows},
-                         indent=2) + "\n", args.output)
+        _emit(json.dumps(dict(rows), indent=2) + "\n", args.output)
         return
     if args.format == "csv":
-        _emit(_csv_text(("quantity", "value"),
-                        ((name, f"{value:.2f}") for name, value in rows)),
-              args.output)
+        _emit(_csv_text(("quantity", "value"), rows), args.output)
         return
-    _emit("".join(f"{name:<22} {value:.2f}\n" for name, value in rows),
-          args.output)
+    _emit("".join(f"{name:<22} {value}\n" for name, value in rows), args.output)
 
 
 def _cmd_plot(args: argparse.Namespace) -> None:

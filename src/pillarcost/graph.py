@@ -41,37 +41,33 @@ class FieldError(GraphError, ValueError):
 class ShapeError(PillarcostError):
     """A node's input shapes violate its kind constraints."""
 
-    code = "ShapeError"
-
 
 class GroupMismatch(ShapeError):
-    code = "GroupMismatch"
+    pass
 
 
 class AddShapeMismatch(ShapeError):
-    code = "AddShapeMismatch"
+    pass
 
 
 class ConcatSpatialMismatch(ShapeError):
-    code = "ConcatSpatialMismatch"
+    pass
 
 
 class NonIntegralSplit(ShapeError):
-    code = "NonIntegralSplit"
+    pass
 
 
 class ShuffleGroupMismatch(ShapeError):
-    code = "ShuffleGroupMismatch"
+    pass
 
 
 class NegativeOutputDim(ShapeError):
-    code = "NegativeOutputDim"
+    pass
 
 
 class ShapeInconsistent(ShapeError):
     """Shapes handed to a cost method disagree with the node's own fields."""
-
-    code = "ShapeInconsistent"
 
 
 def _require_int(value: int, what: str, minimum: int = 1) -> int:
@@ -485,6 +481,7 @@ class Graph:
         self._nodes: list[Node] = []
         self._names: set[str] = set()
         self._outputs: list[int] = []  # output-port count per node id
+        self._specs: dict[tuple, NodeSpec] = {}  # see spec()
 
     @property
     def nodes(self) -> tuple[Node, ...]:
@@ -503,6 +500,18 @@ class Graph:
         if not 0 <= node_id < len(self._nodes):
             raise UnknownInputError(f"no node with id {node_id}")
         return self._nodes[node_id]
+
+    def spec(self, cls: type[NodeSpec], *args) -> NodeSpec:
+        """``cls(*args)``, made once per distinct value among this graph's
+        nodes, so that nodes with equal specs share one object.  Keyed by
+        class, arguments and each argument's exact type, so ``1``, ``True``
+        and an int subclass never share a spec.  The table dies with the
+        graph."""
+        key = (cls, *args, *map(type, args))
+        spec = self._specs.get(key)
+        if spec is None:
+            spec = self._specs[key] = cls(*args)
+        return spec
 
     def add_node(self, spec: NodeSpec, inputs: list[tuple[int, int]] | tuple = (),
                  name: str = "") -> int:

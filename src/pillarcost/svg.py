@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .analysis import DesignPoint, map_of, pareto_front, round2
+from .analysis import DesignPoint, fmt2, map_of, pareto_front
 
 WIDTH = 800
 HEIGHT = 600
@@ -119,7 +119,7 @@ def render_scatter(points: list[DesignPoint], scope: str = "overall",
         lines.append(
             f'<text x="{_fmt(sx(x) + 9)}" y="{_fmt(sy(y) - 7)}" '
             f'font-family="sans-serif" font-size="12">{name} '
-            f'({_fmt(round2(Fraction(str(y))))})</text>')
+            f'({fmt2(Fraction(str(y)))})</text>')
 
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

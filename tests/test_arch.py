@@ -340,5 +340,18 @@ class TestSpecSharing:
                 return f"ValueError: {err}"
 
         shared = outcome()
-        monkeypatch.setattr(pillarcost.arch, "_shared_spec", lambda g, cls, args: cls(*args))
+        monkeypatch.setattr(Graph, "spec", lambda g, cls, *args: cls(*args))
         assert shared == outcome()
+
+    def test_builds_leave_no_state_in_the_module(self):
+        """Each graph holds its own spec table, so building every variant
+        grows no container at the module level of ``pillarcost.arch``."""
+        def sizes():
+            return {name: len(value) for name, value in vars(pillarcost.arch).items()
+                    # a class such as Variant has a length too, but no state
+                    if hasattr(value, "__len__") and not isinstance(value, (str, tuple, type))}
+
+        before = sizes()
+        graphs = [build_pointpillars(variant, cfg)
+                  for variant in ALL_VARIANTS for cfg in CONFIGS.values()]
+        assert graphs and sizes() == before

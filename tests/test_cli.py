@@ -388,28 +388,54 @@ class TestExitCodes:
 
 
 def half_up_hundredths(value: Fraction) -> str:
-    """``value`` (>= 0) rounded half up to 0.01, as the commands print it."""
-    return f"{float(Fraction(int(value * 100 + Fraction(1, 2)), 100)):.2f}"
+    """``value`` (>= 0) rounded half up to 0.01, exactly, as the commands
+    print it."""
+    cents = int(value * 100 + Fraction(1, 2))
+    return f"{cents // 100}.{cents % 100:02d}"
 
 
 class TestHugeCost:
     """A cost of more than 28 digits prints in full; it used to end in a
-    decimal.InvalidOperation traceback from the display rounding."""
+    decimal.InvalidOperation traceback from the display rounding.  Its
+    GMAdd prints exactly, even past the float range, where it used to print
+    float digits or ``inf``."""
 
     HEIGHT = 10 ** 28
-    FLAGS = ("--set", f"pseudo_image_height={HEIGHT}")
+    PAST_FLOAT = 10 ** 320  # 321 digits: the GMAdd is over 10**308
 
-    def report(self, variant):
-        return graph_cost(build_pointpillars(variant, ArchConfig(pseudo_image_height=self.HEIGHT)))
+    def report(self, variant, height):
+        return graph_cost(build_pointpillars(variant, ArchConfig(pseudo_image_height=height)))
 
-    def test_describe(self, capsys):
-        report = self.report(Variant.BASE)
-        code, out, err = invoke(capsys, "describe", "base", *self.FLAGS)
+    def check_describe(self, capsys, height):
+        report = self.report(Variant.BASE, height)
+        code, out, err = invoke(capsys, "describe", "base", "--set",
+                                f"pseudo_image_height={height}")
         assert (code, err) == (0, "")
         gmadds = half_up_hundredths(Fraction(report.total_madds, 10 ** 9))
         assert f"total MAdd:   {report.total_madds} ({gmadds} GMAdd)\n" in out
         assert out.endswith(f"total params: {report.total_params}\n")
         assert len(str(report.total_madds)) > 30
+
+    def check_compare_csv(self, capsys, height):
+        code, out, err = invoke(capsys, "compare", "--format", "csv", "--set",
+                                f"pseudo_image_height={height}")
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        base = self.report(Variant.BASE, height).total_madds
+        assert [row["name"] for row in rows] == [v.value for v in Variant]
+        for row, variant in zip(rows, Variant):
+            report = self.report(variant, height)
+            assert row == {
+                "name": variant.value, "madds": str(report.total_madds),
+                "params": str(report.total_params),
+                "gmadds": half_up_hundredths(Fraction(report.total_madds, 10 ** 9)),
+                "madd_speedup": half_up_hundredths(Fraction(base, report.total_madds))}
+
+    def test_describe(self, capsys):
+        self.check_describe(capsys, self.HEIGHT)
+
+    def test_describe_past_the_float_range(self, capsys):
+        self.check_describe(capsys, self.PAST_FLOAT)
 
     @pytest.mark.parametrize("command", ["describe", "cost", "compare"])
     def test_a_cost_too_long_to_print_is_domain_error(self, capsys, command):
@@ -421,15 +447,7 @@ class TestHugeCost:
         assert err.startswith("error: Exceeds the limit (4300 digits)") and err.count("\n") == 1
 
     def test_compare_csv(self, capsys):
-        code, out, err = invoke(capsys, "compare", "--format", "csv", *self.FLAGS)
-        assert (code, err) == (0, "")
-        rows = list(csv.DictReader(io.StringIO(out)))
-        base = self.report(Variant.BASE).total_madds
-        assert [row["name"] for row in rows] == [v.value for v in Variant]
-        for row, variant in zip(rows, Variant):
-            report = self.report(variant)
-            assert row == {
-                "name": variant.value, "madds": str(report.total_madds),
-                "params": str(report.total_params),
-                "gmadds": half_up_hundredths(Fraction(report.total_madds, 10 ** 9)),
-                "madd_speedup": half_up_hundredths(Fraction(base, report.total_madds))}
+        self.check_compare_csv(capsys, self.HEIGHT)
+
+    def test_compare_csv_past_the_float_range(self, capsys):
+        self.check_compare_csv(capsys, self.PAST_FLOAT)

@@ -7,7 +7,7 @@ import pytest
 
 from pillarcost.graph import (
     Add, ArityMismatchError, BatchNorm, ChannelShuffle, ChannelSplit, Concat,
-    Conv, DuplicateNameError, Edge, Graph, GraphError, Input, MaxPool, Node,
+    Conv, DuplicateNameError, Edge, FieldError, Graph, GraphError, Input, MaxPool, Node,
     ReLU, Scatter, ShapeError, TensorShape, TransposedConv, UnknownInputError,
     _KIND_CLASSES,
 )
@@ -258,6 +258,39 @@ class TestAddNode:
     def test_inputs_of_unknown_node_rejected(self):
         with pytest.raises(UnknownInputError):
             small_chain().inputs_of(4)
+
+
+class TestSpec:
+    """``Graph.spec`` makes each distinct spec once per graph."""
+
+    BIASED = (16, 1, 1, 1, 1, 0, 0, 1, True)
+
+    def test_equal_arguments_return_one_object(self):
+        g = Graph()
+        first = g.spec(Conv, *self.BIASED)
+        assert g.spec(Conv, *self.BIASED) is first
+        assert first == Conv(16, 1, 1, has_bias=True)
+        assert g.spec(Conv, 32, *self.BIASED[1:]) == Conv(32, 1, 1, has_bias=True)
+
+    @pytest.mark.parametrize("position,value,message", [
+        (8, 1, "has_bias must be a bool, got 1"),
+        (0, Int(16), "out_channels must be an integer >= 1, got 16"),
+        (1, True, "kernel_h must be an integer >= 1, got True"),
+    ], ids=["int-for-bool", "int-subclass", "bool-for-int"])
+    def test_an_equal_argument_of_another_type_is_still_checked(self, position, value,
+                                                                 message):
+        g = Graph()
+        g.spec(Conv, *self.BIASED)
+        args = list(self.BIASED)
+        args[position] = value
+        with pytest.raises(FieldError, match=f"^{re.escape(message)}$"):
+            g.spec(Conv, *args)
+
+    def test_two_graphs_share_no_spec(self):
+        a, b = Graph(), Graph()
+        assert a.spec(Conv, *self.BIASED) == b.spec(Conv, *self.BIASED)
+        assert a.spec(Conv, *self.BIASED) is not b.spec(Conv, *self.BIASED)
+        assert a.spec(ChannelShuffle, 2) is not b.spec(ChannelShuffle, 2)
 
 
 class TestValidate:
