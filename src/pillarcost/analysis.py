@@ -280,6 +280,11 @@ def load_points(path: str | Path) -> list[DesignPoint]:
             raise AnalysisError(f"{path}: bad design point record: {err}") from err
     if not points:
         raise AnalysisError(f"{path}: no design points found")
+    names = set()
+    for point in points:  # the commands look points up by name
+        if point.name in names:
+            raise AnalysisError(f"{path}: design point name {point.name!r} is given twice")
+        names.add(point.name)
     return points
 
 

@@ -66,66 +66,43 @@ class Record:
             name for name, kind in vars(cls).get("__annotations__", {}).items()
             if not kind.startswith("ClassVar"))
         cls._defaults = {name: getattr(cls, name) for name in fields if hasattr(cls, name)}
-        # _tails[n]: the defaults of the fields after the first n, or None
-        # when one of them has no default or is copied per record
-        fixed = [cls._defaults.get(name, _NO_DEFAULT) for name in fields]
-        cls._tails = tuple(
-            None if any(value is _NO_DEFAULT or type(value) in _MUTABLE_TYPES
-                        for value in fixed[n:]) else tuple(fixed[n:])
-            for n in range(len(fields) + 1))
         cls._check_at = tuple((fields.index(name), name, check)
                               for name, check in cls._checks.items())
 
     def __init__(self, *args, **kwargs) -> None:
         cls = self.__class__
-        tails = cls._tails
-        if kwargs or len(args) >= len(tails) or tails[len(args)] is None:
-            args = cls._bind(args, kwargs)
-        else:
-            args += tails[len(args)]
-        if cls._check_at:
-            args = list(args)
-            for index, name, check in cls._check_at:
-                args[index] = check(args[index], name)
-        for name, value in zip(cls._fields, args):
-            _set(self, name, value)
-        if cls.__post_init__ is not None:
-            self.__post_init__()
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> list:
-        """The field values of a call that names fields or leaves some out,
-        or the TypeError Python raises for a call that fits no signature."""
         fields, defaults = cls._fields, cls._defaults
-        if not args and len(kwargs) == len(fields):
-            try:  # every field named, as Graph.from_json does
-                return [kwargs[name] for name in fields]
-            except KeyError:  # an unknown name, reported below
-                pass
-        call = f"{cls.__qualname__}.__init__()"
+        # a call that fits no signature raises the TypeError Python would
+        qualname = cls.__qualname__
         if len(args) > len(fields):
             most = len(fields) + 1  # Python counts self
             takes = f"from {most - len(defaults)} to {most}" if defaults else str(most)
-            raise TypeError(f"{call} takes {takes} positional argument"
+            raise TypeError(f"{qualname}.__init__() takes {takes} positional argument"
                             f"{'' if takes == '1' else 's'} but {len(args) + 1} were given")
-        values = dict(zip(fields, args))
-        for name, value in kwargs.items():
-            if name not in fields:
-                raise TypeError(f"{call} got an unexpected keyword argument {name!r}")
-            if name in values:
-                raise TypeError(f"{call} got multiple values for argument {name!r}")
-            values[name] = value
-        missing = [repr(name) for name in fields if name not in values and name not in defaults]
+        values, missing = list(args), []
+        for name in fields[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in defaults:
+                value = defaults[name]
+                values.append(type(value)(value) if type(value) in _MUTABLE_TYPES else value)
+            else:
+                missing.append(repr(name))
+        for name in kwargs:  # the first one left over, in call order
+            problem = ("multiple values for argument" if name in fields
+                       else "an unexpected keyword argument")
+            raise TypeError(f"{qualname}.__init__() got {problem} {name!r}")
         if missing:
             names = missing[0] if len(missing) == 1 else (
                 f"{', '.join(missing[:-1])}{',' if len(missing) > 2 else ''} and {missing[-1]}")
-            raise TypeError(f"{call} missing {len(missing)} required positional argument"
-                            f"{'s' if len(missing) > 1 else ''}: {names}")
-        for name in fields:
-            if name not in values:
-                value = defaults[name]
-                values[name] = type(value)(value) if type(value) in _MUTABLE_TYPES else value
-        return [values[name] for name in fields]
+            raise TypeError(f"{qualname}.__init__() missing {len(missing)} required positional "
+                            f"argument{'s' if len(missing) > 1 else ''}: {names}")
+        for index, name, check in cls._check_at:
+            values[index] = check(values[index], name)
+        for name, value in zip(fields, values):
+            _set(self, name, value)
+        if cls.__post_init__ is not None:
+            self.__post_init__()
 
     # Fields are read with getattr, never through __dict__: reading an
     # instance's __dict__ makes every later attribute read of it slower.
@@ -165,7 +142,6 @@ class Record:
 
 
 _set = object.__setattr__
-_NO_DEFAULT = object()
 _MUTABLE_TYPES = (dict, list, set)
 
 

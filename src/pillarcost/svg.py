@@ -5,9 +5,10 @@ dependence: identical inputs produce byte-identical documents.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .analysis import DesignPoint, fmt2, map_of, pareto_front
+from .analysis import AnalysisError, DesignPoint, fmt2, map_of, pareto_front
 
 WIDTH = 800
 HEIGHT = 600
@@ -26,8 +27,6 @@ def _fmt(value: float) -> str:
 
 
 def _nice_ticks(lo: float, hi: float, count: int = 6) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / count
     step = 1.0
     while step < raw:
@@ -46,22 +45,38 @@ def _nice_ticks(lo: float, hi: float, count: int = 6) -> list[float]:
     return ticks
 
 
-def render_scatter(points: list[DesignPoint], scope: str = "overall",
-                   front: list[str] | None = None) -> str:
-    """Render labeled design points, highlighting the Pareto front."""
-    if front is None:
-        front = pareto_front(points, scope)
-    front_set = set(front)
-    coords = [(float(p.gmadds), float(map_of(p, scope)), p.name) for p in points]
+def _axis(values: list[float]) -> tuple[float, float]:
+    """The plotted range of ``values``: 8% wider on each side, or 1.0 when
+    they are all equal.
 
-    xs = [c[0] for c in coords]
-    ys = [c[1] for c in coords]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    x_pad = (x_hi - x_lo) * 0.08 or 1.0
-    y_pad = (y_hi - y_lo) * 0.08 or 1.0
-    x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
-    y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
+    _nice_ticks steps by a sixth to ten sixths of the range, up to half a
+    step past its end.  A range where such a step would not move a float at
+    its ends, or whose last tick would pass the float range, raises an
+    AnalysisError instead of looping forever.
+    """
+    lo, hi = min(values), max(values)
+    pad = (hi - lo) * 0.08 or 1.0
+    lo, hi = lo - pad, hi + pad
+    if not (math.ulp(max(-lo, hi)) < (hi - lo) / 6 and hi + 2 * (hi - lo) < math.inf):
+        raise AnalysisError(f"cannot plot an axis from {min(values):g} to {max(values):g}: "
+                            "float coordinates cannot resolve it")
+    return lo, hi
+
+
+def render_scatter(points: list[DesignPoint], scope: str = "overall") -> str:
+    """Render labeled design points, highlighting the Pareto front."""
+    front_set = set(pareto_front(points, scope))
+    coords = []
+    for p in points:
+        try:
+            x = float(p.gmadds)
+        except OverflowError:
+            raise AnalysisError(f"cannot plot {p.name}: its GMAdd is past the float "
+                                "range") from None
+        coords.append((x, float(map_of(p, scope)), p.name))
+
+    x_lo, x_hi = _axis([c[0] for c in coords])
+    y_lo, y_hi = _axis([c[1] for c in coords])
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B

@@ -255,6 +255,14 @@ class TestLoadPoints:
         with pytest.raises(AnalysisError):
             load_points(path)
 
+    def test_repeated_name_reported(self, tmp_path):
+        path = tmp_path / "pts.json"
+        path.write_text(json.dumps([{"name": "a", "gmadds": 1}, {"name": "b", "gmadds": 2},
+                                    {"name": "a", "gmadds": 100}]))
+        with pytest.raises(AnalysisError) as info:
+            load_points(path)
+        assert str(info.value) == f"{path}: design point name 'a' is given twice"
+
     def test_empty_dataset_reported(self, tmp_path):
         path = tmp_path / "pts.json"
         path.write_text("[]")

@@ -2,7 +2,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +143,15 @@ class TestPareto:
         assert list(csv.reader(io.StringIO(out))) == [
             ["name", "gmadds", "map"], ["a,b", "1.00", "50.00"]]
 
+    def test_repeated_name_is_domain_error(self, capsys, tmp_path):
+        points = json.loads(Path(data_path()).read_text())["points"]
+        copy = dict(next(p for p in points if p["name"] == "MobilenetV1"), gmadds=100)
+        data = tmp_path / "points.json"
+        data.write_text(json.dumps(points + [copy]))
+        code, out, err = invoke(capsys, "pareto", "--data", str(data), "--format", "csv")
+        assert (code, out) == (1, "")
+        assert err == f"error: {data}: design point name 'MobilenetV1' is given twice\n"
+
     def test_missing_file_is_domain_error(self, capsys):
         code, _, err = invoke(capsys, "pareto", "--data", "/no/such/file.json")
         assert code == 1 and err.startswith("error:")
@@ -180,6 +193,9 @@ class TestAmdahl:
         assert code == 1 and "\n" not in err.strip()
 
 
+UNRESOLVED = ": float coordinates cannot resolve it"
+
+
 class TestPlotExport:
     def test_plot_writes_svg(self, capsys, tmp_path):
         target = tmp_path / "front.svg"
@@ -188,6 +204,29 @@ class TestPlotExport:
         assert code == 0
         text = target.read_text()
         assert text.startswith("<?xml") and text.count("<circle") == 11
+
+    # gmadds values as JSON number text; a regression may hang, so each
+    # plot runs in its own process under a timeout
+    @pytest.mark.parametrize("gmadds, message", [
+        (["7.8", "1.7e308"], "cannot plot an axis from 7.8 to 1.7e+308" + UNRESOLVED),
+        (["1e20"], "cannot plot an axis from 1e+20 to 1e+20" + UNRESOLVED),
+        (["7.8", "1e400"], "cannot plot p1: its GMAdd is past the float range"),
+    ], ids=["padding_overflows", "no_float_resolution", "past_float_range"])
+    def test_plot_of_unplottable_gmadds_is_domain_error(self, tmp_path, gmadds, message):
+        data = tmp_path / "points.json"
+        data.write_text("[" + ", ".join(
+            f'{{"name": "p{i}", "gmadds": {value}, "ap": '
+            f'{{"Car": {{"Easy": 50, "Mod": 50, "Hard": 50}}}}}}'
+            for i, value in enumerate(gmadds)) + "]")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pillarcost.cli", "plot", "--scope", "car",
+             "--data", str(data)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+            timeout=30)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
 
     def test_export_graph_round_trips(self, capsys):
         from pillarcost.graph import Graph

@@ -134,6 +134,70 @@ class TestContract:
             assert getattr(changed, name) == getattr(cls(*other), name)
 
 
+# the required fields each class reports when called with none
+MISSING = {
+    Input: "1 required positional argument: 'shape'",
+    Conv: "3 required positional arguments: 'out_channels', 'kernel_h', and 'kernel_w'",
+    TransposedConv: "3 required positional arguments: 'out_channels', 'kernel_h', "
+                    "and 'kernel_w'",
+    MaxPool: "2 required positional arguments: 'kernel_h' and 'kernel_w'",
+    ChannelSplit: "1 required positional argument: 'fractions'",
+    ChannelShuffle: "1 required positional argument: 'groups'",
+    Scatter: "2 required positional arguments: 'out_height' and 'out_width'",
+    DesignPoint: "2 required positional arguments: 'name' and 'gmadds'",
+    TimingProfile: "2 required positional arguments: 'stage_fractions' and 'base_latency_ms'",
+    CostReport: "1 required positional argument: 'per_node'",
+}
+
+
+@pytest.mark.parametrize("cls, args, text, other", CASES, ids=IDS)
+class TestBinder:
+    def test_keywords_bind_as_positions_do(self, cls, args, text, other):
+        values = cls(*args)._values()
+        for split in range(len(values) + 1):
+            # named in reverse: fields bind by name, not by call order
+            named = dict(reversed(list(zip(cls._fields, values))[split:]))
+            record = cls(*values[:split], **named)
+            assert record == cls(*args) and repr(record) == text
+
+    def test_too_many_positions_win_over_a_bad_keyword(self, cls, args, text, other):
+        extra = (1,) * (len(cls._fields) + 1)
+        with pytest.raises(TypeError, match=rf"^{cls.__qualname__}\.__init__\(\) takes .* "
+                                            rf"but {len(extra) + 1} were given$"):
+            cls(*extra, nope=1)
+
+    def test_the_first_bad_keyword_in_call_order_wins(self, cls, args, text, other):
+        prefix = rf"^{cls.__qualname__}\.__init__\(\) got "
+        for first, second in (("nope", "zap"), ("zap", "nope")):
+            with pytest.raises(TypeError,
+                               match=f"{prefix}an unexpected keyword argument '{first}'$"):
+                cls(*args, **{first: 1, second: 1})
+        if cls._fields:
+            values = cls(*args)._values()
+            name = cls._fields[0]
+            with pytest.raises(TypeError, match=f"{prefix}multiple values for argument '{name}'$"):
+                cls(*values, **{name: values[0]}, nope=1)
+            with pytest.raises(TypeError, match=f"{prefix}an unexpected keyword argument 'nope'$"):
+                cls(*values, nope=1, **{name: values[0]})
+
+    def test_missing_fields_are_reported_last(self, cls, args, text, other):
+        if cls not in MISSING:
+            assert all(name in cls._defaults for name in cls._fields)
+            return
+        with pytest.raises(TypeError, match="unexpected keyword argument 'nope'"):
+            cls(nope=1)
+        with pytest.raises(TypeError) as caught:
+            cls()
+        assert str(caught.value) == f"{cls.__qualname__}.__init__() missing {MISSING[cls]}"
+
+
+def test_extra_positions_are_reported_before_a_bad_keyword():
+    with pytest.raises(TypeError) as caught:
+        Conv(64, 3, 3, 1, 1, 1, 1, 1, False, 9, nope=1)
+    assert str(caught.value) == \
+        "Conv.__init__() takes from 4 to 10 positional arguments but 11 were given"
+
+
 def test_fieldless_kinds_differ_from_each_other():
     for a, b in itertools.combinations(FIELDLESS, 2):
         assert a() != b() and b() != a()

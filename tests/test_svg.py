@@ -2,9 +2,11 @@
 import re
 import xml.etree.ElementTree as ET
 
-from pillarcost.analysis import (default_dataset_path, load_points,
-                                 pareto_front)
-from pillarcost.svg import render_scatter
+import pytest
+
+from pillarcost.analysis import (AnalysisError, default_dataset_path,
+                                 load_points, pareto_front)
+from pillarcost.svg import _axis, _nice_ticks, render_scatter
 
 from test_analysis import point
 
@@ -33,11 +35,6 @@ class TestRenderScatter:
         highlighted = doc.count('stroke-width="2"')
         assert highlighted == len(front) == 3
 
-    def test_explicit_front_overrides_computation(self):
-        points = shipped_points()
-        doc = render_scatter(points, "overall", front=["base"])
-        assert doc.count('stroke-width="2"') == 1
-
     def test_single_point_is_its_own_front(self):
         doc = render_scatter([point("solo", 5, 50)])
         assert doc.count("<circle") == 1
@@ -62,3 +59,21 @@ class TestRenderScatter:
         doc = render_scatter(shipped_points())
         assert "id=" not in doc
         assert not re.search(r"\d{4}-\d{2}-\d{2}", doc)
+
+
+class TestAxis:
+    @pytest.mark.parametrize("values", [
+        [7.8, 1.7e308],  # the padded range overflows
+        [1.0, 1.5e308],  # the padded range fits, but the last tick would not
+        [1e20],  # a step of a sixth of the range would not move a float
+        [1e16, 1e16 + 2],
+    ])
+    def test_a_range_ticks_cannot_cross_is_refused(self, values):
+        with pytest.raises(AnalysisError, match="float coordinates cannot resolve it$"):
+            _axis(values)
+
+    @pytest.mark.parametrize("values", [[5e-324], [1e15], [1.0, 5e307], [34.91, 7.8]])
+    def test_an_accepted_range_gets_a_few_ticks(self, values):
+        lo, hi = _axis(values)
+        assert lo < min(values) <= max(values) < hi
+        assert 3 <= len(_nice_ticks(lo, hi)) <= 13
