@@ -99,7 +99,7 @@ class ArchConfig(Record):
         if annotation == "tuple[int, ...]" and isinstance(value, (list, tuple)) \
                 and all(_is_int(v) for v in value):
             return tuple(value)
-        if annotation == "Fraction" and not isinstance(value, bool):
+        if annotation == "Fraction":
             try:
                 return exact_fraction(value)
             except (TypeError, ValueError, OverflowError, ZeroDivisionError):

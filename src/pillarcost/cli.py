@@ -177,6 +177,8 @@ def _parse_speedups(items: list[str]) -> dict[str, Fraction | float]:
         if "=" not in item:
             raise CliError(f"speedup {item!r} is not of the form stage=value")
         stage, raw = (part.strip() for part in item.split("=", 1))
+        if stage in speedups:
+            raise CliError(f"speedup for stage {stage!r} is given twice")
         if raw.lower() in ("inf", "infinity"):
             speedups[stage] = float("inf")
             continue

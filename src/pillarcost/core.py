@@ -24,9 +24,12 @@ class NumberError(PillarcostError, ValueError):
 
 
 def exact_fraction(value) -> Fraction:
-    """``Fraction(value)``, except that a string whose decimal exponent is
-    over MAX_EXPONENT in magnitude raises a NumberError naming it: Fraction
-    expands the exponent exactly, in time that grows faster than it."""
+    """``Fraction(value)``, except that a bool (a JSON ``true``) or a string
+    whose decimal exponent is over MAX_EXPONENT in magnitude raises a
+    NumberError naming it: Fraction reads ``True`` as 1, and expands the
+    exponent exactly, in time that grows faster than it."""
+    if isinstance(value, bool):
+        raise NumberError(f"{value!r} is not a number")
     if isinstance(value, str):
         _, e, exponent = value.lower().partition("e")
         exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")

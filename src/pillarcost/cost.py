@@ -15,7 +15,7 @@ from .core import PillarcostError, Record
 from .graph import (  # ShapeError and ShapeInconsistent are re-exported
     BatchNorm, Graph, NodeSpec, ShapeError, ShapeInconsistent, TensorShape,
 )
-from .shapes import walk_shapes
+from .shapes import Key, walk_shapes
 
 
 def node_madds(spec: NodeSpec, input_shapes: list[TensorShape],
@@ -93,16 +93,21 @@ def graph_cost(graph: Graph, count_batchnorm: bool = True) -> CostReport:
     """Cost every node of a valid single-input graph.
 
     ``count_batchnorm=False`` treats BatchNorm as folded into the preceding
-    convolution (0 MAdd, 0 params).
+    convolution (0 MAdd, 0 params).  Each distinct key of ``walk_shapes``
+    is costed once per call.
     """
     rows: list[NodeCost] = []
-    for (_, spec, name, _), in_shapes, out_shapes in walk_shapes(graph):
-        if not count_batchnorm and isinstance(spec, BatchNorm):
-            rows.append(tuple.__new__(NodeCost, (name, spec.kind, 0, 0)))
-            continue
-        rows.append(tuple.__new__(NodeCost, (name, spec.kind,
-                                             spec.madds(in_shapes, out_shapes),
-                                             spec.params(in_shapes))))
+    costs: dict[Key, tuple[str, int, int]] = {}  # (kind, madds, params) per key
+    for (_, spec, name, _), key, out_shapes in walk_shapes(graph):
+        cost = costs.get(key)
+        if cost is None:
+            if count_batchnorm or not isinstance(spec, BatchNorm):
+                in_shapes = key[1]
+                cost = (spec.kind, spec.madds(in_shapes, out_shapes), spec.params(in_shapes))
+            else:
+                cost = (spec.kind, 0, 0)
+            costs[key] = cost
+        rows.append(tuple.__new__(NodeCost, (name, *cost)))
     return CostReport(tuple(rows))
 
 

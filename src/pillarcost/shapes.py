@@ -2,7 +2,8 @@
 
 Each node kind's shape rule is its spec's ``output_shapes`` in ``graph``.
 ``walk_shapes`` yields every node of a graph with its input and output
-shapes in topological order, reading each node's inputs off the node, and
+shapes in topological order, reading each node's inputs off the node and
+computing the output shapes once per distinct spec and input shapes, and
 ``infer_all`` collects them into a total map from (node id, output port) to
 TensorShape.  A graph is valid by construction, so neither re-checks it.
 """
@@ -24,26 +25,42 @@ def node_output_shape(spec: NodeSpec,
 
 
 ShapeMap = dict[tuple[int, int], TensorShape]
+# (id of a node's spec, the node's input shapes in port order)
+Key = tuple[int, tuple[TensorShape, ...]]
 
 
 def walk_shapes(graph: Graph) -> Iterator[
-        tuple[Node, list[TensorShape], list[TensorShape]]]:
-    """Yield (node, input shapes, output shapes) for every node of a
-    single-input graph in id order, which is topological."""
+        tuple[Node, Key, list[TensorShape]]]:
+    """Yield (node, key, output shapes) for every node of a single-input
+    graph in id order, which is topological.
+
+    ``key`` is ``(id(node.spec), input shapes)``, the input shapes a tuple in
+    port order.  Nodes with equal keys have equal outputs and costs, so the
+    output shapes are computed once per key and the list is shared between
+    them; the table goes when the walk does.
+    """
     inputs = len(graph.input_nodes())
     if inputs != 1:
         raise InvalidGraphError(
             f"shape inference needs exactly one input node, found {inputs}")
 
     outputs: list[list[TensorShape]] = []
+    known: dict[Key, list[TensorShape]] = {}
     for node in graph.nodes:
-        in_shapes = [outputs[src][port] for src, port in node.inputs]
-        try:
-            out_shapes = node_output_shape(node.spec, in_shapes)
-        except ShapeError as err:
-            raise type(err)(f"{node.name}: {err}") from err
+        feeds = node.inputs
+        if len(feeds) == 1:
+            ((src, port),) = feeds
+            key = (id(node.spec), (outputs[src][port],))
+        else:
+            key = (id(node.spec), tuple([outputs[src][port] for src, port in feeds]))
+        out_shapes = known.get(key)
+        if out_shapes is None:
+            try:
+                out_shapes = known[key] = node_output_shape(node.spec, key[1])
+            except ShapeError as err:
+                raise type(err)(f"{node.name}: {err}") from err
         outputs.append(out_shapes)
-        yield node, in_shapes, out_shapes
+        yield node, key, out_shapes
 
 
 def infer_all(graph: Graph) -> ShapeMap:

@@ -26,6 +26,19 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
+def _tick_labels(ticks: list[float]) -> list[str]:
+    """Two decimals when they tell the ticks apart in at most 10 characters;
+    otherwise the fewest significant digits that do."""
+    labels = [_fmt(tick) for tick in ticks]
+    if len(set(labels)) == len(ticks) and all(len(label) <= 10 for label in labels):
+        return labels
+    for digits in range(1, 18):  # 17 digits tell any two floats apart
+        labels = [f"{tick:.{digits}g}" for tick in ticks]
+        if len(set(labels)) == len(ticks):
+            break
+    return labels
+
+
 def _nice_ticks(lo: float, hi: float, count: int = 6) -> list[float]:
     raw = (hi - lo) / count
     step = 1.0
@@ -100,7 +113,8 @@ def render_scatter(points: list[DesignPoint], scope: str = "overall") -> str:
         'fill="none" stroke="#404040"/>',
     ]
 
-    for tick in _nice_ticks(x_lo, x_hi):
+    x_ticks = _nice_ticks(x_lo, x_hi)
+    for tick, label in zip(x_ticks, _tick_labels(x_ticks)):
         px = sx(tick)
         lines.append(
             f'<line x1="{_fmt(px)}" y1="{MARGIN_T}" x2="{_fmt(px)}" '
@@ -108,15 +122,16 @@ def render_scatter(points: list[DesignPoint], scope: str = "overall") -> str:
         lines.append(
             f'<text x="{_fmt(px)}" y="{MARGIN_T + plot_h + 20}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-            f'{_fmt(tick)}</text>')
-    for tick in _nice_ticks(y_lo, y_hi):
+            f'{label}</text>')
+    y_ticks = _nice_ticks(y_lo, y_hi)
+    for tick, label in zip(y_ticks, _tick_labels(y_ticks)):
         py = sy(tick)
         lines.append(
             f'<line x1="{MARGIN_L}" y1="{_fmt(py)}" x2="{MARGIN_L + plot_w}" '
             f'y2="{_fmt(py)}" stroke="#d8d8d8"/>')
         lines.append(
             f'<text x="{MARGIN_L - 8}" y="{_fmt(py + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">{_fmt(tick)}</text>')
+            f'font-family="sans-serif" font-size="12">{label}</text>')
 
     lines.append(
         f'<text x="{MARGIN_L + plot_w // 2}" y="{HEIGHT - 12}" '

@@ -186,6 +186,14 @@ class TestAmdahl:
             "--speedup", "backbone=fast")
         assert code == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize("second", ["backbone=inf", "backbone=2", " backbone =3"])
+    def test_stage_given_twice_is_domain_error(self, capsys, second):
+        code, out, err = invoke(
+            capsys, "amdahl", "--profile", timing_path("fpga_timing.json"),
+            "--speedup", "backbone=2", "--speedup", second)
+        assert (code, out) == (1, "")
+        assert err == "error: speedup for stage 'backbone' is given twice\n"
+
     def test_unknown_stage_is_domain_error(self, capsys):
         code, _, err = invoke(
             capsys, "amdahl", "--profile", timing_path("fpga_timing.json"),
@@ -338,6 +346,21 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
         assert "has a decimal exponent over 4300" in err
+
+    @pytest.mark.parametrize("command, key, payload", [
+        ("amdahl", "--profile", '{"stage_fractions": {"a": 0.5}, "base_latency_ms": true}'),
+        ("amdahl", "--profile", '{"stage_fractions": {"a": true}, "base_latency_ms": 5}'),
+        ("pareto", "--data", '[{"name": "base", "gmadds": true}]'),
+        ("plot", "--data", '[{"name": "x", "gmadds": 1, "ap": {"Car": {"Easy": false}}}]'),
+    ], ids=["profile_latency", "profile_fraction", "data_gmadds", "data_ap"])
+    def test_json_boolean_is_not_a_number(self, capsys, tmp_path, command, key, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(payload)
+        code, out, err = invoke(capsys, command, key, str(bad), *(
+            ["--format", "csv"] if command != "plot" else []))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {bad}: bad ") and err.count("\n") == 1
+        assert err.endswith(" is not a number\n")
 
     def test_huge_decimal_exponent_in_a_speedup_is_domain_error(self, capsys):
         code, out, err = invoke(capsys, "amdahl", "--profile", timing_path("fpga_timing.json"),

@@ -1,22 +1,24 @@
 """Multiply-add and parameter accounting, checked against loop oracles."""
 import csv
+import importlib
 import io
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import pillarcost.shapes
-from pillarcost.arch import Variant, build_pointpillars
+from pillarcost.arch import ArchConfig, Variant, build_pointpillars
 from pillarcost.cost import (
-    CostReport, ShapeInconsistent, graph_cost, node_madds, node_params,
+    CostReport, ShapeError, ShapeInconsistent, graph_cost, node_madds, node_params,
     speedup_vs_base,
 )
 from pillarcost.graph import (
     Add, BatchNorm, ChannelShuffle, Concat, Conv, Graph, Input, MaxPool, ReLU,
     Scatter, TensorShape, TransposedConv,
 )
-from pillarcost.shapes import node_output_shape
+from pillarcost.shapes import infer_all, node_output_shape
 
 
 def conv_madds_oracle(spec: Conv, shape: TensorShape) -> int:
@@ -207,9 +209,13 @@ class TestGraphCost:
 
     @pytest.mark.parametrize("count_batchnorm", [True, False])
     def test_single_walk(self, monkeypatch, count_batchnorm):
-        """One shape inference per node; no validation pass, no per-node
-        edge scan and no separate ordering pass."""
+        """One shape inference per distinct (spec object, input shapes); no
+        validation pass, no per-node edge scan and no separate ordering
+        pass."""
         graph = build_pointpillars(Variant.SHUFFLENET_V2)
+        shapes = infer_all(graph)
+        distinct = {(id(node.spec), tuple(shapes[feed] for feed in node.inputs))
+                    for node in graph.nodes}
         calls = Counter()
 
         def count(owner, name):
@@ -225,7 +231,7 @@ class TestGraphCost:
         count(pillarcost.shapes, "node_output_shape")
         report = graph_cost(graph, count_batchnorm=count_batchnorm)
         assert len(report.per_node) == len(graph)
-        assert calls == {"node_output_shape": len(graph)}
+        assert calls == {"node_output_shape": len(distinct)}
 
     def test_json_report(self):
         report = graph_cost(tiny_graph())
@@ -233,6 +239,86 @@ class TestGraphCost:
         assert doc["total_madds"] == report.total_madds
         assert doc["per_stage"]["stem"]["params"] == 16 * 3 * 9 + 32
         assert len(doc["per_node"]) == 5
+
+
+class TestOncePerKey:
+    """graph_cost shapes and costs each distinct (spec object, input shapes)
+    once per call; every node still gets its own row."""
+
+    @staticmethod
+    def count_shape_calls(monkeypatch) -> Counter:
+        calls = Counter()
+        original = pillarcost.shapes.node_output_shape
+
+        def counted(spec, input_shapes):
+            calls[spec] += 1
+            return original(spec, input_shapes)
+        monkeypatch.setattr(pillarcost.shapes, "node_output_shape", counted)
+        return calls
+
+    def test_one_spec_at_two_resolutions(self, monkeypatch):
+        conv = Conv(8, 3, 3, pad_h=1, pad_w=1)
+        g = Graph()
+        a = g.add_node(Input(TensorShape(8, 8, 8)), name="in")
+        b = g.add_node(conv, [(a, 0)], name="fine")
+        c = g.add_node(conv, [(b, 0)], name="fine.again")
+        d = g.add_node(MaxPool(2, 2, 2, 2), [(c, 0)], name="pool")
+        g.add_node(conv, [(d, 0)], name="coarse")
+        calls = self.count_shape_calls(monkeypatch)
+        rows = {name: rest for name, *rest in graph_cost(g).per_node}
+        weights = 8 * 8 * 9
+        assert rows["fine"] == rows["fine.again"] == ["conv", weights * 64, weights]
+        assert rows["coarse"] == ["conv", weights * 16, weights]
+        assert calls[conv] == 2  # fine.again reuses fine's shapes
+        assert infer_all(g)[(4, 0)] == TensorShape(8, 4, 4)
+
+    def test_equal_distinct_specs_cost_alike(self, monkeypatch):
+        first, second = Conv(4, 1, 1, has_bias=True), Conv(4, 1, 1, has_bias=True)
+        assert first == second and first is not second
+        g = Graph()
+        a = g.add_node(Input(TensorShape(4, 5, 5)), name="in")
+        b = g.add_node(first, [(a, 0)], name="first")
+        g.add_node(second, [(b, 0)], name="second")
+        calls = self.count_shape_calls(monkeypatch)
+        report = graph_cost(g)
+        expected = 4 * 4 * 25 + 4 * 25, 4 * 4 + 4
+        assert [(r.madds, r.params) for r in report.per_node[1:]] == [expected] * 2
+        assert calls[first] == 2  # keyed by object: equal specs are shaped apart
+
+    def test_error_names_the_first_failing_node(self):
+        narrow = Conv(8, 3, 3)
+        g = Graph()
+        a = g.add_node(Input(TensorShape(8, 4, 4)), name="in")
+        b = g.add_node(narrow, [(a, 0)], name="fits")
+        c = g.add_node(narrow, [(b, 0)], name="first.bad")
+        g.add_node(narrow, [(b, 0)], name="second.bad")
+        g.add_node(ReLU(), [(c, 0)], name="after")
+        for walk in (infer_all, graph_cost):
+            with pytest.raises(ShapeError, match="^first.bad: conv height"):
+                walk(g)
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_infer_all_matches_a_walk_without_sharing(self, variant):
+        graph = build_pointpillars(variant, ArchConfig(block_units=(2, 2, 2)))
+        expected = {}
+        for node in graph.nodes:
+            ins = [expected[feed] for feed in node.inputs]
+            for port, shape in enumerate(node.spec.output_shapes(ins)):
+                expected[(node.id, port)] = shape
+        assert infer_all(graph) == expected
+
+
+@pytest.mark.parametrize("count_batchnorm", [True, False], ids=["bn", "folded"])
+@pytest.mark.parametrize("units", [None, (12, 12, 12)], ids=["paper", "units12"])
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_graph_cost_matches_independent_recount(monkeypatch, variant, units, count_batchnorm):
+    """Every row agrees with bench/refcount.py, which shares no code with
+    the package."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    refcount = importlib.import_module("refcount")
+    graph = build_pointpillars(variant, units and ArchConfig(block_units=units))
+    report = graph_cost(graph, count_batchnorm=count_batchnorm)
+    assert list(report.per_node) == refcount.recount(graph.to_json_dict(), count_batchnorm)
 
 
 class TestSpeedup:

@@ -484,6 +484,17 @@ class TestJsonRoundTrip:
             Graph.from_json(json.dumps(doc))
         assert "\n" not in str(info.value)
 
+    @pytest.mark.parametrize("fractions", [[True], [False, 1], ["1/2", True]],
+                             ids=["true", "false", "mixed"])
+    def test_boolean_split_fraction_is_graph_error(self, fractions):
+        # Fraction(True) is 1, so [true] would load as a valid one-way split
+        doc = {"nodes": [{"id": 0, "name": "in", "kind": "input", "attrs": {"shape": [4, 2, 2]}},
+                         {"id": 1, "name": "split", "kind": "channel_split",
+                          "attrs": {"fractions": fractions}}],
+               "edges": [[0, 0, 1, 0]]}
+        with pytest.raises(GraphError, match="^node 'split': (True|False) is not a number$"):
+            Graph.from_json(json.dumps(doc))
+
     @pytest.mark.parametrize("text", ["[" * 100_000, "[" + "9" * 5000 + "]", "{", ""],
                              ids=["too_deep", "int_over_digit_limit", "truncated", "empty"])
     def test_malformed_json_is_one_line_graph_error(self, text):

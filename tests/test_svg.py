@@ -1,12 +1,13 @@
 """SVG scatter rendering: structure, highlighting, determinism."""
 import re
+from fractions import Fraction
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from pillarcost.analysis import (AnalysisError, default_dataset_path,
                                  load_points, pareto_front)
-from pillarcost.svg import _axis, _nice_ticks, render_scatter
+from pillarcost.svg import _axis, _nice_ticks, _tick_labels, render_scatter
 
 from test_analysis import point
 
@@ -77,3 +78,38 @@ class TestAxis:
         lo, hi = _axis(values)
         assert lo < min(values) <= max(values) < hi
         assert 3 <= len(_nice_ticks(lo, hi)) <= 13
+
+
+def tick_labels(doc):
+    """(x labels, y labels) in tick order."""
+    return (re.findall(r'<text x="[^"]+" y="565" [^>]*>([^<]*)</text>', doc),
+            re.findall(r'text-anchor="end" [^>]*>([^<]*)</text>', doc))
+
+
+class TestTickLabels:
+    def test_shipped_data_keeps_two_decimals(self):
+        points = shipped_points()
+        for scope in ("overall", "car", "pedestrian", "cyclist"):
+            for labels in tick_labels(render_scatter(points, scope)):
+                assert labels and all(re.fullmatch(r"\d+\.\d\d", label) for label in labels)
+
+    def test_huge_values_get_short_labels(self):
+        x, _ = tick_labels(render_scatter([point("a", 1, 50), point("b", 10**300, 60)]))
+        assert x == ["0", "5e+299", "1e+300"]
+
+    def test_tiny_values_get_distinct_labels(self):
+        x, y = tick_labels(render_scatter([point("a", Fraction(1, 10**6), 50),
+                                           point("b", Fraction(3, 10**6), 60)]))
+        assert x == ["1e-06", "1.5e-06", "2e-06", "2.5e-06", "3e-06"]
+        assert y == ["50.00", "55.00", "60.00"]
+
+    @pytest.mark.parametrize("ticks, labels", [
+        ([1.0, 1.5, 2.0], ["1.00", "1.50", "2.00"]),
+        ([9999999.0], ["9999999.00"]),  # ten characters
+        ([10000000.0], ["1e+07"]),
+        ([0.001, 0.002], ["0.001", "0.002"]),
+        ([1.23456, 1.23457], ["1.23456", "1.23457"]),
+        ([], []),
+    ])
+    def test_fewest_digits_that_tell_ticks_apart(self, ticks, labels):
+        assert _tick_labels(ticks) == labels

@@ -34,11 +34,12 @@ def test_every_traced_target_resolves(monkeypatch):
 def test_one_add_node_and_one_shape_call_per_node(monkeypatch, variant):
     """The per-layer counts graph.add_node.calls, arch.nodes_built and
     shapes.node_output_shape.calls stay comparable across changes: per node
-    built, a build calls Graph.add_node once and graph_cost calls
-    shapes.node_output_shape once."""
+    built, a build calls Graph.add_node once, and graph_cost calls
+    shapes.node_output_shape once per distinct (spec object, input shapes)."""
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     tracing = importlib.import_module("tracing")
-    arch, cost = (importlib.import_module(f"pillarcost.{name}") for name in ("arch", "cost"))
+    arch, cost, shapes = (importlib.import_module(f"pillarcost.{name}")
+                          for name in ("arch", "cost", "shapes"))
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -50,7 +51,10 @@ def test_one_add_node_and_one_shape_call_per_node(monkeypatch, variant):
     costed = Counter(span[0] for span in tracer.spans) - built
     assert built == {"arch.build": 1, "graph.add_node": len(graph)}
     assert tracer.counters["arch.nodes_built"] == len(graph)
-    assert costed == {"cost.graph_cost": 1, "shapes.node_output_shape": len(graph)}
+    shape = shapes.infer_all(graph)
+    distinct = {(id(node.spec), tuple(shape[feed] for feed in node.inputs))
+                for node in graph.nodes}
+    assert costed == {"cost.graph_cost": 1, "shapes.node_output_shape": len(distinct)}
 
 
 def test_importing_the_package_loads_analysis():
