@@ -27,9 +27,47 @@ from .graph import (
 )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _count(value, name: str) -> int:
+    if not _is_int(value):
+        raise ArchError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ArchError(f"{name} must be >= 1, got {value}")
+    return value
+
+
+def _counts(value, name: str) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)) or not all(map(_is_int, value)):
+        raise ArchError(f"{name} must be a list of integers, got {value!r}")
+    check = _check_stride if name == "block_strides" else _count
+    for i, item in enumerate(value):
+        check(item, f"{name}[{i}]")
+    return tuple(value)
+
+
+def _fraction(value, name: str) -> Fraction:
+    try:
+        fraction = exact_fraction(value)
+    except (TypeError, ValueError, ArithmeticError):
+        raise ArchError(f"{name} must be a number or fraction, got {value!r}") from None
+    if fraction <= 0:
+        raise ArchError(f"{name} must be > 0, got {fraction}")
+    return fraction
+
+
+# Each annotation's check: the one place a config field's type and range live
+_CHECK_OF = {"int": _count, "tuple[int, ...]": _counts, "Fraction": _fraction}
+
+
 class ArchConfig(Record):
     """Structural parameters of the network; defaults follow the reference
-    KITTI configuration (pseudo-image 64x496x432, three blocks)."""
+    KITTI configuration (pseudo-image 64x496x432, three blocks).
+
+    Every field is checked by its annotation's check (``_CHECK_OF``) however
+    the config is made: directly, by ``_replace``, or by a loader."""
 
     pseudo_image_channels: int = 64
     pseudo_image_height: int = 496
@@ -54,6 +92,8 @@ class ArchConfig(Record):
     resnext_width: Fraction = Fraction(1, 1)
     resnext_groups: int = 32
 
+    _checks = {name: _CHECK_OF[kind] for name, kind in __annotations__.items()}
+
     def __post_init__(self) -> None:
         lengths = {len(self.block_channels), len(self.block_units),
                    len(self.block_strides)}
@@ -62,23 +102,6 @@ class ArchConfig(Record):
         if len(self.neck_out_channels) != len(self.neck_upsample) or \
                 len(self.neck_out_channels) != len(self.block_channels):
             raise ArchError("neck lists must match the number of blocks")
-        counts = (self.pseudo_image_channels, self.pseudo_image_height,
-                  self.pseudo_image_width, self.max_pillars,
-                  self.points_per_pillar, self.pfn_in_features,
-                  self.num_classes, self.anchors_per_location,
-                  self.box_code_size, self.dir_bins,
-                  *self.block_channels, *self.block_units,
-                  *self.neck_out_channels, *self.neck_upsample)
-        if any(c < 1 for c in counts):
-            raise ArchError("all counts must be positive")
-        for i, stride in enumerate(self.block_strides):
-            _check_stride(stride, f"block_strides[{i}]")
-        for name in ("mobilenet_v2_expand", "shufflenet_v1_groups", "resnext_groups"):
-            if getattr(self, name) < 1:
-                raise ArchError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("squeezenext_reduce", "resnet_bottleneck", "resnext_width"):
-            if getattr(self, name) <= 0:
-                raise ArchError(f"{name} must be > 0, got {getattr(self, name)}")
 
     @property
     def pseudo_image(self) -> TensorShape:
@@ -88,32 +111,11 @@ class ArchConfig(Record):
     # -- loading and overrides ---------------------------------------------
 
     @classmethod
-    def _coerce(cls, key: str, value):
-        """Check a loaded value against the field's annotation; unknown keys
-        pass through for the caller to report."""
-        annotation = cls.__annotations__.get(key)
-        if annotation is None:
-            return value
-        if annotation == "int" and _is_int(value):
-            return value
-        if annotation == "tuple[int, ...]" and isinstance(value, (list, tuple)) \
-                and all(_is_int(v) for v in value):
-            return tuple(value)
-        if annotation == "Fraction":
-            try:
-                return exact_fraction(value)
-            except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-                pass
-        want = {"int": "an integer", "tuple[int, ...]": "a list of integers",
-                "Fraction": "a number or fraction"}[annotation]
-        raise ArchError(f"{key} must be {want}, got {value!r}")
-
-    @classmethod
     def from_dict(cls, doc: dict) -> "ArchConfig":
         unknown = set(doc) - set(cls._fields)
         if unknown:
             raise ArchError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**{k: cls._coerce(k, v) for k, v in doc.items()})
+        return cls(**doc)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ArchConfig":
@@ -146,20 +148,13 @@ class ArchConfig(Record):
 
     def with_overrides(self, overrides: list[str]) -> "ArchConfig":
         """Apply repeated ``--set key=value`` strings."""
-        doc: dict = {}
+        doc = dict(zip(self._fields, self._values()))
         for item in overrides:
             if "=" not in item:
                 raise ArchError(f"override {item!r} is not of the form key=value")
             key, raw = (part.strip() for part in item.split("=", 1))
-            doc[key] = self._coerce(key, _parse_value(raw))
-        unknown = set(doc) - set(self._fields)
-        if unknown:
-            raise ArchError(f"unknown config keys: {sorted(unknown)}")
-        return self._replace(**doc)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+            doc[key] = _parse_value(raw)
+        return self.from_dict(doc)
 
 
 def _unique_keys(path: str | Path, pairs: list[tuple[str, object]]) -> dict:
@@ -172,17 +167,11 @@ def _unique_keys(path: str | Path, pairs: list[tuple[str, object]]) -> dict:
 
 
 def _parse_value(raw: str):
-    raw = raw.strip()
-    if "/" in raw and "[" not in raw:
-        try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError):
-            pass
+    """A JSON value, else the text itself (``1/4`` is left to the check)."""
     try:
-        value = json.loads(raw, parse_float=_Decimal)
+        return json.loads(raw, parse_float=_Decimal)
     except (ValueError, RecursionError):  # too deep, or a number too large
         return raw
-    return value
 
 
 class _Decimal(Fraction):

@@ -201,7 +201,8 @@ def _cmd_amdahl(args: argparse.Namespace) -> None:
         ("pipeline_speedup", fmt2(pipeline)),
     ]
     for stage, frac in profile.stage_fractions.items():
-        rows.append((f"limit_speedup_{stage}", fmt2(amdahl_max(frac))))
+        limit = "inf" if frac == 1 else fmt2(amdahl_max(frac))  # 1/(1-p) is unbounded at p = 1
+        rows.append((f"limit_speedup_{stage}", limit))
     if args.format == "json":
         _emit(json.dumps(dict(rows), indent=2) + "\n", args.output)
         return

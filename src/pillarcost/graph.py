@@ -11,7 +11,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import ClassVar, NamedTuple
 
-from .core import PillarcostError, Record, exact_fraction
+from .core import NumberError, PillarcostError, Record, exact_fraction
 
 
 class GraphError(PillarcostError):
@@ -134,7 +134,14 @@ def _shape(value: TensorShape, what: str) -> TensorShape:
 
 
 def _split(value, what: str) -> tuple[Fraction, ...]:
-    fracs = tuple(map(exact_fraction, value))
+    try:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError
+        fracs = tuple(map(exact_fraction, value))
+    except NumberError as err:  # a bool or a huge exponent: its own message
+        raise FieldError(str(err)) from None
+    except (TypeError, ValueError, ArithmeticError):
+        raise FieldError(f"{what} must be a list of numbers, got {value!r}") from None
     if not fracs:
         raise FieldError("channel split needs at least one fraction")
     if any(f <= 0 for f in fracs):

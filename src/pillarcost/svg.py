@@ -48,13 +48,14 @@ def _nice_ticks(lo: float, hi: float, count: int = 6) -> list[float]:
         step /= 10.0
     if step / 2.0 >= raw:
         step /= 2.0
-    first = int(lo / step) * step
+    # each tick is an integer times the step: no error accumulates, so the
+    # ticks need no rounding and stay distinct at any scale
     ticks = []
-    value = first
-    while value <= hi + step / 2:
+    index = int(lo / step)
+    while (value := index * step) <= hi + step / 2:
         if value >= lo - step / 2:
-            ticks.append(round(value, 10))
-        value += step
+            ticks.append(value)
+        index += 1
     return ticks
 
 
@@ -65,7 +66,7 @@ def _axis(values: list[float]) -> tuple[float, float]:
     _nice_ticks steps by a sixth to ten sixths of the range, up to half a
     step past its end.  A range where such a step would not move a float at
     its ends, or whose last tick would pass the float range, raises an
-    AnalysisError instead of looping forever.
+    AnalysisError: its ticks would coincide or overflow.
     """
     lo, hi = min(values), max(values)
     pad = (hi - lo) * 0.08 or 1.0

@@ -54,6 +54,37 @@ class TestArchConfig:
         with pytest.raises(ArchError):
             ArchConfig(num_classes=0)
 
+    @pytest.mark.parametrize("kwargs, error, message", [
+        ({"num_classes": 0}, ArchError, "num_classes must be >= 1, got 0"),
+        ({"block_units": (4, 0, 6)}, ArchError, "block_units[1] must be >= 1, got 0"),
+        ({"mobilenet_v2_expand": -1}, ArchError, "mobilenet_v2_expand must be >= 1, got -1"),
+        ({"resnext_width": 0}, ArchError, "resnext_width must be > 0, got 0"),
+        ({"block_strides": (0, 2, 2)}, UnsupportedStrideError,
+         "block_strides[0]: stride must be 1 or 2, got 0"),
+        ({"max_pillars": "x"}, ArchError, "max_pillars must be an integer, got 'x'"),
+        ({"block_units": (4, "a", 6)}, ArchError,
+         "block_units must be a list of integers, got (4, 'a', 6)"),
+        ({"squeezenext_reduce": None}, ArchError,
+         "squeezenext_reduce must be a number or fraction, got None"),
+    ], ids=["count", "count_in_list", "knob", "fraction", "stride_zero", "str_count",
+            "str_in_list", "none_fraction"])
+    def test_constructed_value_is_checked_naming_its_field(self, kwargs, error, message):
+        with pytest.raises(ArchError) as info:
+            ArchConfig(**kwargs)
+        assert (type(info.value), str(info.value)) == (error, message)
+
+    def test_list_is_stored_as_a_tuple(self):
+        cfg = ArchConfig(block_units=[4, 6, 6])
+        assert cfg == ArchConfig() and hash(cfg) == hash(ArchConfig())
+        assert type(cfg.block_units) is tuple
+
+    def test_float_knob_is_read_exactly(self):
+        cfg = ArchConfig(squeezenext_reduce=0.5)
+        assert cfg == ArchConfig() and type(cfg.squeezenext_reduce) is Fraction
+        got, want = (graph_cost(build_pointpillars(Variant.SQUEEZENEXT, c))
+                     for c in (cfg, ArchConfig()))
+        assert (got.total_madds, got.total_params) == (want.total_madds, want.total_params)
+
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ArchError):
             ArchConfig.from_dict({"depth": 50})

@@ -180,6 +180,18 @@ class TestAmdahl:
         assert dict(rows[1:])["limit_speedup_a,b"] == "2.00"
         assert dict(rows[1:])["pipeline_speedup"] == "1.33"
 
+    @pytest.mark.parametrize("fmt, row", [
+        ("table", "limit_speedup_all      inf\n"), ("csv", "limit_speedup_all,inf\n"),
+        ("json", '"limit_speedup_all": "inf"\n'),
+    ])
+    def test_stage_taking_all_the_time_has_no_finite_limit(self, capsys, tmp_path, fmt, row):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"stage_fractions": {"all": 1}, "base_latency_ms": 10}))
+        code, out, err = invoke(capsys, "amdahl", "--profile", str(profile),
+                                "--speedup", "all=2", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert row in out and "2.00" in out
+
     def test_bad_speedup_is_domain_error(self, capsys):
         code, _, err = invoke(
             capsys, "amdahl", "--profile", timing_path("fpga_timing.json"),

@@ -99,6 +99,12 @@ class TestNodeSpecs:
         with pytest.raises(ValueError):
             ChannelSplit(fractions=(Fraction(1, 2), Fraction(1, 3)))
 
+    @pytest.mark.parametrize("fractions", [5, ("x",), ("1/2", None)],
+                             ids=["int", "text", "none"])
+    def test_bad_split_fractions_are_field_errors(self, fractions):
+        with pytest.raises(FieldError, match=r"^fractions must be a list of numbers, got "):
+            ChannelSplit(fractions=fractions)
+
     def test_conv_rejects_bad_fields(self):
         with pytest.raises(ValueError):
             Conv(0, 3, 3)
@@ -494,6 +500,18 @@ class TestJsonRoundTrip:
                "edges": [[0, 0, 1, 0]]}
         with pytest.raises(GraphError, match="^node 'split': (True|False) is not a number$"):
             Graph.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("fractions", [5, ["x"], ["1/2", None]],
+                             ids=["int", "text", "none"])
+    def test_bad_split_fractions_are_one_line_graph_errors(self, fractions):
+        doc = {"nodes": [{"id": 0, "name": "in", "kind": "input", "attrs": {"shape": [4, 2, 2]}},
+                         {"id": 1, "name": "split", "kind": "channel_split",
+                          "attrs": {"fractions": fractions}}],
+               "edges": [[0, 0, 1, 0]]}
+        with pytest.raises(GraphError, match="^node 'split': fractions must be a list of "
+                                             "numbers, got ") as info:
+            Graph.from_json(json.dumps(doc))
+        assert "\n" not in str(info.value)
 
     @pytest.mark.parametrize("text", ["[" * 100_000, "[" + "9" * 5000 + "]", "{", ""],
                              ids=["too_deep", "int_over_digit_limit", "truncated", "empty"])

@@ -330,6 +330,20 @@ def test_overrides_load_or_raise_arch_error(overrides):
     assert isinstance(cfg, ArchConfig)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ArchConfig._fields),
+       json_values | st.lists(st.integers(-1, 600), min_size=3, max_size=3))
+def test_constructing_checks_as_loading_does(field, value):
+    try:
+        cfg = ArchConfig(**{field: value})
+    except ArchError:
+        with pytest.raises(ArchError):
+            ArchConfig.from_dict({field: value})
+        return
+    loaded = ArchConfig.from_dict({field: value})
+    assert cfg == loaded and hash(cfg) == hash(loaded)
+
+
 def _json_object_text(pairs) -> str:
     """A JSON object written pair by pair, so that a key may repeat."""
     return "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs) + "}"

@@ -4,6 +4,8 @@ from fractions import Fraction
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pillarcost.analysis import (AnalysisError, default_dataset_path,
                                  load_points, pareto_front)
@@ -79,6 +81,18 @@ class TestAxis:
         assert lo < min(values) <= max(values) < hi
         assert 3 <= len(_nice_ticks(lo, hi)) <= 13
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=3))
+    def test_ticks_are_distinct_and_within_half_a_step(self, values):
+        try:
+            lo, hi = _axis(values)
+        except AnalysisError:
+            return
+        ticks = _nice_ticks(lo, hi)
+        assert ticks and all(a < b for a, b in zip(ticks, ticks[1:]))
+        half = (ticks[1] - ticks[0]) / 2 if len(ticks) > 1 else 0.0
+        assert lo - half <= ticks[0] and ticks[-1] <= hi + half
+
 
 def tick_labels(doc):
     """(x labels, y labels) in tick order."""
@@ -102,6 +116,14 @@ class TestTickLabels:
                                            point("b", Fraction(3, 10**6), 60)]))
         assert x == ["1e-06", "1.5e-06", "2e-06", "2.5e-06", "3e-06"]
         assert y == ["50.00", "55.00", "60.00"]
+
+    def test_tiny_values_get_distinct_ticks_on_the_plot(self):
+        doc = render_scatter([point("a", Fraction(1, 10**12), 50),
+                              point("b", Fraction(3, 10**12), 60)])
+        x, _ = tick_labels(doc)
+        assert x == ["1e-12", "1.5e-12", "2e-12", "2.5e-12", "3e-12"]
+        xs = [float(v) for v in re.findall(r'<text x="([^"]+)" y="565"', doc)]
+        assert len(xs) == 5 and all(70 <= v <= 775 for v in xs)
 
     @pytest.mark.parametrize("ticks, labels", [
         ([1.0, 1.5, 2.0], ["1.00", "1.50", "2.00"]),
