@@ -147,12 +147,16 @@ class ArchConfig(Record):
         return cls.from_dict(doc)
 
     def with_overrides(self, overrides: list[str]) -> "ArchConfig":
-        """Apply repeated ``--set key=value`` strings."""
-        doc = dict(zip(self._fields, self._values()))
+        """Apply repeated ``--set key=value`` strings; a key given twice
+        raises ``ArchError``, as it does in a config file."""
+        doc, given = dict(zip(self._fields, self._values())), set()
         for item in overrides:
             if "=" not in item:
                 raise ArchError(f"override {item!r} is not of the form key=value")
             key, raw = (part.strip() for part in item.split("=", 1))
+            if key in given:
+                raise ArchError(f"key {key!r} given twice")
+            given.add(key)
             doc[key] = _parse_value(raw)
         return self.from_dict(doc)
 

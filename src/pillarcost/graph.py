@@ -7,8 +7,11 @@ append-only during construction and treated as immutable afterwards.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
 from typing import ClassVar, NamedTuple
 
 from .core import NumberError, PillarcostError, Record, exact_fraction
@@ -444,10 +447,9 @@ _KIND_CLASSES = {
 _ATTR_NAMES = {cls: tuple(sorted(cls._fields))
                for cls in _KIND_CLASSES.values()}
 
-# The kinds whose attributes are all scalars, so that equal attrs of equal
-# types decode to equal specs.  Input and ChannelSplit take a list or tuple,
-# whose items' types a key would not see: (4.0, 2, 2) equals (4, 2, 2).
-_SCALAR_KINDS = frozenset(_KIND_CLASSES) - {Input.kind, ChannelSplit.kind}
+# The kinds whose attribute is a list: their decode key holds its items and
+# each item's type (see _spec_key), since (4.0, 2, 2) equals (4, 2, 2).
+_SEQUENCE_KINDS = frozenset((Input.kind, ChannelSplit.kind))
 
 
 # --------------------------------------------------------------------------
@@ -534,8 +536,8 @@ class Graph:
             want = f">= {lo}" if hi is None else (str(lo) if lo == hi else f"{lo}..{hi}")
             raise ArityMismatchError(
                 f"{spec.kind} node {name!r} takes {want} inputs, got {len(inputs)}")
-        node_id = len(self._nodes)
-        outputs = self._outputs
+        nodes, outputs, names = self._nodes, self._outputs, self._names
+        node_id = len(nodes)
         for src, port in inputs:
             if type(src) is not int or type(port) is not int:
                 raise UnknownInputError(
@@ -550,12 +552,12 @@ class Graph:
             name = f"{spec.kind}_{node_id}"
         elif not isinstance(name, str):
             raise GraphError(f"node name {name!r} is not a string")
-        if name in self._names:
+        if name in names:
             raise DuplicateNameError(f"duplicate node name {name!r}")
 
         outputs.append(spec.num_outputs())
-        self._nodes.append(tuple.__new__(Node, (node_id, spec, name, inputs)))
-        self._names.add(name)
+        nodes.append(tuple.__new__(Node, (node_id, spec, name, inputs)))
+        names.add(name)
         return node_id
 
     def inputs_of(self, node_id: int) -> list[tuple[int, int]]:
@@ -590,24 +592,28 @@ class Graph:
 
         Written directly, because the standard encoder leaves its C path
         whenever ``indent`` is set and then takes most of a round trip.
-        Each distinct spec is formatted once per call.
+        Each distinct spec object is formatted once per call.
         """
-        # Spec -> its text before the id and between the id and the name.
-        # Every spec field is type-checked (an exact int, a bool, a
-        # TensorShape or normalised Fractions), so equal specs write
-        # identical text and a spec's value can key it.
-        texts: dict[NodeSpec, tuple[str, str]] = {}
+        # id(spec) -> its text before the id and between the id and the
+        # name.  Keyed by identity, so no spec is hashed or compared: equal
+        # specs that are distinct objects are formatted twice, to one text.
+        texts: dict[int, tuple[str, str]] = {}
         nodes, edges = [], []
         for node_id, spec, name, inputs in self._nodes:
-            text = texts.get(spec)
+            text = texts.get(id(spec))
             if text is None:
                 attrs = ",".join([f'{_ATTR_PAD}"{attr}": {_attr_json(getattr(spec, attr))}'
                                   for attr in _ATTR_NAMES[type(spec)]])
                 attrs = f"{{{attrs}\n      }}" if attrs else "{}"
-                text = texts[spec] = (
+                text = texts[id(spec)] = (
                     f'    {{\n      "attrs": {attrs},\n      "id": ',
                     f',\n      "kind": {_json_str(spec.kind)},\n      "name": ')
             nodes.append(f"{text[0]}{node_id}{text[1]}{_json_str(name)}\n    }}")
+            if len(inputs) == 1:  # most nodes; without enumerate, to_json is ~15% faster
+                (src, port), = inputs
+                edges.append(f"    [\n      {src},\n      {port},\n      {node_id},\n"
+                             "      0\n    ]")
+                continue
             for dst_port, (src, port) in enumerate(inputs):
                 edges.append(f"    [\n      {src},\n      {port},\n      {node_id},\n"
                              f"      {dst_port}\n    ]")
@@ -618,39 +624,43 @@ class Graph:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Graph":
         """Inverse of :meth:`to_json_dict`.  A malformed document raises a
-        one-line GraphError that names the offending node or edge.
+        one-line GraphError that names the offending node or edge.  Nodes
+        and edges may come in any order.
 
         Each distinct spec is decoded once per call, so nodes with equal
         specs share one spec object; specs are frozen, so only ``is`` can
         tell.
         """
         try:
-            items, edge_rows = list(doc["nodes"]), list(doc["edges"])
+            items, edges = list(doc["nodes"]), list(doc["edges"])
         except (KeyError, TypeError) as err:
             raise GraphError("a graph document is an object with 'nodes' and "
                              f"'edges' lists; {type(err).__name__}: {err}") from None
-        # (kind, attrs, each attr value's exact type) -> spec, so that 1,
-        # True and 1.0 never share an entry; for this call only
+        # spec key -> spec, for this call only.  A key holds the kind and
+        # each attribute's name, value and exact type, so that 1, True and
+        # 1.0 never share an entry; _spec_key keys a list value.
         specs: dict[tuple, NodeSpec] = {}
         decoded = []
         for pos, item in enumerate(items):
             try:
-                item_id, kind, attrs, name = (item["id"], item["kind"],
-                                              item["attrs"], item["name"])
-                spec_cls = _KIND_CLASSES.get(kind)
-                if spec_cls is None:
-                    raise GraphError(f"node {_label(item, pos)} has unknown kind {kind!r}")
+                item_id, kind, attrs, name = _NODE_FIELDS(item)
+                try:
+                    if kind in _SEQUENCE_KINDS:
+                        key = _spec_key(kind, attrs)
+                    else:
+                        values = attrs.values()
+                        key = (kind, *attrs, *values, *map(type, values))
+                    spec = specs.get(key)
+                except (AttributeError, TypeError):  # not an object, or a value
+                    key = spec = None                 # unhashable: decode it as is
+                if spec is None:  # every key in specs holds a known kind
+                    spec_cls = _KIND_CLASSES.get(kind)
+                    if spec_cls is None:
+                        raise GraphError(f"node {_label(item, pos)} has unknown kind {kind!r}")
                 if type(item_id) is not int:
                     raise TypeError(f"id {item_id!r} is not an integer")
                 if type(name) is not str or not name:
                     raise TypeError(f"name {name!r} is not a non-empty string")
-                key = spec = None
-                if kind in _SCALAR_KINDS and type(attrs) is dict:
-                    key = (kind, *attrs.items(), *map(type, attrs.values()))
-                    try:
-                        spec = specs.get(key)
-                    except TypeError:  # a list or object value: decode it as is
-                        key = None
                 if spec is None:
                     spec = spec_cls.from_attrs(attrs)
                     if key is not None:
@@ -660,35 +670,31 @@ class Graph:
                 raise GraphError(f"node {_label(item, pos)} lacks the key {err}") from None
             except (TypeError, ValueError, ArithmeticError) as err:
                 raise GraphError(f"node {_label(item, pos)}: {err}") from None
-        dense = list(range(len(decoded)))
-        if [row[0] for row in decoded] != dense:
-            decoded.sort(key=lambda row: row[0])
-            if [row[0] for row in decoded] != dense:
-                raise GraphError(f"node ids must be 0..{len(decoded) - 1}, each exactly once")
+        n = len(decoded)
+        if list(map(_ID, decoded)) != list(range(n)):
+            decoded.sort(key=_ID)
+            if list(map(_ID, decoded)) != list(range(n)):
+                raise GraphError(f"node ids must be 0..{n - 1}, each exactly once")
 
-        by_dst: dict[int, list[tuple[int, int, int]]] = {}
-        for edge in edge_rows:
-            try:
-                src, src_port, dst, dst_port = edge
-                if not type(src) is type(src_port) is type(dst) is type(dst_port) is int:
-                    raise TypeError
-            except (TypeError, ValueError):
-                raise GraphError(f"edge {edge!r} is not a list of four integers "
-                                 "[src, src_port, dst, dst_port]") from None
-            by_dst.setdefault(dst, []).append((dst_port, src, src_port))
-
+        if not (set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) <= {4}
+                and set(map(type, chain.from_iterable(edges))) <= {int}):
+            edges = list(map(_edge, edges))  # or raise, naming the first bad edge
+        # to_json writes the edges grouped by consumer, then port, so one
+        # walk finds each node's inputs; any other order is sorted into it
+        bounds = _walk(edges, 0, n)
+        if len(bounds) <= n or bounds[-1] < len(edges):
+            edges.sort(key=_DST_PORT)
+            bounds = _walk(edges, bisect_left(edges, 0, key=_DST), n)
+        pairs = tuple(map(_SOURCE, edges))
         graph = cls()
-        for item_id, spec, name in decoded:
-            row = by_dst.pop(item_id, ())
-            if len(row) > 1:
-                row.sort()
-            for port, edge in enumerate(row):
-                if edge[0] != port:
-                    raise GraphError(
-                        f"node {name!r} has input ports {[p for p, _, _ in row]}; "
-                        f"they must be 0..{len(row) - 1}, each exactly once")
-            graph.add_node(spec, [(src, port) for _, src, port in row], name)
-        if by_dst:
+        for (_, spec, name), start, end in zip(decoded, bounds, bounds[1:]):
+            graph.add_node(spec, pairs[start:end], name)
+        if len(bounds) <= n:  # the nodes before it are built first: their errors win
+            node_id = len(bounds) - 1
+            ports = [edge[3] for edge in edges if edge[2] == node_id]
+            raise GraphError(f"node {decoded[node_id][2]!r} has input ports {ports}; "
+                             f"they must be 0..{len(ports) - 1}, each exactly once")
+        if bounds[0] or bounds[-1] < len(edges):
             raise GraphError("an edge feeds a node id that does not exist")
         return graph
 
@@ -722,11 +728,55 @@ def _json_value(value):
     return value
 
 
+_ID = itemgetter(0)
+_NODE_FIELDS = itemgetter("id", "kind", "attrs", "name")
+_SOURCE, _DST, _DST_PORT = itemgetter(0, 1), itemgetter(2), itemgetter(2, 3)
+
+
 def _label(item, pos: int) -> str:
     """How a decode error names a node: its name, else its position."""
     if isinstance(item, dict) and "name" in item:
         return repr(item["name"])
     return f"#{pos}"
+
+
+def _spec_key(kind: str, attrs: dict) -> tuple:
+    """The decode key of a spec of a kind that takes a list: a list or tuple
+    value keys as its type, its items and each item's type, so that it
+    shares with neither a scalar (``[1]`` and ``1``) nor a value of another
+    type."""
+    return (kind, *[(name, type(value), *value, *map(type, value))
+                    if isinstance(value, (list, tuple)) else (name, value, type(value))
+                    for name, value in attrs.items()])
+
+
+def _walk(edges: list, start: int, n: int) -> list[int]:
+    """Node i's inputs are ``edges[bounds[i]:bounds[i + 1]]``, read from
+    ``start`` in (dst, dst_port) order.  The walk stops at the first node
+    whose ports do not read 0..k-1: with fewer than n + 1 bounds, node
+    ``len(bounds) - 1`` has bad ports or the edges are out of order."""
+    bounds, pos, count = [start], start, len(edges)
+    for node_id in range(n):
+        first = pos
+        while pos < count and edges[pos][2] == node_id:
+            if edges[pos][3] != pos - first:
+                return bounds
+            pos += 1
+        bounds.append(pos)
+    return bounds
+
+
+def _edge(edge) -> tuple[int, int, int, int]:
+    """``edge`` as a tuple, if it is four integers [src, src_port, dst,
+    dst_port]; else a GraphError that names it."""
+    try:
+        src, src_port, dst, dst_port = edge
+        if type(src) is type(src_port) is type(dst) is type(dst_port) is int:
+            return src, src_port, dst, dst_port
+    except (TypeError, ValueError):
+        pass
+    raise GraphError(f"edge {edge!r} is not a list of four integers "
+                     "[src, src_port, dst, dst_port]")
 
 
 def _attr_json(value) -> str:

@@ -190,6 +190,16 @@ class TestArchConfig:
         with pytest.raises(ArchError):
             ArchConfig().with_overrides(["depth=50"])
 
+    @pytest.mark.parametrize("overrides", [
+        ["max_pillars=x", "max_pillars=5"], ["max_pillars=5", "max_pillars=5"],
+        ["max_pillars=5", "num_classes=2", " max_pillars =6"],
+    ], ids=["bad_then_good", "equal_values", "spaced"])
+    def test_override_key_given_twice_rejected(self, overrides):
+        # a config file refuses a repeated key too
+        with pytest.raises(ArchError) as info:
+            ArchConfig().with_overrides(overrides)
+        assert str(info.value) == "key 'max_pillars' given twice"
+
 
 def unit_graph(variant, in_ch, out_ch, stride, cfg=None):
     g = Graph()

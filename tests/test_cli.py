@@ -437,6 +437,12 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert override.split("=")[0] in err
 
+    def test_override_given_twice_is_domain_error(self, capsys):
+        code, out, err = invoke(capsys, "cost", "base", "--set", "max_pillars=x",
+                                "--set", "max_pillars=5")
+        assert (code, out) == (1, "")
+        assert err == "error: key 'max_pillars' given twice\n"
+
     @pytest.mark.parametrize("command, key", [
         ("pareto", "--data"), ("plot", "--data"), ("amdahl", "--profile"),
         ("cost", "--config")])

@@ -1,5 +1,6 @@
 """Structural graph behavior: construction, validation, ordering, JSON."""
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -11,6 +12,8 @@ from pillarcost.graph import (
     ReLU, Scatter, ShapeError, TensorShape, TransposedConv, UnknownInputError,
     _KIND_CLASSES,
 )
+from pillarcost.arch import build_pointpillars
+from pillarcost.core import Variant
 from pillarcost.cost import NodeCost
 from pillarcost.shapes import infer_all
 
@@ -372,6 +375,14 @@ class TestJsonRoundTrip:
         doc["edges"].reverse()
         assert Graph.from_json_dict(doc).to_json() == g.to_json()
 
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_shuffled_edges_decode_as_sorted_ones(self, variant):
+        g = build_pointpillars(variant)
+        doc = g.to_json_dict()
+        random.Random(variant.value).shuffle(doc["edges"])
+        assert doc["edges"] != g.to_json_dict()["edges"]
+        assert Graph.from_json_dict(doc).to_json() == g.to_json()
+
     def test_serialization_is_deterministic(self):
         assert small_chain().to_json() == small_chain().to_json()
 
@@ -404,9 +415,33 @@ class TestJsonRoundTrip:
             Graph.from_json_dict(doc)
 
     def test_edge_to_missing_node_rejected(self):
-        doc = small_chain().to_json_dict()
-        doc["edges"].append([3, 0, 9, 0])
-        with pytest.raises(GraphError, match="does not exist"):
+        for dst in (9, 4, -1):  # far past, just past and below the ids 0..3
+            doc = small_chain().to_json_dict()
+            doc["edges"].append([3, 0, dst, 0])
+            with pytest.raises(GraphError,
+                               match="^an edge feeds a node id that does not exist$"):
+                Graph.from_json_dict(doc)
+
+    def test_port_error_wins_over_an_edge_to_a_missing_node(self):
+        # node errors come first, in id order; a missing node comes last
+        doc = {"nodes": [{"id": 0, "name": "in", "kind": "input",
+                          "attrs": {"shape": [4, 2, 2]}},
+                         {"id": 1, "name": "cat", "kind": "concat", "attrs": {}},
+                         {"id": 2, "name": "relu", "kind": "relu", "attrs": {}}],
+               "edges": [[0, 0, -1, 0], [0, 0, 9, 0], [0, 0, 1, 0], [0, 0, 1, 7],
+                         [1, 0, 2, 1]]}
+        with pytest.raises(GraphError) as info:
+            Graph.from_json_dict(doc)
+        assert str(info.value) == ("node 'cat' has input ports [0, 7]; "
+                                   "they must be 0..1, each exactly once")
+
+    def test_earlier_node_error_wins_over_a_later_port_error(self):
+        doc = {"nodes": [{"id": 0, "name": "in", "kind": "input",
+                          "attrs": {"shape": [4, 2, 2]}},
+                         {"id": 1, "name": "relu", "kind": "relu", "attrs": {}},
+                         {"id": 2, "name": "cat", "kind": "concat", "attrs": {}}],
+               "edges": [[0, 0, 2, 0], [0, 0, 2, 2], [0, 0, 1, 0], [0, 0, 1, 1]]}
+        with pytest.raises(ArityMismatchError, match="^relu node 'relu' takes 1 inputs, got 2$"):
             Graph.from_json_dict(doc)
 
     @pytest.mark.parametrize("breakage, names", [
@@ -463,14 +498,44 @@ class TestJsonRoundTrip:
         assert "\n" not in str(info.value)
 
     def test_decoded_input_shape_is_checked_for_every_node(self):
-        # the tuple (4.0, 2, 2) equals (4, 2, 2)
-        doc = {"nodes": [{"id": 0, "name": "a", "kind": "input", "attrs": {"shape": (4, 2, 2)}},
-                         {"id": 1, "name": "b", "kind": "input",
-                          "attrs": {"shape": (4.0, 2, 2)}}],
-               "edges": []}
-        with pytest.raises(GraphError, match="^node 'b': channels .* got 4.0$") as info:
+        # the tuple (4.0, 2, 2) equals (4, 2, 2), and the list [4.0, 2, 2] [4, 2, 2]
+        for form in (tuple, list):
+            doc = {"nodes": [{"id": 0, "name": "a", "kind": "input",
+                              "attrs": {"shape": form((4, 2, 2))}},
+                             {"id": 1, "name": "b", "kind": "input",
+                              "attrs": {"shape": form((4.0, 2, 2))}}],
+                   "edges": []}
+            with pytest.raises(GraphError, match="^node 'b': channels .* got 4.0$") as info:
+                Graph.from_json_dict(doc)
+            assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("fractions, message", [
+        ([True], "True is not a number"),  # [True] equals [1]
+        (1, "fractions must be a list of numbers, got 1"),  # must not share [1]'s spec
+    ], ids=["bool_item", "scalar"])
+    def test_decoded_split_fractions_are_checked_for_every_node(self, fractions, message):
+        # after a node whose fractions are [1], a valid one-way split
+        doc = {"nodes": [{"id": 0, "name": "in", "kind": "input", "attrs": {"shape": [4, 2, 2]}},
+                         {"id": 1, "name": "a", "kind": "channel_split",
+                          "attrs": {"fractions": [1]}},
+                         {"id": 2, "name": "b", "kind": "channel_split",
+                          "attrs": {"fractions": fractions}}],
+               "edges": [[0, 0, 1, 0], [1, 0, 2, 0]]}
+        with pytest.raises(GraphError, match=f"^node 'b': {message}$"):
             Graph.from_json_dict(doc)
-        assert "\n" not in str(info.value)
+
+    def test_equal_list_specs_decode_to_one_object_per_call(self):
+        g = Graph()
+        for side in "ab":
+            a = g.add_node(Input(TensorShape(4, 2, 2)), name=f"in_{side}")
+            g.add_node(ChannelSplit(fractions=(Fraction(1, 2), Fraction(1, 2))),
+                       [(a, 0)], name=f"split_{side}")
+        text = g.to_json()
+        decoded = Graph.from_json(text)
+        assert decoded.node(0).spec is decoded.node(2).spec
+        assert decoded.node(1).spec is decoded.node(3).spec
+        assert Graph.from_json(text).node(0).spec is not decoded.node(0).spec
+        assert decoded.to_json() == text
 
     def test_equal_specs_decode_to_one_object_per_call(self):
         text = two_equal_convs().to_json()

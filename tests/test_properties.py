@@ -191,6 +191,19 @@ def random_graph(rng: random.Random) -> Graph:
     return g
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_edges_decode_alike_in_any_order(seed, data):
+    g = random_graph(random.Random(seed))
+    # a multi-output producer fed to one consumer in crossed port order
+    split = g.add_node(ChannelSplit(fractions=(Fraction(1, 2), Fraction(1, 2))),
+                       [(0, 0)], name="split")
+    g.add_node(Concat(), [(split, 1), (split, 0)], name="cross")
+    doc = g.to_json_dict()
+    doc["edges"] = data.draw(st.permutations(doc["edges"]))
+    assert Graph.from_json_dict(doc).to_json() == g.to_json()
+
+
 def test_ten_thousand_random_dags_uphold_invariants():
     rng = random.Random(20260823)
     for _ in range(10_000):

@@ -57,6 +57,26 @@ def test_one_add_node_and_one_shape_call_per_node(monkeypatch, variant):
     assert costed == {"cost.graph_cost": 1, "shapes.node_output_shape": len(distinct)}
 
 
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_one_add_node_call_per_decoded_node(monkeypatch, variant):
+    """graph.add_node.calls on graph-roundtrip stays comparable across
+    changes: Graph.from_json builds through Graph.add_node, once per node."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracing = importlib.import_module("tracing")
+    arch, graph_module = (importlib.import_module(f"pillarcost.{name}")
+                          for name in ("arch", "graph"))
+    text = arch.build_pointpillars(variant).to_json()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        graph = graph_module.Graph.from_json(text)
+    finally:
+        tracer.uninstall()
+    assert Counter(span[0] for span in tracer.spans) == {
+        "graph.from_json": 1, "graph.add_node": len(graph)}
+    assert graph.to_json() == text
+
+
 def test_importing_the_package_loads_analysis():
     # Tracer.install reads sys.modules["pillarcost.analysis"] right after
     # the package is imported
