@@ -10,39 +10,31 @@ module on first use (PEP 562).
 """
 
 import importlib
+import types
 
 # eager: the benchmark's tracer reads sys.modules["pillarcost.analysis"],
 # and analysis loads core
 from .analysis import (AnalysisError, DesignPoint, TimingProfile, amdahl,
                        amdahl_max, default_dataset_path, load_points, map_of,
-                       pareto_front, project_fps, ratio_table, round2)
+                       pareto_front, project_fps, ratio_table)
 from .core import ArchError, Variant
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Add", "AnalysisError", "ArchConfig", "ArchError", "BatchNorm",
-    "ChannelShuffle", "ChannelSplit", "Concat", "Conv", "CostReport",
-    "DesignPoint", "Graph", "GraphError", "Input", "MaxPool", "NodeCost",
-    "ReLU", "Scatter", "ShapeError", "TensorShape", "TimingProfile",
-    "TransposedConv", "Variant", "amdahl", "amdahl_max", "basic_unit",
-    "build_backbone", "build_pointpillars", "default_dataset_path",
-    "graph_cost", "infer_all", "load_points", "map_of", "node_madds",
-    "node_output_shape", "node_params", "pareto_front", "project_fps",
-    "ratio_table", "render_scatter", "round2", "speedup_vs_base",
-]
-
 _LAZY = {name: module for module, names in (
-    ("arch", ("ArchConfig", "basic_unit", "build_backbone",
-              "build_pointpillars")),
-    ("cost", ("CostReport", "NodeCost", "graph_cost", "node_madds",
-              "node_params", "speedup_vs_base")),
+    ("arch", ("ArchConfig", "build_backbone", "build_pointpillars")),
+    ("cost", ("CostReport", "NodeCost", "graph_cost")),
     ("graph", ("Add", "BatchNorm", "ChannelShuffle", "ChannelSplit", "Concat",
                "Conv", "Graph", "GraphError", "Input", "MaxPool", "ReLU",
                "Scatter", "ShapeError", "TensorShape", "TransposedConv")),
     ("shapes", ("infer_all", "node_output_shape")),
     ("svg", ("render_scatter",)),
 ) for name in names}
+
+# the names imported above (not the submodules) and the lazy ones
+__all__ = sorted([name for name, value in globals().items()
+                  if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+                 + list(_LAZY))
 
 
 def __getattr__(name: str):

@@ -5,12 +5,11 @@ exact rational arithmetic, with half-up rounding applied only for display.
 """
 from __future__ import annotations
 
-import json
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
-from .core import PillarcostError, Record, exact_fraction
+from .core import PillarcostError, Record, exact_fraction, read_json
 
 CLASSES = ("Car", "Pedestrian", "Cyclist")
 DIFFICULTIES = ("Easy", "Moderate", "Hard")
@@ -39,15 +38,9 @@ class DomainError(AnalysisError):
     pass
 
 
-def round2(value: Fraction | float) -> float:
-    """``fmt2(value)`` as a float, for printed-table checks; past the float
-    range it is infinite."""
-    return float(fmt2(value))
-
-
 def fmt2(value: Fraction | float) -> str:
     """Half-up rounding to 2 decimals, as the text with two decimals that
-    the commands and plots print; exact at any size.
+    the commands and plots print, at any size.
 
     The value is first divided out to 28 significant digits, as in
     ``decimal``'s default context; from 10**26 - 1 up, where 28 digits
@@ -164,7 +157,7 @@ class TimingProfile(Record):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TimingProfile":
-        doc = _read_json(path)
+        doc = read_json(path, AnalysisError)
         try:
             fractions = {stage: exact_fraction(value) for stage, value
                          in _object(doc["stage_fractions"], "stage_fractions").items()}
@@ -238,19 +231,9 @@ def _object(value, what: str) -> dict:
     return value
 
 
-def _read_json(path: str | Path):
-    """The JSON document at ``path``, with floats read as Fractions.
-    Malformed JSON, nesting too deep, an integer over Python's digit limit
-    and a decimal exponent over it raise an AnalysisError naming the path."""
-    try:
-        return json.loads(Path(path).read_text(), parse_float=exact_fraction)
-    except (ValueError, RecursionError) as err:  # incl. JSONDecodeError, UnicodeDecodeError
-        raise AnalysisError(f"{path}: malformed JSON: {err}") from err
-
-
 def load_points(path: str | Path) -> list[DesignPoint]:
     """Read design points from a JSON document of per-variant records."""
-    doc = _read_json(path)
+    doc = read_json(path, AnalysisError)
     records = doc.get("points") if isinstance(doc, dict) else doc
     if not isinstance(records, list):
         raise AnalysisError(f"{path}: expected a list of design point records")
@@ -262,8 +245,10 @@ def load_points(path: str | Path) -> list[DesignPoint]:
             ap: dict[tuple[str, str], Fraction] = {}
             for cls_name, by_diff in _object(record.get("ap", {}), "ap").items():
                 for diff, value in _object(by_diff, f"ap[{cls_name!r}]").items():
-                    diff = _DIFFICULTY_ALIASES.get(diff, diff)
-                    ap[(cls_name, diff)] = exact_fraction(value)
+                    key = (cls_name, _DIFFICULTY_ALIASES.get(diff, diff))
+                    if key in ap:  # "Mod" and "Moderate" name one cell
+                        raise ValueError(f"AP cell {key} is given twice")
+                    ap[key] = exact_fraction(value)
             name = record["name"]
             if type(name) is not str:
                 raise TypeError(f"name {name!r} is not a string")

@@ -20,7 +20,7 @@ from pathlib import Path
 from .core import (  # re-exported: the same classes as in core
     ArchError, ChannelConstraintError, UnsupportedStrideError, Variant,
 )
-from .core import Record, exact_fraction
+from .core import ExactDecimal, Record, exact_fraction, read_json
 from .graph import (
     Add, BatchNorm, ChannelShuffle, ChannelSplit, Concat, Conv, Graph, Input,
     MaxPool, ReLU, Scatter, TensorShape, TransposedConv,
@@ -39,13 +39,25 @@ def _count(value, name: str) -> int:
     return value
 
 
-def _counts(value, name: str) -> tuple[int, ...]:
+def _ints(value, name: str) -> tuple[int, ...]:
     if not isinstance(value, (list, tuple)) or not all(map(_is_int, value)):
         raise ArchError(f"{name} must be a list of integers, got {value!r}")
-    check = _check_stride if name == "block_strides" else _count
-    for i, item in enumerate(value):
-        check(item, f"{name}[{i}]")
     return tuple(value)
+
+
+def _counts(value, name: str) -> tuple[int, ...]:
+    value = _ints(value, name)
+    for i, item in enumerate(value):
+        _count(item, f"{name}[{i}]")
+    return value
+
+
+def _strides(value, name: str) -> tuple[int, ...]:
+    value = _ints(value, name)
+    for i, stride in enumerate(value):
+        if stride not in (1, 2):
+            raise UnsupportedStrideError(f"{name}[{i}]: stride must be 1 or 2, got {stride}")
+    return value
 
 
 def _fraction(value, name: str) -> Fraction:
@@ -66,8 +78,9 @@ class ArchConfig(Record):
     """Structural parameters of the network; defaults follow the reference
     KITTI configuration (pseudo-image 64x496x432, three blocks).
 
-    Every field is checked by its annotation's check (``_CHECK_OF``) however
-    the config is made: directly, by ``_replace``, or by a loader."""
+    Every field is checked by its annotation's check (``_CHECK_OF``), and
+    ``block_strides`` by its own, however the config is made: directly, by
+    ``_replace``, or by a loader."""
 
     pseudo_image_channels: int = 64
     pseudo_image_height: int = 496
@@ -93,6 +106,7 @@ class ArchConfig(Record):
     resnext_groups: int = 32
 
     _checks = {name: _CHECK_OF[kind] for name, kind in __annotations__.items()}
+    _checks["block_strides"] = _strides
 
     def __post_init__(self) -> None:
         lengths = {len(self.block_channels), len(self.block_units),
@@ -127,12 +141,7 @@ class ArchConfig(Record):
         except UnicodeDecodeError as err:
             raise ArchError(f"{path}: {err}") from err
         if text.lstrip().startswith("{"):
-            try:
-                doc = json.loads(text, object_pairs_hook=partial(_unique_keys, path),
-                                 parse_float=_Decimal)
-            except (ValueError, RecursionError) as err:  # incl. JSONDecodeError
-                raise ArchError(f"{path}: malformed JSON: {err}") from err
-            return cls.from_dict(doc)
+            return cls.from_dict(read_json(path, ArchError, text))
         doc = {}
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
@@ -161,35 +170,12 @@ class ArchConfig(Record):
         return self.from_dict(doc)
 
 
-def _unique_keys(path: str | Path, pairs: list[tuple[str, object]]) -> dict:
-    doc: dict = {}
-    for key, value in pairs:
-        if key in doc:
-            raise ArchError(f"{path}: key {key!r} given twice")
-        doc[key] = value
-    return doc
-
-
 def _parse_value(raw: str):
     """A JSON value, else the text itself (``1/4`` is left to the check)."""
     try:
-        return json.loads(raw, parse_float=_Decimal)
+        return json.loads(raw, parse_float=ExactDecimal)
     except (ValueError, RecursionError):  # too deep, or a number too large
         return raw
-
-
-class _Decimal(Fraction):
-    """A JSON number with a fraction or an exponent, read exactly (``0.1``
-    is 1/10); its repr is the number as written, so an error names ``64.0``
-    rather than ``Fraction(64, 1)``.  Config fields hold plain Fractions."""
-
-    def __new__(cls, text: str) -> "_Decimal":
-        self = super().__new__(cls, exact_fraction(text))
-        self._text = text
-        return self
-
-    def __repr__(self) -> str:
-        return self._text
 
 
 # --------------------------------------------------------------------------
@@ -251,11 +237,6 @@ def _skip(g: Graph, src: int, name: str, in_ch: int, out_ch: int,
 def _dw(g: Graph, src: int, name: str, channels: int, stride: int) -> int:
     return _conv(g, src, name, channels, channels, (3, 3), (stride, stride),
                  (1, 1), groups=channels)
-
-
-def _check_stride(stride: int, name: str) -> None:
-    if stride not in (1, 2):
-        raise UnsupportedStrideError(f"{name}: stride must be 1 or 2, got {stride}")
 
 
 def _frac_channels(total: int, ratio: Fraction, name: str) -> int:
@@ -403,15 +384,6 @@ def _darknet_unit(g, src, channels, hidden, name) -> int:
     return g.add_node(_ADD, [(src, 0), (node, 0)], f"{name}.add")
 
 
-def _unit_darknet(g, src, in_ch, out_ch, stride, name, cfg) -> int:
-    if stride != 1:
-        # downsampling is a plain strided 3x3 entry convolution in this family
-        return _cbr(g, src, name, in_ch, out_ch, stride=(stride, stride))
-    if in_ch != out_ch:
-        raise ChannelConstraintError(f"{name}: residual unit needs in == out")
-    return _darknet_unit(g, src, out_ch, out_ch // 2, name)
-
-
 def _sepconv(g, src, name, in_ch, out_ch, relu: bool = True) -> int:
     node = _dw(g, src, f"{name}.dw", in_ch, 1)
     node = _conv(g, node, f"{name}.pw", in_ch, out_ch)
@@ -422,8 +394,7 @@ def _pool(g, src, name) -> int:
     return g.add_node(_POOL_3X3_S2, [(src, 0)], name)
 
 
-def _unit_xception(g, src, in_ch, out_ch, stride, name, cfg,
-                   single: bool = False) -> int:
+def _unit_xception(g, src, in_ch, out_ch, stride, name, single: bool) -> int:
     """Xception block: two separable convs with a skip; the stride-2 form
     pools between them and projects the skip with a strided 1x1.  The
     ``single`` block that ends an odd unit count keeps only ``sep1``."""
@@ -447,24 +418,11 @@ _UNIT_BUILDERS = {
     Variant.MOBILENET_V2: _unit_mobilenet_v2,
     Variant.SHUFFLENET_V1: _unit_shufflenet_v1,
     Variant.SHUFFLENET_V2: _shufflenet_v2_unit,
-    Variant.DARKNET: _unit_darknet,
-    Variant.CSPDARKNET: _unit_darknet,
-    Variant.XCEPTION: _unit_xception,
 }
 
 
 # The config of a build given none; records are frozen, so builds share it
 _DEFAULT = ArchConfig()
-
-
-def basic_unit(variant: Variant, graph: Graph, input_id: int, in_channels: int,
-               out_channels: int, stride: int, name_prefix: str,
-               cfg: ArchConfig | None = None) -> int:
-    """Append one basic unit of the given family; returns its output node."""
-    cfg = cfg or _DEFAULT
-    _check_stride(stride, name_prefix)
-    return _UNIT_BUILDERS[variant](graph, input_id, in_channels, out_channels,
-                                   stride, name_prefix, cfg)
 
 
 # --------------------------------------------------------------------------
@@ -511,7 +469,7 @@ def _block_xception(g, src, in_ch, out_ch, units, stride, prefix, cfg,
     node = src
     for index, start in enumerate(range(0, units, 2), 1):
         node = _unit_xception(g, node, in_ch, out_ch, stride, f"{prefix}.block{index}",
-                              cfg, single=start + 1 == units)
+                              single=start + 1 == units)
         in_ch, stride = out_ch, 1
     return node
 

@@ -121,37 +121,27 @@ def _cmd_cost(args: argparse.Namespace) -> None:
     _emit("\n".join(lines) + "\n", args.output)
 
 
-def _compare_rows(cfg: ArchConfig, fold_bn: bool) -> list[tuple[str, int, int]]:
+def _cmd_compare(args: argparse.Namespace) -> None:
     from .arch import build_pointpillars
     from .cost import graph_cost
-    rows = []
-    for variant in Variant:
-        report = _printable(graph_cost(build_pointpillars(variant, cfg),
-                                       count_batchnorm=not fold_bn))
-        rows.append((variant.value, report.total_madds, report.total_params))
-    return rows
-
-
-def _cmd_compare(args: argparse.Namespace) -> None:
     cfg = _load_config(args)
-    rows = _compare_rows(cfg, args.fold_batchnorm)
-    base = next(m for name, m, _ in rows if name == Variant.BASE.value)
+    reports = [_printable(graph_cost(build_pointpillars(variant, cfg),
+                                     count_batchnorm=not args.fold_batchnorm))
+               for variant in Variant]
+    base = reports[0].total_madds  # Variant.BASE comes first
+    header = ("name", "madds", "params", "gmadds", "madd_speedup")
+    rows = [(variant.value, r.total_madds, r.total_params, _gmadd_str(r.total_madds),
+             fmt2(Fraction(base, r.total_madds))) for variant, r in zip(Variant, reports)]
     if args.format == "json":
-        doc = [{"name": name, "madds": madds, "params": params,
-                "gmadds": _gmadd_str(madds),
-                "madd_speedup": fmt2(Fraction(base, madds))}
-               for name, madds, params in rows]
+        doc = [dict(zip(header, row)) for row in rows]
         _emit(json.dumps(doc, indent=2) + "\n", args.output)
         return
     if args.format == "csv":
-        _emit(_csv_text(("name", "madds", "params", "gmadds", "madd_speedup"),
-                        ((name, madds, params, _gmadd_str(madds), fmt2(Fraction(base, madds)))
-                         for name, madds, params in rows)), args.output)
+        _emit(_csv_text(header, rows), args.output)
         return
     lines = [f"{'name':<14} {'GMAdd':>8} {'params':>10} {'speedup':>8}"]
-    for name, madds, params in rows:
-        lines.append(f"{name:<14} {_gmadd_str(madds):>8} {params:>10} "
-                     f"{fmt2(Fraction(base, madds)):>8}")
+    for name, _, params, gmadds, speedup in rows:
+        lines.append(f"{name:<14} {gmadds:>8} {params:>10} {speedup:>8}")
     _emit("\n".join(lines) + "\n", args.output)
 
 
@@ -306,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DOMAIN_ERRORS = (PillarcostError, OSError, json.JSONDecodeError)
+_DOMAIN_ERRORS = (PillarcostError, OSError)
 
 
 def run(argv: list[str] | None = None) -> int:

@@ -1,14 +1,17 @@
 """Names shared by every pillarcost module: the error base class, the
-architecture errors, the backbone variants, the reader of numbers from
-outside (``exact_fraction``) and the frozen record base (``Record``).
+architecture errors, the backbone variants, the readers of numbers and
+JSON files from outside (``exact_fraction``, ``read_json``) and the frozen
+record base (``Record``).
 
 This module imports no graph code, so a command that only names the
 variants or reads the dataset loads nothing more than it needs.
 """
 from __future__ import annotations
 
+import json
 from enum import Enum
 from fractions import Fraction
+from pathlib import Path
 
 # Python refuses to read an int string of more digits than this; a decimal
 # exponent larger in magnitude would make Fraction build such a number.
@@ -38,6 +41,40 @@ def exact_fraction(value) -> Fraction:
             raise NumberError(f"number {value!r} has a decimal exponent over "
                               f"{MAX_EXPONENT} in magnitude")
     return Fraction(value)
+
+
+class ExactDecimal(Fraction):
+    """A JSON number with a fraction or an exponent, read exactly (``0.1``
+    is 1/10); its repr is the number as written, so an error names ``64.0``
+    rather than ``Fraction(64, 1)``.  Records hold plain Fractions."""
+
+    def __new__(cls, text: str) -> "ExactDecimal":
+        self = super().__new__(cls, exact_fraction(text))
+        self._text = text
+        return self
+
+    def __repr__(self) -> str:
+        return self._text
+
+
+def read_json(path: str | Path, error: type[PillarcostError], text: str | None = None):
+    """The JSON document in the file at ``path`` (or in ``text``, read from
+    it), with each number that has a fraction or an exponent read exactly as
+    an ``ExactDecimal``.  Text that is not UTF-8, malformed JSON, nesting too
+    deep, a number ``exact_fraction`` refuses and a key given twice in one
+    object raise ``error``, one line naming the path."""
+    def unique_keys(pairs: list) -> dict:
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            seen: set = set()
+            key = next(key for key, _ in pairs if key in seen or seen.add(key))
+            raise error(f"{path}: key {key!r} given twice")
+        return doc
+    try:
+        return json.loads(Path(path).read_text() if text is None else text,
+                          object_pairs_hook=unique_keys, parse_float=ExactDecimal)
+    except (ValueError, RecursionError) as err:  # incl. JSONDecodeError, UnicodeDecodeError
+        raise error(f"{path}: malformed JSON: {err}") from err
 
 
 class Record:

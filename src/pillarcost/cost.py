@@ -1,32 +1,19 @@
 """Exact multiply-add and parameter accounting over computation graphs.
 
-All arithmetic is integer; ratios are exact fractions.  Display rounding is
-left to the reporting layer.
+All arithmetic is integer.  Display rounding is left to the reporting
+layer.
 """
 from __future__ import annotations
 
 import csv
 import io
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
 
-from .core import PillarcostError, Record
-from .graph import (  # ShapeError and ShapeInconsistent are re-exported
-    BatchNorm, Graph, NodeSpec, ShapeError, ShapeInconsistent, TensorShape,
-)
+from .core import Record
+# ShapeError and ShapeInconsistent are re-exported
+from .graph import BatchNorm, Graph, ShapeError, ShapeInconsistent
 from .shapes import Key, walk_shapes
-
-
-def node_madds(spec: NodeSpec, input_shapes: list[TensorShape],
-               output_shapes: list[TensorShape]) -> int:
-    """Multiply-add count of one node; see the kind's ``madds`` method."""
-    return spec.madds(input_shapes, output_shapes)
-
-
-def node_params(spec: NodeSpec, input_shapes: list[TensorShape]) -> int:
-    """Learnable parameter count of one node."""
-    return spec.params(input_shapes)
 
 
 class NodeCost(NamedTuple):
@@ -109,14 +96,3 @@ def graph_cost(graph: Graph, count_batchnorm: bool = True) -> CostReport:
             costs[key] = cost
         rows.append(tuple.__new__(NodeCost, (name, *cost)))
     return CostReport(tuple(rows))
-
-
-class ZeroMAddsError(PillarcostError, ZeroDivisionError):
-    """A ratio was asked of a report that counts no MAdds."""
-
-
-def speedup_vs_base(base: CostReport, other: CostReport) -> Fraction:
-    """Exact MAdd ratio base/other (>1 means 'other' is cheaper)."""
-    if other.total_madds == 0:
-        raise ZeroMAddsError("cannot compute speedup against 0 MAdds")
-    return Fraction(base.total_madds, other.total_madds)

@@ -112,9 +112,6 @@ class TensorShape(_Dims):
     def pixels(self) -> int:
         return self.height * self.width
 
-    def with_channels(self, channels: int) -> "TensorShape":
-        return TensorShape(channels, self.height, self.width)
-
 
 # --------------------------------------------------------------------------
 # Node kinds (closed enumeration)

@@ -11,10 +11,10 @@ import pytest
 
 from pillarcost.analysis import (
     TimingProfile, amdahl_max, default_dataset_path, load_points, map_of,
-    pareto_front, project_fps, ratio_table, round2,
+    fmt2, pareto_front, project_fps, ratio_table,
 )
 from pillarcost.arch import Variant, build_pointpillars
-from pillarcost.cost import graph_cost, node_madds
+from pillarcost.cost import graph_cost
 from pillarcost.graph import Conv, TensorShape
 from pillarcost.shapes import NegativeOutputDim, infer_all, node_output_shape
 from pillarcost.svg import render_scatter
@@ -61,7 +61,7 @@ SCOPE_COLUMN = {"overall": 0, "car": 1, "pedestrian": 2, "cyclist": 3}
 @pytest.mark.parametrize("name", sorted(PRINTED_MAP))
 def test_map_table_cell_matches_printed_value(name, scope):
     printed = PRINTED_MAP[name][SCOPE_COLUMN[scope]]
-    computed = round2(map_of(BY_NAME[name], scope))
+    computed = float(fmt2(map_of(BY_NAME[name], scope)))
     assert computed == pytest.approx(printed, abs=0.01), \
         f"{name}/{scope}: recomputed {computed}, printed {printed}"
 
@@ -131,7 +131,7 @@ def test_reconstructed_madd_speedups_within_15_percent(name, printed):
 def test_printed_speedup_columns(name, metric, column):
     table = ratio_table(POINTS, metric)
     printed = PRINTED_RATIOS[name][column]
-    assert round2(table[name]) == pytest.approx(printed, abs=0.01)
+    assert float(fmt2(table[name])) == pytest.approx(printed, abs=0.01)
 
 
 def test_sample_division():
@@ -145,8 +145,8 @@ FPGA = TimingProfile.from_file(default_dataset_path().parent / "fpga_timing.json
 
 
 def test_limit_speedups():
-    assert round2(amdahl_max(Fraction(7, 10))) == pytest.approx(3.33, abs=0.01)
-    computed = round2(amdahl_max(Fraction(39, 100)))
+    assert fmt2(amdahl_max(Fraction(7, 10))) == "3.33"
+    computed = float(fmt2(amdahl_max(Fraction(39, 100))))
     assert computed == pytest.approx(1.64, abs=0.01)
     assert abs(computed - 1.61) <= 0.03  # printed figure, wider band
 
@@ -195,7 +195,7 @@ def test_conv_madds_exhaustive_sweep():
                                         outs = node_output_shape(spec, [shape])
                                     except NegativeOutputDim:
                                         continue
-                                    assert node_madds(spec, [shape], outs) == \
+                                    assert spec.madds([shape], outs) == \
                                         sweep_oracle(spec, shape)
                                     checked += 1
     assert checked > 3000

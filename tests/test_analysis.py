@@ -8,7 +8,7 @@ import pytest
 from pillarcost.analysis import (
     AnalysisError, DesignPoint, DomainError, MissingEntry, MissingMetric,
     TimingProfile, UnknownStage, amdahl, amdahl_max, default_dataset_path,
-    load_points, map_of, pareto_front, project_fps, ratio_table, round2,
+    fmt2, load_points, map_of, pareto_front, project_fps, ratio_table,
 )
 
 CLASSES = ("Car", "Pedestrian", "Cyclist")
@@ -25,13 +25,15 @@ def point(name, gmadds, ap_value, **kw):
 
 
 class TestRound2:
+    """``fmt2`` rounds half up to two decimals, exactly at any size."""
+
     @pytest.mark.parametrize("value,expect", [
         (Fraction(1, 3), 0.33), (Fraction(2, 3), 0.67),
         (Fraction(1, 8), 0.13), (Fraction(5, 2), 2.5),
         (2.675, 2.68), (1.605, 1.61),
     ])
     def test_half_up(self, value, expect):
-        assert round2(value) == expect
+        assert fmt2(value) == f"{expect:.2f}"
 
     @pytest.mark.parametrize("whole_digits", [26, 27, 28, 40, 300])
     def test_a_value_of_any_size_rounds_half_up(self, whole_digits):
@@ -39,11 +41,11 @@ class TestRound2:
         for cents, expect in ((Fraction(1, 8), 13), (Fraction(1, 200), 1),
                               (Fraction(9999, 10000), 100)):
             want = float(Fraction(100 * whole + expect, 100))
-            assert round2(whole + cents) == want
-            assert round2(-whole - cents) == -want
+            assert float(fmt2(whole + cents)) == want
+            assert float(fmt2(-whole - cents)) == -want
 
-    def test_a_value_past_the_float_range_is_infinite(self):
-        assert round2(10 ** 5000 + Fraction(1, 8)) == float("inf")
+    def test_a_value_past_the_float_range_prints_its_digits(self):
+        assert fmt2(10 ** 5000 + Fraction(1, 8)) == "1" + "0" * 5000 + ".13"
 
 
 class TestDesignPoint:
@@ -155,6 +157,14 @@ class TestTimingProfile:
         path.write_text("{}")
         with pytest.raises(AnalysisError):
             TimingProfile.from_file(path)
+
+    def test_key_given_twice_reported(self, tmp_path):
+        path = tmp_path / "timing.json"
+        path.write_text('{"stage_fractions": {"backbone": 0.9, "backbone": 0.1}, '
+                        '"base_latency_ms": 10}')
+        with pytest.raises(AnalysisError) as info:
+            TimingProfile.from_file(path)
+        assert str(info.value) == f"{path}: key 'backbone' given twice"
 
     @pytest.mark.parametrize("text", MALFORMED_JSON.values(), ids=MALFORMED_JSON.keys())
     def test_malformed_json_reported_naming_the_path(self, tmp_path, text):
@@ -268,6 +278,29 @@ class TestLoadPoints:
         path.write_text("[]")
         with pytest.raises(AnalysisError):
             load_points(path)
+
+    @pytest.mark.parametrize("text, key", [
+        ('[{"name": "base", "gmadds": 63.4, "gmadds": 1.0}]', "gmadds"),
+        ('{"points": [], "points": [{"name": "a", "gmadds": 1}]}', "points"),
+        ('[{"name": "a", "gmadds": 1, "ap": {"Car": {"Easy": 80, "Easy": 10}}}]', "Easy"),
+    ], ids=["field", "top_level", "ap_cell"])
+    def test_key_given_twice_reported(self, tmp_path, text, key):
+        path = tmp_path / "pts.json"
+        path.write_text(text)
+        with pytest.raises(AnalysisError) as info:
+            load_points(path)
+        assert str(info.value) == f"{path}: key {key!r} given twice"
+
+    @pytest.mark.parametrize("alias", ["Mod", "Mod."])
+    def test_ap_cell_given_twice_through_an_alias_reported(self, tmp_path, alias):
+        # "Mod" and "Mod." name the "Moderate" cell
+        path = tmp_path / "pts.json"
+        path.write_text(json.dumps([{"name": "a", "gmadds": 1, "ap": {"Car": {
+            "Easy": 80, alias: 70, "Moderate": 10, "Hard": 60}}}]))
+        with pytest.raises(AnalysisError) as info:
+            load_points(path)
+        assert str(info.value) == (f"{path}: bad design point record: "
+                                   "AP cell ('Car', 'Moderate') is given twice")
 
     @pytest.mark.parametrize("text", MALFORMED_JSON.values(), ids=MALFORMED_JSON.keys())
     def test_malformed_json_reported_naming_the_path(self, tmp_path, text):

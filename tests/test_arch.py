@@ -7,10 +7,10 @@ import pytest
 import pillarcost.arch
 from pillarcost.arch import (
     ArchConfig, ArchError, ChannelConstraintError, UnsupportedStrideError,
-    Variant, basic_unit, build_backbone, build_pointpillars,
+    Variant, build_backbone, build_pointpillars,
 )
 from pillarcost.cost import graph_cost
-from pillarcost.graph import Conv, Graph, Input, TensorShape
+from pillarcost.graph import Conv, Graph, TensorShape
 from pillarcost.shapes import infer_all
 
 ALL_VARIANTS = list(Variant)
@@ -201,10 +201,14 @@ class TestArchConfig:
         assert str(info.value) == "key 'max_pillars' given twice"
 
 
-def unit_graph(variant, in_ch, out_ch, stride, cfg=None):
-    g = Graph()
-    src = g.add_node(Input(TensorShape(in_ch, 16, 16)), name="unit.input")
-    out = basic_unit(variant, g, src, in_ch, out_ch, stride, "unit.u1", cfg)
+def unit_graph(variant, in_ch, out_ch, stride, **knobs):
+    """A backbone of one block of two units on a 16x16 input: the strided
+    first unit, then one of stride 1 (Xception's block spans both)."""
+    cfg = ArchConfig(pseudo_image_channels=in_ch, pseudo_image_height=16,
+                     pseudo_image_width=16, block_channels=(out_ch,), block_units=(2,),
+                     block_strides=(stride,), neck_out_channels=(out_ch,),
+                     neck_upsample=(1,), **knobs)
+    g, (out,) = build_backbone(variant, cfg)
     return g, out
 
 
@@ -212,8 +216,7 @@ def test_builds_given_no_config_share_one_default(monkeypatch):
     made = []
     monkeypatch.setattr(ArchConfig, "__post_init__", lambda self: made.append(self))
     graph = build_pointpillars(Variant.RESNET)
-    backbone, _ = build_backbone(Variant.RESNET)
-    basic_unit(Variant.RESNET, backbone, 0, 64, 64, 1, "extra")
+    build_backbone(Variant.RESNET)
     assert made == []
     assert graph.to_json() == build_pointpillars(Variant.RESNET, ArchConfig()).to_json()
 
@@ -243,8 +246,7 @@ class TestBasicUnit:
 
     def test_mobilenet_v2_expansion_knob(self):
         g1, _ = unit_graph(Variant.MOBILENET_V2, 64, 64, 1)
-        cfg = ArchConfig(mobilenet_v2_expand=6)
-        g6, _ = unit_graph(Variant.MOBILENET_V2, 64, 64, 1, cfg)
+        g6, _ = unit_graph(Variant.MOBILENET_V2, 64, 64, 1, mobilenet_v2_expand=6)
         assert graph_cost(g6).total_madds > graph_cost(g1).total_madds
 
 

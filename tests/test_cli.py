@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import pillarcost.cli
-from pillarcost.analysis import round2
+from pillarcost.analysis import fmt2
 from pillarcost.arch import ArchConfig, Variant, build_pointpillars
 from pillarcost.cli import run
 from pillarcost.cost import graph_cost
@@ -112,7 +112,7 @@ class TestCompare:
     def test_csv_round_trips_through_gmadds(self, capsys):
         _, out, _ = invoke(capsys, "compare", "--format", "csv")
         for row in csv.DictReader(io.StringIO(out)):
-            assert float(row["gmadds"]) == round2(int(row["madds"]) / 1e9)
+            assert row["gmadds"] == fmt2(Fraction(int(row["madds"]), 10 ** 9))
 
 
 class TestPareto:
@@ -343,6 +343,22 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {bad}: bad ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, payload, key", [
+        (["pareto", "--scope", "car", "--format", "csv", "--data"],
+         '[{"name": "base", "gmadds": 63.4, "gmadds": 1.0,'
+         ' "ap": {"Car": {"Easy": 40, "Moderate": 40, "Hard": 50}}}]', "gmadds"),
+        (["amdahl", "--speedup", "backbone=2", "--profile"],
+         '{"stage_fractions": {"backbone": 0.9, "backbone": 0.1}, "base_latency_ms": 10}',
+         "backbone"),
+    ], ids=["data", "profile"])
+    def test_key_given_twice_is_domain_error_naming_the_file(self, capsys, tmp_path,
+                                                            argv, payload, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(payload)
+        code, out, err = invoke(capsys, *argv, str(bad))
+        assert (code, out) == (1, "")
+        assert err == f"error: {bad}: key {key!r} given twice\n"
+
     @pytest.mark.parametrize("command, key, payload", [
         ("amdahl", "--profile", '{"stage_fractions": {"a": 0.5}, "base_latency_ms": 1e99999999}'),
         ("amdahl", "--profile", '{"stage_fractions": {"a": "1e-99999999"}, '
@@ -456,8 +472,11 @@ class TestExitCodes:
         assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
         assert "can't decode byte 0xff" in err
 
-    @pytest.mark.parametrize("error", [KeyError("k"), ValueError("v"),
-                                       ZeroDivisionError("z")], ids=lambda e: type(e).__name__)
+    # every file reader turns malformed JSON into a PillarcostError naming
+    # the file, so a JSONDecodeError that escapes one is a bug
+    @pytest.mark.parametrize("error", [KeyError("k"), ValueError("v"), ZeroDivisionError("z"),
+                                       json.JSONDecodeError("j", "{", 1)],
+                             ids=lambda e: type(e).__name__)
     def test_a_builtin_error_in_a_command_is_a_traceback(self, capsys, monkeypatch, error):
         def broken(args):
             raise error

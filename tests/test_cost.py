@@ -10,10 +10,7 @@ import pytest
 
 import pillarcost.shapes
 from pillarcost.arch import ArchConfig, Variant, build_pointpillars
-from pillarcost.cost import (
-    CostReport, ShapeError, ShapeInconsistent, graph_cost, node_madds, node_params,
-    speedup_vs_base,
-)
+from pillarcost.cost import ShapeError, ShapeInconsistent, graph_cost
 from pillarcost.graph import (
     Add, BatchNorm, ChannelShuffle, Concat, Conv, Graph, Input, MaxPool, ReLU,
     Scatter, TensorShape, TransposedConv,
@@ -64,7 +61,7 @@ class TestNodeMadds:
     ])
     def test_conv_matches_loop_oracle(self, spec, shape):
         outs = node_output_shape(spec, [shape])
-        assert node_madds(spec, [shape], outs) == conv_madds_oracle(spec, shape)
+        assert spec.madds([shape], outs) == conv_madds_oracle(spec, shape)
 
     @pytest.mark.parametrize("spec,shape", [
         (TransposedConv(64, 2, 2, stride_h=2, stride_w=2), TensorShape(128, 6, 5)),
@@ -75,11 +72,11 @@ class TestNodeMadds:
     ])
     def test_transposed_conv_matches_loop_oracle(self, spec, shape):
         outs = node_output_shape(spec, [shape])
-        assert node_madds(spec, [shape], outs) == tconv_madds_oracle(spec, shape)
+        assert spec.madds([shape], outs) == tconv_madds_oracle(spec, shape)
 
     def test_batchnorm_one_madd_per_element(self):
         s = TensorShape(32, 10, 12)
-        assert node_madds(BatchNorm(), [s], [s]) == 32 * 10 * 12
+        assert BatchNorm().madds([s], [s]) == 32 * 10 * 12
 
     @pytest.mark.parametrize("spec", [
         ReLU(), Add(), Concat(), MaxPool(2, 2, 2, 2), ChannelShuffle(2),
@@ -88,38 +85,37 @@ class TestNodeMadds:
     def test_madd_free_kinds(self, spec):
         s = TensorShape(4, 4, 4)
         shapes = [s, s] if isinstance(spec, (Add, Concat)) else [s]
-        assert node_madds(spec, shapes, node_output_shape(spec, shapes)) == 0
+        assert spec.madds(shapes, node_output_shape(spec, shapes)) == 0
 
     def test_depthwise_is_cheap(self):
         s = TensorShape(64, 10, 10)
         dense = Conv(64, 3, 3, pad_h=1, pad_w=1)
         depthwise = Conv(64, 3, 3, pad_h=1, pad_w=1, groups=64)
-        full = node_madds(dense, [s], node_output_shape(dense, [s]))
-        cheap = node_madds(depthwise, [s], node_output_shape(depthwise, [s]))
+        full = dense.madds([s], node_output_shape(dense, [s]))
+        cheap = depthwise.madds([s], node_output_shape(depthwise, [s]))
         assert full == 64 * cheap
 
 
 class TestNodeParams:
     def test_conv_weight_count(self):
-        assert node_params(Conv(16, 3, 3), [TensorShape(8, 9, 9)]) == 16 * 8 * 9
-        assert node_params(Conv(16, 3, 3, has_bias=True),
-                           [TensorShape(8, 9, 9)]) == 16 * 8 * 9 + 16
+        assert Conv(16, 3, 3).params([TensorShape(8, 9, 9)]) == 16 * 8 * 9
+        assert Conv(16, 3, 3, has_bias=True).params(
+            [TensorShape(8, 9, 9)]) == 16 * 8 * 9 + 16
 
     def test_grouped_conv_weight_count(self):
-        assert node_params(Conv(8, 3, 3, groups=8),
-                           [TensorShape(8, 9, 9)]) == 8 * 1 * 9
+        assert Conv(8, 3, 3, groups=8).params([TensorShape(8, 9, 9)]) == 8 * 1 * 9
 
     def test_transposed_conv_weight_count(self):
-        assert node_params(TransposedConv(128, 2, 2, stride_h=2, stride_w=2),
-                           [TensorShape(64, 4, 4)]) == 128 * 64 * 4
+        assert TransposedConv(128, 2, 2, stride_h=2, stride_w=2).params(
+            [TensorShape(64, 4, 4)]) == 128 * 64 * 4
 
     def test_batchnorm_scale_and_shift(self):
-        assert node_params(BatchNorm(), [TensorShape(32, 4, 4)]) == 64
+        assert BatchNorm().params([TensorShape(32, 4, 4)]) == 64
 
     def test_parameter_free_kinds(self):
         s = TensorShape(4, 4, 4)
-        assert node_params(ReLU(), [s]) == 0
-        assert node_params(MaxPool(2, 2), [s]) == 0
+        assert ReLU().params([s]) == 0
+        assert MaxPool(2, 2).params([s]) == 0
 
 
 def tiny_graph() -> Graph:
@@ -155,9 +151,9 @@ class TestInconsistentShapes:
     def test_message(self, spec, in_shapes, out_shapes, text):
         with pytest.raises(ShapeInconsistent) as info:
             if out_shapes is None:
-                node_params(spec, in_shapes)
+                spec.params(in_shapes)
             else:
-                node_madds(spec, in_shapes, out_shapes)
+                spec.madds(in_shapes, out_shapes)
         assert str(info.value) == text
 
 
@@ -320,13 +316,3 @@ def test_graph_cost_matches_independent_recount(monkeypatch, variant, units, cou
     report = graph_cost(graph, count_batchnorm=count_batchnorm)
     assert list(report.per_node) == refcount.recount(graph.to_json_dict(), count_batchnorm)
 
-
-class TestSpeedup:
-    def test_ratio(self):
-        base = graph_cost(tiny_graph())
-        assert speedup_vs_base(base, base) == 1
-
-    def test_zero_madd_rejected(self):
-        empty = CostReport(per_node=())
-        with pytest.raises(ZeroDivisionError):
-            speedup_vs_base(graph_cost(tiny_graph()), empty)

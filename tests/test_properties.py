@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pillarcost.analysis import DesignPoint, TimingProfile, amdahl, amdahl_max, \
-    default_dataset_path, load_points, map_of, pareto_front, round2
+    default_dataset_path, fmt2, load_points, map_of, pareto_front
 from pillarcost.arch import ArchConfig, ArchError, build_pointpillars
 from pillarcost.core import PillarcostError, Variant
-from pillarcost.cost import CostReport, graph_cost, node_madds, node_params
+from pillarcost.cost import CostReport, graph_cost
 from pillarcost.graph import (
     Add, BatchNorm, ChannelShuffle, ChannelSplit, Concat, Conv, Graph, Input,
     MaxPool, ReLU, Scatter, TensorShape, TransposedConv,
@@ -39,8 +39,8 @@ def test_conv_madds_equal_params_times_output_pixels(spec, shape):
         outs = node_output_shape(spec, [shape])
     except ShapeError:
         return
-    assert node_madds(spec, [shape], outs) == \
-        node_params(spec, [shape]) * outs[0].pixels
+    assert spec.madds([shape], outs) == \
+        spec.params([shape]) * outs[0].pixels
 
 
 @given(spec=convs, shape=shapes)
@@ -53,8 +53,8 @@ def test_conv_cost_scales_linearly_in_output_channels(spec, shape):
         return
     doubled = spec._replace(out_channels=2 * spec.out_channels)
     douts = node_output_shape(doubled, [shape])
-    assert node_madds(doubled, [shape], douts) == \
-        2 * node_madds(spec, [shape], outs)
+    assert doubled.madds([shape], douts) == \
+        2 * spec.madds([shape], outs)
 
 
 @given(spec=convs, shape=shapes)
@@ -79,7 +79,7 @@ def test_transposed_conv_cost_independent_of_output_size(spec, shape):
         return
     expected = (spec.out_channels * shape.channels
                 * spec.kernel_h * spec.kernel_w * shape.pixels)
-    assert node_madds(spec, [shape], outs) == expected
+    assert spec.madds([shape], outs) == expected
 
 
 @given(shape=shapes, parts=st.integers(1, 4))
@@ -103,23 +103,24 @@ def test_amdahl_is_bounded_and_at_least_one(p, s):
 
 @given(st.fractions(min_value="1/1000", max_value=100))
 def test_round2_is_idempotent_and_close(value):
-    once = round2(value)
-    assert round2(Fraction(once).limit_denominator(10**6)) == once
-    assert abs(once - float(value)) <= 0.005 + 1e-9
+    """``fmt2``'s rounding to two decimals."""
+    once = fmt2(value)
+    assert fmt2(Fraction(once)) == once
+    assert abs(Fraction(once) - value) <= Fraction(1, 200)
 
 
 @given(st.integers(min_value=-10 ** 30, max_value=10 ** 30),
        st.integers(min_value=1, max_value=10 ** 30))
 def test_round2_below_26_integer_digits_matches_the_default_context(num, den):
-    """Where quantizing in decimal's default 28-digit context works, round2
+    """Where quantizing in decimal's default 28-digit context works, fmt2
     rounds as that does: through 28 significant digits, then half up."""
     from decimal import ROUND_HALF_UP, Decimal, DefaultContext, localcontext
     if abs(num) // den >= 10 ** 26 - 1:
         return
     with localcontext(DefaultContext):
         dec = Decimal(num) / Decimal(den)
-        want = float(dec.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
-    assert round2(Fraction(num, den)) == want
+        want = str(dec.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    assert fmt2(Fraction(num, den)) == want
 
 
 points_lists = st.lists(

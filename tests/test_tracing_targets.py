@@ -1,4 +1,5 @@
 """The benchmark's tracer wraps pillarcost functions and methods by name."""
+import ast
 import importlib
 import os
 import subprocess
@@ -28,6 +29,40 @@ def test_every_traced_target_resolves(monkeypatch):
         tracer.install()
     finally:
         tracer.uninstall()
+
+
+def attribute_chains(path: Path):
+    """(name, attributes) of each ``name.a.b`` read in ``path``; ``self.pc``
+    is read as ``pc``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        attrs = []
+        while isinstance(node, ast.Attribute):
+            attrs.insert(0, node.attr)
+            node = node.value
+        if attrs and isinstance(node, ast.Name):
+            if node.id == "self" and attrs[0] == "pc":
+                yield "pc", attrs[1:]
+            else:
+                yield node.id, attrs
+
+
+def test_every_name_the_benchmark_calls_resolves():
+    """The package names that bench/workloads.py and bench/pin.py call on
+    the package (``pc``), a graph, a report and a report row still exist."""
+    import pillarcost as pc
+    graph = pc.build_pointpillars(Variant.BASE)
+    report = pc.graph_cost(graph)
+    receivers = {"pc": pc, "graph": graph, "report": report, "c": report.per_node[0]}
+    read = set()
+    for name in ("workloads.py", "pin.py"):
+        for receiver, attrs in attribute_chains(ROOT / "bench" / name):
+            if receiver in receivers:
+                value = receivers[receiver]
+                for attr in attrs:
+                    value = getattr(value, attr)
+                read.add((receiver, *attrs))
+    assert {("pc", "graph_cost"), ("pc", "Graph", "from_json"), ("graph", "to_json_dict"),
+            ("report", "to_csv"), ("c", "params")} <= read
 
 
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
