@@ -5,7 +5,7 @@ exact rational arithmetic, with half-up rounding applied only for display.
 """
 from __future__ import annotations
 
-from decimal import ROUND_HALF_UP, Context, Decimal
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,21 +40,15 @@ class DomainError(AnalysisError):
 
 def fmt2(value: Fraction | float) -> str:
     """Half-up rounding to 2 decimals, as the text with two decimals that
-    the commands and plots print, at any size.
-
-    The value is first divided out to 28 significant digits, as in
-    ``decimal``'s default context; from 10**26 - 1 up, where 28 digits
-    could not hold the integer part and two decimals, to 3 digits more than
-    the integer part has, or a few more.
-    """
+    the commands and plots print, exact at any size.  A negative value that
+    rounds to zero keeps its sign, as ``decimal`` does."""
     if not isinstance(value, Fraction):
         value = Fraction(Decimal(repr(float(value))))
-    whole = abs(value.numerator) // value.denominator
-    # a digit is over 3 bits, so bit_length() // 3 is at least whole's digits
-    context = Context(prec=28 if whole < 10 ** 26 - 1 else whole.bit_length() // 3 + 3)
-    dec = context.divide(Decimal(value.numerator), Decimal(value.denominator))
-    # the exponent is -2, so the text is never in exponent notation
-    return str(dec.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP, context=context))
+    num, den = abs(value.numerator), value.denominator
+    cents = (200 * num + den) // (2 * den)  # floor(|value| * 100 + 1/2)
+    # through Decimal: str(int) refuses more than 4,300 digits
+    digits = str(Decimal(cents)).rjust(3, "0")
+    return f"{'-' if value < 0 else ''}{digits[:-2]}.{digits[-2:]}"
 
 
 class DesignPoint(Record):

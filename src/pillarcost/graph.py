@@ -676,12 +676,10 @@ class Graph:
         if not (set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) <= {4}
                 and set(map(type, chain.from_iterable(edges))) <= {int}):
             edges = list(map(_edge, edges))  # or raise, naming the first bad edge
-        # to_json writes the edges grouped by consumer, then port, so one
-        # walk finds each node's inputs; any other order is sorted into it
-        bounds = _walk(edges, 0, n)
-        if len(bounds) <= n or bounds[-1] < len(edges):
-            edges.sort(key=_DST_PORT)
-            bounds = _walk(edges, bisect_left(edges, 0, key=_DST), n)
+        # sorted by consumer, then port, one walk finds each node's inputs;
+        # to_json writes them in that order, which the sort checks in one pass
+        edges.sort(key=_DST_PORT)
+        bounds = _walk(edges, bisect_left(edges, 0, key=_DST), n)
         pairs = tuple(map(_SOURCE, edges))
         graph = cls()
         for (_, spec, name), start, end in zip(decoded, bounds, bounds[1:]):
@@ -751,7 +749,7 @@ def _walk(edges: list, start: int, n: int) -> list[int]:
     """Node i's inputs are ``edges[bounds[i]:bounds[i + 1]]``, read from
     ``start`` in (dst, dst_port) order.  The walk stops at the first node
     whose ports do not read 0..k-1: with fewer than n + 1 bounds, node
-    ``len(bounds) - 1`` has bad ports or the edges are out of order."""
+    ``len(bounds) - 1`` has bad ports."""
     bounds, pos, count = [start], start, len(edges)
     for node_id in range(n):
         first = pos

@@ -35,14 +35,22 @@ class TestRound2:
     def test_half_up(self, value, expect):
         assert fmt2(value) == f"{expect:.2f}"
 
+    @pytest.mark.parametrize("value,text", [
+        (10 ** 25 + 7 + Fraction(1, 8), "10000000000000000000000007.13"),
+        (Fraction(1249999999999999999999999999999, 10 ** 31), "0.12"),
+    ])
+    def test_rounds_the_exact_value_not_a_28_digit_quotient(self, value, text):
+        assert fmt2(value) == text
+
     @pytest.mark.parametrize("whole_digits", [26, 27, 28, 40, 300])
     def test_a_value_of_any_size_rounds_half_up(self, whole_digits):
         whole = 10 ** (whole_digits - 1) + 7
         for cents, expect in ((Fraction(1, 8), 13), (Fraction(1, 200), 1),
                               (Fraction(9999, 10000), 100)):
-            want = float(Fraction(100 * whole + expect, 100))
-            assert float(fmt2(whole + cents)) == want
-            assert float(fmt2(-whole - cents)) == -want
+            total = 100 * whole + expect
+            want = f"{total // 100}.{total % 100:02d}"
+            assert fmt2(whole + cents) == want
+            assert fmt2(-whole - cents) == "-" + want
 
     def test_a_value_past_the_float_range_prints_its_digits(self):
         assert fmt2(10 ** 5000 + Fraction(1, 8)) == "1" + "0" * 5000 + ".13"

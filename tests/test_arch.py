@@ -1,4 +1,5 @@
 """Architecture construction: config handling, units, blocks, full networks."""
+import hashlib
 import weakref
 from fractions import Fraction
 
@@ -241,7 +242,9 @@ class TestBasicUnit:
 
     def test_channel_constraints_enforced(self):
         # ResNeXt needs the bottleneck width divisible by its group count
-        with pytest.raises(ChannelConstraintError):
+        with pytest.raises(ChannelConstraintError, match=(
+                r"^backbone\.block1\.unit1\.conv3x3\.conv: "
+                r"channels 8->8 not divisible by groups=32$")):
             unit_graph(Variant.RESNEXT, 8, 8, 1)
 
     def test_mobilenet_v2_expansion_knob(self):
@@ -335,6 +338,42 @@ class TestBuildPointPillars:
         full = graph_cost(build_pointpillars(Variant.BASE)).total_madds
         quarter = graph_cost(build_pointpillars(Variant.BASE, small)).total_madds
         assert full / 5 < quarter < full / 3.5  # pfn term does not scale
+
+
+# One SHA-256 over the 11 variants' to_json() texts, in Variant order, at
+# configs that bench/expected.json does not pin; a builder refactor must
+# keep every one
+PINNED_BUILDS = {
+    "units123": ({"block_units": (1, 2, 3)},
+                 "4e5c43835694cffc929df3ea5fa956f19a2e83ae0f9bdbb8350d7759b512416f"),
+    "strides122": ({"block_strides": (1, 2, 2)},
+                   "0373525e5db3e2460da7d9f94e0adca340473ab15f560401f550491b6f60e835"),
+    "v2expand6": ({"mobilenet_v2_expand": 6},
+                  "209a355cec7a3b9ce294df1c634d5c7158929e0bc69e0741565f2391d353e315"),
+    "v1groups4": ({"shufflenet_v1_groups": 4},
+                  "2bc751dc3e7885bfc4adcdb617b3093553fca5cf7c237eb41cbd3893886ddfa3"),
+    "resnext8": ({"resnext_groups": 8},
+                 "5c28a7c18fdf5be3e566f9c922d10c88f228f1dbc410ec2492dd476056dd0030"),
+    "channels": ({"block_channels": (32, 128, 256)},
+                 "57f302d66220601623e6083521f701c9b3c608bc7ac783cc6cc2df3f300ba144"),
+}
+
+
+@pytest.mark.parametrize("config", PINNED_BUILDS)
+def test_builds_keep_their_bytes_and_same_padding(config):
+    """Every variant's graph at a non-default config keeps its bytes, and
+    every conv is padded by half its kernel on each axis."""
+    kwargs, want = PINNED_BUILDS[config]
+    digest = hashlib.sha256()
+    for variant in ALL_VARIANTS:
+        graph = build_pointpillars(variant, ArchConfig(**kwargs))
+        digest.update(graph.to_json().encode())
+        for node in graph.nodes:
+            spec = node.spec
+            if isinstance(spec, Conv):
+                assert (spec.pad_h, spec.pad_w) == \
+                    (spec.kernel_h // 2, spec.kernel_w // 2), node.name
+    assert digest.hexdigest() == want
 
 
 class TestSpecSharing:

@@ -111,15 +111,12 @@ def test_round2_is_idempotent_and_close(value):
 
 @given(st.integers(min_value=-10 ** 30, max_value=10 ** 30),
        st.integers(min_value=1, max_value=10 ** 30))
-def test_round2_below_26_integer_digits_matches_the_default_context(num, den):
-    """Where quantizing in decimal's default 28-digit context works, fmt2
-    rounds as that does: through 28 significant digits, then half up."""
-    from decimal import ROUND_HALF_UP, Decimal, DefaultContext, localcontext
-    if abs(num) // den >= 10 ** 26 - 1:
-        return
-    with localcontext(DefaultContext):
-        dec = Decimal(num) / Decimal(den)
-        want = str(dec.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+def test_round2_matches_integer_half_up_rounding(num, den):
+    """fmt2 rounds the exact value half up: cents from an integer division,
+    rounded up when the remainder is at least half the divisor."""
+    cents, rest = divmod(abs(num) * 100, den)
+    cents += 2 * rest >= den
+    want = f"{'-' if num < 0 else ''}{cents // 100}.{cents % 100:02d}"
     assert fmt2(Fraction(num, den)) == want
 
 
