@@ -22,22 +22,6 @@ class AnalysisError(PillarcostError):
     pass
 
 
-class MissingEntry(AnalysisError):
-    pass
-
-
-class MissingMetric(AnalysisError):
-    pass
-
-
-class UnknownStage(AnalysisError):
-    pass
-
-
-class DomainError(AnalysisError):
-    pass
-
-
 def fmt2(value: Fraction | float) -> str:
     """Half-up rounding to 2 decimals, as the text with two decimals that
     the commands and plots print, exact at any size.  A negative value that
@@ -81,7 +65,7 @@ def map_of(point: DesignPoint, scope: str = "overall") -> Fraction:
     values = []
     for key in wanted:
         if key not in point.ap:
-            raise MissingEntry(f"{point.name}: missing AP entry {key}")
+            raise AnalysisError(f"{point.name}: missing AP entry {key}")
         values.append(point.ap[key])
     return Fraction(sum(values), len(values))
 
@@ -112,12 +96,12 @@ def amdahl(fraction: Fraction | float, stage_speedup: Fraction | float) -> Fract
     is accelerated ``stage_speedup`` times."""
     p = Fraction(fraction)
     if not 0 < p < 1:
-        raise DomainError(f"stage fraction must be in (0, 1), got {fraction}")
+        raise AnalysisError(f"stage fraction must be in (0, 1), got {fraction}")
     if stage_speedup == float("inf"):
         return amdahl_max(p)
     s = Fraction(stage_speedup)
     if s <= 0:
-        raise DomainError(f"stage speedup must be positive, got {stage_speedup}")
+        raise AnalysisError(f"stage speedup must be positive, got {stage_speedup}")
     return 1 / ((1 - p) + p / s)
 
 
@@ -125,7 +109,7 @@ def amdahl_max(fraction: Fraction | float) -> Fraction:
     """Limit speedup 1/(1-p) as the stage's own speedup grows unbounded."""
     p = Fraction(fraction)
     if not 0 < p < 1:
-        raise DomainError(f"stage fraction must be in (0, 1), got {fraction}")
+        raise AnalysisError(f"stage fraction must be in (0, 1), got {fraction}")
     return 1 / (1 - p)
 
 
@@ -170,7 +154,7 @@ def project_fps(profile: TimingProfile,
     """
     for stage in speedups:
         if stage not in profile.stage_fractions:
-            raise UnknownStage(f"stage {stage!r} not in timing profile")
+            raise AnalysisError(f"stage {stage!r} not in timing profile")
     total = 1 - sum(profile.stage_fractions.values())  # unprofiled remainder
     for stage, frac in profile.stage_fractions.items():
         s = speedups.get(stage, 1)
@@ -178,10 +162,10 @@ def project_fps(profile: TimingProfile,
             continue
         s = Fraction(s)
         if s <= 0:
-            raise DomainError(f"stage {stage!r} speedup must be positive")
+            raise AnalysisError(f"stage {stage!r} speedup must be positive")
         total += frac / s
     if total <= 0:
-        raise DomainError("all pipeline time was accelerated away")
+        raise AnalysisError("all pipeline time was accelerated away")
     return 1000 / (profile.base_latency_ms * total)
 
 
@@ -196,7 +180,7 @@ def ratio_table(points: list[DesignPoint], metric: str,
     is x/base.
     """
     if metric not in _METRICS:
-        raise MissingMetric(f"unknown metric {metric!r}; use one of {_METRICS}")
+        raise AnalysisError(f"unknown metric {metric!r}; use one of {_METRICS}")
     by_name = {p.name: p for p in points}
     if base_name not in by_name:
         raise AnalysisError(f"base point {base_name!r} not present")
@@ -204,7 +188,7 @@ def ratio_table(points: list[DesignPoint], metric: str,
     def get(point: DesignPoint) -> Fraction:
         value = getattr(point, metric) if metric != "gmadds" else point.gmadds
         if value is None:
-            raise MissingMetric(f"{point.name}: metric {metric!r} not measured")
+            raise AnalysisError(f"{point.name}: metric {metric!r} not measured")
         return Fraction(value)
 
     base = get(by_name[base_name])

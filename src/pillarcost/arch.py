@@ -17,10 +17,9 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
-from .core import (  # re-exported: the same classes as in core
-    ArchError, ChannelConstraintError, UnsupportedStrideError, Variant,
+from .core import (  # ArchError and Variant are re-exported
+    ArchError, ExactDecimal, Record, Variant, exact_fraction, read_json,
 )
-from .core import ExactDecimal, Record, exact_fraction, read_json
 from .graph import (
     Add, BatchNorm, ChannelShuffle, ChannelSplit, Concat, Conv, Graph, Input,
     MaxPool, ReLU, Scatter, TensorShape, TransposedConv,
@@ -56,7 +55,7 @@ def _strides(value, name: str) -> tuple[int, ...]:
     value = _ints(value, name)
     for i, stride in enumerate(value):
         if stride not in (1, 2):
-            raise UnsupportedStrideError(f"{name}[{i}]: stride must be 1 or 2, got {stride}")
+            raise ArchError(f"{name}[{i}]: stride must be 1 or 2, got {stride}")
     return value
 
 
@@ -203,8 +202,7 @@ def _conv(g: Graph, src: int, name: str, in_ch: int, out_ch: int,
     """Conv fed by output ``port`` of ``src`` (ChannelSplit has several),
     "same"-padded: each side is padded by half the kernel, rounded down."""
     if in_ch % groups or out_ch % groups:
-        raise ChannelConstraintError(
-            f"{name}: channels {in_ch}->{out_ch} not divisible by groups={groups}")
+        raise ArchError(f"{name}: channels {in_ch}->{out_ch} not divisible by groups={groups}")
     spec = g.spec(Conv, out_ch, kernel[0], kernel[1], stride, stride,
                   kernel[0] // 2, kernel[1] // 2, groups, bias)
     return g.add_node(spec, [(src, port)], name)
@@ -249,8 +247,7 @@ def _add_relu(g: Graph, skip: int, node: int, name: str) -> int:
 def _frac_channels(total: int, ratio: Fraction, name: str) -> int:
     value = Fraction(total) * ratio
     if value.denominator != 1 or value < 1:
-        raise ChannelConstraintError(
-            f"{name}: ratio {ratio} of {total} channels is not a positive integer")
+        raise ArchError(f"{name}: ratio {ratio} of {total} channels is not a positive integer")
     return int(value)
 
 
@@ -319,8 +316,7 @@ def _shuffle_branch(g, src, name, in_ch, out_ch, stride, groups) -> int:
 def _unit_shufflenet_v1(g, src, in_ch, out_ch, stride, name, cfg) -> int:
     groups = cfg.shufflenet_v1_groups
     if stride == 1 and in_ch != out_ch:
-        raise ChannelConstraintError(
-            f"{name}: stride-1 shuffle unit needs in == out channels")
+        raise ArchError(f"{name}: stride-1 shuffle unit needs in == out channels")
     if out_ch > in_ch:  # stride 2: a stride-1 unit has in == out
         # downsampling unit: pooled identity concatenated with the branch
         branch = _shuffle_branch(g, src, name, in_ch, out_ch - in_ch, 2, groups)
@@ -334,8 +330,7 @@ def _unit_shufflenet_v1(g, src, in_ch, out_ch, stride, name, cfg) -> int:
 def _shufflenet_v2_unit(g, src, in_ch, out_ch, stride, name, cfg) -> int:
     if stride == 1:
         if in_ch != out_ch or in_ch % 2:
-            raise ChannelConstraintError(
-                f"{name}: stride-1 unit needs even, equal in/out channels")
+            raise ArchError(f"{name}: stride-1 unit needs even, equal in/out channels")
         c = in_ch // 2
         split = g.add_node(_SPLIT_HALVES, [(src, 0)], f"{name}.split")
         node = _conv(g, split, f"{name}.pw1.conv", c, c, port=1)
@@ -346,7 +341,7 @@ def _shufflenet_v2_unit(g, src, in_ch, out_ch, stride, name, cfg) -> int:
         return g.add_node(_SHUFFLE_2, [(node, 0)], f"{name}.shuffle")
 
     if out_ch % 2:
-        raise ChannelConstraintError(f"{name}: output channels must be even")
+        raise ArchError(f"{name}: output channels must be even")
     branch = out_ch // 2
     left = _dw(g, src, f"{name}.left.dw", in_ch, 2, relu=False)
     left = _cbr(g, left, f"{name}.left.pw", in_ch, branch, (1, 1))
@@ -378,7 +373,7 @@ def _unit_xception(g, src, in_ch, out_ch, stride, name, single: bool) -> int:
     pools between them and projects the skip with a strided 1x1.  The
     ``single`` block that ends an odd unit count keeps only ``sep1``."""
     if stride == 1 and in_ch != out_ch and not single:
-        raise ChannelConstraintError(f"{name}: stride-1 block needs in == out")
+        raise ArchError(f"{name}: stride-1 block needs in == out")
     node = _sepconv(g, src, f"{name}.sep1", in_ch, out_ch)
     if stride == 2:
         node = _pool(g, node, f"{name}.pool")

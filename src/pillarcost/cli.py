@@ -210,9 +210,10 @@ def _cmd_plot(args: argparse.Namespace) -> None:
 
 def _cmd_export(args: argparse.Namespace) -> None:
     from .arch import build_pointpillars
-    variant = Variant.parse(args.variant)
-    cfg = _load_config(args)
-    _emit(build_pointpillars(variant, cfg).to_json() + "\n", args.output)
+    from .shapes import infer_all
+    graph = build_pointpillars(Variant.parse(args.variant), _load_config(args))
+    infer_all(graph)  # refuses, as cost does, a graph whose shapes cannot be inferred
+    _emit(graph.to_json() + "\n", args.output)
 
 
 # --------------------------------------------------------------------------

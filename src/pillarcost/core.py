@@ -91,8 +91,8 @@ class Record:
 
     A record cannot be changed; ``_replace(**changes)`` makes a changed copy
     and ``_fields`` names the fields.  Records are equal when their classes
-    are the same and their fields equal, so ``ReLU() != Add()``.  The hash
-    is computed once.
+    are the same and their fields equal, so ``ReLU() != Add()``; the hash
+    covers the class too.
     """
 
     _fields: ClassVar[tuple[str, ...]] = ()
@@ -159,12 +159,7 @@ class Record:
         return self._values() == other._values()
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            value = hash((self.__class__, *self._values()))
-            _set(self, "_hash", value)
-            return value
+        return hash((self.__class__, *self._values()))
 
     def __repr__(self) -> str:
         fields = ", ".join([f"{name}={value!r}"
@@ -187,14 +182,6 @@ _MUTABLE_TYPES = (dict, list, set)
 
 class ArchError(PillarcostError):
     """Invalid architecture configuration."""
-
-
-class ChannelConstraintError(ArchError):
-    """Channel counts violate a divisibility requirement of the unit."""
-
-
-class UnsupportedStrideError(ArchError):
-    """Unit asked for a stride other than 1 or 2."""
 
 
 class Variant(str, Enum):

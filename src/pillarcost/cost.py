@@ -11,8 +11,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
 
 from .core import Record
-# ShapeError and ShapeInconsistent are re-exported
-from .graph import BatchNorm, Graph, ShapeError, ShapeInconsistent
+from .graph import BatchNorm, Graph
 from .shapes import Key, walk_shapes
 
 

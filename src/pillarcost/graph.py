@@ -18,23 +18,7 @@ from .core import NumberError, PillarcostError, Record, exact_fraction
 
 
 class GraphError(PillarcostError):
-    """Base class for structural graph errors."""
-
-
-class UnknownInputError(GraphError):
-    """An edge references a node id that does not exist."""
-
-
-class ArityMismatchError(GraphError):
-    """A node was given the wrong number of inputs for its kind."""
-
-
-class DuplicateNameError(GraphError):
-    """Two nodes in the same graph share a name."""
-
-
-class InvalidGraphError(GraphError):
-    """A graph lacks what an operation needs, such as exactly one input."""
+    """A graph's structure is invalid, or it lacks what an operation needs."""
 
 
 class FieldError(GraphError, ValueError):
@@ -42,35 +26,8 @@ class FieldError(GraphError, ValueError):
 
 
 class ShapeError(PillarcostError):
-    """A node's input shapes violate its kind constraints."""
-
-
-class GroupMismatch(ShapeError):
-    pass
-
-
-class AddShapeMismatch(ShapeError):
-    pass
-
-
-class ConcatSpatialMismatch(ShapeError):
-    pass
-
-
-class NonIntegralSplit(ShapeError):
-    pass
-
-
-class ShuffleGroupMismatch(ShapeError):
-    pass
-
-
-class NegativeOutputDim(ShapeError):
-    pass
-
-
-class ShapeInconsistent(ShapeError):
-    """Shapes handed to a cost method disagree with the node's own fields."""
+    """A node's input shapes violate its kind constraints, or shapes handed
+    to a cost method disagree with the node's own fields."""
 
 
 def _require_int(value: int, what: str, minimum: int = 1) -> int:
@@ -213,7 +170,7 @@ def _window_out(size: int, pad: int, kernel: int, stride: int, kind: str,
                 axis: str) -> int:
     out = (size + 2 * pad - kernel) // stride + 1
     if out < 1:
-        raise NegativeOutputDim(
+        raise ShapeError(
             f"{kind} {axis}: window (k={kernel}, s={stride}, p={pad}) over size {size} "
             f"yields output dim {out}")
     return out
@@ -239,17 +196,17 @@ class _Conv(_Window):
     def output_shapes(self, input_shapes: list[TensorShape]) -> list[TensorShape]:
         (s,) = input_shapes
         if s.channels % self.groups or self.out_channels % self.groups:
-            raise GroupMismatch(
+            raise ShapeError(
                 f"{self.kind} channels ({s.channels} -> {self.out_channels}) "
                 f"not divisible by groups={self.groups}")
         return [TensorShape(self.out_channels, *self._out_hw(s))]
 
     def _weights(self, input_shapes: list[TensorShape]) -> int:
         if len(input_shapes) != 1:
-            raise ShapeInconsistent(f"{self.kind} takes one input")
+            raise ShapeError(f"{self.kind} takes one input")
         (si,) = input_shapes
         if si.channels % self.groups:
-            raise ShapeInconsistent(f"{self.kind} group mismatch")
+            raise ShapeError(f"{self.kind} group mismatch")
         return (self.out_channels * (si.channels // self.groups)
                 * self.kernel_h * self.kernel_w)
 
@@ -258,10 +215,10 @@ class _Conv(_Window):
         """Weights times kernel pixels, plus one per output element for the
         bias."""
         if len(output_shapes) != 1:
-            raise ShapeInconsistent(f"{self.kind} has one output")
+            raise ShapeError(f"{self.kind} has one output")
         (so,) = output_shapes
         if so.channels != self.out_channels:
-            raise ShapeInconsistent(f"{self.kind} output channels mismatch")
+            raise ShapeError(f"{self.kind} output channels mismatch")
         macs = self._weights(input_shapes) * self._kernel_pixels(input_shapes[0], so)
         if self.has_bias:
             macs += so.channels * so.pixels
@@ -309,7 +266,7 @@ class TransposedConv(_Conv):
         h = (s.height - 1) * self.stride_h - 2 * self.pad_h + self.kernel_h + self.output_pad_h
         w = (s.width - 1) * self.stride_w - 2 * self.pad_w + self.kernel_w + self.output_pad_w
         if h < 1 or w < 1:
-            raise NegativeOutputDim(f"transposed conv output dims {h}x{w}")
+            raise ShapeError(f"transposed conv output dims {h}x{w}")
         return h, w
 
     def _kernel_pixels(self, si: TensorShape, so: TensorShape) -> int:
@@ -325,7 +282,7 @@ class BatchNorm(NodeSpec):
               output_shapes: list[TensorShape]) -> int:
         """One fused scale-and-shift per element."""
         if len(output_shapes) != 1:
-            raise ShapeInconsistent("batch norm has one output")
+            raise ShapeError("batch norm has one output")
         (so,) = output_shapes
         return so.channels * so.pixels
 
@@ -363,7 +320,7 @@ class Add(NodeSpec):
         first = input_shapes[0]
         for other in input_shapes[1:]:
             if other != first:
-                raise AddShapeMismatch(f"add inputs differ: {first} vs {other}")
+                raise ShapeError(f"add inputs differ: {first} vs {other}")
         return [first]
 
 
@@ -377,8 +334,7 @@ class Concat(NodeSpec):
         first = input_shapes[0]
         for other in input_shapes[1:]:
             if (other.height, other.width) != (first.height, first.width):
-                raise ConcatSpatialMismatch(
-                    f"concat spatial dims differ: {first} vs {other}")
+                raise ShapeError(f"concat spatial dims differ: {first} vs {other}")
         return [TensorShape(sum(s.channels for s in input_shapes),
                             first.height, first.width)]
 
@@ -399,8 +355,7 @@ class ChannelSplit(NodeSpec):
         for frac in self.fractions:
             part = Fraction(s.channels) * frac
             if part.denominator != 1:
-                raise NonIntegralSplit(
-                    f"fraction {frac} of {s.channels} channels is not integral")
+                raise ShapeError(f"fraction {frac} of {s.channels} channels is not integral")
             outs.append(TensorShape(int(part), s.height, s.width))
         return outs
 
@@ -413,7 +368,7 @@ class ChannelShuffle(NodeSpec):
     def output_shapes(self, input_shapes: list[TensorShape]) -> list[TensorShape]:
         (s,) = input_shapes
         if s.channels % self.groups:
-            raise ShuffleGroupMismatch(
+            raise ShapeError(
                 f"{s.channels} channels not divisible by shuffle groups={self.groups}")
         return [s]
 
@@ -504,7 +459,7 @@ class Graph:
 
     def node(self, node_id: int) -> Node:
         if not 0 <= node_id < len(self._nodes):
-            raise UnknownInputError(f"no node with id {node_id}")
+            raise GraphError(f"no node with id {node_id}")
         return self._nodes[node_id]
 
     def spec(self, cls: type[NodeSpec], *args) -> NodeSpec:
@@ -523,26 +478,26 @@ class Graph:
                  name: str = "") -> int:
         """Append a node fed by ``inputs`` (list of (producer id, output port)).
 
-        Raises UnknownInputError, ArityMismatchError, DuplicateNameError, or
-        GraphError for a name that is not a string; on error the graph is
-        left unchanged.
+        Raises GraphError for an unknown input, a wrong number of inputs, or a
+        name that is not a string or is taken; on error the graph is left
+        unchanged.
         """
         inputs = tuple(inputs)
         lo, hi = spec.arity
         if len(inputs) < lo or (hi is not None and len(inputs) > hi):
             want = f">= {lo}" if hi is None else (str(lo) if lo == hi else f"{lo}..{hi}")
-            raise ArityMismatchError(
+            raise GraphError(
                 f"{spec.kind} node {name!r} takes {want} inputs, got {len(inputs)}")
         nodes, outputs, names = self._nodes, self._outputs, self._names
         node_id = len(nodes)
         for src, port in inputs:
             if type(src) is not int or type(port) is not int:
-                raise UnknownInputError(
+                raise GraphError(
                     f"node {name!r} input {(src, port)!r} is not a pair of integers")
             if not 0 <= src < node_id:
-                raise UnknownInputError(f"node {name!r} references unknown input {src}")
+                raise GraphError(f"node {name!r} references unknown input {src}")
             if not 0 <= port < outputs[src]:
-                raise UnknownInputError(
+                raise GraphError(
                     f"node {name!r} references port {port} of node {src}, "
                     f"which has {outputs[src]} outputs")
         if not name:
@@ -550,7 +505,7 @@ class Graph:
         elif not isinstance(name, str):
             raise GraphError(f"node name {name!r} is not a string")
         if name in names:
-            raise DuplicateNameError(f"duplicate node name {name!r}")
+            raise GraphError(f"duplicate node name {name!r}")
 
         outputs.append(spec.num_outputs())
         nodes.append(tuple.__new__(Node, (node_id, spec, name, inputs)))

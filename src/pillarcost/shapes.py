@@ -11,11 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .graph import (  # the ShapeError family is re-exported from here
-    AddShapeMismatch, ConcatSpatialMismatch, Graph, GroupMismatch,
-    InvalidGraphError, NegativeOutputDim, Node, NodeSpec, NonIntegralSplit,
-    ShapeError, ShuffleGroupMismatch, TensorShape,
-)
+from .graph import Graph, GraphError, Node, NodeSpec, ShapeError, TensorShape
 
 
 def node_output_shape(spec: NodeSpec,
@@ -41,8 +37,7 @@ def walk_shapes(graph: Graph) -> Iterator[
     """
     inputs = len(graph.input_nodes())
     if inputs != 1:
-        raise InvalidGraphError(
-            f"shape inference needs exactly one input node, found {inputs}")
+        raise GraphError(f"shape inference needs exactly one input node, found {inputs}")
 
     outputs: list[list[TensorShape]] = []
     known: dict[Key, list[TensorShape]] = {}
@@ -58,7 +53,7 @@ def walk_shapes(graph: Graph) -> Iterator[
             try:
                 out_shapes = known[key] = node_output_shape(node.spec, key[1])
             except ShapeError as err:
-                raise type(err)(f"{node.name}: {err}") from err
+                raise ShapeError(f"{node.name}: {err}") from err
         outputs.append(out_shapes)
         yield node, key, out_shapes
 

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from pillarcost.analysis import (
-    AnalysisError, DesignPoint, DomainError, MissingEntry, MissingMetric,
-    TimingProfile, UnknownStage, amdahl, amdahl_max, default_dataset_path,
-    fmt2, load_points, map_of, pareto_front, project_fps, ratio_table,
+    AnalysisError, DesignPoint, TimingProfile, amdahl, amdahl_max,
+    default_dataset_path, fmt2, load_points, map_of, pareto_front, project_fps,
+    ratio_table,
 )
 
 CLASSES = ("Car", "Pedestrian", "Cyclist")
@@ -79,7 +79,7 @@ class TestMapOf:
 
     def test_missing_cell_reported(self):
         p = DesignPoint("x", Fraction(1), {("Car", "Easy"): Fraction(90)})
-        with pytest.raises(MissingEntry):
+        with pytest.raises(AnalysisError, match=r"^x: missing AP entry \('Car', 'Moderate'\)$"):
             map_of(p, "car")
 
     def test_unknown_scope_rejected(self):
@@ -129,11 +129,11 @@ class TestAmdahl:
 
     @pytest.mark.parametrize("p", [0, 1, Fraction(3, 2), -1])
     def test_fraction_domain(self, p):
-        with pytest.raises(DomainError):
+        with pytest.raises(AnalysisError, match=rf"^stage fraction must be in \(0, 1\), got {p}$"):
             amdahl_max(p)
 
     def test_speedup_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(AnalysisError, match="^stage speedup must be positive, got 0$"):
             amdahl(Fraction(1, 2), 0)
 
 
@@ -216,16 +216,16 @@ class TestProjectFps:
         assert project_fps(prof, {"backbone": float("inf")}) == 20
 
     def test_unknown_stage_rejected(self):
-        with pytest.raises(UnknownStage):
+        with pytest.raises(AnalysisError, match="^stage 'nms' not in timing profile$"):
             project_fps(profile(backbone="1/2"), {"nms": 2})
 
     def test_non_positive_speedup_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(AnalysisError, match="^stage 'backbone' speedup must be positive$"):
             project_fps(profile(backbone="1/2"), {"backbone": 0})
 
     def test_everything_accelerated_away_rejected(self):
         prof = TimingProfile({"all": Fraction(1)}, Fraction(100))
-        with pytest.raises(DomainError):
+        with pytest.raises(AnalysisError, match="^all pipeline time was accelerated away$"):
             project_fps(prof, {"all": float("inf")})
 
 
@@ -243,9 +243,10 @@ class TestRatioTable:
 
     def test_missing_metric_reported(self):
         pts = [point("base", 10, 50), point("lean", 2, 50)]
-        with pytest.raises(MissingMetric):
+        with pytest.raises(AnalysisError, match="^base: metric 'fps_total' not measured$"):
             ratio_table(pts, "fps_total")
-        with pytest.raises(MissingMetric):
+        with pytest.raises(AnalysisError, match=r"^unknown metric 'latency'; use one of "
+                                                r"\('gmadds', 'fps_backbone', 'fps_total'\)$"):
             ratio_table(pts, "latency")
 
     def test_missing_base_reported(self):

@@ -256,12 +256,71 @@ class TestPlotExport:
         assert restored.edges == build_pointpillars(Variant.SHUFFLENET_V2).edges
         assert restored.to_json() + "\n" == out
 
+    @pytest.mark.parametrize("override", ["neck_upsample=[1,2,3]", "pseudo_image_height=5"])
+    def test_export_refuses_a_graph_that_cost_refuses(self, capsys, tmp_path, override):
+        # the neck's upsampled maps differ in size, so no shape is inferred
+        target = tmp_path / "graph.json"
+        code, out, err = invoke(capsys, "export", "base", "--set", override,
+                                "--output", str(target))
+        assert (code, out) == (1, "") and not target.exists()
+        assert err.startswith("error: neck.concat: concat spatial dims differ: ")
+        assert invoke(capsys, "cost", "base", "--set", override) == (1, "", err)
+
     def test_export_refuses_svg(self, capsys):
         code, _, err = invoke(capsys, "export", "base", "--format", "svg")
         assert code == 2 and "unrecognized arguments: --format svg" in err
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv, line", [
+        (["cost", "ResNeXt", "--set", "resnext_groups=7"],
+         "backbone.block1.unit1.conv3x3.conv: channels 64->64 not divisible by groups=7"),
+        (["cost", "base", "--set", "block_strides=[2,3,2]"],
+         "block_strides[1]: stride must be 1 or 2, got 3"),
+        (["cost", "ShufflenetV1", "--set", "shufflenet_v1_groups=3"],
+         "backbone.block1.unit1.gconv1.conv: channels 64->64 not divisible by groups=3"),
+        (["cost", "ShufflenetV2", "--set", "block_channels=[64,127,256]"],
+         "backbone.block2.unit1: output channels must be even"),
+        (["describe", "Xception", "--set", "block_strides=[2,1,2]",
+          "--set", "neck_upsample=[1,1,2]"],
+         "backbone.block2.block1: stride-1 block needs in == out"),
+        (["describe", "ShufflenetV1", "--set", "block_strides=[2,1,2]",
+          "--set", "neck_upsample=[1,1,2]"],
+         "backbone.block2.unit1: stride-1 shuffle unit needs in == out channels"),
+        (["describe", "ShufflenetV2", "--set", "block_strides=[2,1,2]",
+          "--set", "neck_upsample=[1,1,2]"],
+         "backbone.block2.unit1: stride-1 unit needs even, equal in/out channels"),
+        (["cost", "ResNet", "--set", "resnet_bottleneck=1/3"],
+         "backbone.block1.unit1: ratio 1/3 of 64 channels is not a positive integer"),
+        (["cost", "base", "--set", "neck_upsample=[1,2,3]"],
+         "neck.concat: concat spatial dims differ: TensorShape(channels=128, height=248, "
+         "width=216) vs TensorShape(channels=128, height=186, width=162)"),
+        (["describe", "base", "--set", "pseudo_image_height=5"],
+         "neck.concat: concat spatial dims differ: TensorShape(channels=128, height=3, "
+         "width=216) vs TensorShape(channels=128, height=4, width=216)"),
+        (["cost", "base", "--set", "block_channels=[64]", "--set", "block_units=[4]",
+          "--set", "block_strides=[2]", "--set", "neck_out_channels=[128]",
+          "--set", "neck_upsample=[1]"],
+         "concat node 'neck.concat' takes >= 2 inputs, got 1"),
+        (["amdahl", "--profile", "{mmdet3d_timing.json}", "--speedup", "nosuch=2"],
+         "stage 'nosuch' not in timing profile"),
+        (["amdahl", "--profile", "{fpga_timing.json}", "--speedup", "backbone=0"],
+         "stage 'backbone' speedup must be positive"),
+        (["pareto", "--data", "{no_ap}"], "x: missing AP entry ('Car', 'Easy')"),
+        (["plot", "--scope", "car", "--data", "{no_ap}"], "x: missing AP entry ('Car', 'Easy')"),
+    ], ids=["resnext_groups", "stride_3", "shufflenet_v1_groups", "odd_split", "xception_widen",
+            "shufflenet_v1_widen", "shufflenet_v2_widen", "ratio", "neck_upsample",
+            "image_height", "one_block_neck", "unknown_stage", "zero_speedup", "pareto_no_ap",
+            "plot_no_ap"])
+    def test_error_line_is_pinned(self, capsys, tmp_path, argv, line):
+        no_ap = tmp_path / "no_ap.json"
+        no_ap.write_text('[{"name": "x", "gmadds": 1, "ap": {}}]')
+        files = {"{no_ap}": str(no_ap),
+                 "{mmdet3d_timing.json}": timing_path("mmdet3d_timing.json"),
+                 "{fpga_timing.json}": timing_path("fpga_timing.json")}
+        argv = [files.get(word, word) for word in argv]
+        assert invoke(capsys, *argv) == (1, "", f"error: {line}\n")
+
     def test_usage_error_is_two(self, capsys):
         assert invoke(capsys, "pareto", "--scope", "truck")[0] == 2
         assert invoke(capsys, "frobnicate")[0] == 2

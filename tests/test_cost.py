@@ -10,10 +10,10 @@ import pytest
 
 import pillarcost.shapes
 from pillarcost.arch import ArchConfig, Variant, build_pointpillars
-from pillarcost.cost import ShapeError, ShapeInconsistent, graph_cost
+from pillarcost.cost import graph_cost
 from pillarcost.graph import (
     Add, BatchNorm, ChannelShuffle, Concat, Conv, Graph, Input, MaxPool, ReLU,
-    Scatter, TensorShape, TransposedConv,
+    Scatter, ShapeError, TensorShape, TransposedConv,
 )
 from pillarcost.shapes import infer_all, node_output_shape
 
@@ -132,8 +132,8 @@ S = TensorShape
 
 
 class TestInconsistentShapes:
-    """Shapes that disagree with a node's own fields raise ShapeInconsistent
-    with these words."""
+    """Shapes that disagree with a node's own fields raise ShapeError with
+    these words."""
 
     @pytest.mark.parametrize("spec,in_shapes,out_shapes,text", [
         (Conv(4, 1, 1), [S(2, 4, 4), S(2, 4, 4)], None, "conv takes one input"),
@@ -149,7 +149,7 @@ class TestInconsistentShapes:
         (BatchNorm(), [S(2, 4, 4)], [S(2, 4, 4), S(2, 4, 4)], "batch norm has one output"),
     ])
     def test_message(self, spec, in_shapes, out_shapes, text):
-        with pytest.raises(ShapeInconsistent) as info:
+        with pytest.raises(ShapeError) as info:
             if out_shapes is None:
                 spec.params(in_shapes)
             else:

@@ -6,6 +6,7 @@ process has long since imported every module.
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -85,8 +86,7 @@ def test_every_public_name_is_its_defining_modules_object():
 
 
 def test_arch_re_exports_the_core_classes():
-    for name in ("ArchError", "ChannelConstraintError", "UnsupportedStrideError",
-                 "Variant"):
+    for name in ("ArchError", "Variant"):
         assert getattr(arch, name) is getattr(core, name)
 
 
@@ -96,10 +96,17 @@ def test_dir_covers_all():
 
 @pytest.mark.parametrize("path", [
     "analysis.round2", "arch.basic_unit", "cost.node_madds", "cost.node_params",
-    "cost.speedup_vs_base", "cost.ZeroMAddsError", "graph.TensorShape.with_channels"])
+    "cost.speedup_vs_base", "cost.ZeroMAddsError", "graph.TensorShape.with_channels",
+    "graph.UnknownInputError", "graph.ArityMismatchError", "graph.DuplicateNameError",
+    "graph.InvalidGraphError", "graph.GroupMismatch", "graph.AddShapeMismatch",
+    "graph.ConcatSpatialMismatch", "graph.NonIntegralSplit", "graph.ShuffleGroupMismatch",
+    "graph.NegativeOutputDim", "graph.ShapeInconsistent", "analysis.MissingEntry",
+    "analysis.MissingMetric", "analysis.UnknownStage", "analysis.DomainError",
+    "core.ChannelConstraintError", "core.UnsupportedStrideError"])
 def test_deleted_name_is_gone(path):
     # nothing in the package called these; the spec methods, fmt2 and the
-    # backbone builders do their work
+    # backbone builders do their work, and no code caught an error subclass:
+    # each of those raises now names its module's error class
     module, *owners, name = path.split(".")
     for home in (pillarcost, importlib.import_module(f"pillarcost.{module}")):
         for owner in owners:
@@ -118,7 +125,17 @@ def test_unknown_attribute_raises_attribute_error():
                                    graph.ShapeError, analysis.AnalysisError,
                                    CliError])
 def test_domain_errors_share_one_base(error):
-    assert issubclass(error, core.PillarcostError)
+    # the error classes the package defines: one per kind of fault, and
+    # FieldError and NumberError, which keep a builtin base
+    modules = [importlib.import_module(f"pillarcost.{info.name}")
+               for info in pkgutil.iter_modules(pillarcost.__path__)]
+    defined = {value for module in modules for value in vars(module).values()
+               if isinstance(value, type) and issubclass(value, core.PillarcostError)
+               and value.__module__ == module.__name__}
+    assert {cls.__name__ for cls in defined} == {
+        "PillarcostError", "NumberError", "ArchError", "GraphError", "FieldError",
+        "ShapeError", "AnalysisError", "CliError"}
+    assert error in defined and issubclass(error, core.PillarcostError)
 
 
 @pytest.mark.parametrize("error, builtin", [
