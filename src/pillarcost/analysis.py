@@ -186,7 +186,7 @@ def ratio_table(points: list[DesignPoint], metric: str,
         raise AnalysisError(f"base point {base_name!r} not present")
 
     def get(point: DesignPoint) -> Fraction:
-        value = getattr(point, metric) if metric != "gmadds" else point.gmadds
+        value = getattr(point, metric)
         if value is None:
             raise AnalysisError(f"{point.name}: metric {metric!r} not measured")
         return Fraction(value)
@@ -231,14 +231,9 @@ def load_points(path: str | Path) -> list[DesignPoint]:
             if type(name) is not str:
                 raise TypeError(f"name {name!r} is not a string")
             points.append(DesignPoint(
-                name=name,
-                gmadds=exact_fraction(record["gmadds"]),
-                ap=ap,
-                fps_backbone=(exact_fraction(record["fps_backbone"])
-                              if record.get("fps_backbone") is not None else None),
-                fps_total=(exact_fraction(record["fps_total"])
-                           if record.get("fps_total") is not None else None),
-            ))
+                name=name, gmadds=exact_fraction(record["gmadds"]), ap=ap,
+                **{key: None if record.get(key) is None else exact_fraction(record[key])
+                   for key in ("fps_backbone", "fps_total")}))
         except (KeyError, TypeError, ValueError, ArithmeticError) as err:
             raise AnalysisError(f"{path}: bad design point record: {err}") from err
     if not points:

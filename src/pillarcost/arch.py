@@ -136,7 +136,7 @@ class ArchConfig(Record):
         not UTF-8, malformed JSON and a key given twice raise ``ArchError``
         naming the path."""
         try:
-            text = Path(path).read_text()
+            text = Path(path).read_text(encoding="utf-8")
         except UnicodeDecodeError as err:
             raise ArchError(f"{path}: {err}") from err
         if text.lstrip().startswith("{"):

@@ -24,6 +24,8 @@ from .analysis import (SCOPES, TimingProfile, amdahl_max, fmt2, load_points,
 from .core import PillarcostError, Variant, exact_fraction
 
 if TYPE_CHECKING:
+    from collections.abc import Callable, Iterable
+
     from .arch import ArchConfig
     from .cost import CostReport
 
@@ -47,13 +49,6 @@ def _load_data(args: argparse.Namespace) -> list[analysis.DesignPoint]:
     return load_points(path)
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _csv_text(header: tuple[str, ...], rows) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -67,11 +62,11 @@ def _gmadd_str(madds: int) -> str:
 
 
 # --------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns the text that ``run`` writes
 # --------------------------------------------------------------------------
 
-def _cmd_list(args: argparse.Namespace) -> None:
-    _emit("".join(v.value + "\n" for v in Variant), args.output)
+def _cmd_list(args: argparse.Namespace) -> str:
+    return "".join(v.value + "\n" for v in Variant)
 
 
 def _printable(report: CostReport) -> CostReport:
@@ -84,17 +79,19 @@ def _printable(report: CostReport) -> CostReport:
     return report
 
 
-def _report(args: argparse.Namespace) -> tuple[Variant, CostReport]:
-    """Build and cost the variant that ``describe`` or ``cost`` names."""
+def _reports(args: argparse.Namespace, variants: Iterable[Variant]) -> list[CostReport]:
+    """Build and cost each of ``variants`` under the config ``args`` names."""
     from .arch import build_pointpillars
     from .cost import graph_cost
+    cfg = _load_config(args)
+    return [_printable(graph_cost(build_pointpillars(variant, cfg),
+                                  count_batchnorm=not args.fold_batchnorm))
+            for variant in variants]
+
+
+def _cmd_describe(args: argparse.Namespace) -> str:
     variant = Variant.parse(args.variant)
-    graph = build_pointpillars(variant, _load_config(args))
-    return variant, _printable(graph_cost(graph, count_batchnorm=not args.fold_batchnorm))
-
-
-def _cmd_describe(args: argparse.Namespace) -> None:
-    variant, report = _report(args)
+    [report] = _reports(args, [variant])
     lines = [f"variant: {variant.value}", f"nodes: {len(report.per_node)}", ""]
     lines.append(f"{'stage':<12} {'MAdd':>16} {'params':>12}")
     for stage, (madds, params) in report.per_stage().items():
@@ -102,63 +99,50 @@ def _cmd_describe(args: argparse.Namespace) -> None:
     lines.append("")
     lines.append(f"total MAdd:   {report.total_madds} ({_gmadd_str(report.total_madds)} GMAdd)")
     lines.append(f"total params: {report.total_params}")
-    _emit("\n".join(lines) + "\n", args.output)
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_cost(args: argparse.Namespace) -> None:
-    _, report = _report(args)
+def _cmd_cost(args: argparse.Namespace) -> str:
+    [report] = _reports(args, [Variant.parse(args.variant)])
     if args.format == "csv":
-        _emit(report.to_csv(), args.output)
-        return
+        return report.to_csv()
     if args.format == "json":
-        _emit(report.to_json() + "\n", args.output)
-        return
+        return report.to_json() + "\n"
     lines = [f"{'name':<28} {'kind':<16} {'MAdd':>14} {'params':>10}"]
     for cost in report.per_node:
         lines.append(f"{cost.name:<28} {cost.kind:<16} {cost.madds:>14} {cost.params:>10}")
     lines.append(f"TOTAL {_gmadd_str(report.total_madds)} GMAdd")
     lines.append(f"TOTAL {report.total_params} params")
-    _emit("\n".join(lines) + "\n", args.output)
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_compare(args: argparse.Namespace) -> None:
-    from .arch import build_pointpillars
-    from .cost import graph_cost
-    cfg = _load_config(args)
-    reports = [_printable(graph_cost(build_pointpillars(variant, cfg),
-                                     count_batchnorm=not args.fold_batchnorm))
-               for variant in Variant]
+def _cmd_compare(args: argparse.Namespace) -> str:
+    reports = _reports(args, Variant)
     base = reports[0].total_madds  # Variant.BASE comes first
     header = ("name", "madds", "params", "gmadds", "madd_speedup")
     rows = [(variant.value, r.total_madds, r.total_params, _gmadd_str(r.total_madds),
              fmt2(Fraction(base, r.total_madds))) for variant, r in zip(Variant, reports)]
     if args.format == "json":
-        doc = [dict(zip(header, row)) for row in rows]
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
-        return
+        return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
     if args.format == "csv":
-        _emit(_csv_text(header, rows), args.output)
-        return
+        return _csv_text(header, rows)
     lines = [f"{'name':<14} {'GMAdd':>8} {'params':>10} {'speedup':>8}"]
     for name, _, params, gmadds, speedup in rows:
         lines.append(f"{name:<14} {gmadds:>8} {params:>10} {speedup:>8}")
-    _emit("\n".join(lines) + "\n", args.output)
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_pareto(args: argparse.Namespace) -> None:
+def _cmd_pareto(args: argparse.Namespace) -> str:
     points = _load_data(args)
     front = pareto_front(points, args.scope)
     if args.format == "json":
-        _emit(json.dumps({"scope": args.scope, "front": front}, indent=2) + "\n",
-              args.output)
-        return
+        return json.dumps({"scope": args.scope, "front": front}, indent=2) + "\n"
     if args.format == "csv":
         by_name = {p.name: p for p in points}
-        _emit(_csv_text(("name", "gmadds", "map"),
-                        ((p.name, fmt2(p.gmadds), fmt2(map_of(p, args.scope)))
-                         for p in [by_name[name] for name in front])), args.output)
-        return
-    _emit("".join(name + "\n" for name in front), args.output)
+        return _csv_text(("name", "gmadds", "map"),
+                         ((p.name, fmt2(p.gmadds), fmt2(map_of(p, args.scope)))
+                          for p in [by_name[name] for name in front]))
+    return "".join(name + "\n" for name in front)
 
 
 def _parse_speedups(items: list[str]) -> dict[str, Fraction | float]:
@@ -180,7 +164,7 @@ def _parse_speedups(items: list[str]) -> dict[str, Fraction | float]:
     return speedups
 
 
-def _cmd_amdahl(args: argparse.Namespace) -> None:
+def _cmd_amdahl(args: argparse.Namespace) -> str:
     profile = TimingProfile.from_file(args.profile)
     speedups = _parse_speedups(args.speedup or [])
     fps = project_fps(profile, speedups)
@@ -194,26 +178,23 @@ def _cmd_amdahl(args: argparse.Namespace) -> None:
         limit = "inf" if frac == 1 else fmt2(amdahl_max(frac))  # 1/(1-p) is unbounded at p = 1
         rows.append((f"limit_speedup_{stage}", limit))
     if args.format == "json":
-        _emit(json.dumps(dict(rows), indent=2) + "\n", args.output)
-        return
+        return json.dumps(dict(rows), indent=2) + "\n"
     if args.format == "csv":
-        _emit(_csv_text(("quantity", "value"), rows), args.output)
-        return
-    _emit("".join(f"{name:<22} {value}\n" for name, value in rows), args.output)
+        return _csv_text(("quantity", "value"), rows)
+    return "".join(f"{name:<22} {value}\n" for name, value in rows)
 
 
-def _cmd_plot(args: argparse.Namespace) -> None:
+def _cmd_plot(args: argparse.Namespace) -> str:
     from .svg import render_scatter
-    points = _load_data(args)
-    _emit(render_scatter(points, args.scope), args.output)
+    return render_scatter(_load_data(args), args.scope)
 
 
-def _cmd_export(args: argparse.Namespace) -> None:
+def _cmd_export(args: argparse.Namespace) -> str:
     from .arch import build_pointpillars
     from .shapes import infer_all
     graph = build_pointpillars(Variant.parse(args.variant), _load_config(args))
     infer_all(graph)  # refuses, as cost does, a graph whose shapes cannot be inferred
-    _emit(graph.to_json() + "\n", args.output)
+    return graph.to_json() + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -233,11 +214,9 @@ def _add_cost_flags(parser: argparse.ArgumentParser) -> None:
                         help="treat batch norm as folded into convolutions")
 
 
-def _add_io_flags(parser: argparse.ArgumentParser,
-                  formats: tuple[str, ...] = ("table", "csv", "json")) -> None:
+def _add_format(parser: argparse.ArgumentParser,
+                formats: tuple[str, ...] = ("table", "csv", "json")) -> None:
     parser.add_argument("--format", choices=formats, default=formats[0])
-    parser.add_argument("--output", metavar="PATH",
-                        help="write to a file instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,54 +225,50 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cost-model toolkit for PointPillars backbone variants.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("list", help="list the supported backbone variants")
-    p.add_argument("--output", metavar="PATH")
-    p.set_defaults(func=_cmd_list)
+    def command(name: str, func: Callable[[argparse.Namespace], str],
+                help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("describe", help="per-stage summary of one variant")
+    command("list", _cmd_list, "list the supported backbone variants")
+
+    p = command("describe", _cmd_describe, "per-stage summary of one variant")
     p.add_argument("variant")
     _add_cost_flags(p)
-    p.add_argument("--output", metavar="PATH")
-    p.set_defaults(func=_cmd_describe)
 
-    p = sub.add_parser("cost", help="per-node cost report for one variant")
+    p = command("cost", _cmd_cost, "per-node cost report for one variant")
     p.add_argument("variant")
     _add_cost_flags(p)
-    _add_io_flags(p)
-    p.set_defaults(func=_cmd_cost)
+    _add_format(p)
 
-    p = sub.add_parser("compare", help="cost table over all variants")
+    p = command("compare", _cmd_compare, "cost table over all variants")
     _add_cost_flags(p)
-    _add_io_flags(p)
-    p.set_defaults(func=_cmd_compare)
+    _add_format(p)
 
-    p = sub.add_parser("pareto", help="non-dominated variants for a scope")
+    p = command("pareto", _cmd_pareto, "non-dominated variants for a scope")
     p.add_argument("--scope", choices=SCOPES, default="overall")
     p.add_argument("--data", metavar="PATH",
                    help="design-point dataset (defaults to the shipped one)")
-    _add_io_flags(p, formats=("lines", "csv", "json"))
-    p.set_defaults(func=_cmd_pareto)
+    _add_format(p, formats=("lines", "csv", "json"))
 
-    p = sub.add_parser("amdahl", help="latency projection for stage speedups")
+    p = command("amdahl", _cmd_amdahl, "latency projection for stage speedups")
     p.add_argument("--profile", metavar="PATH", required=True,
                    help="timing profile JSON (stage fractions + base latency)")
     p.add_argument("--speedup", metavar="STAGE=VALUE", action="append",
                    help="per-stage speedup, 'inf' allowed (repeatable)")
-    _add_io_flags(p)
-    p.set_defaults(func=_cmd_amdahl)
+    _add_format(p)
 
-    p = sub.add_parser("plot", help="SVG scatter of mAP versus GMAdd")
+    p = command("plot", _cmd_plot, "SVG scatter of mAP versus GMAdd")
     p.add_argument("--scope", choices=SCOPES, default="overall")
     p.add_argument("--data", metavar="PATH")
-    p.add_argument("--output", metavar="PATH")
-    p.set_defaults(func=_cmd_plot)
 
-    p = sub.add_parser("export", help="emit a variant's graph as JSON")
+    p = command("export", _cmd_export, "emit a variant's graph as JSON")
     p.add_argument("variant")
     _add_config_flags(p)
-    p.add_argument("--output", metavar="PATH")
-    p.set_defaults(func=_cmd_export)
 
+    for p in sub.choices.values():  # added last, so each usage line ends with it
+        p.add_argument("--output", metavar="PATH", help="write to a file instead of stdout")
     return parser
 
 
@@ -307,7 +282,15 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as err:
         return int(err.code or 0)
     try:
-        args.func(args)
+        text = args.func(args)
+        if args.output:
+            Path(args.output).write_text(text, encoding="utf-8")
+        else:
+            try:
+                sys.stdout.write(text)
+            except UnicodeEncodeError as err:
+                raise CliError(f"cannot write to standard output: {err}; "
+                               "use --output PATH to write UTF-8") from None
     except _DOMAIN_ERRORS as err:
         message = str(err).replace("\n", " ") or err.__class__.__name__
         print(f"error: {message}", file=sys.stderr)

@@ -71,7 +71,7 @@ def read_json(path: str | Path, error: type[PillarcostError], text: str | None =
             raise error(f"{path}: key {key!r} given twice")
         return doc
     try:
-        return json.loads(Path(path).read_text() if text is None else text,
+        return json.loads(Path(path).read_text(encoding="utf-8") if text is None else text,
                           object_pairs_hook=unique_keys, parse_float=ExactDecimal)
     except (ValueError, RecursionError) as err:  # incl. JSONDecodeError, UnicodeDecodeError
         raise error(f"{path}: malformed JSON: {err}") from err

@@ -101,8 +101,7 @@ def render_scatter(points: list[DesignPoint], scope: str = "overall") -> str:
     def sy(y: float) -> float:
         return MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
 
-    title = "mAP (%s) vs multiply-add operations" % (
-        "overall" if scope == "overall" else scope)
+    title = f"mAP ({scope}) vs multiply-add operations"
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}" '

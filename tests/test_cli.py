@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit-code contract, round-trips."""
 import csv
+import hashlib
 import io
 import json
 import os
@@ -13,8 +14,11 @@ import pytest
 import pillarcost.cli
 from pillarcost.analysis import fmt2
 from pillarcost.arch import ArchConfig, Variant, build_pointpillars
-from pillarcost.cli import run
+from pillarcost.cli import build_parser, run
 from pillarcost.cost import graph_cost
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def invoke(capsys, *argv):
@@ -609,3 +613,109 @@ class TestHugeCost:
 
     def test_compare_csv_past_the_float_range(self, capsys):
         self.check_compare_csv(capsys, self.PAST_FLOAT)
+
+
+class TestOutput:
+    """Every subcommand takes ``--output``, and writes the file only once it
+    has succeeded."""
+
+    ARGVS = {
+        "list": ["list"],
+        "describe": ["describe", "base"],
+        "cost": ["cost", "base"],
+        "compare": ["compare"],
+        "pareto": ["pareto"],
+        "amdahl": ["amdahl", "--profile", "{fpga_timing.json}"],
+        "plot": ["plot"],
+        "export": ["export", "base"],
+    }
+    FAILING = {
+        "describe": ["describe", "base", "--set", "neck_upsample=[1,2,3]"],
+        "cost": ["cost", "base", "--set", "neck_upsample=[1,2,3]"],
+        "compare": ["compare", "--set", "neck_upsample=[1,2,3]"],
+        "pareto": ["pareto", "--data", "{missing}"],
+        "amdahl": ["amdahl", "--profile", "{fpga_timing.json}", "--speedup", "nosuch=2"],
+        "plot": ["plot", "--data", "{missing}"],
+        "export": ["export", "base", "--set", "neck_upsample=[1,2,3]"],
+    }
+
+    @staticmethod
+    def argv(words, tmp_path):
+        files = {"{fpga_timing.json}": timing_path("fpga_timing.json"),
+                 "{missing}": str(tmp_path / "missing.json")}
+        return [files.get(word, word) for word in words]
+
+    def test_every_subcommand_has_an_argv(self):
+        commands = build_parser()._subparsers._group_actions[0].choices.keys()
+        assert self.ARGVS.keys() == commands
+        assert self.FAILING.keys() == commands - {"list"}
+
+    @pytest.mark.parametrize("command", sorted(ARGVS))
+    def test_file_holds_what_stdout_gets(self, capsys, tmp_path, command):
+        argv = self.argv(self.ARGVS[command], tmp_path)
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "") and out
+        target = tmp_path / "out"
+        assert invoke(capsys, *argv, "--output", str(target)) == (0, "", "")
+        assert target.read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.parametrize("command", sorted(ARGVS))
+    def test_help_lists_output(self, capsys, command):
+        code, out, _ = invoke(capsys, command, "--help")
+        assert code == 0
+        assert "--output PATH" in out and "write to a file instead of stdout" in out
+
+    @pytest.mark.parametrize("command", sorted(FAILING))
+    def test_failing_command_creates_no_file(self, capsys, tmp_path, command):
+        target = tmp_path / "out"
+        code, out, err = invoke(capsys, *self.argv(self.FAILING[command], tmp_path),
+                                "--output", str(target))
+        assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+        assert not target.exists()
+
+
+def test_stdout_matches_the_benchmark_pins(capsys, monkeypatch):
+    """Each argv the benchmark's cli-cold workload runs prints the bytes
+    ``bench/expected.json`` pins."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from workloads import cli_commands
+    pins = json.loads((ROOT / "bench" / "expected.json").read_text())["cli_stdout_sha256"]
+    monkeypatch.chdir(ROOT)
+    argvs = [argv for group in cli_commands([v.value for v in Variant]).values()
+             for argv in group]
+    assert sorted(" ".join(argv) for argv in argvs) == sorted(pins)
+    wrong = []
+    for argv in argvs:
+        code, out, err = invoke(capsys, *argv)
+        key = " ".join(argv)
+        if (code, err) != (0, "") or hashlib.sha256(out.encode()).hexdigest() != pins[key]:
+            wrong.append(key)
+    assert wrong == []
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    """Under an ASCII locale a UTF-8 dataset and config load, ``--output``
+    writes UTF-8, and text that stdout cannot encode is a one-line error."""
+    doc = json.loads(Path(data_path()).read_text(encoding="utf-8"))
+    point = {**doc["points"][0], "name": "Xcéption"}
+    data = tmp_path / "points.json"
+    data.write_bytes(json.dumps([point], ensure_ascii=False).encode("utf-8"))
+    config = tmp_path / "arch.cfg"
+    config.write_bytes("# réglage\nmax_pillars = 12000\n".encode("utf-8"))
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONIOENCODING"}
+    env.update(PYTHONPATH=path, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+
+    def cli(*argv):
+        proc = subprocess.run([sys.executable, "-m", "pillarcost.cli", *argv],
+                              capture_output=True, env=env, timeout=60)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    svg = tmp_path / "p.svg"
+    assert cli("plot", "--data", str(data), "--output", str(svg)) == (0, b"", b"")
+    assert "Xcéption".encode("utf-8") in svg.read_bytes()
+    code, out, err = cli("pareto", "--data", str(data))
+    assert (code, out) == (1, b"")
+    assert err.startswith(b"error: cannot write to standard output: ")
+    assert err.endswith(b"; use --output PATH to write UTF-8\n") and err.count(b"\n") == 1
+    assert cli("describe", "base", "--config", str(config))[0] == 0
