@@ -61,8 +61,9 @@ def read_json(path: str | Path, error: type[PillarcostError], text: str | None =
     """The JSON document in the file at ``path`` (or in ``text``, read from
     it), with each number that has a fraction or an exponent read exactly as
     an ``ExactDecimal``.  Text that is not UTF-8, malformed JSON, nesting too
-    deep, a number ``exact_fraction`` refuses and a key given twice in one
-    object raise ``error``, one line naming the path."""
+    deep, a number ``exact_fraction`` refuses, a key given twice in one
+    object and a string UTF-8 cannot encode (a lone surrogate escape such as
+    ``"\\ud800"``) raise ``error``, one line naming the path."""
     def unique_keys(pairs: list) -> dict:
         doc = dict(pairs)
         if len(doc) < len(pairs):
@@ -71,8 +72,14 @@ def read_json(path: str | Path, error: type[PillarcostError], text: str | None =
             raise error(f"{path}: key {key!r} given twice")
         return doc
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8") if text is None else text,
-                          object_pairs_hook=unique_keys, parse_float=ExactDecimal)
+        doc = json.loads(Path(path).read_text(encoding="utf-8") if text is None else text,
+                         object_pairs_hook=unique_keys, parse_float=ExactDecimal)
+        # a lone surrogate escape loads as a str that no UTF-8 writer takes
+        json.dumps(doc, ensure_ascii=False, default=repr).encode("utf-8")
+        return doc
+    except UnicodeEncodeError as err:
+        raise error(f"{path}: malformed JSON: a string holds {err.object[err.start]!r}, "
+                    "which UTF-8 cannot encode") from err
     except (ValueError, RecursionError) as err:  # incl. JSONDecodeError, UnicodeDecodeError
         raise error(f"{path}: malformed JSON: {err}") from err
 

@@ -7,6 +7,7 @@ append-only during construction and treated as immutable afterwards.
 from __future__ import annotations
 
 import json
+import marshal
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain
@@ -163,7 +164,10 @@ class Input(NodeSpec):
 
     @classmethod
     def from_attrs(cls, attrs: dict) -> "Input":
-        return cls(**{**attrs, "shape": TensorShape(*attrs["shape"])})
+        shape = attrs["shape"]
+        if not isinstance(shape, (list, tuple)):  # the decode key writes a bytes-like as bytes
+            raise FieldError(f"shape must be a list of integers, got {shape!r}")
+        return cls(**{**attrs, "shape": TensorShape(*shape)})
 
 
 def _window_out(size: int, pad: int, kernel: int, stride: int, kind: str,
@@ -399,10 +403,6 @@ _KIND_CLASSES = {
 _ATTR_NAMES = {cls: tuple(sorted(cls._fields))
                for cls in _KIND_CLASSES.values()}
 
-# The kinds whose attribute is a list: their decode key holds its items and
-# each item's type (see _spec_key), since (4.0, 2, 2) equals (4, 2, 2).
-_SEQUENCE_KINDS = frozenset((Input.kind, ChannelSplit.kind))
-
 
 # --------------------------------------------------------------------------
 # Graph
@@ -588,23 +588,21 @@ class Graph:
         except (KeyError, TypeError) as err:
             raise GraphError("a graph document is an object with 'nodes' and "
                              f"'edges' lists; {type(err).__name__}: {err}") from None
-        # spec key -> spec, for this call only.  A key holds the kind and
-        # each attribute's name, value and exact type, so that 1, True and
-        # 1.0 never share an entry; _spec_key keys a list value.
-        specs: dict[tuple, NodeSpec] = {}
+        # spec key -> spec, for this call only.  marshal writes each value
+        # with its exact type at any depth (a bytes-like one as bytes, which
+        # no kind takes), so 1, true and 1.0 never share an entry, nor do
+        # [4, 2, 2] and [4.0, 2, 2]; version 0 writes no marks that depend
+        # on reference counts.
+        specs: dict[bytes, NodeSpec] = {}
         decoded = []
         for pos, item in enumerate(items):
             try:
                 item_id, kind, attrs, name = _NODE_FIELDS(item)
                 try:
-                    if kind in _SEQUENCE_KINDS:
-                        key = _spec_key(kind, attrs)
-                    else:
-                        values = attrs.values()
-                        key = (kind, *attrs, *values, *map(type, values))
-                    spec = specs.get(key)
-                except (AttributeError, TypeError):  # not an object, or a value
-                    key = spec = None                 # unhashable: decode it as is
+                    key = marshal.dumps((kind, attrs), 0)
+                except ValueError:  # a type marshal does not write (an int
+                    key = None      # subclass), or too deep: decode it unshared
+                spec = specs.get(key)
                 if spec is None:  # every key in specs holds a known kind
                     spec_cls = _KIND_CLASSES.get(kind)
                     if spec_cls is None:
@@ -670,9 +668,8 @@ _ATTR_PAD = "\n" + " " * 8
 
 
 def _json_value(value):
-    """An attribute value as ``to_json_dict`` holds it."""
-    if isinstance(value, TensorShape):
-        return [value.channels, value.height, value.width]
+    """An attribute value as ``to_json_dict`` holds it: a TensorShape is a
+    list of ints, and a split's Fractions a list of strings."""
     if isinstance(value, tuple):
         return [str(v) if isinstance(v, Fraction) else v for v in value]
     return value
@@ -688,16 +685,6 @@ def _label(item, pos: int) -> str:
     if isinstance(item, dict) and "name" in item:
         return repr(item["name"])
     return f"#{pos}"
-
-
-def _spec_key(kind: str, attrs: dict) -> tuple:
-    """The decode key of a spec of a kind that takes a list: a list or tuple
-    value keys as its type, its items and each item's type, so that it
-    shares with neither a scalar (``[1]`` and ``1``) nor a value of another
-    type."""
-    return (kind, *[(name, type(value), *value, *map(type, value))
-                    if isinstance(value, (list, tuple)) else (name, value, type(value))
-                    for name, value in attrs.items()])
 
 
 def _walk(edges: list, start: int, n: int) -> list[int]:
@@ -730,16 +717,15 @@ def _edge(edge) -> tuple[int, int, int, int]:
 
 
 def _attr_json(value) -> str:
-    """``_json_value(value)`` encoded at an attribute's indent level.  The
-    node kinds' constructors admit only an int, a bool, a TensorShape or a
-    non-empty tuple of Fractions."""
+    """``_json_value(value)`` encoded at an attribute's indent level: an int,
+    a bool, or a list of ints or of strings."""
+    value = _json_value(value)
     kind = type(value)
     if kind is int:
         return str(value)
     if kind is bool:
         return "true" if value else "false"
+    if kind is str:
+        return _json_str(value)
     pad = _ATTR_PAD + "  "
-    if kind is TensorShape:
-        return (f"[{pad}{value.channels},{pad}{value.height},{pad}{value.width}"
-                f"{_ATTR_PAD}]")
-    return f"[{','.join(pad + _json_str(str(v)) for v in value)}{_ATTR_PAD}]"
+    return f"[{','.join([pad + _attr_json(v) for v in value])}{_ATTR_PAD}]"

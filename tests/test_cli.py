@@ -673,6 +673,39 @@ class TestOutput:
         assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
         assert not target.exists()
 
+    @pytest.mark.parametrize("command", ["compare", "pareto", "amdahl"])
+    def test_json_is_indented_by_two(self, capsys, tmp_path, command):
+        argv = self.argv(self.ARGVS[command], tmp_path)
+        code, out, err = invoke(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    @pytest.mark.parametrize("command, key", [("plot", "--data"), ("amdahl", "--profile")])
+    @pytest.mark.parametrize("escape", [r"\ud800", r"\udc80"])
+    def test_a_string_utf8_cannot_encode_is_refused(self, capsys, tmp_path, command, key,
+                                                    escape):
+        # a lone surrogate escape loads as a str that no UTF-8 writer takes:
+        # here a design point's name, or a timing stage
+        doc = json.loads(Path(data_path()).read_text())["points"][:1]
+        doc[0]["name"] = "N"
+        if command == "amdahl":
+            doc = {"stage_fractions": {"N": 1}, "base_latency_ms": 10}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc).replace('"N"', f'"{escape}"'))
+        target = tmp_path / "out"
+        code, out, err = invoke(capsys, command, key, str(bad), "--output", str(target))
+        assert (code, out) == (1, "")
+        assert err == (f"error: {bad}: malformed JSON: a string holds "
+                       f"{escape.encode().decode('unicode_escape')!r}, "
+                       "which UTF-8 cannot encode\n")
+        assert not target.exists()
+
+    def test_a_surrogate_pair_escape_is_one_character(self, capsys, tmp_path):
+        good = tmp_path / "good.json"
+        good.write_text('{"stage_fractions": {"\\ud83d\\ude00": 1}, "base_latency_ms": 10}')
+        code, out, err = invoke(capsys, "amdahl", "--profile", str(good), "--format", "csv")
+        assert (code, err) == (0, "") and "limit_speedup_\U0001F600,inf\n" in out
+
 
 def test_stdout_matches_the_benchmark_pins(capsys, monkeypatch):
     """Each argv the benchmark's cli-cold workload runs prints the bytes

@@ -106,6 +106,20 @@ class TestNodeSpecs:
         with pytest.raises(FieldError, match=r"^fractions must be a list of numbers, got "):
             ChannelSplit(fractions=fractions)
 
+    def test_a_zero_split_fraction_is_refused(self):
+        with pytest.raises(FieldError, match="^split fractions must be positive$"):
+            ChannelSplit((Fraction(0), Fraction(1)))
+
+    @pytest.mark.parametrize("pad, zero, dims, one, out", [
+        ({"pad_h": 1}, (2, 1, 5), "0x6", (2, 2, 5), (4, 1, 6)),
+        ({"pad_w": 1}, (2, 5, 1), "6x0", (2, 5, 2), (4, 6, 1)),
+    ], ids=["height", "width"])
+    def test_transposed_conv_output_must_be_at_least_one(self, pad, zero, dims, one, out):
+        conv = TransposedConv(4, 2, 2, **pad)
+        with pytest.raises(ShapeError, match=f"^transposed conv output dims {dims}$"):
+            conv.output_shapes([TensorShape(*zero)])
+        assert conv.output_shapes([TensorShape(*one)]) == [out]
+
     def test_conv_rejects_bad_fields(self):
         with pytest.raises(ValueError):
             Conv(0, 3, 3)
@@ -404,6 +418,14 @@ class TestJsonRoundTrip:
         with pytest.raises(GraphError, match="node ids"):
             Graph.from_json_dict(doc)
 
+    def test_id_gap_names_the_ids_expected(self):
+        doc = {"nodes": [{"id": i, "name": f"in{i}", "kind": "input",
+                          "attrs": {"shape": [4, 2, 2]}} for i in (0, 2)],
+               "edges": []}
+        with pytest.raises(GraphError) as info:
+            Graph.from_json_dict(doc)
+        assert str(info.value) == "node ids must be 0..1, each exactly once"
+
     @pytest.mark.parametrize("ports", [[0, 7], [0, 0], [1, 2], [0, 1, 1]])
     def test_input_ports_must_be_dense(self, ports):
         # these used to load renumbered as ports 0..k-1
@@ -496,6 +518,34 @@ class TestJsonRoundTrip:
         with pytest.raises(GraphError, match=f"^node 'b': {attr} ") as info:
             Graph.from_json_dict(doc)
         assert "\n" not in str(info.value)
+
+    def test_decoded_spec_is_not_reused_for_an_int_subclass(self):
+        # Int(4) equals 4 and hashes alike, but no node field takes it
+        doc = two_equal_convs().to_json_dict()
+        doc["nodes"][2]["attrs"]["out_channels"] = Int(4)
+        with pytest.raises(GraphError, match="^node 'b': out_channels ") as info:
+            Graph.from_json_dict(doc)
+        assert "\n" not in str(info.value)
+
+    def test_decoded_input_shape_is_not_reused_for_an_int_subclass_item(self):
+        doc = {"nodes": [{"id": 0, "name": "a", "kind": "input",
+                          "attrs": {"shape": [4, 2, 2]}},
+                         {"id": 1, "name": "b", "kind": "input",
+                          "attrs": {"shape": [Int(4), 2, 2]}}],
+               "edges": []}
+        with pytest.raises(GraphError, match="^node 'b': channels ") as info:
+            Graph.from_json_dict(doc)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("form", [bytes, bytearray], ids=lambda form: form.__name__)
+    def test_a_bytes_like_input_shape_is_refused(self, form):
+        # no kind takes a bytes-like value, which the decode key writes as bytes
+        doc = {"nodes": [{"id": 0, "name": "a", "kind": "input",
+                          "attrs": {"shape": form([4, 2, 2])}}],
+               "edges": []}
+        with pytest.raises(GraphError, match="^node 'a': shape must be a list of integers, "
+                                             "got "):
+            Graph.from_json_dict(doc)
 
     def test_decoded_input_shape_is_checked_for_every_node(self):
         # the tuple (4.0, 2, 2) equals (4, 2, 2), and the list [4.0, 2, 2] [4, 2, 2]

@@ -1,0 +1,31 @@
+"""The package's source keeps to its floors: it parses as the oldest Python
+that pyproject admits, and it imports only the standard library and
+itself."""
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "pillarcost").glob("*.py"))
+FLOOR = tuple(map(int, re.search(r'^requires-python = ">=(\d+)\.(\d+)"$',
+                                 (ROOT / "pyproject.toml").read_text(), re.M).groups()))
+
+
+def imported(tree: ast.Module) -> set[str]:
+    """The top-level name of each module that ``tree`` imports absolutely."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_parses_at_the_floor_and_imports_only_the_stdlib(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=FLOOR)
+    assert imported(tree) - set(sys.stdlib_module_names) <= {"pillarcost"}
