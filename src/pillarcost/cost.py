@@ -5,14 +5,12 @@ layer.
 """
 from __future__ import annotations
 
-import csv
-import io
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
 
-from .core import Record
+from .core import Record, _set
 from .graph import BatchNorm, Graph
-from .shapes import Key, walk_shapes
+from .shapes import shape_table
 
 
 class NodeCost(NamedTuple):
@@ -26,72 +24,89 @@ class NodeCost(NamedTuple):
 
 
 class CostReport(Record):
-    """Per-node costs in topological order, plus aggregates."""
+    """Per-node costs in topological order, plus aggregates.
+
+    The per-stage sums are made on first use and kept beside the field, so
+    every aggregate and writer reads them; they are not a field, so ``==``,
+    ``hash``, ``repr``, pickling and ``_replace`` do not see them.
+    """
 
     per_node: tuple[NodeCost, ...]
 
+    def _sums(self) -> tuple[dict[str, tuple[int, int]], int, int]:
+        """(per-stage (madds, params), total madds, total params), kept."""
+        sums = getattr(self, "_kept_sums", None)
+        if sums is None:
+            stages: dict[str, tuple[int, int]] = {}
+            for name, _, madds, params in self.per_node:
+                stage = name.partition(".")[0]
+                stage_madds, stage_params = stages.get(stage, (0, 0))
+                stages[stage] = (stage_madds + madds, stage_params + params)
+            sums = (stages, sum([madds for madds, _ in stages.values()]),
+                    sum([params for _, params in stages.values()]))
+            _set(self, "_kept_sums", sums)
+        return sums
+
     @property
     def total_madds(self) -> int:
-        return sum(c.madds for c in self.per_node)
+        return self._sums()[1]
 
     @property
     def total_params(self) -> int:
-        return sum(c.params for c in self.per_node)
+        return self._sums()[2]
 
     def per_stage(self) -> dict[str, tuple[int, int]]:
-        """Aggregate by the leading dotted-name component (e.g. 'backbone')."""
-        stages: dict[str, tuple[int, int]] = {}
-        for cost in self.per_node:
-            stage = cost.name.split(".", 1)[0]
-            madds, params = stages.get(stage, (0, 0))
-            stages[stage] = (madds + cost.madds, params + cost.params)
-        return stages
+        """Aggregate by the leading dotted-name component (e.g. 'backbone');
+        a fresh dict per call."""
+        return dict(self._sums()[0])
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("name", "kind", "madds", "params"))
-        writer.writerows(self.per_node)
-        writer.writerow(("TOTAL", "", self.total_madds, self.total_params))
-        return out.getvalue()
+        """What ``csv.writer(out, lineterminator="\\n")`` writes on Python
+        3.11 for the header, one row per node and the TOTAL row."""
+        _, madds, params = self._sums()
+        rows = [f"{_csv_field(name)},{kind},{node_madds},{node_params}\n"
+                for name, kind, node_madds, node_params in self.per_node]
+        return f"name,kind,madds,params\n{''.join(rows)}TOTAL,,{madds},{params}\n"
 
     def to_json(self) -> str:
         """Exactly ``json.dumps(doc, indent=2, sort_keys=True)`` of the
         document ``{"per_node": [{"name", "kind", "madds", "params"}, ...],
         "per_stage": {stage: {"madds", "params"}}, "total_madds",
         "total_params"}``, written directly as ``Graph.to_json`` is."""
-        rows = ",\n".join(
+        stages, madds, params = self._sums()
+        rows = ",\n".join([
             f'    {{\n      "kind": {_json_str(c.kind)},\n      "madds": {c.madds},\n'
             f'      "name": {_json_str(c.name)},\n      "params": {c.params}\n    }}'
-            for c in self.per_node)
-        stages = ",\n".join(
-            f'    {_json_str(stage)}: {{\n      "madds": {madds},\n'
-            f'      "params": {params}\n    }}'
-            for stage, (madds, params) in sorted(self.per_stage().items()))
+            for c in self.per_node])
+        stages = ",\n".join([
+            f'    {_json_str(stage)}: {{\n      "madds": {stage_madds},\n'
+            f'      "params": {stage_params}\n    }}'
+            for stage, (stage_madds, stage_params) in sorted(stages.items())])
         rows = f"[\n{rows}\n  ]" if rows else "[]"
         stages = f"{{\n{stages}\n  }}" if stages else "{}"
         return (f'{{\n  "per_node": {rows},\n  "per_stage": {stages},\n'
-                f'  "total_madds": {self.total_madds},\n'
-                f'  "total_params": {self.total_params}\n}}')
+                f'  "total_madds": {madds},\n  "total_params": {params}\n}}')
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as a CSV field: quoted, its quotes doubled, when it holds a
+    comma, a quote or a newline (a carriage return is left bare)."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def graph_cost(graph: Graph, count_batchnorm: bool = True) -> CostReport:
     """Cost every node of a valid single-input graph.
 
     ``count_batchnorm=False`` treats BatchNorm as folded into the preceding
-    convolution (0 MAdd, 0 params).  Each distinct key of ``walk_shapes``
-    is costed once per call.
+    convolution (0 MAdd, 0 params).  Each entry of ``shape_table`` is costed
+    once per call.
     """
-    rows: list[NodeCost] = []
-    costs: dict[Key, tuple[str, int, int]] = {}  # (kind, madds, params) per key
-    for (_, spec, name, _), key, out_shapes in walk_shapes(graph):
-        cost = costs.get(key)
-        if cost is None:
-            if count_batchnorm or not isinstance(spec, BatchNorm):
-                in_shapes = key[1]
-                cost = (spec.kind, spec.madds(in_shapes, out_shapes), spec.params(in_shapes))
-            else:
-                cost = (spec.kind, 0, 0)
-            costs[key] = cost
-        rows.append(tuple.__new__(NodeCost, (name, *cost)))
-    return CostReport(tuple(rows))
+    index, entries = shape_table(graph)
+    costs = [(spec.kind, spec.madds(in_shapes, out_shapes), spec.params(in_shapes))
+             if count_batchnorm or not isinstance(spec, BatchNorm) else (spec.kind, 0, 0)
+             for spec, in_shapes, out_shapes in entries]
+    new = tuple.__new__
+    return CostReport(tuple([new(NodeCost, (name, *costs[at]))
+                             for (_, _, name, _), at in zip(graph.nodes, index)]))

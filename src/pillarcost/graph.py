@@ -611,6 +611,8 @@ class Graph:
                     raise TypeError(f"id {item_id!r} is not an integer")
                 if type(name) is not str or not name:
                     raise TypeError(f"name {name!r} is not a non-empty string")
+                if not name.isascii():  # a lone surrogate escape: no UTF-8 writer takes it
+                    name.encode("utf-8")
                 if spec is None:
                     spec = spec_cls.from_attrs(attrs)
                     if key is not None:

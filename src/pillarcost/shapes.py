@@ -1,17 +1,16 @@
 """Shape inference over whole graphs.
 
 Each node kind's shape rule is its spec's ``output_shapes`` in ``graph``.
-``walk_shapes`` yields every node of a graph with its input and output
-shapes in topological order, reading each node's inputs off the node and
-computing the output shapes once per distinct spec and input shapes, and
-``infer_all`` collects them into a total map from (node id, output port) to
-TensorShape.  A graph is valid by construction, so neither re-checks it.
+``shape_table`` walks a graph once in topological order, reading each
+node's inputs off the node, and computes the output shapes once per entry:
+a distinct spec object at distinct input shapes.  It returns the entry of
+each node and the entries, which ``infer_all`` turns into a total map from
+(node id, output port) to TensorShape and ``cost.graph_cost`` costs.  A
+graph is valid by construction, so neither re-checks it.
 """
 from __future__ import annotations
 
-from typing import Iterator
-
-from .graph import Graph, GraphError, Node, NodeSpec, ShapeError, TensorShape
+from .graph import Graph, GraphError, NodeSpec, ShapeError, TensorShape
 
 
 def node_output_shape(spec: NodeSpec,
@@ -21,45 +20,49 @@ def node_output_shape(spec: NodeSpec,
 
 
 ShapeMap = dict[tuple[int, int], TensorShape]
-# (id of a node's spec, the node's input shapes in port order)
-Key = tuple[int, tuple[TensorShape, ...]]
+# (spec, input shapes in port order, output shapes in port order)
+Entry = tuple[NodeSpec, tuple[TensorShape, ...], list[TensorShape]]
 
 
-def walk_shapes(graph: Graph) -> Iterator[
-        tuple[Node, Key, list[TensorShape]]]:
-    """Yield (node, key, output shapes) for every node of a single-input
-    graph in id order, which is topological.
+def shape_table(graph: Graph) -> tuple[list[int], list[Entry]]:
+    """(entry index per node id, entries) of a single-input graph.
 
-    ``key`` is ``(id(node.spec), input shapes)``, the input shapes a tuple in
-    port order.  Nodes with equal keys have equal outputs and costs, so the
-    output shapes are computed once per key and the list is shared between
-    them; the table goes when the walk does.
+    There is one entry per distinct (spec object, input shapes), in the
+    order of the first node that has it.  Nodes that share an entry have
+    equal outputs and costs, so each entry's output shapes are computed
+    once; a ShapeError names the first node whose shapes fail.
     """
     inputs = len(graph.input_nodes())
     if inputs != 1:
         raise GraphError(f"shape inference needs exactly one input node, found {inputs}")
 
-    outputs: list[list[TensorShape]] = []
-    known: dict[Key, list[TensorShape]] = {}
-    for node in graph.nodes:
-        feeds = node.inputs
+    index: list[int] = []
+    entries: list[Entry] = []
+    outputs: list[list[TensorShape]] = []  # per node id
+    known: dict[tuple[int, tuple[TensorShape, ...]], int] = {}  # (id(spec), in) -> entry
+    for _, spec, name, feeds in graph.nodes:
         if len(feeds) == 1:
             ((src, port),) = feeds
-            key = (id(node.spec), (outputs[src][port],))
+            in_shapes = (outputs[src][port],)
         else:
-            key = (id(node.spec), tuple([outputs[src][port] for src, port in feeds]))
-        out_shapes = known.get(key)
-        if out_shapes is None:
+            in_shapes = tuple([outputs[src][port] for src, port in feeds])
+        key = (id(spec), in_shapes)
+        at = known.get(key)
+        if at is None:
             try:
-                out_shapes = known[key] = node_output_shape(node.spec, key[1])
+                out_shapes = node_output_shape(spec, in_shapes)
             except ShapeError as err:
-                raise ShapeError(f"{node.name}: {err}") from err
-        outputs.append(out_shapes)
-        yield node, key, out_shapes
+                raise ShapeError(f"{name}: {err}") from err
+            at = known[key] = len(entries)
+            entries.append((spec, in_shapes, out_shapes))
+        index.append(at)
+        outputs.append(entries[at][2])
+    return index, entries
 
 
 def infer_all(graph: Graph) -> ShapeMap:
     """Infer the shape at every (node, output port) of a valid graph."""
-    return {(node.id, port): shape
-            for node, _, out_shapes in walk_shapes(graph)
-            for port, shape in enumerate(out_shapes)}
+    index, entries = shape_table(graph)
+    return {(node_id, port): shape
+            for node_id, at in enumerate(index)
+            for port, shape in enumerate(entries[at][2])}

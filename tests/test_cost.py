@@ -3,6 +3,7 @@ import csv
 import importlib
 import io
 import json
+import pickle
 from collections import Counter
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 
 import pillarcost.shapes
 from pillarcost.arch import ArchConfig, Variant, build_pointpillars
-from pillarcost.cost import graph_cost
+from pillarcost.cost import CostReport, graph_cost
 from pillarcost.graph import (
     Add, BatchNorm, ChannelShuffle, Concat, Conv, Graph, Input, MaxPool, ReLU,
     Scatter, ShapeError, TensorShape, TransposedConv,
@@ -235,6 +236,45 @@ class TestGraphCost:
         assert doc["total_madds"] == report.total_madds
         assert doc["per_stage"]["stem"]["params"] == 16 * 3 * 9 + 32
         assert len(doc["per_node"]) == 5
+
+
+class TestKeptSums:
+    """A report sums its stages once and keeps the sums beside its one
+    field; no reader, and nothing that compares or copies reports, can
+    tell."""
+
+    @staticmethod
+    def read(report: CostReport) -> CostReport:
+        report.to_csv(), report.to_json(), report.per_stage()
+        return report
+
+    def test_a_mutated_per_stage_dict_changes_no_later_read(self):
+        report = graph_cost(tiny_graph())
+        stages, text, csv_text = report.per_stage(), report.to_json(), report.to_csv()
+        totals = report.total_madds, report.total_params
+        mutated = report.per_stage()
+        mutated["stem"] = (0, 0)
+        mutated["extra"] = (1, 1)
+        del mutated["head"]
+        assert report.per_stage() == stages and report.per_stage() is not mutated
+        assert report.to_json() == text and report.to_csv() == csv_text
+        assert (report.total_madds, report.total_params) == totals
+
+    def test_a_read_report_equals_hashes_prints_and_pickles_as_a_fresh_one(self):
+        rows = graph_cost(tiny_graph()).per_node
+        read, fresh = self.read(CostReport(rows)), CostReport(rows)
+        assert read == fresh and hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh)
+        assert pickle.dumps(read) == pickle.dumps(fresh)
+        restored = pickle.loads(pickle.dumps(read))
+        assert restored == fresh and restored.to_json() == fresh.to_json()
+
+    def test_a_replaced_report_sums_its_own_rows(self):
+        read = self.read(graph_cost(tiny_graph()))
+        head = read._replace(per_node=read.per_node[-1:])
+        assert head.per_stage() == {"head": (4 * 16 * 64 + 4 * 64, 4 * 16 + 4)}
+        assert head.total_madds == read.per_node[-1].madds
+        assert read._replace() == read and read._replace().to_csv() == read.to_csv()
 
 
 class TestOncePerKey:

@@ -13,7 +13,7 @@ from pillarcost.graph import (
 )
 from pillarcost.arch import build_pointpillars
 from pillarcost.core import Variant
-from pillarcost.cost import NodeCost
+from pillarcost.cost import NodeCost, graph_cost
 from pillarcost.shapes import infer_all
 
 
@@ -505,6 +505,22 @@ class TestJsonRoundTrip:
         with pytest.raises(GraphError, match=names) as info:
             Graph.from_json_dict(doc)
         assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("escape", [r"\ud800", r"\udc80", r"\udfff"])
+    def test_a_name_utf8_cannot_encode_is_refused(self, escape):
+        # json.loads reads a lone surrogate escape as a str no UTF-8 writer takes
+        text = small_chain().to_json().replace('"name": "relu"', f'"name": "pfn.{escape}"')
+        with pytest.raises(GraphError) as info:
+            Graph.from_json(text)
+        message = str(info.value)
+        assert message.startswith(f"node 'pfn.{escape}': 'utf-8' codec can't encode")
+        assert "\n" not in message
+
+    def test_a_non_ascii_name_loads_and_writes(self):
+        text = small_chain().to_json().replace('"name": "relu"', r'"name": "pfn.\u00e9\u4e2d"')
+        g = Graph.from_json(text)
+        assert "pfn.é中" in {node.name for node in g.nodes}
+        assert "pfn.é中,relu," in graph_cost(g).to_csv().encode("utf-8").decode("utf-8")
 
     @pytest.mark.parametrize("attr, first, second", [
         ("has_bias", True, 1), ("groups", 1, True), ("kernel_h", 3, 3.0),

@@ -1,4 +1,6 @@
 """Property-based and randomized invariants over graphs, shapes and costs."""
+import csv
+import io
 import json
 import random
 from fractions import Fraction
@@ -230,15 +232,32 @@ def reference_json(doc) -> str:
 
 def reference_report_doc(report: CostReport) -> dict:
     """The document that CostReport.to_json passed to json.dumps before it
-    wrote its text directly."""
+    wrote its text directly, its sums made here from the rows, apart from
+    the sums the report keeps."""
+    stages: dict[str, dict[str, int]] = {}
+    for c in report.per_node:
+        stage = stages.setdefault(c.name.split(".", 1)[0], {"madds": 0, "params": 0})
+        stage["madds"] += c.madds
+        stage["params"] += c.params
     return {
         "per_node": [{"name": c.name, "kind": c.kind, "madds": c.madds,
                       "params": c.params} for c in report.per_node],
-        "per_stage": {stage: {"madds": madds, "params": params}
-                      for stage, (madds, params) in sorted(report.per_stage().items())},
-        "total_madds": report.total_madds,
-        "total_params": report.total_params,
+        "per_stage": stages,
+        "total_madds": sum(c.madds for c in report.per_node),
+        "total_params": sum(c.params for c in report.per_node),
     }
+
+
+def reference_csv(report: CostReport) -> str:
+    """What CostReport.to_csv wrote through the csv module before it wrote
+    its text directly."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("name", "kind", "madds", "params"))
+    writer.writerows(report.per_node)
+    writer.writerow(("TOTAL", "", sum(c.madds for c in report.per_node),
+                     sum(c.params for c in report.per_node)))
+    return out.getvalue()
 
 
 def assert_writers_match_reference(g: Graph) -> None:
@@ -254,6 +273,7 @@ def assert_writers_match_reference(g: Graph) -> None:
         return
     for report in reports:
         assert report.to_json() == reference_json(reference_report_doc(report))
+        assert report.to_csv() == reference_csv(report)
 
 
 def test_writers_match_reference_encoder_on_random_dags():
@@ -284,6 +304,8 @@ def test_writers_match_reference_encoder_on_variants(variant, units):
 def test_writers_match_reference_encoder_on_empty_inputs():
     assert Graph().to_json() == reference_json({"edges": [], "nodes": []})
     assert CostReport(()).to_json() == reference_json(reference_report_doc(CostReport(())))
+    assert CostReport(()).to_csv() == reference_csv(CostReport(())) == \
+        "name,kind,madds,params\nTOTAL,,0,0\n"
 
 
 def test_writers_escape_names_like_the_reference_encoder():
@@ -292,6 +314,24 @@ def test_writers_escape_names_like_the_reference_encoder():
     for i, name in enumerate(["back\\slash", "new\nline", "caf\u00e9.x", "a,b",
                               "\u2603.tab\t", ""]):
         src = g.add_node(ReLU(), [(src, 0)], name=name)
+    assert_writers_match_reference(g)
+
+
+# names with each character the CSV quoting rule turns on, a dot (the
+# stage separator) and any other text a graph name may hold
+csv_names = st.text(st.sampled_from(',"\n\r.') | st.characters(exclude_categories=("Cs",)),
+                    min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(names=st.lists(csv_names, min_size=2, max_size=7, unique=True))
+def test_writers_match_reference_encoder_on_any_node_name(names):
+    # to_csv, in both batch-norm modes, against the csv module's writer
+    g = Graph()
+    src = g.add_node(Input(TensorShape(4, 6, 6)), name=names[0])
+    specs = (Conv(4, 3, 3, pad_h=1, pad_w=1), BatchNorm(), ReLU())
+    for i, name in enumerate(names[1:]):
+        src = g.add_node(specs[i % len(specs)], [(src, 0)], name=name)
     assert_writers_match_reference(g)
 
 
