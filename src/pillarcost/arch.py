@@ -196,13 +196,12 @@ _POOL_3X3_S2 = MaxPool(3, 3, 2, 2, 1, 1)
 # Small builder helpers
 # --------------------------------------------------------------------------
 
-def _conv(g: Graph, src: int, name: str, in_ch: int, out_ch: int,
+def _conv(g: Graph, src: int, name: str, out_ch: int,
           kernel=(1, 1), stride: int = 1, groups: int = 1,
           bias: bool = False, port: int = 0) -> int:
     """Conv fed by output ``port`` of ``src`` (ChannelSplit has several),
-    "same"-padded: each side is padded by half the kernel, rounded down."""
-    if in_ch % groups or out_ch % groups:
-        raise ArchError(f"{name}: channels {in_ch}->{out_ch} not divisible by groups={groups}")
+    "same"-padded: each side is padded by half the kernel, rounded down.
+    Its channels are checked against ``groups`` by the shape walk."""
     spec = g.spec(Conv, out_ch, kernel[0], kernel[1], stride, stride,
                   kernel[0] // 2, kernel[1] // 2, groups, bias)
     return g.add_node(spec, [(src, port)], name)
@@ -215,18 +214,17 @@ def _bn_relu(g: Graph, src: int, prefix: str, relu: bool = True) -> int:
     return node
 
 
-def _cbr(g: Graph, src: int, name: str, in_ch: int, out_ch: int,
+def _cbr(g: Graph, src: int, name: str, out_ch: int,
          kernel=(3, 3), stride: int = 1, groups: int = 1,
          relu: bool = True) -> int:
-    node = _conv(g, src, f"{name}.conv", in_ch, out_ch, kernel, stride, groups)
+    node = _conv(g, src, f"{name}.conv", out_ch, kernel, stride, groups)
     return _bn_relu(g, node, name, relu)
 
 
 def _dw(g: Graph, src: int, name: str, channels: int, stride: int,
         relu: bool = True) -> int:
     """3x3 depthwise conv, batch norm and, unless ``relu`` is false, ReLU."""
-    return _cbr(g, src, name, channels, channels, stride=stride, groups=channels,
-                relu=relu)
+    return _cbr(g, src, name, channels, stride=stride, groups=channels, relu=relu)
 
 
 def _skip(g: Graph, src: int, name: str, in_ch: int, out_ch: int,
@@ -235,7 +233,7 @@ def _skip(g: Graph, src: int, name: str, in_ch: int, out_ch: int,
     else a strided 1x1 projection conv and batch norm."""
     if stride == 1 and in_ch == out_ch:
         return src
-    return _cbr(g, src, f"{name}.proj", in_ch, out_ch, (1, 1), stride, relu=False)
+    return _cbr(g, src, f"{name}.proj", out_ch, (1, 1), stride, relu=False)
 
 
 def _add_relu(g: Graph, skip: int, node: int, name: str) -> int:
@@ -256,24 +254,24 @@ def _frac_channels(total: int, ratio: Fraction, name: str) -> int:
 # --------------------------------------------------------------------------
 
 def _unit_base(g, src, in_ch, out_ch, stride, name, cfg) -> int:
-    return _cbr(g, src, name, in_ch, out_ch, stride=stride)
+    return _cbr(g, src, name, out_ch, stride=stride)
 
 
 def _unit_squeezenext(g, src, in_ch, out_ch, stride, name, cfg) -> int:
     hidden = _frac_channels(in_ch, cfg.squeezenext_reduce, name)
-    node = _cbr(g, src, f"{name}.reduce", in_ch, hidden, (1, 1), stride)
-    node = _cbr(g, node, f"{name}.conv1x3", hidden, hidden, (1, 3))
-    node = _cbr(g, node, f"{name}.conv3x1", hidden, hidden, (3, 1))
-    node = _cbr(g, node, f"{name}.expand", hidden, out_ch, (1, 1))
+    node = _cbr(g, src, f"{name}.reduce", hidden, (1, 1), stride)
+    node = _cbr(g, node, f"{name}.conv1x3", hidden, (1, 3))
+    node = _cbr(g, node, f"{name}.conv3x1", hidden, (3, 1))
+    node = _cbr(g, node, f"{name}.expand", out_ch, (1, 1))
     return _add_relu(g, _skip(g, src, name, in_ch, out_ch, stride), node, name)
 
 
 def _unit_bottleneck(g, src, in_ch, out_ch, stride, name, cfg,
                      width: Fraction, groups: int) -> int:
     hidden = _frac_channels(out_ch, width, name)
-    node = _cbr(g, src, f"{name}.reduce", in_ch, hidden, (1, 1), stride)
-    node = _cbr(g, node, f"{name}.conv3x3", hidden, hidden, groups=groups)
-    node = _cbr(g, node, f"{name}.expand", hidden, out_ch, (1, 1), relu=False)
+    node = _cbr(g, src, f"{name}.reduce", hidden, (1, 1), stride)
+    node = _cbr(g, node, f"{name}.conv3x3", hidden, groups=groups)
+    node = _cbr(g, node, f"{name}.expand", out_ch, (1, 1), relu=False)
     return _add_relu(g, _skip(g, src, name, in_ch, out_ch, stride), node, name)
 
 
@@ -289,7 +287,7 @@ def _unit_resnext(g, src, in_ch, out_ch, stride, name, cfg) -> int:
 
 def _unit_mobilenet_v1(g, src, in_ch, out_ch, stride, name, cfg) -> int:
     node = _dw(g, src, f"{name}.dw", in_ch, stride)
-    return _cbr(g, node, f"{name}.pw", in_ch, out_ch, (1, 1))
+    return _cbr(g, node, f"{name}.pw", out_ch, (1, 1))
 
 
 def _unit_mobilenet_v2(g, src, in_ch, out_ch, stride, name, cfg) -> int:
@@ -297,20 +295,19 @@ def _unit_mobilenet_v2(g, src, in_ch, out_ch, stride, name, cfg) -> int:
     hidden = in_ch * t
     node = src
     if t > 1:  # expansion layer is skipped at ratio 1, as in the original family
-        node = _cbr(g, node, f"{name}.expand", in_ch, hidden, (1, 1))
+        node = _cbr(g, node, f"{name}.expand", hidden, (1, 1))
     node = _dw(g, node, f"{name}.dw", hidden, stride)
-    node = _cbr(g, node, f"{name}.project", hidden, out_ch, (1, 1), relu=False)
+    node = _cbr(g, node, f"{name}.project", out_ch, (1, 1), relu=False)
     if stride == 1 and in_ch == out_ch:
         node = g.add_node(_ADD, [(src, 0), (node, 0)], f"{name}.add")
     return node
 
 
-def _shuffle_branch(g, src, name, in_ch, out_ch, stride, groups) -> int:
-    node = _cbr(g, src, f"{name}.gconv1", in_ch, out_ch, (1, 1), groups=groups)
+def _shuffle_branch(g, src, name, out_ch, stride, groups) -> int:
+    node = _cbr(g, src, f"{name}.gconv1", out_ch, (1, 1), groups=groups)
     node = g.add_node(g.spec(ChannelShuffle, groups), [(node, 0)], f"{name}.shuffle")
     node = _dw(g, node, f"{name}.dw", out_ch, stride, relu=False)
-    return _cbr(g, node, f"{name}.gconv2", out_ch, out_ch, (1, 1), groups=groups,
-                relu=False)
+    return _cbr(g, node, f"{name}.gconv2", out_ch, (1, 1), groups=groups, relu=False)
 
 
 def _unit_shufflenet_v1(g, src, in_ch, out_ch, stride, name, cfg) -> int:
@@ -319,11 +316,11 @@ def _unit_shufflenet_v1(g, src, in_ch, out_ch, stride, name, cfg) -> int:
         raise ArchError(f"{name}: stride-1 shuffle unit needs in == out channels")
     if out_ch > in_ch:  # stride 2: a stride-1 unit has in == out
         # downsampling unit: pooled identity concatenated with the branch
-        branch = _shuffle_branch(g, src, name, in_ch, out_ch - in_ch, 2, groups)
+        branch = _shuffle_branch(g, src, name, out_ch - in_ch, 2, groups)
         skip = _pool(g, src, f"{name}.pool")
         node = g.add_node(_CONCAT, [(skip, 0), (branch, 0)], f"{name}.concat")
         return g.add_node(_RELU, [(node, 0)], f"{name}.out_relu")
-    branch = _shuffle_branch(g, src, name, in_ch, out_ch, stride, groups)
+    branch = _shuffle_branch(g, src, name, out_ch, stride, groups)
     return _add_relu(g, _skip(g, src, name, in_ch, out_ch, stride), branch, name)
 
 
@@ -333,10 +330,10 @@ def _shufflenet_v2_unit(g, src, in_ch, out_ch, stride, name, cfg) -> int:
             raise ArchError(f"{name}: stride-1 unit needs even, equal in/out channels")
         c = in_ch // 2
         split = g.add_node(_SPLIT_HALVES, [(src, 0)], f"{name}.split")
-        node = _conv(g, split, f"{name}.pw1.conv", c, c, port=1)
+        node = _conv(g, split, f"{name}.pw1.conv", c, port=1)
         node = _bn_relu(g, node, f"{name}.pw1")
         node = _dw(g, node, f"{name}.dw", c, 1, relu=False)
-        node = _cbr(g, node, f"{name}.pw2", c, c, (1, 1))
+        node = _cbr(g, node, f"{name}.pw2", c, (1, 1))
         node = g.add_node(_CONCAT, [(split, 0), (node, 0)], f"{name}.concat")
         return g.add_node(_SHUFFLE_2, [(node, 0)], f"{name}.shuffle")
 
@@ -344,23 +341,23 @@ def _shufflenet_v2_unit(g, src, in_ch, out_ch, stride, name, cfg) -> int:
         raise ArchError(f"{name}: output channels must be even")
     branch = out_ch // 2
     left = _dw(g, src, f"{name}.left.dw", in_ch, 2, relu=False)
-    left = _cbr(g, left, f"{name}.left.pw", in_ch, branch, (1, 1))
-    right = _cbr(g, src, f"{name}.right.pw1", in_ch, branch, (1, 1))
+    left = _cbr(g, left, f"{name}.left.pw", branch, (1, 1))
+    right = _cbr(g, src, f"{name}.right.pw1", branch, (1, 1))
     right = _dw(g, right, f"{name}.right.dw", branch, 2, relu=False)
-    right = _cbr(g, right, f"{name}.right.pw2", branch, branch, (1, 1))
+    right = _cbr(g, right, f"{name}.right.pw2", branch, (1, 1))
     node = g.add_node(_CONCAT, [(left, 0), (right, 0)], f"{name}.concat")
     return g.add_node(_SHUFFLE_2, [(node, 0)], f"{name}.shuffle")
 
 
 def _darknet_unit(g, src, channels, hidden, name) -> int:
-    node = _cbr(g, src, f"{name}.reduce", channels, hidden, (1, 1))
-    node = _cbr(g, node, f"{name}.conv3x3", hidden, channels)
+    node = _cbr(g, src, f"{name}.reduce", hidden, (1, 1))
+    node = _cbr(g, node, f"{name}.conv3x3", channels)
     return g.add_node(_ADD, [(src, 0), (node, 0)], f"{name}.add")
 
 
 def _sepconv(g, src, name, in_ch, out_ch) -> int:
-    node = _conv(g, src, f"{name}.dw", in_ch, in_ch, (3, 3), groups=in_ch)
-    node = _conv(g, node, f"{name}.pw", in_ch, out_ch)
+    node = _conv(g, src, f"{name}.dw", in_ch, (3, 3), groups=in_ch)
+    node = _conv(g, node, f"{name}.pw", out_ch)
     return _bn_relu(g, node, name)
 
 
@@ -415,7 +412,7 @@ def _block_of_units(unit, g, src, in_ch, out_ch, units, stride, prefix, cfg,
 
 def _block_darknet(g, src, in_ch, out_ch, units, stride, prefix, cfg,
                    first_block) -> int:
-    node = _cbr(g, src, f"{prefix}.entry", in_ch, out_ch, stride=stride)
+    node = _cbr(g, src, f"{prefix}.entry", out_ch, stride=stride)
     for i in range(1, units):
         node = _darknet_unit(g, node, out_ch, out_ch // 2, f"{prefix}.unit{i}")
     return node
@@ -425,15 +422,15 @@ def _block_cspdarknet(g, src, in_ch, out_ch, units, stride, prefix, cfg,
                       first_block) -> int:
     """Cross-stage partial wrapper: the first block keeps the lane at full
     width (as the original CSP backbone does), later blocks halve it."""
-    node = _cbr(g, src, f"{prefix}.entry", in_ch, out_ch, stride=stride)
+    node = _cbr(g, src, f"{prefix}.entry", out_ch, stride=stride)
     lane_ch = out_ch if first_block else out_ch // 2
-    skip = _cbr(g, node, f"{prefix}.route_skip", out_ch, lane_ch, (1, 1))
-    lane = _cbr(g, node, f"{prefix}.route_lane", out_ch, lane_ch, (1, 1))
+    skip = _cbr(g, node, f"{prefix}.route_skip", lane_ch, (1, 1))
+    lane = _cbr(g, node, f"{prefix}.route_lane", lane_ch, (1, 1))
     for i in range(1, units):
         lane = _darknet_unit(g, lane, lane_ch, out_ch // 2, f"{prefix}.unit{i}")
-    lane = _cbr(g, lane, f"{prefix}.post", lane_ch, lane_ch, (1, 1))
+    lane = _cbr(g, lane, f"{prefix}.post", lane_ch, (1, 1))
     node = g.add_node(_CONCAT, [(skip, 0), (lane, 0)], f"{prefix}.concat")
-    return _cbr(g, node, f"{prefix}.final", 2 * lane_ch, out_ch, (1, 1))
+    return _cbr(g, node, f"{prefix}.final", out_ch, (1, 1))
 
 
 def _block_xception(g, src, in_ch, out_ch, units, stride, prefix, cfg,
@@ -492,8 +489,7 @@ def build_pointpillars(variant: Variant, cfg: ArchConfig | None = None) -> Graph
         Input(TensorShape(cfg.pfn_in_features, cfg.max_pillars,
                           cfg.points_per_pillar)),
         name="pfn.input")
-    node = _cbr(g, pfn_in, "pfn.linear", cfg.pfn_in_features,
-                cfg.pseudo_image_channels, (1, 1))
+    node = _cbr(g, pfn_in, "pfn.linear", cfg.pseudo_image_channels, (1, 1))
     node = g.add_node(MaxPool(1, cfg.points_per_pillar, 1, cfg.points_per_pillar),
                       [(node, 0)], "pfn.maxpool")
     node = g.add_node(Scatter(cfg.pseudo_image_height, cfg.pseudo_image_width),
@@ -513,10 +509,9 @@ def build_pointpillars(variant: Variant, cfg: ArchConfig | None = None) -> Graph
     neck = g.add_node(_CONCAT, [(b, 0) for b in branches], "neck.concat")
 
     # SSD-style head: parallel 1x1 predictors (with bias; no BN follows)
-    head_in = sum(cfg.neck_out_channels)
     for name, out_ch in (
             ("cls", cfg.anchors_per_location * cfg.num_classes),
             ("box", cfg.anchors_per_location * cfg.box_code_size),
             ("dir", cfg.anchors_per_location * cfg.dir_bins)):
-        _conv(g, neck, f"head.{name}", head_in, out_ch, bias=True)
+        _conv(g, neck, f"head.{name}", out_ch, bias=True)
     return g

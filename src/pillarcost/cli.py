@@ -8,8 +8,6 @@ line on stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -21,7 +19,7 @@ from typing import TYPE_CHECKING
 from . import analysis
 from .analysis import (SCOPES, TimingProfile, amdahl_max, fmt2, load_points,
                        map_of, pareto_front, project_fps)
-from .core import PillarcostError, Variant, exact_fraction
+from .core import PillarcostError, Variant, _csv_field, exact_fraction
 
 if TYPE_CHECKING:
     from collections.abc import Callable, Iterable
@@ -50,11 +48,8 @@ def _load_data(args: argparse.Namespace) -> list[analysis.DesignPoint]:
 
 
 def _csv_text(header: tuple[str, ...], rows) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
+    return "".join([",".join([_csv_field(str(field)) for field in row]) + "\n"
+                    for row in (header, *rows)])
 
 
 def _gmadd_str(madds: int) -> str:

@@ -1,7 +1,7 @@
 """Names shared by every pillarcost module: the error base class, the
 architecture errors, the backbone variants, the readers of numbers and
-JSON files from outside (``exact_fraction``, ``read_json``) and the frozen
-record base (``Record``).
+JSON files from outside (``exact_fraction``, ``read_json``), the CSV field
+rule (``_csv_field``) and the frozen record base (``Record``).
 
 This module imports no graph code, so a command that only names the
 variants or reads the dataset loads nothing more than it needs.
@@ -82,6 +82,15 @@ def read_json(path: str | Path, error: type[PillarcostError], text: str | None =
                     "which UTF-8 cannot encode") from err
     except (ValueError, RecursionError) as err:  # incl. JSONDecodeError, UnicodeDecodeError
         raise error(f"{path}: malformed JSON: {err}") from err
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer(out, lineterminator="\\n")`` writes a field
+    on Python 3.11: quoted, its quotes doubled, when it holds a comma, a
+    quote or a newline (a carriage return is left bare)."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 class Record:

@@ -8,7 +8,7 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
 
-from .core import Record, _set
+from .core import Record, _csv_field, _set
 from .graph import BatchNorm, Graph
 from .shapes import shape_table
 
@@ -86,14 +86,6 @@ class CostReport(Record):
         stages = f"{{\n{stages}\n  }}" if stages else "{}"
         return (f'{{\n  "per_node": {rows},\n  "per_stage": {stages},\n'
                 f'  "total_madds": {madds},\n  "total_params": {params}\n}}')
-
-
-def _csv_field(text: str) -> str:
-    """``text`` as a CSV field: quoted, its quotes doubled, when it holds a
-    comma, a quote or a newline (a carriage return is left bare)."""
-    if "," in text or '"' in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
 
 
 def graph_cost(graph: Graph, count_batchnorm: bool = True) -> CostReport:

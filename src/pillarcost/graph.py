@@ -478,9 +478,10 @@ class Graph:
                  name: str = "") -> int:
         """Append a node fed by ``inputs`` (list of (producer id, output port)).
 
-        Raises GraphError for an unknown input, a wrong number of inputs, or a
-        name that is not a string or is taken; on error the graph is left
-        unchanged.
+        An empty name becomes ``<kind>_<id>``.  Raises GraphError for an
+        unknown input, a wrong number of inputs, or a name that is not a
+        ``str``, holds a character UTF-8 cannot encode (a lone surrogate) or
+        is taken; on error the graph is left unchanged.
         """
         inputs = tuple(inputs)
         lo, hi = spec.arity
@@ -500,10 +501,15 @@ class Graph:
                 raise GraphError(
                     f"node {name!r} references port {port} of node {src}, "
                     f"which has {outputs[src]} outputs")
+        if type(name) is not str:
+            raise GraphError(f"node name {name!r} is not a string")
         if not name:
             name = f"{spec.kind}_{node_id}"
-        elif not isinstance(name, str):
-            raise GraphError(f"node name {name!r} is not a string")
+        elif not name.isascii():  # a lone surrogate: no UTF-8 writer takes it
+            try:
+                name.encode("utf-8")
+            except UnicodeEncodeError as err:
+                raise GraphError(f"node {name!r}: {err}") from None
         if name in names:
             raise GraphError(f"duplicate node name {name!r}")
 
@@ -611,8 +617,6 @@ class Graph:
                     raise TypeError(f"id {item_id!r} is not an integer")
                 if type(name) is not str or not name:
                     raise TypeError(f"name {name!r} is not a non-empty string")
-                if not name.isascii():  # a lone surrogate escape: no UTF-8 writer takes it
-                    name.encode("utf-8")
                 if spec is None:
                     spec = spec_cls.from_attrs(attrs)
                     if key is not None:

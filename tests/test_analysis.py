@@ -131,6 +131,8 @@ class TestAmdahl:
     def test_fraction_domain(self, p):
         with pytest.raises(AnalysisError, match=rf"^stage fraction must be in \(0, 1\), got {p}$"):
             amdahl_max(p)
+        with pytest.raises(AnalysisError, match=rf"^stage fraction must be in \(0, 1\), got {p}$"):
+            amdahl(p, 2)
 
     def test_speedup_domain(self):
         with pytest.raises(AnalysisError, match="^stage speedup must be positive, got 0$"):
@@ -151,6 +153,16 @@ class TestTimingProfile:
             profile(a="3/5", b="3/5")
         with pytest.raises(AnalysisError):
             profile(a=0)
+
+    @pytest.mark.parametrize("latency", ["0", "-1", "-0.5"])
+    def test_base_latency_must_be_positive(self, tmp_path, latency):
+        with pytest.raises(AnalysisError, match="^base latency must be positive$"):
+            TimingProfile({"backbone": Fraction(1, 2)}, base_latency_ms=Fraction(latency))
+        path = tmp_path / "timing.json"
+        path.write_text(f'{{"stage_fractions": {{"backbone": 0.5}}, '
+                        f'"base_latency_ms": {latency}}}')
+        with pytest.raises(AnalysisError, match="^base latency must be positive$"):
+            TimingProfile.from_file(path)
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "timing.json"

@@ -10,7 +10,7 @@ from pillarcost.arch import (
     ArchConfig, ArchError, Variant, build_backbone, build_pointpillars,
 )
 from pillarcost.cost import graph_cost
-from pillarcost.graph import Conv, Graph, TensorShape
+from pillarcost.graph import Conv, Graph, ShapeError, TensorShape
 from pillarcost.shapes import infer_all
 
 ALL_VARIANTS = list(Variant)
@@ -239,11 +239,14 @@ class TestBasicUnit:
             unit_graph(Variant.BASE, 64, 64, 3)
 
     def test_channel_constraints_enforced(self):
-        # ResNeXt needs the bottleneck width divisible by its group count
-        with pytest.raises(ArchError, match=(
-                r"^backbone\.block1\.unit1\.conv3x3\.conv: "
-                r"channels 8->8 not divisible by groups=32$")):
-            unit_graph(Variant.RESNEXT, 8, 8, 1)
+        # ResNeXt needs the bottleneck width divisible by its group count;
+        # the graph builds, and its shape walk names the conv that fails
+        g, _ = unit_graph(Variant.RESNEXT, 8, 8, 1)
+        for walk in (infer_all, graph_cost):
+            with pytest.raises(ShapeError, match=(
+                    r"^backbone\.block1\.unit1\.conv3x3\.conv: "
+                    r"conv channels \(8 -> 8\) not divisible by groups=32$")):
+                walk(g)
 
     def test_mobilenet_v2_expansion_knob(self):
         g1, _ = unit_graph(Variant.MOBILENET_V2, 64, 64, 1)

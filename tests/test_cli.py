@@ -260,15 +260,21 @@ class TestPlotExport:
         assert restored.edges == build_pointpillars(Variant.SHUFFLENET_V2).edges
         assert restored.to_json() + "\n" == out
 
-    @pytest.mark.parametrize("override", ["neck_upsample=[1,2,3]", "pseudo_image_height=5"])
-    def test_export_refuses_a_graph_that_cost_refuses(self, capsys, tmp_path, override):
-        # the neck's upsampled maps differ in size, so no shape is inferred
+    @pytest.mark.parametrize("variant, override, start", [
+        ("base", "neck_upsample=[1,2,3]", "neck.concat: concat spatial dims differ: "),
+        ("base", "pseudo_image_height=5", "neck.concat: concat spatial dims differ: "),
+        ("ResNeXt", "resnext_groups=7", "backbone.block1.unit1.conv3x3.conv: conv channels "),
+    ], ids=["neck_upsample=[1,2,3]", "pseudo_image_height=5", "resnext_groups=7"])
+    def test_export_refuses_a_graph_that_cost_refuses(self, capsys, tmp_path, variant,
+                                                      override, start):
+        # no shape is inferred: the neck's upsampled maps differ in size, or
+        # a conv's groups do not divide its channels
         target = tmp_path / "graph.json"
-        code, out, err = invoke(capsys, "export", "base", "--set", override,
+        code, out, err = invoke(capsys, "export", variant, "--set", override,
                                 "--output", str(target))
         assert (code, out) == (1, "") and not target.exists()
-        assert err.startswith("error: neck.concat: concat spatial dims differ: ")
-        assert invoke(capsys, "cost", "base", "--set", override) == (1, "", err)
+        assert err.startswith(f"error: {start}")
+        assert invoke(capsys, "cost", variant, "--set", override) == (1, "", err)
 
     def test_export_refuses_svg(self, capsys):
         code, _, err = invoke(capsys, "export", "base", "--format", "svg")
@@ -278,11 +284,11 @@ class TestPlotExport:
 class TestExitCodes:
     @pytest.mark.parametrize("argv, line", [
         (["cost", "ResNeXt", "--set", "resnext_groups=7"],
-         "backbone.block1.unit1.conv3x3.conv: channels 64->64 not divisible by groups=7"),
+         "backbone.block1.unit1.conv3x3.conv: conv channels (64 -> 64) not divisible by groups=7"),
         (["cost", "base", "--set", "block_strides=[2,3,2]"],
          "block_strides[1]: stride must be 1 or 2, got 3"),
         (["cost", "ShufflenetV1", "--set", "shufflenet_v1_groups=3"],
-         "backbone.block1.unit1.gconv1.conv: channels 64->64 not divisible by groups=3"),
+         "backbone.block1.unit1.gconv1.conv: conv channels (64 -> 64) not divisible by groups=3"),
         (["cost", "ShufflenetV2", "--set", "block_channels=[64,127,256]"],
          "backbone.block2.unit1: output channels must be even"),
         (["describe", "Xception", "--set", "block_strides=[2,1,2]",
@@ -310,12 +316,14 @@ class TestExitCodes:
          "stage 'nosuch' not in timing profile"),
         (["amdahl", "--profile", "{fpga_timing.json}", "--speedup", "backbone=0"],
          "stage 'backbone' speedup must be positive"),
+        (["amdahl", "--profile", "{fpga_timing.json}", "--speedup", "backbone"],
+         "speedup 'backbone' is not of the form stage=value"),
         (["pareto", "--data", "{no_ap}"], "x: missing AP entry ('Car', 'Easy')"),
         (["plot", "--scope", "car", "--data", "{no_ap}"], "x: missing AP entry ('Car', 'Easy')"),
     ], ids=["resnext_groups", "stride_3", "shufflenet_v1_groups", "odd_split", "xception_widen",
             "shufflenet_v1_widen", "shufflenet_v2_widen", "ratio", "neck_upsample",
-            "image_height", "one_block_neck", "unknown_stage", "zero_speedup", "pareto_no_ap",
-            "plot_no_ap"])
+            "image_height", "one_block_neck", "unknown_stage", "zero_speedup",
+            "speedup_no_equals", "pareto_no_ap", "plot_no_ap"])
     def test_error_line_is_pinned(self, capsys, tmp_path, argv, line):
         no_ap = tmp_path / "no_ap.json"
         no_ap.write_text('[{"name": "x", "gmadds": 1, "ap": {}}]')

@@ -21,6 +21,10 @@ class Int(int):
     """An int subclass: shapes and node fields take exact ints only."""
 
 
+class Str(str):
+    """A str subclass: a node name is an exact str."""
+
+
 def small_chain() -> Graph:
     g = Graph()
     a = g.add_node(Input(TensorShape(3, 8, 8)), name="in")
@@ -248,6 +252,29 @@ class TestAddNode:
         g = small_chain()
         with pytest.raises(GraphError, match="^duplicate node name 'conv'$"):
             g.add_node(ReLU(), [(3, 0)], name="conv")
+
+    @pytest.mark.parametrize("name", [0, False, None, (), 5, b"x", Str("relu_4")],
+                             ids=["zero", "false", "none", "empty_tuple", "int", "bytes",
+                                  "str_subclass"])
+    def test_a_name_that_is_not_a_str_is_refused(self, name):
+        # a falsy name is refused too, not given the default <kind>_<id>
+        g = small_chain()
+        with pytest.raises(GraphError) as info:
+            g.add_node(ReLU(), [(3, 0)], name=name)
+        assert str(info.value) == f"node name {name!r} is not a string"
+        assert len(g) == 4
+
+    @pytest.mark.parametrize("char", ["\ud800", "\udc80", "\udfff"],
+                             ids=["ud800", "udc80", "udfff"])
+    def test_a_name_utf8_cannot_encode_is_refused(self, char):
+        g = small_chain()
+        with pytest.raises(GraphError) as info:
+            g.add_node(ReLU(), [(3, 0)], name=f"pfn.{char}")
+        assert str(info.value) == (f"node {f'pfn.{char}'!r}: 'utf-8' codec can't encode "
+                                   f"character {char!r} in position 4: surrogates not allowed")
+        assert len(g) == 4
+        g.add_node(ReLU(), [(3, 0)], name="pfn.é中")  # non-ASCII that UTF-8 encodes
+        assert g.node(4).name == "pfn.é中"
 
     def test_autogenerated_names_are_unique(self):
         g = Graph()
@@ -515,6 +542,18 @@ class TestJsonRoundTrip:
         message = str(info.value)
         assert message.startswith(f"node 'pfn.{escape}': 'utf-8' codec can't encode")
         assert "\n" not in message
+
+    def test_an_edge_error_wins_over_a_name_utf8_cannot_encode(self):
+        # add_node checks the name, so it is reported with each node's inputs
+        doc = small_chain().to_json_dict()
+        doc["nodes"][3]["name"] = "pfn.\ud800"
+        doc["edges"][0] = [0, 0, 1]
+        with pytest.raises(GraphError, match=r"^edge \[0, 0, 1\]"):
+            Graph.from_json_dict(doc)
+        doc["edges"][0] = [0, 0, 1, 0]
+        with pytest.raises(GraphError) as info:
+            Graph.from_json_dict(doc)
+        assert str(info.value).startswith(r"node 'pfn.\ud800': 'utf-8' codec can't encode")
 
     def test_a_non_ascii_name_loads_and_writes(self):
         text = small_chain().to_json().replace('"name": "relu"', r'"name": "pfn.\u00e9\u4e2d"')

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from pillarcost.analysis import DesignPoint, TimingProfile, amdahl, amdahl_max, \
     default_dataset_path, fmt2, load_points, map_of, pareto_front
 from pillarcost.arch import ArchConfig, ArchError, build_pointpillars
+from pillarcost.cli import _csv_text
 from pillarcost.core import PillarcostError, Variant
 from pillarcost.cost import CostReport, graph_cost
 from pillarcost.graph import (
@@ -333,6 +334,20 @@ def test_writers_match_reference_encoder_on_any_node_name(names):
     for i, name in enumerate(names[1:]):
         src = g.add_node(specs[i % len(specs)], [(src, 0)], name=name)
     assert_writers_match_reference(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=st.lists(csv_names, min_size=1, max_size=5),
+       rows=st.lists(st.lists(csv_names | st.integers(), min_size=1, max_size=5),
+                     max_size=5))
+def test_cli_csv_text_matches_the_csv_module(header, rows):
+    # compare, pareto and amdahl write their CSV through core._csv_field,
+    # the rule CostReport.to_csv writes its names with
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    assert _csv_text(tuple(header), iter(rows)) == out.getvalue()
 
 
 @pytest.mark.parametrize("has_bias", [
