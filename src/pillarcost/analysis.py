@@ -47,6 +47,10 @@ class DesignPoint(Record):
     def __post_init__(self) -> None:
         if self.gmadds <= 0:
             raise AnalysisError(f"{self.name}: gmadds must be positive")
+        for field in ("fps_backbone", "fps_total"):
+            value = getattr(self, field)
+            if value is not None and value <= 0:
+                raise AnalysisError(f"{self.name}: {field} must be positive")
         for key, value in self.ap.items():
             if not 0 <= value <= 100:
                 raise AnalysisError(f"{self.name}: AP {key} out of [0, 100]")

@@ -256,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("plot", _cmd_plot, "SVG scatter of mAP versus GMAdd")
     p.add_argument("--scope", choices=SCOPES, default="overall")
-    p.add_argument("--data", metavar="PATH")
+    p.add_argument("--data", metavar="PATH",
+                   help="design-point dataset (defaults to the shipped one)")
 
     p = command("export", _cmd_export, "emit a variant's graph as JSON")
     p.add_argument("variant")

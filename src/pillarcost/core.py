@@ -85,10 +85,10 @@ def read_json(path: str | Path, error: type[PillarcostError], text: str | None =
 
 
 def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer(out, lineterminator="\\n")`` writes a field
-    on Python 3.11: quoted, its quotes doubled, when it holds a comma, a
-    quote or a newline (a carriage return is left bare)."""
-    if "," in text or '"' in text or "\n" in text:
+    """``text`` as a CSV field: quoted, its quotes doubled, when it holds a
+    comma, a quote, a newline or a carriage return, as ``csv.writer(out,
+    lineterminator="\\r\\n")`` writes it on Python 3.11."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 

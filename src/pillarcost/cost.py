@@ -61,8 +61,8 @@ class CostReport(Record):
         return dict(self._sums()[0])
 
     def to_csv(self) -> str:
-        """What ``csv.writer(out, lineterminator="\\n")`` writes on Python
-        3.11 for the header, one row per node and the TOTAL row."""
+        """The header, one row per node and the TOTAL row, each field
+        written by ``_csv_field`` and each row ended by a newline."""
         _, madds, params = self._sums()
         rows = [f"{_csv_field(name)},{kind},{node_madds},{node_params}\n"
                 for name, kind, node_madds, node_params in self.per_node]
@@ -96,9 +96,9 @@ def graph_cost(graph: Graph, count_batchnorm: bool = True) -> CostReport:
     once per call.
     """
     index, entries = shape_table(graph)
-    costs = [(spec.kind, spec.madds(in_shapes, out_shapes), spec.params(in_shapes))
+    costs = [(spec.kind, spec.madds(in_shapes), spec.params(in_shapes))
              if count_batchnorm or not isinstance(spec, BatchNorm) else (spec.kind, 0, 0)
-             for spec, in_shapes, out_shapes in entries]
+             for spec, in_shapes, _ in entries]
     new = tuple.__new__
     return CostReport(tuple([new(NodeCost, (name, *costs[at]))
                              for (_, _, name, _), at in zip(graph.nodes, index)]))

@@ -27,8 +27,7 @@ class FieldError(GraphError, ValueError):
 
 
 class ShapeError(PillarcostError):
-    """A node's input shapes violate its kind constraints, or shapes handed
-    to a cost method disagree with the node's own fields."""
+    """A node's input shapes violate its kind constraints."""
 
 
 def _require_int(value: int, what: str, minimum: int = 1) -> int:
@@ -140,8 +139,7 @@ class NodeSpec(Record):
         (s,) = input_shapes
         return [s]
 
-    def madds(self, input_shapes: list[TensorShape],
-              output_shapes: list[TensorShape]) -> int:
+    def madds(self, input_shapes: list[TensorShape]) -> int:
         return 0
 
     def params(self, input_shapes: list[TensorShape]) -> int:
@@ -197,40 +195,36 @@ class _Conv(_Window):
     differ in which pixels those are (``_kernel_pixels``) and in the spatial
     rule (``_out_hw``)."""
 
-    def output_shapes(self, input_shapes: list[TensorShape]) -> list[TensorShape]:
+    def _input(self, input_shapes: list[TensorShape]) -> TensorShape:
+        """The one input shape, once its channels and ``out_channels`` are
+        known to split into ``groups``."""
         (s,) = input_shapes
         if s.channels % self.groups or self.out_channels % self.groups:
             raise ShapeError(
                 f"{self.kind} channels ({s.channels} -> {self.out_channels}) "
                 f"not divisible by groups={self.groups}")
-        return [TensorShape(self.out_channels, *self._out_hw(s))]
+        return s
 
-    def _weights(self, input_shapes: list[TensorShape]) -> int:
-        if len(input_shapes) != 1:
-            raise ShapeError(f"{self.kind} takes one input")
-        (si,) = input_shapes
-        if si.channels % self.groups:
-            raise ShapeError(f"{self.kind} group mismatch")
+    def output_shapes(self, input_shapes: list[TensorShape]) -> list[TensorShape]:
+        return [TensorShape(self.out_channels, *self._out_hw(self._input(input_shapes)))]
+
+    def _weights(self, si: TensorShape) -> int:
         return (self.out_channels * (si.channels // self.groups)
                 * self.kernel_h * self.kernel_w)
 
-    def madds(self, input_shapes: list[TensorShape],
-              output_shapes: list[TensorShape]) -> int:
+    def madds(self, input_shapes: list[TensorShape]) -> int:
         """Weights times kernel pixels, plus one per output element for the
         bias."""
-        if len(output_shapes) != 1:
-            raise ShapeError(f"{self.kind} has one output")
-        (so,) = output_shapes
-        if so.channels != self.out_channels:
-            raise ShapeError(f"{self.kind} output channels mismatch")
-        macs = self._weights(input_shapes) * self._kernel_pixels(input_shapes[0], so)
+        si = self._input(input_shapes)
+        h, w = self._out_hw(si)
+        macs = self._weights(si) * self._kernel_pixels(si, h * w)
         if self.has_bias:
-            macs += so.channels * so.pixels
+            macs += self.out_channels * h * w
         return macs
 
     def params(self, input_shapes: list[TensorShape]) -> int:
         bias = self.out_channels if self.has_bias else 0
-        return self._weights(input_shapes) + bias
+        return self._weights(self._input(input_shapes)) + bias
 
 
 class Conv(_Conv):
@@ -246,8 +240,8 @@ class Conv(_Conv):
     groups: int = 1
     has_bias: bool = False
 
-    def _kernel_pixels(self, si: TensorShape, so: TensorShape) -> int:
-        return so.pixels
+    def _kernel_pixels(self, si: TensorShape, out_pixels: int) -> int:
+        return out_pixels
 
 
 class TransposedConv(_Conv):
@@ -273,7 +267,7 @@ class TransposedConv(_Conv):
             raise ShapeError(f"transposed conv output dims {h}x{w}")
         return h, w
 
-    def _kernel_pixels(self, si: TensorShape, so: TensorShape) -> int:
+    def _kernel_pixels(self, si: TensorShape, out_pixels: int) -> int:
         # each input pixel is multiplied by the full kernel before the
         # strided scatter-add
         return si.pixels
@@ -282,13 +276,10 @@ class TransposedConv(_Conv):
 class BatchNorm(NodeSpec):
     kind: ClassVar[str] = "batch_norm"
 
-    def madds(self, input_shapes: list[TensorShape],
-              output_shapes: list[TensorShape]) -> int:
+    def madds(self, input_shapes: list[TensorShape]) -> int:
         """One fused scale-and-shift per element."""
-        if len(output_shapes) != 1:
-            raise ShapeError("batch norm has one output")
-        (so,) = output_shapes
-        return so.channels * so.pixels
+        (si,) = input_shapes
+        return si.channels * si.pixels
 
     def params(self, input_shapes: list[TensorShape]) -> int:
         (si,) = input_shapes

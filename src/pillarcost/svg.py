@@ -144,11 +144,12 @@ def render_scatter(points: list[DesignPoint], scope: str = "overall") -> str:
 
     for x, y, name in sorted(coords, key=lambda c: (c[0], c[2])):
         style = _FRONT_STYLE if name in front_set else _POINT_STYLE
+        label = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         lines.append(
             f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="6" {style}/>')
         lines.append(
             f'<text x="{_fmt(sx(x) + 9)}" y="{_fmt(sy(y) - 7)}" '
-            f'font-family="sans-serif" font-size="12">{name} '
+            f'font-family="sans-serif" font-size="12">{label} '
             f'({fmt2(Fraction(str(y)))})</text>')
 
     lines.append("</svg>")

@@ -65,6 +65,15 @@ class TestDesignPoint:
         with pytest.raises(AnalysisError):
             point("x", 1, 101)
 
+    @pytest.mark.parametrize("field", ["fps_backbone", "fps_total"])
+    @pytest.mark.parametrize("value", [0, -5, Fraction(-1, 2)],
+                             ids=["zero", "minus5", "minus_half"])
+    def test_rejects_non_positive_fps(self, field, value):
+        with pytest.raises(AnalysisError, match=f"^x: {field} must be positive$"):
+            point("x", 1, 50, **{field: value})
+        for allowed in (None, Fraction(1, 100)):  # a missing value, a small one
+            assert getattr(point("x", 1, 50, **{field: allowed}), field) == allowed
+
 
 class TestMapOf:
     def test_class_scope_averages_three_cells(self):

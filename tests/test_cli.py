@@ -320,14 +320,22 @@ class TestExitCodes:
          "speedup 'backbone' is not of the form stage=value"),
         (["pareto", "--data", "{no_ap}"], "x: missing AP entry ('Car', 'Easy')"),
         (["plot", "--scope", "car", "--data", "{no_ap}"], "x: missing AP entry ('Car', 'Easy')"),
+        (["pareto", "--data", "{fps_zero}"], "x: fps_backbone must be positive"),
+        (["pareto", "--data", "{fps_minus5}"], "x: fps_total must be positive"),
     ], ids=["resnext_groups", "stride_3", "shufflenet_v1_groups", "odd_split", "xception_widen",
             "shufflenet_v1_widen", "shufflenet_v2_widen", "ratio", "neck_upsample",
             "image_height", "one_block_neck", "unknown_stage", "zero_speedup",
-            "speedup_no_equals", "pareto_no_ap", "plot_no_ap"])
+            "speedup_no_equals", "pareto_no_ap", "plot_no_ap", "pareto_fps_zero",
+            "pareto_fps_total_minus5"])
     def test_error_line_is_pinned(self, capsys, tmp_path, argv, line):
         no_ap = tmp_path / "no_ap.json"
         no_ap.write_text('[{"name": "x", "gmadds": 1, "ap": {}}]')
-        files = {"{no_ap}": str(no_ap),
+        fps_zero = tmp_path / "fps_zero.json"
+        fps_zero.write_text('[{"name": "x", "gmadds": 1, "fps_backbone": 0}]')
+        fps_minus5 = tmp_path / "fps_minus5.json"
+        fps_minus5.write_text('[{"name": "x", "gmadds": 1, "fps_total": -5}]')
+        files = {"{no_ap}": str(no_ap), "{fps_zero}": str(fps_zero),
+                 "{fps_minus5}": str(fps_minus5),
                  "{mmdet3d_timing.json}": timing_path("mmdet3d_timing.json"),
                  "{fpga_timing.json}": timing_path("fpga_timing.json")}
         argv = [files.get(word, word) for word in argv]

@@ -61,8 +61,7 @@ class TestNodeMadds:
         (Conv(6, 1, 3, pad_w=1), TensorShape(6, 5, 5)),
     ])
     def test_conv_matches_loop_oracle(self, spec, shape):
-        outs = node_output_shape(spec, [shape])
-        assert spec.madds([shape], outs) == conv_madds_oracle(spec, shape)
+        assert spec.madds([shape]) == conv_madds_oracle(spec, shape)
 
     @pytest.mark.parametrize("spec,shape", [
         (TransposedConv(64, 2, 2, stride_h=2, stride_w=2), TensorShape(128, 6, 5)),
@@ -72,12 +71,11 @@ class TestNodeMadds:
                         has_bias=True), TensorShape(4, 3, 3)),
     ])
     def test_transposed_conv_matches_loop_oracle(self, spec, shape):
-        outs = node_output_shape(spec, [shape])
-        assert spec.madds([shape], outs) == tconv_madds_oracle(spec, shape)
+        assert spec.madds([shape]) == tconv_madds_oracle(spec, shape)
 
     def test_batchnorm_one_madd_per_element(self):
         s = TensorShape(32, 10, 12)
-        assert BatchNorm().madds([s], [s]) == 32 * 10 * 12
+        assert BatchNorm().madds([s]) == 32 * 10 * 12
 
     @pytest.mark.parametrize("spec", [
         ReLU(), Add(), Concat(), MaxPool(2, 2, 2, 2), ChannelShuffle(2),
@@ -86,14 +84,14 @@ class TestNodeMadds:
     def test_madd_free_kinds(self, spec):
         s = TensorShape(4, 4, 4)
         shapes = [s, s] if isinstance(spec, (Add, Concat)) else [s]
-        assert spec.madds(shapes, node_output_shape(spec, shapes)) == 0
+        assert spec.madds(shapes) == 0
 
     def test_depthwise_is_cheap(self):
         s = TensorShape(64, 10, 10)
         dense = Conv(64, 3, 3, pad_h=1, pad_w=1)
         depthwise = Conv(64, 3, 3, pad_h=1, pad_w=1, groups=64)
-        full = dense.madds([s], node_output_shape(dense, [s]))
-        cheap = depthwise.madds([s], node_output_shape(depthwise, [s]))
+        full = dense.madds([s])
+        cheap = depthwise.madds([s])
         assert full == 64 * cheap
 
 
@@ -133,28 +131,19 @@ S = TensorShape
 
 
 class TestInconsistentShapes:
-    """Shapes that disagree with a node's own fields raise ShapeError with
-    these words."""
+    """A cost method checks its input as the shape rule does: a group
+    mismatch raises the shape walk's own ShapeError text."""
 
-    @pytest.mark.parametrize("spec,in_shapes,out_shapes,text", [
-        (Conv(4, 1, 1), [S(2, 4, 4), S(2, 4, 4)], None, "conv takes one input"),
-        (Conv(4, 1, 1), [S(2, 4, 4), S(2, 4, 4)], [S(4, 4, 4)], "conv takes one input"),
-        (Conv(4, 1, 1, groups=2), [S(3, 4, 4)], None, "conv group mismatch"),
-        (Conv(4, 1, 1, groups=2), [S(3, 4, 4)], [S(4, 4, 4)], "conv group mismatch"),
-        (Conv(4, 1, 1), [S(2, 4, 4)], [S(4, 4, 4), S(4, 4, 4)], "conv has one output"),
-        (Conv(4, 1, 1), [S(2, 4, 4)], [S(5, 4, 4)], "conv output channels mismatch"),
-        (TransposedConv(4, 2, 2), [S(2, 4, 4)], [S(5, 8, 8)],
-         "transposed_conv output channels mismatch"),
-        (TransposedConv(4, 2, 2), [], None, "transposed_conv takes one input"),
-        (BatchNorm(), [S(2, 4, 4)], [], "batch norm has one output"),
-        (BatchNorm(), [S(2, 4, 4)], [S(2, 4, 4), S(2, 4, 4)], "batch norm has one output"),
-    ])
-    def test_message(self, spec, in_shapes, out_shapes, text):
+    @pytest.mark.parametrize("spec,shape,text", [
+        (Conv(4, 1, 1, groups=2), S(3, 4, 4),
+         "conv channels (3 -> 4) not divisible by groups=2"),
+        (TransposedConv(4, 2, 2, groups=2), S(3, 4, 4),
+         "transposed_conv channels (3 -> 4) not divisible by groups=2"),
+    ], ids=["conv", "transposed_conv"])
+    @pytest.mark.parametrize("method", ["output_shapes", "madds", "params"])
+    def test_group_mismatch(self, spec, shape, text, method):
         with pytest.raises(ShapeError) as info:
-            if out_shapes is None:
-                spec.params(in_shapes)
-            else:
-                spec.madds(in_shapes, out_shapes)
+            getattr(spec, method)([shape])
         assert str(info.value) == text
 
 

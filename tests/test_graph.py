@@ -196,7 +196,7 @@ class TestNodeSpecs:
         out_shapes = spec.output_shapes(in_shapes)
         assert len(out_shapes) == spec.num_outputs() >= 1
         assert all(isinstance(s, TensorShape) for s in out_shapes)
-        assert spec.madds(in_shapes, out_shapes) >= 0
+        assert spec.madds(in_shapes) >= 0
         assert spec.params(in_shapes) >= 0
 
         g = Graph()

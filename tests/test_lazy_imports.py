@@ -63,10 +63,11 @@ def test_commands_without_graphs_never_load_graph_code(argv):
 ], ids=lambda argv: argv[0])
 def test_no_command_loads_dataclasses_or_inspect(argv):
     # dataclasses imports inspect, and both cost every cold start; csv too,
-    # so core._csv_field stays the one CSV encoder
+    # so core._csv_field stays the one CSV encoder; html and xml (html loads
+    # html.entities), so the SVG labels are escaped by svg.render_scatter
     loaded = loaded_after(f"from pillarcost.cli import run\nassert run({argv!r}) == 0")
     assert "pillarcost.cli" in loaded
-    assert not loaded & {"csv", "dataclasses", "inspect"}
+    assert not loaded & {"csv", "dataclasses", "html", "inspect", "xml"}
 
 
 def test_costing_commands_load_what_they_run():

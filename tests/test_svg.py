@@ -23,6 +23,10 @@ class TestRenderScatter:
         root = ET.fromstring(render_scatter(shipped_points()))
         assert root.tag.endswith("svg")
         assert root.get("viewBox") == "0 0 800 600"
+        # markup characters in a name are escaped, and the label reads back
+        root = ET.fromstring(render_scatter([point("A<B & C>", 5, 50), point("D", 6, 40)]))
+        labels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "A<B & C> (50.00)" in labels
 
     def test_one_labeled_circle_per_point(self):
         points = shipped_points()
