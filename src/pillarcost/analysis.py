@@ -98,14 +98,13 @@ def pareto_front(points: list[DesignPoint], scope: str = "overall") -> list[str]
 def amdahl(fraction: Fraction | float, stage_speedup: Fraction | float) -> Fraction:
     """Whole-pipeline speedup when a stage taking ``fraction`` of the time
     is accelerated ``stage_speedup`` times."""
-    p = Fraction(fraction)
-    if not 0 < p < 1:
-        raise AnalysisError(f"stage fraction must be in (0, 1), got {fraction}")
+    limit = amdahl_max(fraction)  # checks the fraction
     if stage_speedup == float("inf"):
-        return amdahl_max(p)
+        return limit
     s = Fraction(stage_speedup)
     if s <= 0:
         raise AnalysisError(f"stage speedup must be positive, got {stage_speedup}")
+    p = Fraction(fraction)
     return 1 / ((1 - p) + p / s)
 
 

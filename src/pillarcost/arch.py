@@ -141,32 +141,29 @@ class ArchConfig(Record):
             raise ArchError(f"{path}: {err}") from err
         if text.lstrip().startswith("{"):
             return cls.from_dict(read_json(path, ArchError, text))
-        doc = {}
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ArchError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            if key in doc:
-                raise ArchError(f"{path}:{lineno}: key {key!r} given twice")
-            doc[key] = _parse_value(raw)
-        return cls.from_dict(doc)
+        lines = ((f"{path}:{lineno}: ", line.split("#", 1)[0].strip())
+                 for lineno, line in enumerate(text.splitlines(), 1))
+        return cls.from_dict(_key_values((where, line) for where, line in lines if line))
 
     def with_overrides(self, overrides: list[str]) -> "ArchConfig":
-        """Apply repeated ``--set key=value`` strings; a key given twice
-        raises ``ArchError``, as it does in a config file."""
-        doc, given = dict(zip(self._fields, self._values())), set()
-        for item in overrides:
-            if "=" not in item:
-                raise ArchError(f"override {item!r} is not of the form key=value")
-            key, raw = (part.strip() for part in item.split("=", 1))
-            if key in given:
-                raise ArchError(f"key {key!r} given twice")
-            given.add(key)
-            doc[key] = _parse_value(raw)
-        return self.from_dict(doc)
+        """Apply repeated ``--set key=value`` strings, read as config-file
+        lines are; a key given twice raises ``ArchError``."""
+        return self.from_dict({**dict(zip(self._fields, self._values())),
+                               **_key_values(("", item) for item in overrides)})
+
+
+def _key_values(items) -> dict:
+    """The ``(where, "key = value")`` items as a dict; ``where`` starts each
+    error's text (``path:line: `` in a file, nothing in ``--set``)."""
+    doc = {}
+    for where, item in items:
+        if "=" not in item:
+            raise ArchError(f"{where}{item!r} is not of the form key=value")
+        key, raw = (part.strip() for part in item.split("=", 1))
+        if key in doc:
+            raise ArchError(f"{where}key {key!r} given twice")
+        doc[key] = _parse_value(raw)
+    return doc
 
 
 def _parse_value(raw: str):
@@ -453,29 +450,26 @@ _BLOCK_BUILDERS = {
 }
 
 
-def build_backbone(variant: Variant, cfg: ArchConfig | None = None,
-                   graph: Graph | None = None, input_id: int | None = None,
-                   ) -> tuple[Graph, list[int]]:
-    """Build the strided backbone; returns the graph and per-block outputs.
-
-    When no graph is given, a fresh one is created with the pseudo-image as
-    its input node.
-    """
-    cfg = cfg or _DEFAULT
-    if graph is None:
-        graph = Graph()
-        input_id = graph.add_node(Input(cfg.pseudo_image), name="backbone.input")
-    assert input_id is not None
-    node = input_id
+def _backbone(g: Graph, node: int, variant: Variant, cfg: ArchConfig) -> list[int]:
+    """The strided blocks fed by ``node``; returns each block's output."""
     in_ch = cfg.pseudo_image_channels
     outputs: list[int] = []
     for i, (out_ch, units, stride) in enumerate(
             zip(cfg.block_channels, cfg.block_units, cfg.block_strides)):
-        node = _BLOCK_BUILDERS[variant](graph, node, in_ch, out_ch, units, stride,
+        node = _BLOCK_BUILDERS[variant](g, node, in_ch, out_ch, units, stride,
                                         f"backbone.block{i + 1}", cfg, i == 0)
         outputs.append(node)
         in_ch = out_ch
-    return graph, outputs
+    return outputs
+
+
+def build_backbone(variant: Variant, cfg: ArchConfig | None = None) -> tuple[Graph, list[int]]:
+    """A standalone backbone: a fresh graph whose one input is the
+    pseudo-image; returns the graph and per-block outputs."""
+    cfg = cfg or _DEFAULT
+    g = Graph()
+    node = g.add_node(Input(cfg.pseudo_image), name="backbone.input")
+    return g, _backbone(g, node, variant, cfg)
 
 
 def build_pointpillars(variant: Variant, cfg: ArchConfig | None = None) -> Graph:
@@ -495,12 +489,10 @@ def build_pointpillars(variant: Variant, cfg: ArchConfig | None = None) -> Graph
     node = g.add_node(Scatter(cfg.pseudo_image_height, cfg.pseudo_image_width),
                       [(node, 0)], "pfn.scatter")
 
-    _, block_outputs = build_backbone(variant, cfg, g, node)
-
-    # neck: one transposed conv per block output, then channel concat
+    # neck: one transposed conv per backbone block output, then channel concat
     branches: list[int] = []
     for i, (src, out_ch, up) in enumerate(
-            zip(block_outputs, cfg.neck_out_channels, cfg.neck_upsample)):
+            zip(_backbone(g, node, variant, cfg), cfg.neck_out_channels, cfg.neck_upsample)):
         name = f"neck.branch{i + 1}"
         branch = g.add_node(g.spec(TransposedConv, out_ch, up, up, up, up),
                             [(src, 0)], f"{name}.deconv")

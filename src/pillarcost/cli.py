@@ -209,6 +209,12 @@ def _add_cost_flags(parser: argparse.ArgumentParser) -> None:
                         help="treat batch norm as folded into convolutions")
 
 
+def _add_data_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--scope", choices=SCOPES, default="overall")
+    parser.add_argument("--data", metavar="PATH",
+                        help="design-point dataset (defaults to the shipped one)")
+
+
 def _add_format(parser: argparse.ArgumentParser,
                 formats: tuple[str, ...] = ("table", "csv", "json")) -> None:
     parser.add_argument("--format", choices=formats, default=formats[0])
@@ -242,9 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
 
     p = command("pareto", _cmd_pareto, "non-dominated variants for a scope")
-    p.add_argument("--scope", choices=SCOPES, default="overall")
-    p.add_argument("--data", metavar="PATH",
-                   help="design-point dataset (defaults to the shipped one)")
+    _add_data_flags(p)
     _add_format(p, formats=("lines", "csv", "json"))
 
     p = command("amdahl", _cmd_amdahl, "latency projection for stage speedups")
@@ -255,9 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
 
     p = command("plot", _cmd_plot, "SVG scatter of mAP versus GMAdd")
-    p.add_argument("--scope", choices=SCOPES, default="overall")
-    p.add_argument("--data", metavar="PATH",
-                   help="design-point dataset (defaults to the shipped one)")
+    _add_data_flags(p)
 
     p = command("export", _cmd_export, "emit a variant's graph as JSON")
     p.add_argument("variant")

@@ -6,7 +6,7 @@ dependence: identical inputs produce byte-identical documents.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import re
 
 from .analysis import AnalysisError, DesignPoint, fmt2, map_of, pareto_front
 
@@ -19,6 +19,9 @@ MARGIN_B = 55
 
 _POINT_STYLE = 'fill="#4878a8" stroke="none"'
 _FRONT_STYLE = 'fill="#d05030" stroke="#802010" stroke-width="2"'
+
+# The characters XML 1.0 allows nowhere, escaped or not
+_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def _fmt(value: float) -> str:
@@ -82,6 +85,8 @@ def render_scatter(points: list[DesignPoint], scope: str = "overall") -> str:
     front_set = set(pareto_front(points, scope))
     coords = []
     for p in points:
+        if _NOT_XML.search(p.name):
+            raise AnalysisError(f"cannot plot {p.name!r}: XML 1.0 cannot hold its name")
         try:
             x = float(p.gmadds)
         except OverflowError:
@@ -150,7 +155,7 @@ def render_scatter(points: list[DesignPoint], scope: str = "overall") -> str:
         lines.append(
             f'<text x="{_fmt(sx(x) + 9)}" y="{_fmt(sy(y) - 7)}" '
             f'font-family="sans-serif" font-size="12">{label} '
-            f'({fmt2(Fraction(str(y)))})</text>')
+            f'({fmt2(y)})</text>')
 
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -9,6 +9,7 @@ import pillarcost.arch
 from pillarcost.arch import (
     ArchConfig, ArchError, Variant, build_backbone, build_pointpillars,
 )
+from pillarcost.core import exact_fraction
 from pillarcost.cost import graph_cost
 from pillarcost.graph import Conv, Graph, ShapeError, TensorShape
 from pillarcost.shapes import infer_all
@@ -109,8 +110,20 @@ class TestArchConfig:
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
-        path.write_text("just words\n")
-        with pytest.raises(ArchError):
+        path.write_text("# comment\n\n  just words  # note\n")
+        with pytest.raises(ArchError) as info:
+            ArchConfig.from_file(path)
+        assert str(info.value) == f"{path}:3: 'just words' is not of the form key=value"
+
+    @pytest.mark.parametrize("items", [
+        ["resnet_bottleneck=1/4=2"], ["resnet_bottleneck = 1/4=2"]])
+    def test_value_holding_equals_is_the_text_after_the_first(self, tmp_path, items):
+        message = "resnet_bottleneck must be a number or fraction, got '1/4=2'"
+        with pytest.raises(ArchError, match=f"^{message}$"):
+            ArchConfig().with_overrides(items)
+        path = tmp_path / "cfg"
+        path.write_text("\n".join(items))
+        with pytest.raises(ArchError, match=f"^{message}$"):
             ArchConfig.from_file(path)
 
     @pytest.mark.parametrize("text, where", [
@@ -149,7 +162,7 @@ class TestArchConfig:
         with pytest.raises(ArchError):
             ArchConfig.from_file(path)
 
-    @pytest.mark.parametrize("number", ["1e99999999", "1e-99999999"])
+    @pytest.mark.parametrize("number", ["1e99999999", "1e-99999999", "1e4301", "1e-4301"])
     def test_huge_decimal_exponent_is_arch_error(self, tmp_path, number):
         # Fraction would expand the exponent exactly, for minutes
         with pytest.raises(ArchError, match=f"squeezenext_reduce .*'{number}'"):
@@ -158,6 +171,14 @@ class TestArchConfig:
         path.write_text(f'{{"squeezenext_reduce": "{number}"}}')
         with pytest.raises(ArchError, match=f"'{number}'"):
             ArchConfig.from_file(path)
+
+    @pytest.mark.parametrize("number, value", [
+        ("1e4300", Fraction(10 ** 4300)), ("1e-4300", Fraction(1, 10 ** 4300)),
+        ("1E+04300", Fraction(10 ** 4300))])
+    def test_decimal_exponent_of_4300_is_read_exactly(self, number, value):
+        assert exact_fraction(number) == value
+        cfg = ArchConfig().with_overrides([f'squeezenext_reduce="{number}"'])
+        assert cfg.squeezenext_reduce == value
 
     @pytest.mark.parametrize("source", ["set", "json", "flat"])
     def test_decimal_is_read_exactly(self, tmp_path, source):
@@ -184,7 +205,7 @@ class TestArchConfig:
             ["num_classes=1", "neck_out_channels=[64,64,64]"])
         assert cfg.num_classes == 1
         assert cfg.neck_out_channels == (64, 64, 64)
-        with pytest.raises(ArchError):
+        with pytest.raises(ArchError, match="^'nonsense' is not of the form key=value$"):
             ArchConfig().with_overrides(["nonsense"])
         with pytest.raises(ArchError):
             ArchConfig().with_overrides(["depth=50"])
@@ -253,8 +274,41 @@ class TestBasicUnit:
         g6, _ = unit_graph(Variant.MOBILENET_V2, 64, 64, 1, mobilenet_v2_expand=6)
         assert graph_cost(g6).total_madds > graph_cost(g1).total_madds
 
+    @pytest.mark.parametrize("ratio, expands", [(1, False), (2, True)])
+    def test_mobilenet_v2_expands_at_any_ratio_over_one(self, ratio, expands):
+        g, _ = unit_graph(Variant.MOBILENET_V2, 64, 64, 1, mobilenet_v2_expand=ratio)
+        names = {node.name: node for node in g.nodes}
+        assert ("backbone.block1.unit1.expand.conv" in names) is expands
+        assert names["backbone.block1.unit1.dw.conv"].spec.out_channels == 64 * ratio
+
+    def test_squeezenext_reduce_to_exactly_one_channel_builds_and_costs(self):
+        g, _ = unit_graph(Variant.SQUEEZENEXT, 64, 64, 1, squeezenext_reduce=Fraction(1, 64))
+        names = {node.name: node for node in g.nodes}
+        assert names["backbone.block1.unit1.reduce.conv"].spec.out_channels == 1
+        assert len(graph_cost(g).per_node) == len(g)
+        with pytest.raises(ArchError, match=(
+                r"^backbone\.block1\.unit1: ratio 1/128 of 64 channels is not a "
+                r"positive integer$")):
+            unit_graph(Variant.SQUEEZENEXT, 64, 64, 1, squeezenext_reduce=Fraction(1, 128))
+
 
 class TestBuildBackbone:
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_network_backbone_is_the_standalone_one(self, variant):
+        # both go through one block walk: the same nodes, after their inputs
+        g, outputs = build_backbone(variant)
+        network = build_pointpillars(variant)
+        standalone = [(n.name, n.spec) for n in g.nodes[1:]]
+        assert [(n.name, n.spec) for n in network.nodes
+                if n.name.startswith("backbone.")] == standalone
+        deconvs = [n for n in network.nodes if n.name.endswith(".deconv")]
+        assert [g.node(o).name for o in outputs] == [
+            network.node(d.inputs[0][0]).name for d in deconvs]
+
+    def test_takes_a_variant_and_a_config_only(self):
+        with pytest.raises(TypeError):
+            build_backbone(Variant.BASE, None, Graph())
+
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_block_boundary_shapes_shared(self, variant):
         g, outputs = build_backbone(variant)

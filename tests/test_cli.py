@@ -322,12 +322,26 @@ class TestExitCodes:
         (["plot", "--scope", "car", "--data", "{no_ap}"], "x: missing AP entry ('Car', 'Easy')"),
         (["pareto", "--data", "{fps_zero}"], "x: fps_backbone must be positive"),
         (["pareto", "--data", "{fps_minus5}"], "x: fps_total must be positive"),
+        (["amdahl", "--profile", "{fpga_timing.json}", "--speedup", "backbone=2=3"],
+         "bad speedup value '2=3': Invalid literal for Fraction: '2=3'"),
+        (["cost", "ResNet", "--set", "resnet_bottleneck=1/4=2"],
+         "resnet_bottleneck must be a number or fraction, got '1/4=2'"),
+        (["cost", "base", "--set", "just words"],
+         "'just words' is not of the form key=value"),
+        (["plot", "--data", "{control_name}"],
+         "cannot plot 'A\\x01B': XML 1.0 cannot hold its name"),
     ], ids=["resnext_groups", "stride_3", "shufflenet_v1_groups", "odd_split", "xception_widen",
             "shufflenet_v1_widen", "shufflenet_v2_widen", "ratio", "neck_upsample",
             "image_height", "one_block_neck", "unknown_stage", "zero_speedup",
             "speedup_no_equals", "pareto_no_ap", "plot_no_ap", "pareto_fps_zero",
-            "pareto_fps_total_minus5"])
+            "pareto_fps_total_minus5", "speedup_two_equals", "set_two_equals",
+            "set_no_equals", "plot_control_name"])
     def test_error_line_is_pinned(self, capsys, tmp_path, argv, line):
+        # the shipped dataset with its second point named "A\x01B"
+        control_name = tmp_path / "control_name.json"
+        doc = json.loads(Path(data_path()).read_text())
+        doc["points"][1]["name"] = "A\x01B"
+        control_name.write_text(json.dumps(doc))
         no_ap = tmp_path / "no_ap.json"
         no_ap.write_text('[{"name": "x", "gmadds": 1, "ap": {}}]')
         fps_zero = tmp_path / "fps_zero.json"
@@ -335,6 +349,7 @@ class TestExitCodes:
         fps_minus5 = tmp_path / "fps_minus5.json"
         fps_minus5.write_text('[{"name": "x", "gmadds": 1, "fps_total": -5}]')
         files = {"{no_ap}": str(no_ap), "{fps_zero}": str(fps_zero),
+                 "{control_name}": str(control_name),
                  "{fps_minus5}": str(fps_minus5),
                  "{mmdet3d_timing.json}": timing_path("mmdet3d_timing.json"),
                  "{fpga_timing.json}": timing_path("fpga_timing.json")}
@@ -715,6 +730,19 @@ class TestOutput:
                        f"{escape.encode().decode('unicode_escape')!r}, "
                        "which UTF-8 cannot encode\n")
         assert not target.exists()
+
+    def test_a_name_xml_cannot_hold_is_refused_by_plot_only(self, capsys, tmp_path):
+        # JSON and CSV can hold a C0 control; an SVG document cannot
+        doc = json.loads(Path(data_path()).read_text())
+        doc["points"][1]["name"] = "A\x01B"
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps(doc))
+        target = tmp_path / "out.svg"
+        code, out, err = invoke(capsys, "plot", "--data", str(data), "--output", str(target))
+        assert (code, out) == (1, "") and err.count("\n") == 1
+        assert not target.exists()
+        code, out, err = invoke(capsys, "pareto", "--data", str(data), "--format", "csv")
+        assert (code, err) == (0, "") and "A\x01B" in out
 
     def test_a_surrogate_pair_escape_is_one_character(self, capsys, tmp_path):
         good = tmp_path / "good.json"

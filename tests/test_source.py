@@ -1,6 +1,6 @@
 """The package's source keeps to its floors: it parses as the oldest Python
-that pyproject admits, and it imports only the standard library and
-itself."""
+that pyproject admits, it imports only the standard library and itself,
+and it checks nothing with ``assert``, which ``python -O`` strips."""
 import ast
 import re
 import sys
@@ -29,3 +29,9 @@ def imported(tree: ast.Module) -> set[str]:
 def test_module_parses_at_the_floor_and_imports_only_the_stdlib(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=FLOOR)
     assert imported(tree) - set(sys.stdlib_module_names) <= {"pillarcost"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_holds_no_assert(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []

@@ -28,6 +28,22 @@ class TestRenderScatter:
         labels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
         assert "A<B & C> (50.00)" in labels
 
+    @pytest.mark.parametrize("char", [
+        "\x00", "\x01", "\x08", "\x0b", "\x0c", "\x0e", "\x1f", "\ud800", "\udfff",
+        "\ufffe", "\uffff"])
+    def test_a_name_xml_cannot_hold_is_refused(self, char):
+        name = f"A{char}B"
+        with pytest.raises(AnalysisError) as info:
+            render_scatter([point("D", 6, 40), point(name, 5, 50)])
+        assert str(info.value) == f"cannot plot {name!r}: XML 1.0 cannot hold its name"
+
+    @pytest.mark.parametrize("char", [
+        "\t", "\n", "\r", " ", "\x7f", "\x85", "\ud7ff", "\ue000", "\ufffd",
+        "\U00010000", "\U0010ffff"])
+    def test_a_name_xml_can_hold_is_plotted(self, char):
+        root = ET.fromstring(render_scatter([point("D", 6, 40), point(f"A{char}B", 5, 50)]))
+        assert len(list(root.iter("{http://www.w3.org/2000/svg}circle"))) == 2
+
     def test_one_labeled_circle_per_point(self):
         points = shipped_points()
         doc = render_scatter(points)
