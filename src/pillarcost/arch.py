@@ -18,7 +18,7 @@ from functools import partial
 from pathlib import Path
 
 from .core import (  # ArchError and Variant are re-exported
-    ArchError, ExactDecimal, Record, Variant, exact_fraction, read_json,
+    ArchError, ExactDecimal, Record, Variant, exact_fraction, read_json, read_key_values,
 )
 from .graph import (
     Add, BatchNorm, ChannelShuffle, ChannelSplit, Concat, Conv, Graph, Input,
@@ -143,35 +143,26 @@ class ArchConfig(Record):
             return cls.from_dict(read_json(path, ArchError, text))
         lines = ((f"{path}:{lineno}: ", line.split("#", 1)[0].strip())
                  for lineno, line in enumerate(text.splitlines(), 1))
-        return cls.from_dict(_key_values((where, line) for where, line in lines if line))
+        return cls.from_dict(_parse_values((where, line) for where, line in lines if line))
 
     def with_overrides(self, overrides: list[str]) -> "ArchConfig":
         """Apply repeated ``--set key=value`` strings, read as config-file
         lines are; a key given twice raises ``ArchError``."""
         return self.from_dict({**dict(zip(self._fields, self._values())),
-                               **_key_values(("", item) for item in overrides)})
+                               **_parse_values(("", item) for item in overrides)})
 
 
-def _key_values(items) -> dict:
-    """The ``(where, "key = value")`` items as a dict; ``where`` starts each
-    error's text (``path:line: `` in a file, nothing in ``--set``)."""
-    doc = {}
-    for where, item in items:
-        if "=" not in item:
-            raise ArchError(f"{where}{item!r} is not of the form key=value")
-        key, raw = (part.strip() for part in item.split("=", 1))
-        if key in doc:
-            raise ArchError(f"{where}key {key!r} given twice")
-        doc[key] = _parse_value(raw)
+def _parse_values(items) -> dict:
+    """The ``(where, "key = value")`` items, as ``read_key_values`` reads
+    them, with each value read as JSON, else kept as text (``1/4`` is left
+    to the check)."""
+    doc = read_key_values(items, ArchError)
+    for key, raw in doc.items():
+        try:
+            doc[key] = json.loads(raw, parse_float=ExactDecimal)
+        except (ValueError, RecursionError):  # too deep, or a number too large
+            pass
     return doc
-
-
-def _parse_value(raw: str):
-    """A JSON value, else the text itself (``1/4`` is left to the check)."""
-    try:
-        return json.loads(raw, parse_float=ExactDecimal)
-    except (ValueError, RecursionError):  # too deep, or a number too large
-        return raw
 
 
 # --------------------------------------------------------------------------

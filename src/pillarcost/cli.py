@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 from . import analysis
 from .analysis import (SCOPES, TimingProfile, amdahl_max, fmt2, load_points,
                        map_of, pareto_front, project_fps)
-from .core import PillarcostError, Variant, _csv_field, exact_fraction
+from .core import PillarcostError, Variant, _csv_field, exact_fraction, read_key_values
 
 if TYPE_CHECKING:
     from collections.abc import Callable, Iterable
@@ -141,21 +141,13 @@ def _cmd_pareto(args: argparse.Namespace) -> str:
 
 
 def _parse_speedups(items: list[str]) -> dict[str, Fraction | float]:
-    speedups: dict[str, Fraction | float] = {}
-    for item in items:
-        if "=" not in item:
-            raise CliError(f"speedup {item!r} is not of the form stage=value")
-        stage, raw = (part.strip() for part in item.split("=", 1))
-        if stage in speedups:
-            raise CliError(f"speedup for stage {stage!r} is given twice")
-        if raw.lower() in ("inf", "infinity"):
-            speedups[stage] = float("inf")
-            continue
+    speedups = read_key_values((("speedup ", item) for item in items), CliError)
+    for stage, raw in speedups.items():
         try:
-            value = exact_fraction(raw)
+            speedups[stage] = (float("inf") if raw.lower() in ("inf", "infinity")
+                               else exact_fraction(raw))
         except (ValueError, ZeroDivisionError) as err:
             raise CliError(f"bad speedup value {raw!r}: {err}") from err
-        speedups[stage] = value
     return speedups
 
 

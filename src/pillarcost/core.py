@@ -1,7 +1,8 @@
 """Names shared by every pillarcost module: the error base class, the
-architecture errors, the backbone variants, the readers of numbers and
-JSON files from outside (``exact_fraction``, ``read_json``), the CSV field
-rule (``_csv_field``) and the frozen record base (``Record``).
+architecture errors, the backbone variants, the readers of numbers, JSON
+files and ``key = value`` items from outside (``exact_fraction``,
+``read_json``, ``read_key_values``), the CSV field rule (``_csv_field``)
+and the frozen record base (``Record``).
 
 This module imports no graph code, so a command that only names the
 variants or reads the dataset loads nothing more than it needs.
@@ -82,6 +83,24 @@ def read_json(path: str | Path, error: type[PillarcostError], text: str | None =
                     "which UTF-8 cannot encode") from err
     except (ValueError, RecursionError) as err:  # incl. JSONDecodeError, UnicodeDecodeError
         raise error(f"{path}: malformed JSON: {err}") from err
+
+
+def read_key_values(items, error: type[PillarcostError]) -> dict[str, str]:
+    """The ``(where, "key = value")`` items as a dict of value texts: the
+    key is the text before the first ``=`` and the value the text after it,
+    each stripped.  An item with no ``=`` and a key given twice raise
+    ``error``, whose text starts with ``where`` (``path:line: `` in a file,
+    ``speedup `` for ``--speedup``, nothing in ``--set``)."""
+    doc = {}
+    for where, item in items:
+        key, equals, value = item.partition("=")
+        if not equals:
+            raise error(f"{where}{item!r} is not of the form key=value")
+        key = key.strip()
+        if key in doc:
+            raise error(f"{where}key {key!r} given twice")
+        doc[key] = value.strip()
+    return doc
 
 
 def _csv_field(text: str) -> str:

@@ -84,10 +84,11 @@ def _bool(value: bool, what: str) -> bool:
     return value
 
 
-def _shape(value: TensorShape, what: str) -> TensorShape:
-    if type(value) is not TensorShape:
-        raise FieldError(f"{what} must be a TensorShape, got {value!r}")
-    return value
+def _shape(value, what: str) -> TensorShape:
+    """A TensorShape, or its JSON form: a list or tuple of ints."""
+    if not isinstance(value, (list, tuple)):  # bytes would unpack into ints
+        raise FieldError(f"{what} must be a list of integers, got {value!r}")
+    return value if type(value) is TensorShape else TensorShape(*value)
 
 
 def _split(value, what: str) -> tuple[Fraction, ...]:
@@ -126,7 +127,9 @@ class NodeSpec(Record):
     defaults describe a single-input, single-output, shape-preserving node
     that costs nothing; kinds override what differs.  Input shapes are given
     in port order, and one output shape is returned per output port.
-    A kind's field checks (its ``_checks`` table) raise FieldError.
+    A kind's field checks (its ``_checks`` table) also read each field's
+    JSON form, so ``cls(**attrs)`` decodes the ``attrs`` object that
+    ``Graph.to_json_dict`` writes; they raise FieldError.
     """
 
     kind: ClassVar[str]
@@ -145,11 +148,6 @@ class NodeSpec(Record):
     def params(self, input_shapes: list[TensorShape]) -> int:
         return 0
 
-    @classmethod
-    def from_attrs(cls, attrs: dict) -> "NodeSpec":
-        """Inverse of the ``attrs`` object that ``Graph.to_json_dict`` writes."""
-        return cls(**attrs)
-
 
 class Input(NodeSpec):
     kind: ClassVar[str] = "input"
@@ -159,13 +157,6 @@ class Input(NodeSpec):
 
     def output_shapes(self, input_shapes: list[TensorShape]) -> list[TensorShape]:
         return [self.shape]
-
-    @classmethod
-    def from_attrs(cls, attrs: dict) -> "Input":
-        shape = attrs["shape"]
-        if not isinstance(shape, (list, tuple)):  # the decode key writes a bytes-like as bytes
-            raise FieldError(f"shape must be a list of integers, got {shape!r}")
-        return cls(**{**attrs, "shape": TensorShape(*shape)})
 
 
 def _window_out(size: int, pad: int, kernel: int, stride: int, kind: str,
@@ -609,7 +600,7 @@ class Graph:
                 if type(name) is not str or not name:
                     raise TypeError(f"name {name!r} is not a non-empty string")
                 if spec is None:
-                    spec = spec_cls.from_attrs(attrs)
+                    spec = spec_cls(**attrs)
                     if key is not None:
                         specs[key] = spec
                 decoded.append((item_id, spec, name))

@@ -149,7 +149,9 @@ def render_scatter(points: list[DesignPoint], scope: str = "overall") -> str:
 
     for x, y, name in sorted(coords, key=lambda c: (c[0], c[2])):
         style = _FRONT_STYLE if name in front_set else _POINT_STYLE
-        label = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        # a parser reads a written CR as LF, but &#13; as CR
+        label = (name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+                 .replace("\r", "&#13;"))
         lines.append(
             f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="6" {style}/>')
         lines.append(

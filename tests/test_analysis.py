@@ -173,6 +173,15 @@ class TestTimingProfile:
         with pytest.raises(AnalysisError, match="^base latency must be positive$"):
             TimingProfile.from_file(path)
 
+    @pytest.mark.parametrize("latency, fps", [("0.5", 2000), ('"1/1000"', 10 ** 6)])
+    def test_a_base_latency_under_one_ms_loads(self, tmp_path, latency, fps):
+        # positive is the only bound: 0 is refused above, 0.5 ms is 2000 fps
+        path = tmp_path / "timing.json"
+        path.write_text(f'{{"stage_fractions": {{"backbone": 0.5}}, '
+                        f'"base_latency_ms": {latency}}}')
+        assert TimingProfile.from_file(path).base_fps == fps
+        assert TimingProfile({}, Fraction(latency.strip('"'))).base_fps == fps
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "timing.json"
         path.write_text(json.dumps({

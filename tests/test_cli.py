@@ -1,4 +1,5 @@
 """Command-line surface: outputs, exit-code contract, round-trips."""
+import contextlib
 import csv
 import hashlib
 import io
@@ -10,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pillarcost.cli
 from pillarcost.analysis import fmt2
@@ -208,7 +211,14 @@ class TestAmdahl:
             capsys, "amdahl", "--profile", timing_path("fpga_timing.json"),
             "--speedup", "backbone=2", "--speedup", second)
         assert (code, out) == (1, "")
-        assert err == "error: speedup for stage 'backbone' is given twice\n"
+        assert err == "error: speedup key 'backbone' given twice\n"
+
+    def test_a_repeated_stage_is_found_before_a_bad_value(self, capsys):
+        # every item's form is read before any value is
+        code, out, err = invoke(
+            capsys, "amdahl", "--profile", timing_path("fpga_timing.json"),
+            "--speedup", "backbone=bad", "--speedup", "backbone=2")
+        assert (code, out, err) == (1, "", "error: speedup key 'backbone' given twice\n")
 
     def test_unknown_stage_is_domain_error(self, capsys):
         code, _, err = invoke(
@@ -317,7 +327,7 @@ class TestExitCodes:
         (["amdahl", "--profile", "{fpga_timing.json}", "--speedup", "backbone=0"],
          "stage 'backbone' speedup must be positive"),
         (["amdahl", "--profile", "{fpga_timing.json}", "--speedup", "backbone"],
-         "speedup 'backbone' is not of the form stage=value"),
+         "speedup 'backbone' is not of the form key=value"),
         (["pareto", "--data", "{no_ap}"], "x: missing AP entry ('Car', 'Easy')"),
         (["plot", "--scope", "car", "--data", "{no_ap}"], "x: missing AP entry ('Car', 'Easy')"),
         (["pareto", "--data", "{fps_zero}"], "x: fps_backbone must be positive"),
@@ -552,6 +562,21 @@ class TestExitCodes:
                                 "--set", "max_pillars=5")
         assert (code, out) == (1, "")
         assert err == "error: key 'max_pillars' given twice\n"
+
+    @pytest.mark.parametrize("items, tail", [
+        (["max_pillars"], "'max_pillars' is not of the form key=value"),
+        (["max_pillars = 5", " max_pillars=7"], "key 'max_pillars' given twice"),
+    ], ids=["no_equals", "repeated_key"])
+    def test_config_lines_set_and_speedup_share_their_texts(self, capsys, tmp_path,
+                                                           items, tail):
+        config = tmp_path / "arch.cfg"
+        config.write_text("# knobs\n" + "\n".join(items) + "\n")
+        profile = ["amdahl", "--profile", timing_path("fpga_timing.json")]
+        for argv, where in (
+                (["cost", "base", "--config", str(config)], f"{config}:{len(items) + 1}: "),
+                (["cost", "base", *(f"--set={item}" for item in items)], ""),
+                ([*profile, *(f"--speedup={item}" for item in items)], "speedup ")):
+            assert invoke(capsys, *argv) == (1, "", f"error: {where}{tail}\n")
 
     @pytest.mark.parametrize("command, key", [
         ("pareto", "--data"), ("plot", "--data"), ("amdahl", "--profile"),
@@ -796,3 +821,38 @@ def test_files_are_utf8_whatever_the_locale(tmp_path):
     assert err.startswith(b"error: cannot write to standard output: ")
     assert err.endswith(b"; use --output PATH to write UTF-8\n") and err.count(b"\n") == 1
     assert cli("describe", "base", "--config", str(config))[0] == 0
+
+
+# argvs of --set and --speedup items: each one the command takes, arbitrary
+# text, or a key and a value joined by "=", each arbitrary text or one it takes
+def _argvs(head, flag, taken, keys, values):
+    pair = st.builds("{}={}".format, st.sampled_from(keys) | st.text(max_size=6),
+                     st.sampled_from(values) | st.text(max_size=8))
+    items = st.lists(st.sampled_from(taken) | pair | st.text(max_size=12), max_size=3)
+    return items.map(lambda items: [*head, *(f"{flag}={item}" for item in items)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_argvs(
+    ["cost", "base"], "--set",
+    ["max_pillars=12000", " block_units = [2,2,2]", "resnet_bottleneck=0.5"],
+    ["max_pillars", "block_units", "resnet_bottleneck", "backbone"],
+    ["12000", "1/2", "0", "1/0", "true", "1e99999", "[1,1e400,1]"]) | _argvs(
+    ["amdahl", "--profile", timing_path("fpga_timing.json")], "--speedup",
+    ["backbone=2", " other = inf", "backbone=0.5"],
+    ["backbone", "other", "", "max_pillars"],
+    ["2", "inf", "1/2", "0", "1/0", "true", "1e99999", "-1"]))
+def test_any_set_or_speedup_item_ends_in_success_or_one_error_line(tmp_path_factory, argv):
+    """``run`` returns 0 having written its file, or 1 with exactly one
+    stderr line and no file; it never raises."""
+    target = tmp_path_factory.mktemp("out") / "out"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([*argv, "--output", str(target)])
+    assert out.getvalue() == ""
+    if code == 0:
+        assert err.getvalue() == "" and target.exists()
+    else:
+        assert code == 1 and not target.exists()
+        assert err.getvalue().startswith("error: ") and err.getvalue().endswith("\n")
+        assert len(err.getvalue().splitlines()) == 1

@@ -142,9 +142,13 @@ class TestNodeSpecs:
             with pytest.raises(ValueError, match="has_bias"):
                 make(bad)
 
-    def test_input_rejects_a_shape_that_is_not_a_tensor_shape(self):
-        with pytest.raises(ValueError, match="shape"):
-            Input((3, 8, 8))
+    def test_input_reads_a_shape_from_its_json_form(self):
+        assert Input([3, 8, 8]) == Input((3, 8, 8)) == Input(TensorShape(3, 8, 8))
+        assert type(Input([3, 8, 8]).shape) is TensorShape
+        for shape in (b"\x03\x08\x08", "388", 3):
+            with pytest.raises(FieldError) as info:
+                Input(shape)
+            assert str(info.value) == f"shape must be a list of integers, got {shape!r}"
 
     @pytest.mark.parametrize("make", [
         lambda pad: Conv(8, 3, 3, pad_h=pad),
@@ -532,6 +536,19 @@ class TestJsonRoundTrip:
         with pytest.raises(GraphError, match=names) as info:
             Graph.from_json_dict(doc)
         assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("pos, field, kind", [
+        (0, "shape", "Input"), (1, "out_channels", "Conv"), (1, "kernel_h", "Conv"),
+    ])
+    def test_a_missing_field_has_one_text_for_every_kind(self, pos, field, kind):
+        # an input node is decoded by its constructor, as every other kind is
+        doc = small_chain().to_json_dict()
+        del doc["nodes"][pos]["attrs"][field]
+        name = doc["nodes"][pos]["name"]
+        with pytest.raises(GraphError) as info:
+            Graph.from_json_dict(doc)
+        assert str(info.value) == (f"node {name!r}: {kind}.__init__() missing 1 required "
+                                   f"positional argument: {field!r}")
 
     @pytest.mark.parametrize("escape", [r"\ud800", r"\udc80", r"\udfff"])
     def test_a_name_utf8_cannot_encode_is_refused(self, escape):

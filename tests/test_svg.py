@@ -28,6 +28,14 @@ class TestRenderScatter:
         labels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
         assert "A<B & C> (50.00)" in labels
 
+    @pytest.mark.parametrize("name", ["A\rB", "A\r\nB", "A\nB", "A\tB"],
+                             ids=["cr", "crlf", "lf", "tab"])
+    def test_a_line_break_in_a_name_reads_back_as_written(self, name):
+        # a parser reads a written CR as LF, so a CR is written as &#13;
+        root = ET.fromstring(render_scatter([point(name, 5, 50), point("D", 6, 40)]))
+        labels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert f"{name} (50.00)" in labels
+
     @pytest.mark.parametrize("char", [
         "\x00", "\x01", "\x08", "\x0b", "\x0c", "\x0e", "\x1f", "\ud800", "\udfff",
         "\ufffe", "\uffff"])
