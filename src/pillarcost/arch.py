@@ -26,12 +26,8 @@ from .graph import (
 )
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _count(value, name: str) -> int:
-    if not _is_int(value):
+    if type(value) is not int:  # not a bool, nor any other int subclass
         raise ArchError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ArchError(f"{name} must be >= 1, got {value}")
@@ -39,7 +35,7 @@ def _count(value, name: str) -> int:
 
 
 def _ints(value, name: str) -> tuple[int, ...]:
-    if not isinstance(value, (list, tuple)) or not all(map(_is_int, value)):
+    if not isinstance(value, (list, tuple)) or any(type(item) is not int for item in value):
         raise ArchError(f"{name} must be a list of integers, got {value!r}")
     return tuple(value)
 
@@ -69,18 +65,16 @@ def _fraction(value, name: str) -> Fraction:
     return fraction
 
 
-# Each annotation's check: the one place a config field's type and range live
-_CHECK_OF = {"int": _count, "tuple[int, ...]": _counts, "Fraction": _fraction}
-
-
 class ArchConfig(Record):
     """Structural parameters of the network; defaults follow the reference
     KITTI configuration (pseudo-image 64x496x432, three blocks).
 
-    Every field is checked by its annotation's check (``_CHECK_OF``), and
-    ``block_strides`` by its own, however the config is made: directly, by
-    ``_replace``, or by a loader."""
+    Every field is checked by the check its annotation names (``_check_of``),
+    however the config is made: directly, by ``_replace``, or by a loader.
+    ``Strides`` names a check, not a type: a list of 1s and 2s."""
 
+    _check_of = {"int": _count, "tuple[int, ...]": _counts, "Fraction": _fraction,
+                 "Strides": _strides}
     pseudo_image_channels: int = 64
     pseudo_image_height: int = 496
     pseudo_image_width: int = 432
@@ -89,7 +83,7 @@ class ArchConfig(Record):
     pfn_in_features: int = 10
     block_channels: tuple[int, ...] = (64, 128, 256)
     block_units: tuple[int, ...] = (4, 6, 6)
-    block_strides: tuple[int, ...] = (2, 2, 2)
+    block_strides: Strides = (2, 2, 2)
     neck_out_channels: tuple[int, ...] = (128, 128, 128)
     neck_upsample: tuple[int, ...] = (1, 2, 4)
     num_classes: int = 3
@@ -103,9 +97,6 @@ class ArchConfig(Record):
     resnet_bottleneck: Fraction = Fraction(3, 8)
     resnext_width: Fraction = Fraction(1, 1)
     resnext_groups: int = 32
-
-    _checks = {name: _CHECK_OF[kind] for name, kind in __annotations__.items()}
-    _checks["block_strides"] = _strides
 
     def __post_init__(self) -> None:
         lengths = {len(self.block_channels), len(self.block_units),

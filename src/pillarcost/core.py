@@ -118,11 +118,14 @@ class Record:
 
     Fields are the annotated class attributes, in order, ``ClassVar`` ones
     excepted (annotations are read as text, as ``from __future__ import
-    annotations`` leaves them); a value is the field's default, and a dict,
-    list or set default is copied per record.  ``__init__`` takes fields by
-    position or keyword, runs the check table ``_checks`` (field -> function
-    of value and field name that returns the value to store or raises),
-    stores the fields, then calls ``__post_init__`` if the class has one.
+    annotations`` leaves them, and never evaluated); a value is the field's
+    default, and a dict, list or set default is copied per record.  A class
+    that sets ``_check_of`` (annotation text -> function of value and field
+    name that returns the value to store or raises) has each field checked
+    by its annotation's check, in field order; an annotation the map lacks
+    raises TypeError when the class is made.  ``__init__`` takes fields by
+    position or keyword, runs the checks, stores the fields, then calls
+    ``__post_init__`` if the class has one.
 
     A record cannot be changed; ``_replace(**changes)`` makes a changed copy
     and ``_fields`` names the fields.  Records are equal when their classes
@@ -132,17 +135,21 @@ class Record:
 
     _fields: ClassVar[tuple[str, ...]] = ()
     _defaults: ClassVar[dict] = {}
-    _checks: ClassVar[dict] = {}
+    _check_of: ClassVar[dict | None] = None  # None: the fields are not checked
+    _check_at: ClassVar[tuple] = ()  # (index, field, check), in field order
     __post_init__ = None
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._fields = fields = cls._fields + tuple(
-            name for name, kind in vars(cls).get("__annotations__", {}).items()
-            if not kind.startswith("ClassVar"))
+        own = {name: kind for name, kind in vars(cls).get("__annotations__", {}).items()
+               if not kind.startswith("ClassVar")}
+        cls._fields = fields = cls._fields + tuple(own)
         cls._defaults = {name: getattr(cls, name) for name in fields if hasattr(cls, name)}
-        cls._check_at = tuple((fields.index(name), name, check)
-                              for name, check in cls._checks.items())
+        if cls._check_of is not None:
+            for name, kind in own.items():
+                if kind not in cls._check_of:
+                    raise TypeError(f"{cls.__qualname__}.{name}: no check for {kind!r}")
+                cls._check_at += ((fields.index(name), name, cls._check_of[kind]),)
 
     def __init__(self, *args, **kwargs) -> None:
         cls = self.__class__

@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
 from typing import ClassVar, NamedTuple
 
-from .core import NumberError, PillarcostError, Record, exact_fraction
+from .core import ExactDecimal, NumberError, PillarcostError, Record, exact_fraction
 
 
 class GraphError(PillarcostError):
@@ -85,9 +85,9 @@ def _bool(value: bool, what: str) -> bool:
 
 
 def _shape(value, what: str) -> TensorShape:
-    """A TensorShape, or its JSON form: a list or tuple of ints."""
-    if not isinstance(value, (list, tuple)):  # bytes would unpack into ints
-        raise FieldError(f"{what} must be a list of integers, got {value!r}")
+    """A TensorShape, or its JSON form: a list or tuple of three ints."""
+    if not isinstance(value, (list, tuple)) or len(value) != 3:  # bytes unpack into ints
+        raise FieldError(f"{what} must be a list of 3 integers, got {value!r}")
     return value if type(value) is TensorShape else TensorShape(*value)
 
 
@@ -109,17 +109,6 @@ def _split(value, what: str) -> tuple[Fraction, ...]:
     return fracs
 
 
-def _table(positive: tuple[str, ...] = (), non_negative: tuple[str, ...] = (),
-           **others) -> dict:
-    """A check table: each field's check, in the order they run."""
-    return {**dict.fromkeys(positive, _require_int),
-            **dict.fromkeys(non_negative, _non_negative), **others}
-
-
-_KERNEL = ("kernel_h", "kernel_w", "stride_h", "stride_w")
-_PADS = ("pad_h", "pad_w")
-
-
 class NodeSpec(Record):
     """Base of the node kinds; each kind defines all of its behaviour here.
 
@@ -127,13 +116,17 @@ class NodeSpec(Record):
     defaults describe a single-input, single-output, shape-preserving node
     that costs nothing; kinds override what differs.  Input shapes are given
     in port order, and one output shape is returned per output port.
-    A kind's field checks (its ``_checks`` table) also read each field's
-    JSON form, so ``cls(**attrs)`` decodes the ``attrs`` object that
-    ``Graph.to_json_dict`` writes; they raise FieldError.
+    A field's annotation names its check (``_check_of``); ``Count`` (an int
+    >= 1) and ``Offset`` (an int >= 0) name checks, not types.  The checks
+    also read each field's JSON form, so ``cls(**attrs)`` decodes the
+    ``attrs`` object that ``Graph.to_json_dict`` writes; they raise
+    FieldError.
     """
 
     kind: ClassVar[str]
     arity: ClassVar[tuple[int, int | None]] = (1, 1)
+    _check_of = {"Count": _require_int, "Offset": _non_negative, "bool": _bool,
+                 "TensorShape": _shape, "tuple[Fraction, ...]": _split}
 
     def num_outputs(self) -> int:
         return 1
@@ -152,7 +145,6 @@ class NodeSpec(Record):
 class Input(NodeSpec):
     kind: ClassVar[str] = "input"
     arity: ClassVar[tuple[int, int | None]] = (0, 0)
-    _checks = {"shape": _shape}
     shape: TensorShape
 
     def output_shapes(self, input_shapes: list[TensorShape]) -> list[TensorShape]:
@@ -170,8 +162,7 @@ def _window_out(size: int, pad: int, kernel: int, stride: int, kind: str,
 
 
 class _Window(NodeSpec):
-    """Sliding-window kinds: their fields are positive integers, except
-    paddings, which are non-negative integers."""
+    """Sliding-window kinds, which share the spatial rule ``_out_hw``."""
 
     def _out_hw(self, s: TensorShape) -> tuple[int, int]:
         return (_window_out(s.height, self.pad_h, self.kernel_h, self.stride_h,
@@ -220,15 +211,14 @@ class _Conv(_Window):
 
 class Conv(_Conv):
     kind: ClassVar[str] = "conv"
-    _checks = _table(_KERNEL + ("out_channels", "groups"), _PADS, has_bias=_bool)
-    out_channels: int
-    kernel_h: int
-    kernel_w: int
-    stride_h: int = 1
-    stride_w: int = 1
-    pad_h: int = 0
-    pad_w: int = 0
-    groups: int = 1
+    out_channels: Count
+    kernel_h: Count
+    kernel_w: Count
+    stride_h: Count = 1
+    stride_w: Count = 1
+    pad_h: Offset = 0
+    pad_w: Offset = 0
+    groups: Count = 1
     has_bias: bool = False
 
     def _kernel_pixels(self, si: TensorShape, out_pixels: int) -> int:
@@ -237,18 +227,16 @@ class Conv(_Conv):
 
 class TransposedConv(_Conv):
     kind: ClassVar[str] = "transposed_conv"
-    _checks = _table(_KERNEL + ("out_channels", "groups"),
-                     _PADS + ("output_pad_h", "output_pad_w"), has_bias=_bool)
-    out_channels: int
-    kernel_h: int
-    kernel_w: int
-    stride_h: int = 1
-    stride_w: int = 1
-    pad_h: int = 0
-    pad_w: int = 0
-    output_pad_h: int = 0
-    output_pad_w: int = 0
-    groups: int = 1
+    out_channels: Count
+    kernel_h: Count
+    kernel_w: Count
+    stride_h: Count = 1
+    stride_w: Count = 1
+    pad_h: Offset = 0
+    pad_w: Offset = 0
+    output_pad_h: Offset = 0
+    output_pad_w: Offset = 0
+    groups: Count = 1
     has_bias: bool = False
 
     def _out_hw(self, s: TensorShape) -> tuple[int, int]:
@@ -283,13 +271,12 @@ class ReLU(NodeSpec):
 
 class MaxPool(_Window):
     kind: ClassVar[str] = "max_pool"
-    _checks = _table(_KERNEL, _PADS)
-    kernel_h: int
-    kernel_w: int
-    stride_h: int = 1
-    stride_w: int = 1
-    pad_h: int = 0
-    pad_w: int = 0
+    kernel_h: Count
+    kernel_w: Count
+    stride_h: Count = 1
+    stride_w: Count = 1
+    pad_h: Offset = 0
+    pad_w: Offset = 0
 
     def output_shapes(self, input_shapes: list[TensorShape]) -> list[TensorShape]:
         (s,) = input_shapes
@@ -329,7 +316,6 @@ class ChannelSplit(NodeSpec):
     """Multi-output partition of channels into the given fractions."""
 
     kind: ClassVar[str] = "channel_split"
-    _checks = {"fractions": _split}
     fractions: tuple[Fraction, ...]
 
     def num_outputs(self) -> int:
@@ -348,8 +334,7 @@ class ChannelSplit(NodeSpec):
 
 class ChannelShuffle(NodeSpec):
     kind: ClassVar[str] = "channel_shuffle"
-    _checks = _table(("groups",))
-    groups: int
+    groups: Count
 
     def output_shapes(self, input_shapes: list[TensorShape]) -> list[TensorShape]:
         (s,) = input_shapes
@@ -366,9 +351,8 @@ class Scatter(NodeSpec):
     """
 
     kind: ClassVar[str] = "scatter"
-    _checks = _table(("out_height", "out_width"))
-    out_height: int
-    out_width: int
+    out_height: Count
+    out_width: Count
 
     def output_shapes(self, input_shapes: list[TensorShape]) -> list[TensorShape]:
         (s,) = input_shapes
@@ -636,12 +620,14 @@ class Graph:
 
     @classmethod
     def from_json(cls, text: str) -> "Graph":
-        """Inverse of :meth:`to_json`.  Malformed JSON, nesting too deep and
-        an integer over Python's digit limit raise a one-line GraphError,
-        as a malformed document does."""
+        """Inverse of :meth:`to_json`.  A number with a fraction or an
+        exponent is read exactly, as an ``ExactDecimal``.  Malformed JSON,
+        nesting too deep, an integer over Python's digit limit and a number
+        ``exact_fraction`` refuses raise a one-line GraphError, as a
+        malformed document does."""
         try:
-            doc = json.loads(text)
-        except (ValueError, RecursionError) as err:  # incl. JSONDecodeError
+            doc = json.loads(text, parse_float=ExactDecimal)
+        except (ValueError, RecursionError) as err:  # incl. JSONDecodeError, NumberError
             raise GraphError(f"malformed graph JSON: {err}") from None
         return cls.from_json_dict(doc)
 

@@ -66,8 +66,15 @@ class TestArchConfig:
          "block_units must be a list of integers, got (4, 'a', 6)"),
         ({"squeezenext_reduce": None},
          "squeezenext_reduce must be a number or fraction, got None"),
+        # an int subclass is refused by the config, as by the node kinds
+        ({"max_pillars": I(16000)}, "max_pillars must be an integer, got 16000"),
+        ({"block_channels": (I(64), 128, 256)},
+         "block_channels must be a list of integers, got (64, 128, 256)"),
+        ({"block_strides": (2, 2, I(2))},
+         "block_strides must be a list of integers, got (2, 2, 2)"),
     ], ids=["count", "count_in_list", "knob", "fraction", "stride_zero", "str_count",
-            "str_in_list", "none_fraction"])
+            "str_in_list", "none_fraction", "int_subclass_count", "int_subclass_in_list",
+            "int_subclass_stride"])
     def test_constructed_value_is_checked_naming_its_field(self, kwargs, message):
         with pytest.raises(ArchError) as info:
             ArchConfig(**kwargs)
@@ -456,25 +463,28 @@ class TestSpecSharing:
         assert conv() is None
 
     def test_int_subclass_channel_still_rejected(self):
-        # block 3's first conv equals block 2's in value, but not in type
-        with pytest.raises(ValueError, match=r"^out_channels must be an integer >= 1, got 128$"):
-            build_pointpillars(Variant.BASE, ArchConfig(block_channels=(64, 128, I(128))))
+        # block 3's width equals block 2's in value, but not in type: the
+        # config refuses it, so no build can share a spec between them
+        with pytest.raises(ArchError, match=r"^block_channels must be a list of integers, "
+                                            r"got \(64, 128, 128\)$"):
+            ArchConfig(block_channels=(64, 128, I(128)))
 
     @pytest.mark.parametrize("field,value", [
-        ("block_channels", (64, 128, I(128))), ("block_strides", (2, 2, I(2))),
+        ("block_channels", (64, 128, 128)), ("block_strides", (2, 1, 1)),
     ], ids=["channels", "strides"])
     @pytest.mark.parametrize("config", CONFIGS)
     @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.value)
     def test_sharing_changes_no_outcome(self, monkeypatch, variant, config, field, value):
-        """With an int subclass in the config, a build ends as it does when
-        every node gets a new spec: the same graph or the same error."""
+        """When two blocks repeat a width or a stride, a build ends as it
+        does when every node gets a new spec: the same graph or the same
+        error."""
         cfg = CONFIGS[config]._replace(**{field: value})
 
         def outcome():
             try:
                 return build_pointpillars(variant, cfg).to_json()
-            except ValueError as err:
-                return f"ValueError: {err}"
+            except (ArchError, ValueError) as err:
+                return f"{type(err).__name__}: {err}"
 
         shared = outcome()
         monkeypatch.setattr(Graph, "spec", lambda g, cls, *args: cls(*args))

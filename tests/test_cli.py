@@ -19,6 +19,7 @@ from pillarcost.analysis import fmt2
 from pillarcost.arch import ArchConfig, Variant, build_pointpillars
 from pillarcost.cli import build_parser, run
 from pillarcost.cost import graph_cost
+from test_properties import _loader_texts, config_texts
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -843,9 +844,12 @@ def _argvs(head, flag, taken, keys, values):
     ["backbone", "other", "", "max_pillars"],
     ["2", "inf", "1/2", "0", "1/0", "true", "1e99999", "-1"]))
 def test_any_set_or_speedup_item_ends_in_success_or_one_error_line(tmp_path_factory, argv):
+    assert_success_or_one_error_line(argv, tmp_path_factory.mktemp("out") / "out")
+
+
+def assert_success_or_one_error_line(argv, target):
     """``run`` returns 0 having written its file, or 1 with exactly one
     stderr line and no file; it never raises."""
-    target = tmp_path_factory.mktemp("out") / "out"
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run([*argv, "--output", str(target)])
@@ -856,3 +860,32 @@ def test_any_set_or_speedup_item_ends_in_success_or_one_error_line(tmp_path_fact
         assert code == 1 and not target.exists()
         assert err.getvalue().startswith("error: ") and err.getvalue().endswith("\n")
         assert len(err.getvalue().splitlines()) == 1
+
+
+# (file text, argv with "FILE" where the file's path goes): --config text,
+# JSON or key = value, and JSON for --data and --profile: arbitrary, or a
+# shipped document whole or with one value replaced
+def _json_texts(path, pick=lambda doc: doc):
+    doc = pick(json.loads(Path(path).read_text()))
+    return st.just(json.dumps(doc)) | _loader_texts(doc)
+
+
+_DATASET = _json_texts(data_path(), lambda doc: doc["points"][:2])
+_PROFILE = _json_texts(timing_path("mmdet3d_timing.json"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.tuples(config_texts, st.sampled_from([
+    ["describe", "base", "--config", "FILE"], ["export", "ResNet", "--config", "FILE"]]))
+    | st.tuples(_DATASET, st.sampled_from([
+        ["pareto", "--data", "FILE"], ["plot", "--data", "FILE", "--scope", "car"]]))
+    | st.tuples(_PROFILE, st.sampled_from([
+        ["amdahl", "--profile", "FILE"], ["amdahl", "--profile", "FILE", "--speedup",
+                                          "backbone=2"]])))
+def test_any_config_data_or_profile_file_ends_in_success_or_one_error_line(
+        tmp_path_factory, case):
+    text, argv = case
+    folder = tmp_path_factory.mktemp("io")
+    (folder / "in").write_text(text, encoding="utf-8")
+    argv = [str(folder / "in") if arg == "FILE" else arg for arg in argv]
+    assert_success_or_one_error_line(argv, folder / "out")

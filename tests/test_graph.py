@@ -145,10 +145,10 @@ class TestNodeSpecs:
     def test_input_reads_a_shape_from_its_json_form(self):
         assert Input([3, 8, 8]) == Input((3, 8, 8)) == Input(TensorShape(3, 8, 8))
         assert type(Input([3, 8, 8]).shape) is TensorShape
-        for shape in (b"\x03\x08\x08", "388", 3):
+        for shape in (b"\x03\x08\x08", "388", 3, [3, 8], [3, 8, 8, 1]):
             with pytest.raises(FieldError) as info:
                 Input(shape)
-            assert str(info.value) == f"shape must be a list of integers, got {shape!r}"
+            assert str(info.value) == f"shape must be a list of 3 integers, got {shape!r}"
 
     @pytest.mark.parametrize("make", [
         lambda pad: Conv(8, 3, 3, pad_h=pad),
@@ -615,9 +615,17 @@ class TestJsonRoundTrip:
         doc = {"nodes": [{"id": 0, "name": "a", "kind": "input",
                           "attrs": {"shape": form([4, 2, 2])}}],
                "edges": []}
-        with pytest.raises(GraphError, match="^node 'a': shape must be a list of integers, "
+        with pytest.raises(GraphError, match="^node 'a': shape must be a list of 3 integers, "
                                              "got "):
             Graph.from_json_dict(doc)
+
+    @pytest.mark.parametrize("shape", [[3, 8], [3, 8, 8, 1]], ids=["short", "long"])
+    def test_a_shape_of_the_wrong_length_names_its_field(self, shape):
+        doc = {"nodes": [{"id": 0, "name": "a", "kind": "input", "attrs": {"shape": shape}}],
+               "edges": []}
+        with pytest.raises(GraphError) as info:
+            Graph.from_json_dict(doc)
+        assert str(info.value) == f"node 'a': shape must be a list of 3 integers, got {shape}"
 
     def test_decoded_input_shape_is_checked_for_every_node(self):
         # the tuple (4.0, 2, 2) equals (4, 2, 2), and the list [4.0, 2, 2] [4, 2, 2]
@@ -677,6 +685,24 @@ class TestJsonRoundTrip:
             Graph.from_json(json.dumps(doc))
         assert "\n" not in str(info.value)
 
+    def test_decimals_are_read_exactly(self):
+        doc = {"nodes": [{"id": 0, "name": "in", "kind": "input", "attrs": {"shape": [10, 2, 2]}},
+                         {"id": 1, "name": "split", "kind": "channel_split",
+                          "attrs": {"fractions": [0.3, 0.7]}}],
+               "edges": [[0, 0, 1, 0]]}
+        spec = Graph.from_json(json.dumps(doc)).node(1).spec
+        assert spec.fractions == (Fraction(3, 10), Fraction(7, 10))
+        assert [type(f) for f in spec.fractions] == [Fraction, Fraction]
+
+    def test_a_decimal_integer_field_is_refused_as_written(self):
+        doc = {"nodes": [{"id": 0, "name": "in", "kind": "input", "attrs": {"shape": [4, 2, 2]}},
+                         {"id": 1, "name": "conv", "kind": "conv",
+                          "attrs": {"out_channels": 4, "kernel_h": 3.0, "kernel_w": 3}}],
+               "edges": [[0, 0, 1, 0]]}
+        with pytest.raises(GraphError) as info:
+            Graph.from_json(json.dumps(doc))
+        assert str(info.value) == "node 'conv': kernel_h must be an integer >= 1, got 3.0"
+
     @pytest.mark.parametrize("fractions", [[True], [False, 1], ["1/2", True]],
                              ids=["true", "false", "mixed"])
     def test_boolean_split_fraction_is_graph_error(self, fractions):
@@ -700,8 +726,10 @@ class TestJsonRoundTrip:
             Graph.from_json(json.dumps(doc))
         assert "\n" not in str(info.value)
 
-    @pytest.mark.parametrize("text", ["[" * 100_000, "[" + "9" * 5000 + "]", "{", ""],
-                             ids=["too_deep", "int_over_digit_limit", "truncated", "empty"])
+    @pytest.mark.parametrize("text", ["[" * 100_000, "[" + "9" * 5000 + "]", "{", "",
+                                      "[1e99999999]"],
+                             ids=["too_deep", "int_over_digit_limit", "truncated", "empty",
+                                  "huge_decimal_exponent"])
     def test_malformed_json_is_one_line_graph_error(self, text):
         with pytest.raises(GraphError, match="^malformed graph JSON: ") as info:
             Graph.from_json(text)

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from pillarcost.analysis import DesignPoint, TimingProfile
-from pillarcost.arch import ArchConfig
+from pillarcost.arch import ArchConfig, ArchError
 from pillarcost.core import Record
 from pillarcost.cost import CostReport, NodeCost
 from pillarcost.graph import (
@@ -229,3 +229,34 @@ def test_a_replaced_record_is_checked():
     with pytest.raises(ValueError, match="^out_channels must be an integer >= 1, got 0$"):
         Conv(8, 3, 3)._replace(out_channels=0)
     assert Conv(8, 3, 3)._replace(pad_h=1) == Conv(8, 3, 3, pad_h=1)
+
+
+# the 11 node kinds and ArchConfig check every field; the other records none
+CHECKED = [case[0] for case in CASES[:12]]
+
+
+@pytest.mark.parametrize("cls", [case[0] for case in CASES], ids=IDS)
+def test_each_field_has_its_annotations_check_in_field_order(cls):
+    checked = [(index, name) for index, name, _ in cls._check_at]
+    assert checked == (list(enumerate(cls._fields)) if cls in CHECKED else [])
+    assert (cls._check_of is not None) == (cls in CHECKED)
+
+
+@pytest.mark.parametrize("base", [Conv, ArchConfig, Record], ids=lambda cls: cls.__name__)
+def test_an_annotation_without_a_check_fails_when_the_class_is_made(base):
+    with pytest.raises(TypeError, match=r"\.Odd\.width: no check for 'float'$"):
+        class Odd(base):
+            _check_of = base._check_of or {"int": int}
+            width: "float" = 1.0  # text, as the package's annotations are
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: Conv(0, 0, 1), "out_channels"),
+    (lambda: Conv(8, 0, 1, pad_h=-1, has_bias=1), "kernel_h"),
+    (lambda: TransposedConv(8, 2, 2, output_pad_w=-1, pad_h=-1), "pad_h"),
+    (lambda: ArchConfig(resnext_groups=0, max_pillars=0), "max_pillars"),
+], ids=["conv_count", "conv_kernel", "transposed_pad", "arch_config"])
+def test_the_first_bad_field_in_field_order_is_reported(make, field):
+    with pytest.raises((ArchError, ValueError)) as info:
+        make()
+    assert str(info.value).startswith(f"{field} must be ")
