@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .core import (  # ArchError and Variant are re-exported
     ArchError, ExactDecimal, Record, Variant, exact_fraction, read_json, read_key_values,
+    typed_repr,
 )
 from .graph import (
     Add, BatchNorm, ChannelShuffle, ChannelSplit, Concat, Conv, Graph, Input,
@@ -28,30 +29,27 @@ from .graph import (
 
 def _count(value, name: str) -> int:
     if type(value) is not int:  # not a bool, nor any other int subclass
-        raise ArchError(f"{name} must be an integer, got {value!r}")
+        raise ArchError(f"{name} must be an integer, got {typed_repr(value)}")
     if value < 1:
         raise ArchError(f"{name} must be >= 1, got {value}")
     return value
 
 
-def _ints(value, name: str) -> tuple[int, ...]:
-    if not isinstance(value, (list, tuple)) or any(type(item) is not int for item in value):
+def _items(value, name: str) -> tuple:
+    if not isinstance(value, (list, tuple)):
         raise ArchError(f"{name} must be a list of integers, got {value!r}")
     return tuple(value)
 
 
 def _counts(value, name: str) -> tuple[int, ...]:
-    value = _ints(value, name)
-    for i, item in enumerate(value):
-        _count(item, f"{name}[{i}]")
-    return value
+    return tuple([_count(item, f"{name}[{i}]") for i, item in enumerate(_items(value, name))])
 
 
 def _strides(value, name: str) -> tuple[int, ...]:
-    value = _ints(value, name)
+    value = _items(value, name)
     for i, stride in enumerate(value):
-        if stride not in (1, 2):
-            raise ArchError(f"{name}[{i}]: stride must be 1 or 2, got {stride}")
+        if type(stride) is not int or stride not in (1, 2):
+            raise ArchError(f"{name}[{i}]: stride must be 1 or 2, got {typed_repr(stride)}")
     return value
 
 

@@ -1,8 +1,9 @@
 """Names shared by every pillarcost module: the error base class, the
 architecture errors, the backbone variants, the readers of numbers, JSON
 files and ``key = value`` items from outside (``exact_fraction``,
-``read_json``, ``read_key_values``), the CSV field rule (``_csv_field``)
-and the frozen record base (``Record``).
+``read_json``, ``read_key_values``), how an error shows a value
+(``typed_repr``), the CSV field rule (``_csv_field``) and the frozen record
+base (``Record``).
 
 This module imports no graph code, so a command that only names the
 variants or reads the dataset loads nothing more than it needs.
@@ -42,6 +43,14 @@ def exact_fraction(value) -> Fraction:
             raise NumberError(f"number {value!r} has a decimal exponent over "
                               f"{MAX_EXPONENT} in magnitude")
     return Fraction(value)
+
+
+def typed_repr(value) -> str:
+    """``repr(value)``, naming its type where the repr hides it: an int
+    subclass other than bool prints as the int it equals."""
+    if isinstance(value, int) and type(value) not in (int, bool):
+        return f"{value!r} of type {type(value).__name__}"
+    return repr(value)
 
 
 class ExactDecimal(Fraction):

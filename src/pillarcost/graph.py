@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import json
 import marshal
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
 from typing import ClassVar, NamedTuple
 
-from .core import ExactDecimal, NumberError, PillarcostError, Record, exact_fraction
+from .core import ExactDecimal, NumberError, PillarcostError, Record, exact_fraction, typed_repr
 
 
 class GraphError(PillarcostError):
@@ -32,7 +31,7 @@ class ShapeError(PillarcostError):
 
 def _require_int(value: int, what: str, minimum: int = 1) -> int:
     if type(value) is not int or value < minimum:
-        raise FieldError(f"{what} must be an integer >= {minimum}, got {value!r}")
+        raise FieldError(f"{what} must be an integer >= {minimum}, got {typed_repr(value)}")
     return value
 
 
@@ -570,6 +569,10 @@ class Graph:
         for pos, item in enumerate(items):
             try:
                 item_id, kind, attrs, name = _NODE_FIELDS(item)
+                if type(item_id) is not int:
+                    raise TypeError(f"id {item_id!r} is not an integer")
+                if type(name) is not str or not name:
+                    raise TypeError(f"name {name!r} is not a non-empty string")
                 try:
                     key = marshal.dumps((kind, attrs), 0)
                 except ValueError:  # a type marshal does not write (an int
@@ -579,11 +582,6 @@ class Graph:
                     spec_cls = _KIND_CLASSES.get(kind)
                     if spec_cls is None:
                         raise GraphError(f"node {_label(item, pos)} has unknown kind {kind!r}")
-                if type(item_id) is not int:
-                    raise TypeError(f"id {item_id!r} is not an integer")
-                if type(name) is not str or not name:
-                    raise TypeError(f"name {name!r} is not a non-empty string")
-                if spec is None:
                     spec = spec_cls(**attrs)
                     if key is not None:
                         specs[key] = spec
@@ -601,20 +599,28 @@ class Graph:
         if not (set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) <= {4}
                 and set(map(type, chain.from_iterable(edges))) <= {int}):
             edges = list(map(_edge, edges))  # or raise, naming the first bad edge
-        # sorted by consumer, then port, one walk finds each node's inputs;
-        # to_json writes them in that order, which the sort checks in one pass
+        # sorted by consumer, then port, each edge is its consumer's next
+        # input; the first that is not stops the walk at the lowest node with
+        # bad ports.  to_json writes edges in that order, so the sort is one pass.
         edges.sort(key=_DST_PORT)
-        bounds = _walk(edges, bisect_left(edges, 0, key=_DST), n)
-        pairs = tuple(map(_SOURCE, edges))
+        inputs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        stray, bad = False, n
+        for src, port, dst, dst_port in edges:
+            if not 0 <= dst < n:
+                stray = True
+            elif dst_port == len(inputs[dst]):
+                inputs[dst].append((src, port))
+            else:
+                bad = dst
+                break
         graph = cls()
-        for (_, spec, name), start, end in zip(decoded, bounds, bounds[1:]):
-            graph.add_node(spec, pairs[start:end], name)
-        if len(bounds) <= n:  # the nodes before it are built first: their errors win
-            node_id = len(bounds) - 1
-            ports = [edge[3] for edge in edges if edge[2] == node_id]
-            raise GraphError(f"node {decoded[node_id][2]!r} has input ports {ports}; "
+        for (_, spec, name), node_inputs in zip(decoded[:bad], inputs):
+            graph.add_node(spec, node_inputs, name)
+        if bad < n:  # the nodes before it are built first: their errors win
+            ports = [edge[3] for edge in edges if edge[2] == bad]
+            raise GraphError(f"node {decoded[bad][2]!r} has input ports {ports}; "
                              f"they must be 0..{len(ports) - 1}, each exactly once")
-        if bounds[0] or bounds[-1] < len(edges):
+        if stray:
             raise GraphError("an edge feeds a node id that does not exist")
         return graph
 
@@ -651,7 +657,7 @@ def _json_value(value):
 
 _ID = itemgetter(0)
 _NODE_FIELDS = itemgetter("id", "kind", "attrs", "name")
-_SOURCE, _DST, _DST_PORT = itemgetter(0, 1), itemgetter(2), itemgetter(2, 3)
+_DST_PORT = itemgetter(2, 3)
 
 
 def _label(item, pos: int) -> str:
@@ -659,22 +665,6 @@ def _label(item, pos: int) -> str:
     if isinstance(item, dict) and "name" in item:
         return repr(item["name"])
     return f"#{pos}"
-
-
-def _walk(edges: list, start: int, n: int) -> list[int]:
-    """Node i's inputs are ``edges[bounds[i]:bounds[i + 1]]``, read from
-    ``start`` in (dst, dst_port) order.  The walk stops at the first node
-    whose ports do not read 0..k-1: with fewer than n + 1 bounds, node
-    ``len(bounds) - 1`` has bad ports."""
-    bounds, pos, count = [start], start, len(edges)
-    for node_id in range(n):
-        first = pos
-        while pos < count and edges[pos][2] == node_id:
-            if edges[pos][3] != pos - first:
-                return bounds
-            pos += 1
-        bounds.append(pos)
-    return bounds
 
 
 def _edge(edge) -> tuple[int, int, int, int]:

@@ -62,16 +62,16 @@ class TestArchConfig:
         ({"resnext_width": 0}, "resnext_width must be > 0, got 0"),
         ({"block_strides": (0, 2, 2)}, "block_strides[0]: stride must be 1 or 2, got 0"),
         ({"max_pillars": "x"}, "max_pillars must be an integer, got 'x'"),
-        ({"block_units": (4, "a", 6)},
-         "block_units must be a list of integers, got (4, 'a', 6)"),
+        ({"block_units": (4, "a", 6)}, "block_units[1] must be an integer, got 'a'"),
         ({"squeezenext_reduce": None},
          "squeezenext_reduce must be a number or fraction, got None"),
-        # an int subclass is refused by the config, as by the node kinds
-        ({"max_pillars": I(16000)}, "max_pillars must be an integer, got 16000"),
+        # an int subclass is refused by the config, as by the node kinds,
+        # and named by its type, since it prints as the int it equals
+        ({"max_pillars": I(16000)}, "max_pillars must be an integer, got 16000 of type I"),
         ({"block_channels": (I(64), 128, 256)},
-         "block_channels must be a list of integers, got (64, 128, 256)"),
+         "block_channels[0] must be an integer, got 64 of type I"),
         ({"block_strides": (2, 2, I(2))},
-         "block_strides must be a list of integers, got (2, 2, 2)"),
+         "block_strides[2]: stride must be 1 or 2, got 2 of type I"),
     ], ids=["count", "count_in_list", "knob", "fraction", "stride_zero", "str_count",
             "str_in_list", "none_fraction", "int_subclass_count", "int_subclass_in_list",
             "int_subclass_stride"])
@@ -465,8 +465,8 @@ class TestSpecSharing:
     def test_int_subclass_channel_still_rejected(self):
         # block 3's width equals block 2's in value, but not in type: the
         # config refuses it, so no build can share a spec between them
-        with pytest.raises(ArchError, match=r"^block_channels must be a list of integers, "
-                                            r"got \(64, 128, 128\)$"):
+        with pytest.raises(ArchError, match=r"^block_channels\[2\] must be an integer, "
+                                            r"got 128 of type I$"):
             ArchConfig(block_channels=(64, 128, I(128)))
 
     @pytest.mark.parametrize("field,value", [

@@ -341,12 +341,14 @@ class TestExitCodes:
          "'just words' is not of the form key=value"),
         (["plot", "--data", "{control_name}"],
          "cannot plot 'A\\x01B': XML 1.0 cannot hold its name"),
+        # a newline in the message is a space: the error is one line
+        (["pareto", "--data", "{newline_name}"], "a b: gmadds must be positive"),
     ], ids=["resnext_groups", "stride_3", "shufflenet_v1_groups", "odd_split", "xception_widen",
             "shufflenet_v1_widen", "shufflenet_v2_widen", "ratio", "neck_upsample",
             "image_height", "one_block_neck", "unknown_stage", "zero_speedup",
             "speedup_no_equals", "pareto_no_ap", "plot_no_ap", "pareto_fps_zero",
             "pareto_fps_total_minus5", "speedup_two_equals", "set_two_equals",
-            "set_no_equals", "plot_control_name"])
+            "set_no_equals", "plot_control_name", "newline_name"])
     def test_error_line_is_pinned(self, capsys, tmp_path, argv, line):
         # the shipped dataset with its second point named "A\x01B"
         control_name = tmp_path / "control_name.json"
@@ -359,9 +361,11 @@ class TestExitCodes:
         fps_zero.write_text('[{"name": "x", "gmadds": 1, "fps_backbone": 0}]')
         fps_minus5 = tmp_path / "fps_minus5.json"
         fps_minus5.write_text('[{"name": "x", "gmadds": 1, "fps_total": -5}]')
+        newline_name = tmp_path / "newline_name.json"
+        newline_name.write_text('[{"name": "a\\nb", "gmadds": 0, "ap": {}}]')
         files = {"{no_ap}": str(no_ap), "{fps_zero}": str(fps_zero),
                  "{control_name}": str(control_name),
-                 "{fps_minus5}": str(fps_minus5),
+                 "{fps_minus5}": str(fps_minus5), "{newline_name}": str(newline_name),
                  "{mmdet3d_timing.json}": timing_path("mmdet3d_timing.json"),
                  "{fpga_timing.json}": timing_path("fpga_timing.json")}
         argv = [files.get(word, word) for word in argv]

@@ -328,7 +328,7 @@ class TestSpec:
 
     @pytest.mark.parametrize("position,value,message", [
         (8, 1, "has_bias must be a bool, got 1"),
-        (0, Int(16), "out_channels must be an integer >= 1, got 16"),
+        (0, Int(16), "out_channels must be an integer >= 1, got 16 of type Int"),
         (1, True, "kernel_h must be an integer >= 1, got True"),
     ], ids=["int-for-bool", "int-subclass", "bool-for-int"])
     def test_an_equal_argument_of_another_type_is_still_checked(self, position, value,

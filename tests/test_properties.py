@@ -16,7 +16,7 @@ from pillarcost.cli import _csv_text
 from pillarcost.core import PillarcostError, Variant
 from pillarcost.cost import CostReport, graph_cost
 from pillarcost.graph import (
-    Add, BatchNorm, ChannelShuffle, ChannelSplit, Concat, Conv, Graph, Input,
+    Add, BatchNorm, ChannelShuffle, ChannelSplit, Concat, Conv, Graph, GraphError, Input,
     MaxPool, ReLU, Scatter, TensorShape, TransposedConv,
 )
 from pillarcost.shapes import ShapeError, infer_all, node_output_shape
@@ -200,6 +200,92 @@ def test_edges_decode_alike_in_any_order(seed, data):
     doc = g.to_json_dict()
     doc["edges"] = data.draw(st.permutations(doc["edges"]))
     assert Graph.from_json_dict(doc).to_json() == g.to_json()
+
+
+# ShufflenetV2 has Concat nodes of two and three inputs, so a node's ports
+# are not all 0: its document exercises the edge walk of Graph.from_json_dict.
+SHUFFLENET_V2 = build_pointpillars(Variant.SHUFFLENET_V2)
+STRAY = "an edge feeds a node id that does not exist"
+
+
+def _decoded(edges) -> str:
+    """ShufflenetV2's document with ``edges`` decoded: its ``to_json``, or
+    the one-line GraphError it raises."""
+    try:
+        return Graph.from_json_dict({**SHUFFLENET_V2.to_json_dict(), "edges": edges}).to_json()
+    except GraphError as err:
+        assert "\n" not in str(err)
+        return str(err)
+
+
+def _port_error(node_id: int, ports: list[int]) -> str:
+    return (f"node {SHUFFLENET_V2.node(node_id).name!r} has input ports {sorted(ports)}; "
+            f"they must be 0..{len(ports) - 1}, each exactly once")
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_shufflenet_v2_edges_decode_alike_in_any_order(seed):
+    edges = SHUFFLENET_V2.to_json_dict()["edges"]
+    random.Random(seed).shuffle(edges)
+    assert _decoded(edges) == SHUFFLENET_V2.to_json()
+
+
+@settings(max_examples=200, deadline=None)
+@given(fault=st.sampled_from(["shift", "duplicate", "drop", "below", "past", "stray"]),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_one_edge_fault_raises_its_one_line_error(fault, seed, data):
+    edges = SHUFFLENET_V2.to_json_dict()["edges"]
+    n = len(SHUFFLENET_V2)
+    i = data.draw(st.integers(0, len(edges) - 1))
+    dst, dst_port = edges[i][2:]
+    if fault == "shift":
+        edges[i][3] = data.draw(st.integers(-2, 4).filter(lambda port: port != dst_port))
+    elif fault == "duplicate":
+        edges.insert(data.draw(st.integers(0, len(edges))), list(edges[i]))
+    elif fault == "drop":
+        del edges[i]
+    elif fault == "stray":  # a copy of the edge that feeds no node
+        stray = data.draw(st.integers(-3, -1) | st.integers(n, n + 3))
+        edges.append([*edges[i][:2], stray, dst_port])
+    else:
+        edges[i][2] = data.draw(st.integers(-3, -1) if fault == "below" else
+                                st.integers(n, n + 3))
+    ports = [edge[3] for edge in edges if edge[2] == dst]
+    random.Random(seed).shuffle(edges)
+    got = _decoded(edges)
+    node = SHUFFLENET_V2.node(dst)
+    lo, hi = node.spec.arity
+    if sorted(ports) != list(range(len(ports))):
+        assert got == _port_error(dst, ports)
+    elif len(ports) < lo:  # the node lost its last port, which it needs
+        want = lo if lo == hi else f">= {lo}"
+        assert got == f"{node.spec.kind} node {node.name!r} takes {want} inputs, got {len(ports)}"
+    elif fault == "drop":  # the concat of three loses its last input and still loads
+        assert (node.spec.kind, len(ports)) == ("concat", 2)
+        assert json.loads(got)["edges"] == sorted(edges, key=lambda edge: edge[2:])
+    else:
+        assert got == STRAY
+
+
+@settings(max_examples=100, deadline=None)
+@given(faulted=st.lists(st.integers(0, len(SHUFFLENET_V2.edges) - 1), min_size=1,
+                        max_size=3, unique_by=lambda i: SHUFFLENET_V2.edges[i].dst),
+       shift=st.booleans(), stray=st.sampled_from([None, -1, len(SHUFFLENET_V2)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_a_port_error_names_the_lowest_node_with_bad_ports(faulted, shift, stray, seed):
+    edges = SHUFFLENET_V2.to_json_dict()["edges"]
+    for i in faulted:  # one consumer each, so no second fault mends the first
+        if shift:
+            edges[i][3] += 1
+        else:
+            edges.append(list(edges[i]))
+    if stray is not None:
+        edges.append([0, 0, stray, 0])
+    lowest = min(edges[i][2] for i in faulted)
+    ports = [edge[3] for edge in edges if edge[2] == lowest]
+    random.Random(seed).shuffle(edges)
+    assert _decoded(edges) == _port_error(lowest, ports)
 
 
 def test_ten_thousand_random_dags_uphold_invariants():

@@ -1,12 +1,15 @@
 """The package's source keeps to its floors: it parses as the oldest Python
 that pyproject admits, it imports only the standard library and itself,
-and it checks nothing with ``assert``, which ``python -O`` strips."""
+it reads every name it imports, and it checks nothing with ``assert``,
+which ``python -O`` strips."""
 import ast
 import re
 import sys
 from pathlib import Path
 
 import pytest
+
+import pillarcost
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "pillarcost").glob("*.py"))
@@ -35,3 +38,17 @@ def test_module_parses_at_the_floor_and_imports_only_the_stdlib(path):
 def test_module_holds_no_assert(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_reads_every_name_it_imports(path):
+    # the package's re-exports, listed in pillarcost.__all__, are read by its users
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    bound = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+             if isinstance(node, ast.Import)
+             or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+             for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    if path.name == "__init__.py":
+        read |= set(pillarcost.__all__)
+    assert sorted(bound - read) == []
