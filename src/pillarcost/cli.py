@@ -178,9 +178,9 @@ def _cmd_plot(args: argparse.Namespace) -> str:
 
 def _cmd_export(args: argparse.Namespace) -> str:
     from .arch import build_pointpillars
-    from .shapes import infer_all
+    from .shapes import shape_table
     graph = build_pointpillars(Variant.parse(args.variant), _load_config(args))
-    infer_all(graph)  # refuses, as cost does, a graph whose shapes cannot be inferred
+    shape_table(graph)  # refuses, as cost does, a graph whose shapes cannot be inferred
     return graph.to_json() + "\n"
 
 

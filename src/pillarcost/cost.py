@@ -5,7 +5,9 @@ layer.
 """
 from __future__ import annotations
 
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
 from typing import NamedTuple
 
 from .core import Record, _csv_field, _set
@@ -88,17 +90,24 @@ class CostReport(Record):
                 f'  "total_madds": {madds},\n  "total_params": {params}\n}}')
 
 
+_NAME = itemgetter(2)  # of a Node
+
+
 def graph_cost(graph: Graph, count_batchnorm: bool = True) -> CostReport:
     """Cost every node of a valid single-input graph.
 
     ``count_batchnorm=False`` treats BatchNorm as folded into the preceding
     convolution (0 MAdd, 0 params).  Each entry of ``shape_table`` is costed
-    once per call.
+    once per call, and the rows are assembled from the entry index by
+    ``zip`` and ``map``, with no Python loop over the nodes.
     """
     index, entries = shape_table(graph)
-    costs = [(spec.kind, spec.madds(in_shapes), spec.params(in_shapes))
-             if count_batchnorm or not isinstance(spec, BatchNorm) else (spec.kind, 0, 0)
-             for spec, in_shapes, _ in entries]
-    new = tuple.__new__
-    return CostReport(tuple([new(NodeCost, (name, *costs[at]))
-                             for (_, _, name, _), at in zip(graph.nodes, index)]))
+    kinds, madds, params = zip(*[
+        (spec.kind, spec.madds(in_shapes), spec.params(in_shapes))
+        if count_batchnorm or not isinstance(spec, BatchNorm) else (spec.kind, 0, 0)
+        for spec, in_shapes, _ in entries])
+    # each node's entry's values; the extra item, which zip drops, keeps
+    # the result a tuple for a one-node graph
+    pick = itemgetter(*index, 0)
+    rows = zip(map(_NAME, graph.nodes), pick(kinds), pick(madds), pick(params))
+    return CostReport(tuple(map(tuple.__new__, repeat(NodeCost), rows)))

@@ -407,7 +407,7 @@ class Graph:
         self._nodes: list[Node] = []
         self._names: set[str] = set()
         self._outputs: list[int] = []  # output-port count per node id
-        self._specs: dict[tuple, NodeSpec] = {}  # see spec()
+        self._specs: dict[tuple[type, bytes], NodeSpec] = {}  # see spec()
 
     @property
     def nodes(self) -> tuple[Node, ...]:
@@ -430,10 +430,17 @@ class Graph:
     def spec(self, cls: type[NodeSpec], *args) -> NodeSpec:
         """``cls(*args)``, made once per distinct value among this graph's
         nodes, so that nodes with equal specs share one object.  Keyed by
-        class, arguments and each argument's exact type, so ``1``, ``True``
-        and an int subclass never share a spec.  The table dies with the
-        graph."""
-        key = (cls, *args, *map(type, args))
+        the class and ``marshal.dumps(args, 0)``, the rule
+        ``from_json_dict`` uses: marshal writes each value with its exact
+        type at any depth, so ``1``, ``True`` and ``1.0`` never share a
+        spec, nor do ``[3, 8, 8]`` and ``(3, 8, 8)``.  Arguments marshal
+        refuses (an int or tuple subclass such as ``TensorShape``, or a
+        ``Fraction``) are built unshared, so they are checked every time.
+        The table dies with the graph."""
+        try:
+            key = (cls, marshal.dumps(args, 0))
+        except ValueError:
+            return cls(*args)
         spec = self._specs.get(key)
         if spec is None:
             spec = self._specs[key] = cls(*args)

@@ -28,35 +28,43 @@ def shape_table(graph: Graph) -> tuple[list[int], list[Entry]]:
     """(entry index per node id, entries) of a single-input graph.
 
     There is one entry per distinct (spec object, input shapes), in the
-    order of the first node that has it.  Nodes that share an entry have
-    equal outputs and costs, so each entry's output shapes are computed
-    once; a ShapeError names the first node whose shapes fail.
+    order of the first node that has it.  A one-input node is looked up by
+    ``(id(spec), shape)``, with no 1-tuple, and any other by ``(id(spec),
+    shapes)``; the two never compare equal, as a shape holds ints and
+    ``shapes`` holds shapes.  Nodes that share an entry have equal outputs
+    and costs, so each entry's output shapes are computed once.  A graph
+    without exactly one ``Input`` raises GraphError, before any ShapeError;
+    else a ShapeError names the first node whose shapes fail.
     """
-    inputs = len(graph.input_nodes())
-    if inputs != 1:
-        raise GraphError(f"shape inference needs exactly one input node, found {inputs}")
-
     index: list[int] = []
     entries: list[Entry] = []
     outputs: list[list[TensorShape]] = []  # per node id
-    known: dict[tuple[int, tuple[TensorShape, ...]], int] = {}  # (id(spec), in) -> entry
+    known: dict[tuple[int, tuple], int] = {}  # (id(spec), shape or shapes) -> entry
+    inputs = 0
     for _, spec, name, feeds in graph.nodes:
         if len(feeds) == 1:
             ((src, port),) = feeds
-            in_shapes = (outputs[src][port],)
+            key = (id(spec), outputs[src][port])
         else:
-            in_shapes = tuple([outputs[src][port] for src, port in feeds])
-        key = (id(spec), in_shapes)
+            if not feeds:  # only an Input takes no inputs
+                inputs += 1
+            key = (id(spec), tuple([outputs[src][port] for src, port in feeds]))
         at = known.get(key)
         if at is None:
+            in_shapes = (key[1],) if len(feeds) == 1 else key[1]
             try:
                 out_shapes = node_output_shape(spec, in_shapes)
             except ShapeError as err:
-                raise ShapeError(f"{name}: {err}") from err
+                inputs = len(graph.input_nodes())  # a later Input counts too
+                if inputs == 1:
+                    raise ShapeError(f"{name}: {err}") from err
+                break
             at = known[key] = len(entries)
             entries.append((spec, in_shapes, out_shapes))
         index.append(at)
         outputs.append(entries[at][2])
+    if inputs != 1:
+        raise GraphError(f"shape inference needs exactly one input node, found {inputs}")
     return index, entries
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import pillarcost.shapes
 from pillarcost.arch import ArchConfig, Variant, build_pointpillars
-from pillarcost.cost import CostReport, graph_cost
+from pillarcost.cost import CostReport, NodeCost, graph_cost
 from pillarcost.graph import (
     Add, BatchNorm, ChannelShuffle, Concat, Conv, Graph, Input, MaxPool, ReLU,
     Scatter, ShapeError, TensorShape, TransposedConv,
@@ -196,8 +196,8 @@ class TestGraphCost:
     @pytest.mark.parametrize("count_batchnorm", [True, False])
     def test_single_walk(self, monkeypatch, count_batchnorm):
         """One shape inference per distinct (spec object, input shapes); no
-        validation pass, no per-node edge scan and no separate ordering
-        pass."""
+        validation pass, no per-node edge scan, no separate ordering pass
+        and no separate pass to count the Inputs."""
         graph = build_pointpillars(Variant.SHUFFLENET_V2)
         shapes = infer_all(graph)
         distinct = {(id(node.spec), tuple(shapes[feed] for feed in node.inputs))
@@ -212,12 +212,18 @@ class TestGraphCost:
                 return original(*args, **kwargs)
             monkeypatch.setattr(owner, name, counted)
 
-        for name in ("validate", "inputs_of", "topo_order"):
+        for name in ("validate", "inputs_of", "topo_order", "input_nodes"):
             count(Graph, name)
         count(pillarcost.shapes, "node_output_shape")
         report = graph_cost(graph, count_batchnorm=count_batchnorm)
         assert len(report.per_node) == len(graph)
         assert calls == {"node_output_shape": len(distinct)}
+
+    def test_a_lone_input_costs_one_zero_row(self):
+        g = Graph()
+        g.add_node(Input(TensorShape(3, 4, 4)), name="in")
+        (row,) = graph_cost(g).per_node
+        assert type(row) is NodeCost and row == ("in", "input", 0, 0)
 
     def test_json_report(self):
         report = graph_cost(tiny_graph())

@@ -340,6 +340,20 @@ class TestSpec:
         with pytest.raises(FieldError, match=f"^{re.escape(message)}$"):
             g.spec(Conv, *args)
 
+    def test_a_list_argument_is_read_as_a_shape_and_shared(self):
+        g = Graph()
+        spec = g.spec(Input, [3, 8, 8])
+        assert spec == Input(TensorShape(3, 8, 8))
+        assert type(spec.shape) is TensorShape
+        assert g.spec(Input, [3, 8, 8]) is spec
+
+    def test_an_argument_marshal_refuses_is_built_unshared(self):
+        g = Graph()
+        first = g.spec(Input, TensorShape(3, 8, 8))  # a tuple subclass
+        again = g.spec(Input, TensorShape(3, 8, 8))
+        assert first == again == g.spec(Input, [3, 8, 8])
+        assert first is not again
+
     def test_two_graphs_share_no_spec(self):
         a, b = Graph(), Graph()
         assert a.spec(Conv, *self.BIASED) == b.spec(Conv, *self.BIASED)

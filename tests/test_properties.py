@@ -13,7 +13,7 @@ from pillarcost.analysis import DesignPoint, TimingProfile, amdahl, amdahl_max, 
     default_dataset_path, fmt2, load_points, map_of, pareto_front
 from pillarcost.arch import ArchConfig, ArchError, build_pointpillars
 from pillarcost.cli import _csv_text
-from pillarcost.core import PillarcostError, Variant
+from pillarcost.core import ExactDecimal, PillarcostError, Variant
 from pillarcost.cost import CostReport, graph_cost
 from pillarcost.graph import (
     Add, BatchNorm, ChannelShuffle, ChannelSplit, Concat, Conv, Graph, GraphError, Input,
@@ -502,6 +502,46 @@ def test_constructing_checks_as_loading_does(field, value):
         return
     loaded = ArchConfig.from_dict({field: value})
     assert cfg == loaded and hash(cfg) == hash(loaded)
+
+
+class _Int(int):
+    """An int subclass: marshal refuses it, so Graph.spec builds it unshared."""
+
+
+conv_args = st.tuples(st.integers(1, 32), st.integers(1, 3), st.integers(1, 3),
+                      st.integers(1, 2), st.integers(1, 2), st.integers(0, 2),
+                      st.integers(0, 2), st.integers(1, 4), st.booleans())
+
+# an equal value of another type, or None where the swap makes no equal value
+_SWAPS = {
+    "bool-int": lambda v: (int(v) if type(v) is bool
+                           else bool(v) if v in (0, 1) else None),
+    "int-subclass": lambda v: _Int(v),
+    "exact-decimal": lambda v: ExactDecimal(f"{int(v)}.0"),
+    "float": lambda v: float(v),
+}
+
+
+def _outcome(make):
+    """What ``make()`` returns, or the type and text of what it raises."""
+    try:
+        return make()
+    except Exception as err:  # any error: the two calls must raise alike
+        return type(err), str(err)
+
+
+@given(conv_args, st.integers(0, 8), st.sampled_from(sorted(_SWAPS)))
+def test_spec_checks_an_equal_argument_of_another_type_as_the_kind_does(args, position,
+                                                                        swap):
+    g = Graph()
+    first = g.spec(Conv, *args)  # the valid spec is in the table first
+    assert first == Conv(*args) and g.spec(Conv, *args) is first
+    value = _SWAPS[swap](args[position])
+    if value is None:
+        return
+    assert value == args[position] and type(value) is not type(args[position])
+    swapped = args[:position] + (value,) + args[position + 1:]
+    assert _outcome(lambda: g.spec(Conv, *swapped)) == _outcome(lambda: Conv(*swapped))
 
 
 def _json_object_text(pairs) -> str:

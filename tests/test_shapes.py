@@ -223,3 +223,26 @@ class TestErrorTexts:
             with pytest.raises(GraphError) as info:
                 walk(g)
             assert str(info.value) == "shape inference needs exactly one input node, found 3"
+
+    @pytest.mark.parametrize("second_input_first", [True, False],
+                             ids=["before-the-fault", "after-the-fault"])
+    def test_input_count_is_raised_before_a_shape_error(self, second_input_first):
+        # the walk counts Inputs as it goes, so a second Input after the
+        # node whose shapes fail must still win
+        g = Graph()
+        a = g.add_node(Input(TensorShape(8, 4, 4)), name="a")
+        if second_input_first:
+            g.add_node(Input(TensorShape(2, 4, 4)), name="b")
+        g.add_node(Conv(8, 9, 1), [(a, 0)], name="too.tall")
+        if not second_input_first:
+            g.add_node(Input(TensorShape(2, 4, 4)), name="b")
+        for walk in (infer_all, graph_cost):
+            with pytest.raises(GraphError) as info:
+                walk(g)
+            assert str(info.value) == "shape inference needs exactly one input node, found 2"
+
+    def test_an_empty_graph_has_no_input(self):
+        for walk in (infer_all, graph_cost):
+            with pytest.raises(GraphError) as info:
+                walk(Graph())
+            assert str(info.value) == "shape inference needs exactly one input node, found 0"
