@@ -142,10 +142,9 @@ class TimingProfile(Record):
         try:
             fractions = {stage: exact_fraction(value) for stage, value
                          in _object(doc["stage_fractions"], "stage_fractions").items()}
-            latency = exact_fraction(doc["base_latency_ms"])
-        except (KeyError, TypeError, ValueError, ArithmeticError) as err:
+            return cls(fractions, exact_fraction(doc["base_latency_ms"]))
+        except (AnalysisError, KeyError, TypeError, ValueError, ArithmeticError) as err:
             raise AnalysisError(f"{path}: bad timing profile: {err}") from err
-        return cls(fractions, latency)
 
 
 def project_fps(profile: TimingProfile,
@@ -237,7 +236,7 @@ def load_points(path: str | Path) -> list[DesignPoint]:
                 name=name, gmadds=exact_fraction(record["gmadds"]), ap=ap,
                 **{key: None if record.get(key) is None else exact_fraction(record[key])
                    for key in ("fps_backbone", "fps_total")}))
-        except (KeyError, TypeError, ValueError, ArithmeticError) as err:
+        except (AnalysisError, KeyError, TypeError, ValueError, ArithmeticError) as err:
             raise AnalysisError(f"{path}: bad design point record: {err}") from err
     if not points:
         raise AnalysisError(f"{path}: no design points found")

@@ -221,7 +221,7 @@ def _add_relu(g: Graph, skip: int, node: int, name: str) -> int:
 
 def _frac_channels(total: int, ratio: Fraction, name: str) -> int:
     value = Fraction(total) * ratio
-    if value.denominator != 1 or value < 1:
+    if value.denominator != 1:
         raise ArchError(f"{name}: ratio {ratio} of {total} channels is not a positive integer")
     return int(value)
 

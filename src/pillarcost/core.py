@@ -10,6 +10,7 @@ variants or reads the dataset loads nothing more than it needs.
 """
 from __future__ import annotations
 
+import collections
 import json
 from enum import Enum
 from fractions import Fraction
@@ -131,10 +132,13 @@ class Record:
     default, and a dict, list or set default is copied per record.  A class
     that sets ``_check_of`` (annotation text -> function of value and field
     name that returns the value to store or raises) has each field checked
-    by its annotation's check, in field order; an annotation the map lacks
-    raises TypeError when the class is made.  ``__init__`` takes fields by
-    position or keyword, runs the checks, stores the fields, then calls
-    ``__post_init__`` if the class has one.
+    by its annotation's check, in field order.  An annotation the map lacks,
+    or a field without a default after one with a default, raises TypeError
+    when the class is made.  Python binds the arguments of ``__init__``, by
+    position or keyword, through a namedtuple made once per class, so a call
+    that fits no signature raises Python's TypeError; ``__init__`` then runs
+    the checks, stores the fields and calls ``__post_init__`` if the class
+    has one.
 
     A record cannot be changed; ``_replace(**changes)`` makes a changed copy
     and ``_fields`` names the fields.  Records are equal when their classes
@@ -146,6 +150,8 @@ class Record:
     _defaults: ClassVar[dict] = {}
     _check_of: ClassVar[dict | None] = None  # None: the fields are not checked
     _check_at: ClassVar[tuple] = ()  # (index, field, check), in field order
+    _copy_at: ClassVar[tuple] = ()  # (index, default) of each dict, list or set default
+    _bind: ClassVar[type]  # binds a call's arguments to the fields, as Python does
     __post_init__ = None
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -154,43 +160,31 @@ class Record:
                if not kind.startswith("ClassVar")}
         cls._fields = fields = cls._fields + tuple(own)
         cls._defaults = {name: getattr(cls, name) for name in fields if hasattr(cls, name)}
+        for name in fields[len(fields) - len(cls._defaults):]:
+            if name not in cls._defaults:  # namedtuple would default the last fields
+                raise TypeError(f"{cls.__qualname__}: non-default argument {name!r} "
+                                "follows default argument")
         if cls._check_of is not None:
             for name, kind in own.items():
                 if kind not in cls._check_of:
                     raise TypeError(f"{cls.__qualname__}.{name}: no check for {kind!r}")
                 cls._check_at += ((fields.index(name), name, cls._check_of[kind]),)
+        cls._copy_at = tuple((fields.index(name), value) for name, value
+                             in cls._defaults.items() if type(value) in (dict, list, set))
+        cls._bind = collections.namedtuple(cls.__name__, fields,
+                                           defaults=cls._defaults.values())
+        # Python names the function in a binding error by its __qualname__
+        cls._bind.__new__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __init__(self, *args, **kwargs) -> None:
         cls = self.__class__
-        fields, defaults = cls._fields, cls._defaults
-        # a call that fits no signature raises the TypeError Python would
-        qualname = cls.__qualname__
-        if len(args) > len(fields):
-            most = len(fields) + 1  # Python counts self
-            takes = f"from {most - len(defaults)} to {most}" if defaults else str(most)
-            raise TypeError(f"{qualname}.__init__() takes {takes} positional argument"
-                            f"{'' if takes == '1' else 's'} but {len(args) + 1} were given")
-        values, missing = list(args), []
-        for name in fields[len(args):]:
-            if name in kwargs:
-                values.append(kwargs.pop(name))
-            elif name in defaults:
-                value = defaults[name]
-                values.append(type(value)(value) if type(value) in _MUTABLE_TYPES else value)
-            else:
-                missing.append(repr(name))
-        for name in kwargs:  # the first one left over, in call order
-            problem = ("multiple values for argument" if name in fields
-                       else "an unexpected keyword argument")
-            raise TypeError(f"{qualname}.__init__() got {problem} {name!r}")
-        if missing:
-            names = missing[0] if len(missing) == 1 else (
-                f"{', '.join(missing[:-1])}{',' if len(missing) > 2 else ''} and {missing[-1]}")
-            raise TypeError(f"{qualname}.__init__() missing {len(missing)} required positional "
-                            f"argument{'s' if len(missing) > 1 else ''}: {names}")
+        values = [*cls._bind(*args, **kwargs)]
+        for index, default in cls._copy_at:
+            if values[index] is default:
+                values[index] = type(default)(default)
         for index, name, check in cls._check_at:
             values[index] = check(values[index], name)
-        for name, value in zip(fields, values):
+        for name, value in zip(cls._fields, values):
             _set(self, name, value)
         if cls.__post_init__ is not None:
             self.__post_init__()
@@ -228,7 +222,6 @@ class Record:
 
 
 _set = object.__setattr__
-_MUTABLE_TYPES = (dict, list, set)
 
 
 class ArchError(PillarcostError):

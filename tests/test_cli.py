@@ -331,8 +331,10 @@ class TestExitCodes:
          "speedup 'backbone' is not of the form key=value"),
         (["pareto", "--data", "{no_ap}"], "x: missing AP entry ('Car', 'Easy')"),
         (["plot", "--scope", "car", "--data", "{no_ap}"], "x: missing AP entry ('Car', 'Easy')"),
-        (["pareto", "--data", "{fps_zero}"], "x: fps_backbone must be positive"),
-        (["pareto", "--data", "{fps_minus5}"], "x: fps_total must be positive"),
+        (["pareto", "--data", "{fps_zero}"],
+         "{fps_zero}: bad design point record: x: fps_backbone must be positive"),
+        (["pareto", "--data", "{fps_minus5}"],
+         "{fps_minus5}: bad design point record: x: fps_total must be positive"),
         (["amdahl", "--profile", "{fpga_timing.json}", "--speedup", "backbone=2=3"],
          "bad speedup value '2=3': Invalid literal for Fraction: '2=3'"),
         (["cost", "ResNet", "--set", "resnet_bottleneck=1/4=2"],
@@ -342,13 +344,16 @@ class TestExitCodes:
         (["plot", "--data", "{control_name}"],
          "cannot plot 'A\\x01B': XML 1.0 cannot hold its name"),
         # a newline in the message is a space: the error is one line
-        (["pareto", "--data", "{newline_name}"], "a b: gmadds must be positive"),
+        (["pareto", "--data", "{newline_name}"],
+         "{newline_name}: bad design point record: a b: gmadds must be positive"),
+        (["amdahl", "--profile", "{fraction_over_one}"],
+         "{fraction_over_one}: bad timing profile: stage 'a' fraction 3/2 not in (0, 1]"),
     ], ids=["resnext_groups", "stride_3", "shufflenet_v1_groups", "odd_split", "xception_widen",
             "shufflenet_v1_widen", "shufflenet_v2_widen", "ratio", "neck_upsample",
             "image_height", "one_block_neck", "unknown_stage", "zero_speedup",
             "speedup_no_equals", "pareto_no_ap", "plot_no_ap", "pareto_fps_zero",
             "pareto_fps_total_minus5", "speedup_two_equals", "set_two_equals",
-            "set_no_equals", "plot_control_name", "newline_name"])
+            "set_no_equals", "plot_control_name", "newline_name", "profile_fraction_over_one"])
     def test_error_line_is_pinned(self, capsys, tmp_path, argv, line):
         # the shipped dataset with its second point named "A\x01B"
         control_name = tmp_path / "control_name.json"
@@ -363,12 +368,17 @@ class TestExitCodes:
         fps_minus5.write_text('[{"name": "x", "gmadds": 1, "fps_total": -5}]')
         newline_name = tmp_path / "newline_name.json"
         newline_name.write_text('[{"name": "a\\nb", "gmadds": 0, "ap": {}}]')
+        fraction_over_one = tmp_path / "fraction_over_one.json"
+        fraction_over_one.write_text('{"stage_fractions": {"a": 1.5}, "base_latency_ms": 10}')
         files = {"{no_ap}": str(no_ap), "{fps_zero}": str(fps_zero),
                  "{control_name}": str(control_name),
                  "{fps_minus5}": str(fps_minus5), "{newline_name}": str(newline_name),
+                 "{fraction_over_one}": str(fraction_over_one),
                  "{mmdet3d_timing.json}": timing_path("mmdet3d_timing.json"),
                  "{fpga_timing.json}": timing_path("fpga_timing.json")}
         argv = [files.get(word, word) for word in argv]
+        for word, path in files.items():  # an error on a file names it
+            line = line.replace(word, path)
         assert invoke(capsys, *argv) == (1, "", f"error: {line}\n")
 
     def test_usage_error_is_two(self, capsys):

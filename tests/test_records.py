@@ -11,6 +11,8 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pillarcost.analysis import DesignPoint, TimingProfile
 from pillarcost.arch import ArchConfig, ArchError
@@ -161,10 +163,14 @@ class TestBinder:
             assert record == cls(*args) and repr(record) == text
 
     def test_too_many_positions_win_over_a_bad_keyword(self, cls, args, text, other):
+        # Python's order: a bad keyword is reported before too many positions,
+        # which are reported only when every keyword binds
         extra = (1,) * (len(cls._fields) + 1)
-        with pytest.raises(TypeError, match=rf"^{cls.__qualname__}\.__init__\(\) takes .* "
-                                            rf"but {len(extra) + 1} were given$"):
+        prefix = rf"^{cls.__qualname__}\.__init__\(\) "
+        with pytest.raises(TypeError, match=f"{prefix}got an unexpected keyword argument 'nope'$"):
             cls(*extra, nope=1)
+        with pytest.raises(TypeError, match=rf"{prefix}takes .* but {len(extra) + 1} were given$"):
+            cls(*extra)
 
     def test_the_first_bad_keyword_in_call_order_wins(self, cls, args, text, other):
         prefix = rf"^{cls.__qualname__}\.__init__\(\) got "
@@ -192,10 +198,67 @@ class TestBinder:
 
 
 def test_extra_positions_are_reported_before_a_bad_keyword():
+    # Python's order: the bad keyword is reported first
     with pytest.raises(TypeError) as caught:
         Conv(64, 3, 3, 1, 1, 1, 1, 1, False, 9, nope=1)
+    assert str(caught.value) == "Conv.__init__() got an unexpected keyword argument 'nope'"
+    with pytest.raises(TypeError) as caught:
+        Conv(64, 3, 3, 1, 1, 1, 1, 1, False, 9)
     assert str(caught.value) == \
         "Conv.__init__() takes from 4 to 10 positional arguments but 11 were given"
+
+
+def plain_init(cls):
+    """A plain ``def __init__(self, ...)`` with the signature of ``cls``."""
+    params = [f"{name}=None" if name in cls._defaults else name for name in cls._fields]
+    namespace: dict = {}
+    exec(f"def __init__(self, {', '.join(params)}): pass", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
+def type_error(call) -> str | None:
+    try:
+        call()
+    except TypeError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("cls, args, text, other", CASES, ids=IDS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_arguments_bind_as_a_plain_init_binds_them(cls, args, text, other, data):
+    values = cls(*args)._values()  # a valid value for each field
+    valid = dict(zip(cls._fields, values))
+    count = data.draw(st.integers(0, len(cls._fields) + 2), label="positions")
+    positions = [*values[:count], *[1] * (count - len(values))]
+    # drawn in random order: a call passes its keywords in this order
+    names = data.draw(st.lists(st.sampled_from([*cls._fields, "nope", "zap", "args", "kwargs"]),
+                               unique=True), label="keywords")
+    keywords = {name: valid.get(name, 1) for name in names}
+    expected = type_error(lambda: plain_init(cls)(None, *positions, **keywords))
+    assert type_error(lambda: cls(*positions, **keywords)) == expected
+
+
+def test_a_keyword_named_cls_is_given_twice():
+    # the binder's first parameter is named _cls, where a plain __init__ has self
+    for cls in (case[0] for case in CASES):
+        with pytest.raises(TypeError) as caught:
+            cls(_cls=1)
+        assert str(caught.value) == \
+            f"{cls.__qualname__}.__init__() got multiple values for argument '_cls'"
+
+
+@pytest.mark.parametrize("base", [Conv, Record], ids=lambda cls: cls.__name__)
+def test_a_required_field_after_a_defaulted_one_fails_when_the_class_is_made(base):
+    with pytest.raises(TypeError,
+                       match=r"\.Odd: non-default argument 'depth' follows default argument$"):
+        class Odd(base):
+            _check_of = base._check_of or {"int": int}
+            width: "int" = 1
+            depth: "int"
 
 
 def test_fieldless_kinds_differ_from_each_other():

@@ -1,7 +1,7 @@
 """The package's source keeps to its floors: it parses as the oldest Python
 that pyproject admits, it imports only the standard library and itself,
-it reads every name it imports, and it checks nothing with ``assert``,
-which ``python -O`` strips."""
+it reads every name it imports, it checks nothing with ``assert``,
+which ``python -O`` strips, and it runs no text as code."""
 import ast
 import re
 import sys
@@ -38,6 +38,14 @@ def test_module_parses_at_the_floor_and_imports_only_the_stdlib(path):
 def test_module_holds_no_assert(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_calls_no_exec_eval_or_compile(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("exec", "eval", "compile")] == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
