@@ -52,6 +52,21 @@ def _csv_text(header: tuple[str, ...], rows) -> str:
                     for row in (header, *rows)])
 
 
+def _render(fmt: str, header: tuple[str, ...], rows: list[tuple], line: str,
+            title: tuple = (), doc: object = None) -> str:
+    """CSV of ``header`` and ``rows``, JSON of ``doc`` (default: an object per row), or
+    a ``line.format`` line for ``title`` and each row, refusing a field's line break."""
+    if fmt == "csv":
+        return _csv_text(header, rows)
+    if fmt == "json":
+        return json.dumps([dict(zip(header, row)) for row in rows] if doc is None else doc,
+                          indent=2) + "\n"
+    for field in [field for row in rows for field in row if isinstance(field, str)]:
+        if "\n" in field or "\r" in field:
+            raise CliError(f"cannot write {field!r} on one line; use --format csv or json")
+    return "".join([line.format(*row) + "\n" for row in ([title] if title else []) + rows])
+
+
 def _gmadd_str(madds: int) -> str:
     return fmt2(Fraction(madds, _GIGA))
 
@@ -87,14 +102,12 @@ def _reports(args: argparse.Namespace, variants: Iterable[Variant]) -> list[Cost
 def _cmd_describe(args: argparse.Namespace) -> str:
     variant = Variant.parse(args.variant)
     [report] = _reports(args, [variant])
-    lines = [f"variant: {variant.value}", f"nodes: {len(report.per_node)}", ""]
-    lines.append(f"{'stage':<12} {'MAdd':>16} {'params':>12}")
-    for stage, (madds, params) in report.per_stage().items():
-        lines.append(f"{stage:<12} {madds:>16} {params:>12}")
-    lines.append("")
-    lines.append(f"total MAdd:   {report.total_madds} ({_gmadd_str(report.total_madds)} GMAdd)")
-    lines.append(f"total params: {report.total_params}")
-    return "\n".join(lines) + "\n"
+    rows = [(stage, *sums) for stage, sums in report.per_stage().items()]
+    stages = _render("table", (), rows, "{0:<12} {1:>16} {2:>12}",
+                     title=("stage", "MAdd", "params"))
+    return (f"variant: {variant.value}\nnodes: {len(report.per_node)}\n\n{stages}\n"
+            f"total MAdd:   {report.total_madds} ({_gmadd_str(report.total_madds)} GMAdd)\n"
+            f"total params: {report.total_params}\n")
 
 
 def _cmd_cost(args: argparse.Namespace) -> str:
@@ -103,12 +116,10 @@ def _cmd_cost(args: argparse.Namespace) -> str:
         return report.to_csv()
     if args.format == "json":
         return report.to_json() + "\n"
-    lines = [f"{'name':<28} {'kind':<16} {'MAdd':>14} {'params':>10}"]
-    for cost in report.per_node:
-        lines.append(f"{cost.name:<28} {cost.kind:<16} {cost.madds:>14} {cost.params:>10}")
-    lines.append(f"TOTAL {_gmadd_str(report.total_madds)} GMAdd")
-    lines.append(f"TOTAL {report.total_params} params")
-    return "\n".join(lines) + "\n"
+    table = _render("table", (), list(report.per_node), "{0:<28} {1:<16} {2:>14} {3:>10}",
+                    title=("name", "kind", "MAdd", "params"))
+    return (f"{table}TOTAL {_gmadd_str(report.total_madds)} GMAdd\n"
+            f"TOTAL {report.total_params} params\n")
 
 
 def _cmd_compare(args: argparse.Namespace) -> str:
@@ -117,27 +128,18 @@ def _cmd_compare(args: argparse.Namespace) -> str:
     header = ("name", "madds", "params", "gmadds", "madd_speedup")
     rows = [(variant.value, r.total_madds, r.total_params, _gmadd_str(r.total_madds),
              fmt2(Fraction(base, r.total_madds))) for variant, r in zip(Variant, reports)]
-    if args.format == "json":
-        return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
-    if args.format == "csv":
-        return _csv_text(header, rows)
-    lines = [f"{'name':<14} {'GMAdd':>8} {'params':>10} {'speedup':>8}"]
-    for name, _, params, gmadds, speedup in rows:
-        lines.append(f"{name:<14} {gmadds:>8} {params:>10} {speedup:>8}")
-    return "\n".join(lines) + "\n"
+    return _render(args.format, header, rows, "{0:<14} {3:>8} {2:>10} {4:>8}",
+                   title=("name", "", "params", "GMAdd", "speedup"))
 
 
 def _cmd_pareto(args: argparse.Namespace) -> str:
     points = _load_data(args)
     front = pareto_front(points, args.scope)
-    if args.format == "json":
-        return json.dumps({"scope": args.scope, "front": front}, indent=2) + "\n"
-    if args.format == "csv":
-        by_name = {p.name: p for p in points}
-        return _csv_text(("name", "gmadds", "map"),
-                         ((p.name, fmt2(p.gmadds), fmt2(map_of(p, args.scope)))
-                          for p in [by_name[name] for name in front]))
-    return "".join(name + "\n" for name in front)
+    by_name = {p.name: p for p in points}
+    rows = [(p.name, fmt2(p.gmadds), fmt2(map_of(p, args.scope)))
+            for p in [by_name[name] for name in front]]
+    return _render(args.format, ("name", "gmadds", "map"), rows, "{0}",
+                   doc={"scope": args.scope, "front": front})
 
 
 def _parse_speedups(items: list[str]) -> dict[str, Fraction | float]:
@@ -155,20 +157,15 @@ def _cmd_amdahl(args: argparse.Namespace) -> str:
     profile = TimingProfile.from_file(args.profile)
     speedups = _parse_speedups(args.speedup or [])
     fps = project_fps(profile, speedups)
-    pipeline = fps / profile.base_fps
     rows = [
         ("base_fps", fmt2(profile.base_fps)),
         ("projected_fps", fmt2(fps)),
-        ("pipeline_speedup", fmt2(pipeline)),
+        ("pipeline_speedup", fmt2(fps / profile.base_fps)),
     ]
     for stage, frac in profile.stage_fractions.items():
         limit = "inf" if frac == 1 else fmt2(amdahl_max(frac))  # 1/(1-p) is unbounded at p = 1
         rows.append((f"limit_speedup_{stage}", limit))
-    if args.format == "json":
-        return json.dumps(dict(rows), indent=2) + "\n"
-    if args.format == "csv":
-        return _csv_text(("quantity", "value"), rows)
-    return "".join(f"{name:<22} {value}\n" for name, value in rows)
+    return _render(args.format, ("quantity", "value"), rows, "{0:<22} {1}", doc=dict(rows))
 
 
 def _cmd_plot(args: argparse.Namespace) -> str:
@@ -262,9 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DOMAIN_ERRORS = (PillarcostError, OSError)
-
-
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -281,7 +275,7 @@ def run(argv: list[str] | None = None) -> int:
             except UnicodeEncodeError as err:
                 raise CliError(f"cannot write to standard output: {err}; "
                                "use --output PATH to write UTF-8") from None
-    except _DOMAIN_ERRORS as err:
+    except (PillarcostError, OSError) as err:
         message = str(err).replace("\n", " ") or err.__class__.__name__
         print(f"error: {message}", file=sys.stderr)
         return 1

@@ -450,10 +450,10 @@ class Graph:
                  name: str = "") -> int:
         """Append a node fed by ``inputs`` (list of (producer id, output port)).
 
-        An empty name becomes ``<kind>_<id>``.  Raises GraphError for an
-        unknown input, a wrong number of inputs, or a name that is not a
-        ``str``, holds a character UTF-8 cannot encode (a lone surrogate) or
-        is taken; on error the graph is left unchanged.
+        An empty name becomes ``<kind>_<id>``.  Raises GraphError, leaving
+        the graph unchanged, for a wrong number of inputs, an input that is
+        not a pair of integers or names no output, or a name that is not a
+        ``str``, holds a lone surrogate (UTF-8 cannot encode it) or is taken.
         """
         inputs = tuple(inputs)
         lo, hi = spec.arity
@@ -463,16 +463,20 @@ class Graph:
                 f"{spec.kind} node {name!r} takes {want} inputs, got {len(inputs)}")
         nodes, outputs, names = self._nodes, self._outputs, self._names
         node_id = len(nodes)
-        for src, port in inputs:
-            if type(src) is not int or type(port) is not int:
-                raise GraphError(
-                    f"node {name!r} input {(src, port)!r} is not a pair of integers")
-            if not 0 <= src < node_id:
-                raise GraphError(f"node {name!r} references unknown input {src}")
-            if not 0 <= port < outputs[src]:
-                raise GraphError(
-                    f"node {name!r} references port {port} of node {src}, "
-                    f"which has {outputs[src]} outputs")
+        try:
+            for item in inputs:
+                src, port = item
+                if type(src) is not int or type(port) is not int:
+                    raise ValueError
+                if not 0 <= src < node_id:
+                    raise GraphError(f"node {name!r} references unknown input {src}")
+                if not 0 <= port < outputs[src]:
+                    raise GraphError(
+                        f"node {name!r} references port {port} of node {src}, "
+                        f"which has {outputs[src]} outputs")
+        except (TypeError, ValueError):  # not two items, or not two integers
+            raise GraphError(
+                f"node {name!r} input {item!r} is not a pair of integers") from None
         if type(name) is not str:
             raise GraphError(f"node name {name!r} is not a string")
         if not name:

@@ -245,6 +245,17 @@ class TestAddNode:
             g.add_node(ReLU(), [(split, 2)], name="bad")
         assert len(g) == 6
 
+    @pytest.mark.parametrize("bad", [(0,), (0, 0, 0), 0, None],
+                             ids=["one_item", "three_items", "int", "none"])
+    def test_an_input_that_is_not_two_items_is_refused(self, bad):
+        # unpacking it raises ValueError or TypeError, which add_node names
+        g = small_chain()
+        before = (g.nodes, g.edges)
+        with pytest.raises(GraphError) as info:
+            g.add_node(ReLU(), [bad], name="bad")
+        assert str(info.value) == f"node 'bad' input {bad!r} is not a pair of integers"
+        assert (g.nodes, g.edges) == before
+
     def test_arity_enforced(self):
         g = small_chain()
         with pytest.raises(GraphError, match="^add node 'lonely_add' takes >= 2 inputs, got 1$"):

@@ -1,7 +1,8 @@
 """The package's source keeps to its floors: it parses as the oldest Python
 that pyproject admits, it imports only the standard library and itself,
 it reads every name it imports, it checks nothing with ``assert``,
-which ``python -O`` strips, and it runs no text as code."""
+which ``python -O`` strips, it runs no text as code, and its commands
+write CSV and JSON only through the command line's one writer."""
 import ast
 import re
 import sys
@@ -60,3 +61,14 @@ def test_module_reads_every_name_it_imports(path):
     if path.name == "__init__.py":
         read |= set(pillarcost.__all__)
     assert sorted(bound - read) == []
+
+
+def test_commands_write_csv_and_json_only_through_the_writer():
+    # every cli._cmd_* gets its CSV and JSON from cli._render (cost's from
+    # CostReport), so each form is written in one place
+    tree = ast.parse((ROOT / "src" / "pillarcost" / "cli.py").read_text(encoding="utf-8"))
+    writers = {"json.dumps", "dumps", "_csv_text"}
+    calls = [(func.name, ast.unparse(node.func)) for func in tree.body
+             if isinstance(func, ast.FunctionDef) and func.name.startswith("_cmd_")
+             for node in ast.walk(func) if isinstance(node, ast.Call)]
+    assert [call for call in calls if call[1] in writers] == []
