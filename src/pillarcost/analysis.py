@@ -9,7 +9,7 @@ from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
-from .core import PillarcostError, Record, exact_fraction, read_json
+from .core import PillarcostError, Record, _set, exact_fraction, read_json
 
 CLASSES = ("Car", "Pedestrian", "Cyclist")
 DIFFICULTIES = ("Easy", "Moderate", "Hard")
@@ -45,6 +45,7 @@ class DesignPoint(Record):
     fps_total: Fraction | None = None
 
     def __post_init__(self) -> None:
+        _set(self, "ap", dict(self.ap))  # the caller's dict may change later
         if self.gmadds <= 0:
             raise AnalysisError(f"{self.name}: gmadds must be positive")
         for field in ("fps_backbone", "fps_total"):
@@ -101,19 +102,17 @@ def amdahl(fraction: Fraction | float, stage_speedup: Fraction | float) -> Fract
     limit = amdahl_max(fraction)  # checks the fraction
     if stage_speedup == float("inf"):
         return limit
-    s = Fraction(stage_speedup)
-    if s <= 0:
+    if not stage_speedup > 0:  # compared before Fraction, which refuses -inf and nan
         raise AnalysisError(f"stage speedup must be positive, got {stage_speedup}")
     p = Fraction(fraction)
-    return 1 / ((1 - p) + p / s)
+    return 1 / ((1 - p) + p / Fraction(stage_speedup))
 
 
 def amdahl_max(fraction: Fraction | float) -> Fraction:
     """Limit speedup 1/(1-p) as the stage's own speedup grows unbounded."""
-    p = Fraction(fraction)
-    if not 0 < p < 1:
+    if not 0 < fraction < 1:  # compared before Fraction, which refuses nan and inf
         raise AnalysisError(f"stage fraction must be in (0, 1), got {fraction}")
-    return 1 / (1 - p)
+    return 1 / (1 - Fraction(fraction))
 
 
 class TimingProfile(Record):
@@ -124,6 +123,7 @@ class TimingProfile(Record):
     base_latency_ms: Fraction
 
     def __post_init__(self) -> None:
+        _set(self, "stage_fractions", dict(self.stage_fractions))  # as DesignPoint.ap
         if self.base_latency_ms <= 0:
             raise AnalysisError("base latency must be positive")
         for stage, frac in self.stage_fractions.items():
@@ -162,10 +162,9 @@ def project_fps(profile: TimingProfile,
         s = speedups.get(stage, 1)
         if s == float("inf"):
             continue
-        s = Fraction(s)
-        if s <= 0:
+        if not s > 0:  # before Fraction, as in amdahl
             raise AnalysisError(f"stage {stage!r} speedup must be positive")
-        total += frac / s
+        total += frac / Fraction(s)
     if total <= 0:
         raise AnalysisError("all pipeline time was accelerated away")
     return 1000 / (profile.base_latency_ms * total)

@@ -98,14 +98,14 @@ def graph_cost(graph: Graph, count_batchnorm: bool = True) -> CostReport:
 
     ``count_batchnorm=False`` treats BatchNorm as folded into the preceding
     convolution (0 MAdd, 0 params).  Each entry of ``shape_table`` is costed
-    once per call, and the rows are assembled from the entry index by
-    ``zip`` and ``map``, with no Python loop over the nodes.
+    once per call, at its own output shapes, and the rows are assembled from
+    the entry index by ``zip`` and ``map``, with no Python loop over the nodes.
     """
     index, entries = shape_table(graph)
     kinds, madds, params = zip(*[
-        (spec.kind, spec.madds(in_shapes), spec.params(in_shapes))
+        (spec.kind, *spec.cost(in_shapes, out_shapes))
         if count_batchnorm or not isinstance(spec, BatchNorm) else (spec.kind, 0, 0)
-        for spec, in_shapes, _ in entries])
+        for spec, in_shapes, out_shapes in entries])
     # each node's entry's values; the extra item, which zip drops, keeps
     # the result a tuple for a one-node graph
     pick = itemgetter(*index, 0)

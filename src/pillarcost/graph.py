@@ -134,11 +134,16 @@ class NodeSpec(Record):
         (s,) = input_shapes
         return [s]
 
+    def cost(self, input_shapes: list[TensorShape],
+             output_shapes: list[TensorShape]) -> tuple[int, int]:
+        """(MAdds, params), read off the shapes that ``output_shapes`` gave."""
+        return 0, 0
+
     def madds(self, input_shapes: list[TensorShape]) -> int:
-        return 0
+        return self.cost(input_shapes, self.output_shapes(input_shapes))[0]
 
     def params(self, input_shapes: list[TensorShape]) -> int:
-        return 0
+        return self.cost(input_shapes, self.output_shapes(input_shapes))[1]
 
 
 class Input(NodeSpec):
@@ -171,41 +176,29 @@ class _Window(NodeSpec):
 
 
 class _Conv(_Window):
-    """What Conv and TransposedConv share: the group check, the weight count,
-    and one MAdd per weight at every pixel the kernel is applied to.  They
-    differ in which pixels those are (``_kernel_pixels``) and in the spatial
-    rule (``_out_hw``)."""
+    """What Conv and TransposedConv share: the group check, made by the shape
+    rule alone, and a cost read off the shapes that rule gave: the weight
+    count, and one MAdd per weight at every pixel the kernel is applied to.
+    They differ in which pixels those are (``_kernel_pixels`` of the input
+    and output shapes) and in the spatial rule (``_out_hw``)."""
 
-    def _input(self, input_shapes: list[TensorShape]) -> TensorShape:
-        """The one input shape, once its channels and ``out_channels`` are
-        known to split into ``groups``."""
+    def output_shapes(self, input_shapes: list[TensorShape]) -> list[TensorShape]:
         (s,) = input_shapes
         if s.channels % self.groups or self.out_channels % self.groups:
             raise ShapeError(
                 f"{self.kind} channels ({s.channels} -> {self.out_channels}) "
                 f"not divisible by groups={self.groups}")
-        return s
+        return [TensorShape(self.out_channels, *self._out_hw(s))]
 
-    def output_shapes(self, input_shapes: list[TensorShape]) -> list[TensorShape]:
-        return [TensorShape(self.out_channels, *self._out_hw(self._input(input_shapes)))]
-
-    def _weights(self, si: TensorShape) -> int:
-        return (self.out_channels * (si.channels // self.groups)
-                * self.kernel_h * self.kernel_w)
-
-    def madds(self, input_shapes: list[TensorShape]) -> int:
-        """Weights times kernel pixels, plus one per output element for the
-        bias."""
-        si = self._input(input_shapes)
-        h, w = self._out_hw(si)
-        macs = self._weights(si) * self._kernel_pixels(si, h * w)
-        if self.has_bias:
-            macs += self.out_channels * h * w
-        return macs
-
-    def params(self, input_shapes: list[TensorShape]) -> int:
+    def cost(self, input_shapes: list[TensorShape],
+             output_shapes: list[TensorShape]) -> tuple[int, int]:
+        """Weights times kernel pixels; a bias adds one MAdd per output
+        element and one parameter per output channel."""
+        (si,), (so,) = input_shapes, output_shapes
+        weights = (self.out_channels * (si.channels // self.groups)
+                   * self.kernel_h * self.kernel_w)
         bias = self.out_channels if self.has_bias else 0
-        return self._weights(self._input(input_shapes)) + bias
+        return weights * self._kernel_pixels(si, so) + bias * so.pixels, weights + bias
 
 
 class Conv(_Conv):
@@ -220,8 +213,8 @@ class Conv(_Conv):
     groups: Count = 1
     has_bias: bool = False
 
-    def _kernel_pixels(self, si: TensorShape, out_pixels: int) -> int:
-        return out_pixels
+    def _kernel_pixels(self, si: TensorShape, so: TensorShape) -> int:
+        return so.pixels
 
 
 class TransposedConv(_Conv):
@@ -245,7 +238,7 @@ class TransposedConv(_Conv):
             raise ShapeError(f"transposed conv output dims {h}x{w}")
         return h, w
 
-    def _kernel_pixels(self, si: TensorShape, out_pixels: int) -> int:
+    def _kernel_pixels(self, si: TensorShape, so: TensorShape) -> int:
         # each input pixel is multiplied by the full kernel before the
         # strided scatter-add
         return si.pixels
@@ -254,14 +247,11 @@ class TransposedConv(_Conv):
 class BatchNorm(NodeSpec):
     kind: ClassVar[str] = "batch_norm"
 
-    def madds(self, input_shapes: list[TensorShape]) -> int:
-        """One fused scale-and-shift per element."""
+    def cost(self, input_shapes: list[TensorShape],
+             output_shapes: list[TensorShape]) -> tuple[int, int]:
+        """One fused scale-and-shift per element; a scale and a shift per channel."""
         (si,) = input_shapes
-        return si.channels * si.pixels
-
-    def params(self, input_shapes: list[TensorShape]) -> int:
-        (si,) = input_shapes
-        return 2 * si.channels  # scale and shift per channel
+        return si.channels * si.pixels, 2 * si.channels
 
 
 class ReLU(NodeSpec):

@@ -65,6 +65,13 @@ class TestDesignPoint:
         with pytest.raises(AnalysisError):
             point("x", 1, 101)
 
+    def test_keeps_its_own_copy_of_the_ap_dict(self):
+        ap = {(c, d): Fraction(50) for c in CLASSES for d in DIFFS}
+        checked = DesignPoint(name="x", gmadds=Fraction(1), ap=ap)
+        ap[("Car", "Easy")] = Fraction(1000)  # out of range, after the check
+        assert checked.ap[("Car", "Easy")] == 50
+        assert map_of(checked) == 50
+
     @pytest.mark.parametrize("field", ["fps_backbone", "fps_total"])
     @pytest.mark.parametrize("value", [0, -5, Fraction(-1, 2)],
                              ids=["zero", "minus5", "minus_half"])
@@ -136,7 +143,9 @@ class TestAmdahl:
         assert values == sorted(values)
         assert all(v < amdahl_max(Fraction(2, 5)) for v in values[1:])
 
-    @pytest.mark.parametrize("p", [0, 1, Fraction(3, 2), -1])
+    # Fraction refuses nan (ValueError) and the infinities (OverflowError)
+    @pytest.mark.parametrize("p", [0, 1, Fraction(3, 2), -1, float("nan"), float("-inf"),
+                                   float("inf")])
     def test_fraction_domain(self, p):
         with pytest.raises(AnalysisError, match=rf"^stage fraction must be in \(0, 1\), got {p}$"):
             amdahl_max(p)
@@ -146,6 +155,13 @@ class TestAmdahl:
     def test_speedup_domain(self):
         with pytest.raises(AnalysisError, match="^stage speedup must be positive, got 0$"):
             amdahl(Fraction(1, 2), 0)
+
+    @pytest.mark.parametrize("speedup", [float("-inf"), float("nan")], ids=["-inf", "nan"])
+    def test_nan_or_minus_infinite_speedup_is_refused(self, speedup):
+        # Fraction raises OverflowError for -inf and ValueError for nan
+        with pytest.raises(AnalysisError,
+                           match=f"^stage speedup must be positive, got {speedup}$"):
+            amdahl(Fraction(1, 2), speedup)
 
 
 def profile(**fractions):
@@ -182,6 +198,14 @@ class TestTimingProfile:
                         f'"base_latency_ms": {latency}}}')
         assert TimingProfile.from_file(path).base_fps == fps
         assert TimingProfile({}, Fraction(latency.strip('"'))).base_fps == fps
+
+    def test_keeps_its_own_copy_of_the_fractions_dict(self):
+        fractions = {"backbone": Fraction(1, 2), "head": Fraction(1, 4)}
+        prof = TimingProfile(fractions, base_latency_ms=Fraction(100))
+        fractions["backbone"] = Fraction(-1)  # negative, after the check
+        fractions["head"] = Fraction(9, 10)  # and a sum over 1
+        assert prof.stage_fractions == {"backbone": Fraction(1, 2), "head": Fraction(1, 4)}
+        assert project_fps(prof, {"backbone": float("inf")}) == 20  # head and the rest
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "timing.json"
@@ -253,6 +277,11 @@ class TestProjectFps:
     def test_non_positive_speedup_rejected(self):
         with pytest.raises(AnalysisError, match="^stage 'backbone' speedup must be positive$"):
             project_fps(profile(backbone="1/2"), {"backbone": 0})
+
+    @pytest.mark.parametrize("speedup", [float("-inf"), float("nan")], ids=["-inf", "nan"])
+    def test_nan_or_minus_infinite_speedup_is_refused(self, speedup):
+        with pytest.raises(AnalysisError, match="^stage 'backbone' speedup must be positive$"):
+            project_fps(profile(backbone="1/2"), {"backbone": speedup})
 
     def test_everything_accelerated_away_rejected(self):
         prof = TimingProfile({"all": Fraction(1)}, Fraction(100))

@@ -14,9 +14,9 @@ from pillarcost.arch import ArchConfig, Variant, build_pointpillars
 from pillarcost.cost import CostReport, NodeCost, graph_cost
 from pillarcost.graph import (
     Add, BatchNorm, ChannelShuffle, Concat, Conv, Graph, Input, MaxPool, ReLU,
-    Scatter, ShapeError, TensorShape, TransposedConv,
+    Scatter, ShapeError, TensorShape, TransposedConv, _Window,
 )
-from pillarcost.shapes import infer_all, node_output_shape
+from pillarcost.shapes import infer_all, node_output_shape, shape_table
 
 
 def conv_madds_oracle(spec: Conv, shape: TensorShape) -> int:
@@ -131,8 +131,8 @@ S = TensorShape
 
 
 class TestInconsistentShapes:
-    """A cost method checks its input as the shape rule does: a group
-    mismatch raises the shape walk's own ShapeError text."""
+    """A cost method raises where the kind's shape rule does, with the
+    rule's own ShapeError text: the rule is the one check of the inputs."""
 
     @pytest.mark.parametrize("spec,shape,text", [
         (Conv(4, 1, 1, groups=2), S(3, 4, 4),
@@ -145,6 +145,37 @@ class TestInconsistentShapes:
         with pytest.raises(ShapeError) as info:
             getattr(spec, method)([shape])
         assert str(info.value) == text
+
+    @pytest.mark.parametrize("spec,shapes,text", [
+        (Conv(8, 5, 5), [S(3, 2, 2)],
+         "conv height: window (k=5, s=1, p=0) over size 2 yields output dim -2"),
+        (Add(), [S(4, 4, 4), S(4, 2, 2)],
+         "add inputs differ: TensorShape(channels=4, height=4, width=4) vs "
+         "TensorShape(channels=4, height=2, width=2)"),
+        (ChannelShuffle(3), [S(4, 4, 4)], "4 channels not divisible by shuffle groups=3"),
+    ], ids=["window_too_small", "add_mismatch", "shuffle_groups"])
+    @pytest.mark.parametrize("method", ["output_shapes", "madds", "params"])
+    def test_shape_rule_error(self, spec, shapes, text, method):
+        with pytest.raises(ShapeError) as info:
+            getattr(spec, method)(shapes)
+        assert str(info.value) == text
+
+
+def test_graph_cost_runs_each_window_rule_once_per_entry(monkeypatch):
+    # the shape walk derives each entry's output size; the cost reads it
+    calls = Counter()
+    for cls in (_Window, TransposedConv):
+        def counted(self, s, rule=vars(cls)["_out_hw"]):
+            calls[id(self), s] += 1
+            return rule(self, s)
+        monkeypatch.setattr(cls, "_out_hw", counted)
+    for variant in Variant:
+        graph = build_pointpillars(variant)
+        windows = {(id(spec), in_shapes[0]) for spec, in_shapes, _ in shape_table(graph)[1]
+                   if isinstance(spec, _Window)}
+        calls.clear()
+        graph_cost(graph)
+        assert set(calls) == windows and set(calls.values()) == {1}, variant
 
 
 class TestGraphCost:

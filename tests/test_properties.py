@@ -45,6 +45,28 @@ def test_conv_madds_equal_params_times_output_pixels(spec, shape):
     assert spec.madds([shape]) == spec.params([shape]) * outs[0].pixels
 
 
+transposed_convs = st.builds(
+    TransposedConv,
+    out_channels=st.integers(1, 16),
+    kernel_h=st.integers(1, 3), kernel_w=st.integers(1, 3),
+    stride_h=st.integers(1, 2), stride_w=st.integers(1, 2),
+    pad_h=st.integers(0, 3), pad_w=st.integers(0, 3),
+    groups=st.integers(1, 4),
+    has_bias=st.booleans())
+
+
+@given(spec=st.one_of(convs, transposed_convs), shape=shapes)
+def test_conv_cost_raises_exactly_when_its_shape_rule_does(spec, shape):
+    def error_of(method):
+        try:
+            method([shape])
+        except ShapeError as err:
+            return str(err)
+        return None
+
+    assert error_of(spec.madds) == error_of(spec.params) == error_of(spec.output_shapes)
+
+
 @given(spec=convs, shape=shapes)
 def test_conv_cost_scales_linearly_in_output_channels(spec, shape):
     try:

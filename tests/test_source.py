@@ -1,8 +1,9 @@
 """The package's source keeps to its floors: it parses as the oldest Python
 that pyproject admits, it imports only the standard library and itself,
 it reads every name it imports, it checks nothing with ``assert``,
-which ``python -O`` strips, it runs no text as code, and its commands
-write CSV and JSON only through the command line's one writer."""
+which ``python -O`` strips, it runs no text as code, its commands
+write CSV and JSON only through the command line's one writer, and each
+node kind states its cost in one method."""
 import ast
 import re
 import sys
@@ -72,3 +73,14 @@ def test_commands_write_csv_and_json_only_through_the_writer():
              if isinstance(func, ast.FunctionDef) and func.name.startswith("_cmd_")
              for node in ast.walk(func) if isinstance(node, ast.Call)]
     assert [call for call in calls if call[1] in writers] == []
+
+
+def test_node_kinds_state_their_cost_only_in_cost():
+    # madds() and params() read cost() on the base class; a kind overrides
+    # cost(), so each kind's MAdds and parameters are stated together, once
+    tree = ast.parse((ROOT / "src" / "pillarcost" / "graph.py").read_text(encoding="utf-8"))
+    methods = {cls.name: {func.name for func in cls.body if isinstance(func, ast.FunctionDef)}
+               for cls in tree.body if isinstance(cls, ast.ClassDef)}
+    assert [name for name, defs in methods.items() if defs & {"madds", "params"}] == ["NodeSpec"]
+    assert {"NodeSpec", "_Conv", "BatchNorm"} <= {
+        name for name, defs in methods.items() if "cost" in defs}
