@@ -181,13 +181,13 @@ def _conv(g: Graph, src: int, name: str, out_ch: int,
     Its channels are checked against ``groups`` by the shape walk."""
     spec = g.spec(Conv, out_ch, kernel[0], kernel[1], stride, stride,
                   kernel[0] // 2, kernel[1] // 2, groups, bias)
-    return g.add_node(spec, [(src, port)], name)
+    return g.add_node(spec, ((src, port),), name)
 
 
 def _bn_relu(g: Graph, src: int, prefix: str, relu: bool = True) -> int:
-    node = g.add_node(_BATCH_NORM, [(src, 0)], f"{prefix}.bn")
+    node = g.add_node(_BATCH_NORM, ((src, 0),), f"{prefix}.bn")
     if relu:
-        node = g.add_node(_RELU, [(node, 0)], f"{prefix}.relu")
+        node = g.add_node(_RELU, ((node, 0),), f"{prefix}.relu")
     return node
 
 
@@ -215,8 +215,8 @@ def _skip(g: Graph, src: int, name: str, in_ch: int, out_ch: int,
 
 def _add_relu(g: Graph, skip: int, node: int, name: str) -> int:
     """A residual unit's tail: ``skip + node``, then ReLU."""
-    node = g.add_node(_ADD, [(skip, 0), (node, 0)], f"{name}.add")
-    return g.add_node(_RELU, [(node, 0)], f"{name}.out_relu")
+    node = g.add_node(_ADD, ((skip, 0), (node, 0)), f"{name}.add")
+    return g.add_node(_RELU, ((node, 0),), f"{name}.out_relu")
 
 
 def _frac_channels(total: int, ratio: Fraction, name: str) -> int:
@@ -276,13 +276,13 @@ def _unit_mobilenet_v2(g, src, in_ch, out_ch, stride, name, cfg) -> int:
     node = _dw(g, node, f"{name}.dw", hidden, stride)
     node = _cbr(g, node, f"{name}.project", out_ch, (1, 1), relu=False)
     if stride == 1 and in_ch == out_ch:
-        node = g.add_node(_ADD, [(src, 0), (node, 0)], f"{name}.add")
+        node = g.add_node(_ADD, ((src, 0), (node, 0)), f"{name}.add")
     return node
 
 
 def _shuffle_branch(g, src, name, out_ch, stride, groups) -> int:
     node = _cbr(g, src, f"{name}.gconv1", out_ch, (1, 1), groups=groups)
-    node = g.add_node(g.spec(ChannelShuffle, groups), [(node, 0)], f"{name}.shuffle")
+    node = g.add_node(g.spec(ChannelShuffle, groups), ((node, 0),), f"{name}.shuffle")
     node = _dw(g, node, f"{name}.dw", out_ch, stride, relu=False)
     return _cbr(g, node, f"{name}.gconv2", out_ch, (1, 1), groups=groups, relu=False)
 
@@ -295,8 +295,8 @@ def _unit_shufflenet_v1(g, src, in_ch, out_ch, stride, name, cfg) -> int:
         # downsampling unit: pooled identity concatenated with the branch
         branch = _shuffle_branch(g, src, name, out_ch - in_ch, 2, groups)
         skip = _pool(g, src, f"{name}.pool")
-        node = g.add_node(_CONCAT, [(skip, 0), (branch, 0)], f"{name}.concat")
-        return g.add_node(_RELU, [(node, 0)], f"{name}.out_relu")
+        node = g.add_node(_CONCAT, ((skip, 0), (branch, 0)), f"{name}.concat")
+        return g.add_node(_RELU, ((node, 0),), f"{name}.out_relu")
     branch = _shuffle_branch(g, src, name, out_ch, stride, groups)
     return _add_relu(g, _skip(g, src, name, in_ch, out_ch, stride), branch, name)
 
@@ -306,13 +306,13 @@ def _shufflenet_v2_unit(g, src, in_ch, out_ch, stride, name, cfg) -> int:
         if in_ch != out_ch or in_ch % 2:
             raise ArchError(f"{name}: stride-1 unit needs even, equal in/out channels")
         c = in_ch // 2
-        split = g.add_node(_SPLIT_HALVES, [(src, 0)], f"{name}.split")
+        split = g.add_node(_SPLIT_HALVES, ((src, 0),), f"{name}.split")
         node = _conv(g, split, f"{name}.pw1.conv", c, port=1)
         node = _bn_relu(g, node, f"{name}.pw1")
         node = _dw(g, node, f"{name}.dw", c, 1, relu=False)
         node = _cbr(g, node, f"{name}.pw2", c, (1, 1))
-        node = g.add_node(_CONCAT, [(split, 0), (node, 0)], f"{name}.concat")
-        return g.add_node(_SHUFFLE_2, [(node, 0)], f"{name}.shuffle")
+        node = g.add_node(_CONCAT, ((split, 0), (node, 0)), f"{name}.concat")
+        return g.add_node(_SHUFFLE_2, ((node, 0),), f"{name}.shuffle")
 
     if out_ch % 2:
         raise ArchError(f"{name}: output channels must be even")
@@ -322,14 +322,14 @@ def _shufflenet_v2_unit(g, src, in_ch, out_ch, stride, name, cfg) -> int:
     right = _cbr(g, src, f"{name}.right.pw1", branch, (1, 1))
     right = _dw(g, right, f"{name}.right.dw", branch, 2, relu=False)
     right = _cbr(g, right, f"{name}.right.pw2", branch, (1, 1))
-    node = g.add_node(_CONCAT, [(left, 0), (right, 0)], f"{name}.concat")
-    return g.add_node(_SHUFFLE_2, [(node, 0)], f"{name}.shuffle")
+    node = g.add_node(_CONCAT, ((left, 0), (right, 0)), f"{name}.concat")
+    return g.add_node(_SHUFFLE_2, ((node, 0),), f"{name}.shuffle")
 
 
 def _darknet_unit(g, src, channels, hidden, name) -> int:
     node = _cbr(g, src, f"{name}.reduce", hidden, (1, 1))
     node = _cbr(g, node, f"{name}.conv3x3", channels)
-    return g.add_node(_ADD, [(src, 0), (node, 0)], f"{name}.add")
+    return g.add_node(_ADD, ((src, 0), (node, 0)), f"{name}.add")
 
 
 def _sepconv(g, src, name, in_ch, out_ch) -> int:
@@ -339,7 +339,7 @@ def _sepconv(g, src, name, in_ch, out_ch) -> int:
 
 
 def _pool(g, src, name) -> int:
-    return g.add_node(_POOL_3X3_S2, [(src, 0)], name)
+    return g.add_node(_POOL_3X3_S2, ((src, 0),), name)
 
 
 def _unit_xception(g, src, in_ch, out_ch, stride, name, single: bool) -> int:
@@ -354,7 +354,7 @@ def _unit_xception(g, src, in_ch, out_ch, stride, name, single: bool) -> int:
     if not single:
         node = _sepconv(g, node, f"{name}.sep2", out_ch, out_ch)
     skip = _skip(g, src, name, in_ch, out_ch, stride)
-    return g.add_node(_ADD, [(skip, 0), (node, 0)], f"{name}.add")
+    return g.add_node(_ADD, ((skip, 0), (node, 0)), f"{name}.add")
 
 
 _UNIT_BUILDERS = {
@@ -406,7 +406,7 @@ def _block_cspdarknet(g, src, in_ch, out_ch, units, stride, prefix, cfg,
     for i in range(1, units):
         lane = _darknet_unit(g, lane, lane_ch, out_ch // 2, f"{prefix}.unit{i}")
     lane = _cbr(g, lane, f"{prefix}.post", lane_ch, (1, 1))
-    node = g.add_node(_CONCAT, [(skip, 0), (lane, 0)], f"{prefix}.concat")
+    node = g.add_node(_CONCAT, ((skip, 0), (lane, 0)), f"{prefix}.concat")
     return _cbr(g, node, f"{prefix}.final", out_ch, (1, 1))
 
 
@@ -465,9 +465,9 @@ def build_pointpillars(variant: Variant, cfg: ArchConfig | None = None) -> Graph
         name="pfn.input")
     node = _cbr(g, pfn_in, "pfn.linear", cfg.pseudo_image_channels, (1, 1))
     node = g.add_node(MaxPool(1, cfg.points_per_pillar, 1, cfg.points_per_pillar),
-                      [(node, 0)], "pfn.maxpool")
+                      ((node, 0),), "pfn.maxpool")
     node = g.add_node(Scatter(cfg.pseudo_image_height, cfg.pseudo_image_width),
-                      [(node, 0)], "pfn.scatter")
+                      ((node, 0),), "pfn.scatter")
 
     # neck: one transposed conv per backbone block output, then channel concat
     branches: list[int] = []
@@ -475,10 +475,10 @@ def build_pointpillars(variant: Variant, cfg: ArchConfig | None = None) -> Graph
             zip(_backbone(g, node, variant, cfg), cfg.neck_out_channels, cfg.neck_upsample)):
         name = f"neck.branch{i + 1}"
         branch = g.add_node(g.spec(TransposedConv, out_ch, up, up, up, up),
-                            [(src, 0)], f"{name}.deconv")
+                            ((src, 0),), f"{name}.deconv")
         branch = _bn_relu(g, branch, name)
         branches.append(branch)
-    neck = g.add_node(_CONCAT, [(b, 0) for b in branches], "neck.concat")
+    neck = g.add_node(_CONCAT, tuple((b, 0) for b in branches), "neck.concat")
 
     # SSD-style head: parallel 1x1 predictors (with bias; no BN follows)
     for name, out_ch in (

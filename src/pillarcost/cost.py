@@ -90,9 +90,6 @@ class CostReport(Record):
                 f'  "total_madds": {madds},\n  "total_params": {params}\n}}')
 
 
-_NAME = itemgetter(2)  # of a Node
-
-
 def graph_cost(graph: Graph, count_batchnorm: bool = True) -> CostReport:
     """Cost every node of a valid single-input graph.
 
@@ -109,5 +106,5 @@ def graph_cost(graph: Graph, count_batchnorm: bool = True) -> CostReport:
     # each node's entry's values; the extra item, which zip drops, keeps
     # the result a tuple for a one-node graph
     pick = itemgetter(*index, 0)
-    rows = zip(map(_NAME, graph.nodes), pick(kinds), pick(madds), pick(params))
+    rows = zip(graph.columns()[1], pick(kinds), pick(madds), pick(params))
     return CostReport(tuple(map(tuple.__new__, repeat(NodeCost), rows)))

@@ -1,8 +1,10 @@
 """Typed DAG representation of 2D convolutional network structure.
 
-Nodes carry layer attributes only (no tensors, no weights) and their inputs:
-one (producer id, producer output port) pair per input port.  Graphs are
-append-only during construction and treated as immutable afterwards.
+A graph keeps three columns indexed by node id: each node's spec (layer
+attributes only: no tensors, no weights), its name and its inputs, one
+(producer id, producer output port) pair per input port.  ``Node`` tuples
+are built from the columns on request.  Graphs are append-only during
+construction and treated as immutable afterwards.
 """
 from __future__ import annotations
 
@@ -391,31 +393,46 @@ class Graph:
     inputs, and accepts only producers that already exist, through output
     ports they have.  So node ids are dense, insertion order is topological,
     names are unique, and every node has exactly the inputs its kind needs.
+    Nodes are kept as columns (see the module doc), not as ``Node`` tuples.
     """
 
     def __init__(self) -> None:
-        self._nodes: list[Node] = []
+        self._spec_col: list[NodeSpec] = []
+        self._name_col: list[str] = []
+        self._input_col: list[tuple[tuple[int, int], ...]] = []
         self._names: set[str] = set()
-        self._outputs: list[int] = []  # output-port count per node id
-        self._specs: dict[tuple[type, bytes], NodeSpec] = {}  # see spec()
+        self._shared_specs: dict[tuple[type, bytes], NodeSpec] = {}  # see spec()
+
+    def columns(self) -> tuple[tuple[NodeSpec, ...], tuple[str, ...], tuple[tuple, ...]]:
+        """(spec, name, inputs) per node id: three fresh tuples."""
+        return tuple(self._spec_col), tuple(self._name_col), tuple(self._input_col)
 
     @property
     def nodes(self) -> tuple[Node, ...]:
-        return tuple(self._nodes)
+        """A new ``Node`` per node, in id order, on each call."""
+        return tuple(map(Node, range(len(self)), *self.columns()))
 
     @property
     def edges(self) -> tuple[Edge, ...]:
         """Every input as an edge, in consumer id order, then port order."""
-        return tuple(Edge(src, port, node.id, dst_port) for node in self._nodes
-                     for dst_port, (src, port) in enumerate(node.inputs))
+        return tuple(Edge(src, port, dst, dst_port)
+                     for dst, feeds in enumerate(self._input_col)
+                     for dst_port, (src, port) in enumerate(feeds))
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._spec_col)
+
+    def _check_id(self, node_id: int) -> int:
+        if type(node_id) is not int:
+            raise GraphError(f"node id {typed_repr(node_id)} is not an int")
+        if not 0 <= node_id < len(self._spec_col):
+            raise GraphError(f"no node with id {node_id}")
+        return node_id
 
     def node(self, node_id: int) -> Node:
-        if not 0 <= node_id < len(self._nodes):
-            raise GraphError(f"no node with id {node_id}")
-        return self._nodes[node_id]
+        """A new ``Node`` for ``node_id`` on each call."""
+        i = self._check_id(node_id)
+        return Node(i, self._spec_col[i], self._name_col[i], self._input_col[i])
 
     def spec(self, cls: type[NodeSpec], *args) -> NodeSpec:
         """``cls(*args)``, made once per distinct value among this graph's
@@ -431,19 +448,21 @@ class Graph:
             key = (cls, marshal.dumps(args, 0))
         except ValueError:
             return cls(*args)
-        spec = self._specs.get(key)
+        spec = self._shared_specs.get(key)
         if spec is None:
-            spec = self._specs[key] = cls(*args)
+            spec = self._shared_specs[key] = cls(*args)
         return spec
 
-    def add_node(self, spec: NodeSpec, inputs: list[tuple[int, int]] | tuple = (),
+    def add_node(self, spec: NodeSpec, inputs: tuple[tuple[int, int], ...] | list = (),
                  name: str = "") -> int:
-        """Append a node fed by ``inputs`` (list of (producer id, output port)).
+        """Append a node fed by ``inputs``, (producer id, output port) per
+        input port; a tuple is kept as it is, any other iterable copied.
 
         An empty name becomes ``<kind>_<id>``.  Raises GraphError, leaving
         the graph unchanged, for a wrong number of inputs, an input that is
         not a pair of integers or names no output, or a name that is not a
         ``str``, holds a lone surrogate (UTF-8 cannot encode it) or is taken.
+        Port 0 needs no check: every kind has at least one output.
         """
         inputs = tuple(inputs)
         lo, hi = spec.arity
@@ -451,8 +470,8 @@ class Graph:
             want = f">= {lo}" if hi is None else (str(lo) if lo == hi else f"{lo}..{hi}")
             raise GraphError(
                 f"{spec.kind} node {name!r} takes {want} inputs, got {len(inputs)}")
-        nodes, outputs, names = self._nodes, self._outputs, self._names
-        node_id = len(nodes)
+        specs, names = self._spec_col, self._names
+        node_id = len(specs)
         try:
             for item in inputs:
                 src, port = item
@@ -460,10 +479,10 @@ class Graph:
                     raise ValueError
                 if not 0 <= src < node_id:
                     raise GraphError(f"node {name!r} references unknown input {src}")
-                if not 0 <= port < outputs[src]:
+                if port and not 0 <= port < specs[src].num_outputs():
                     raise GraphError(
                         f"node {name!r} references port {port} of node {src}, "
-                        f"which has {outputs[src]} outputs")
+                        f"which has {specs[src].num_outputs()} outputs")
         except (TypeError, ValueError):  # not two items, or not two integers
             raise GraphError(
                 f"node {name!r} input {item!r} is not a pair of integers") from None
@@ -479,14 +498,15 @@ class Graph:
         if name in names:
             raise GraphError(f"duplicate node name {name!r}")
 
-        outputs.append(spec.num_outputs())
-        nodes.append(tuple.__new__(Node, (node_id, spec, name, inputs)))
+        specs.append(spec)
+        self._name_col.append(name)
+        self._input_col.append(inputs)
         names.add(name)
         return node_id
 
     def inputs_of(self, node_id: int) -> list[tuple[int, int]]:
         """(producer id, producer port) per input port, in port order."""
-        return list(self.node(node_id).inputs)
+        return list(self._input_col[self._check_id(node_id)])
 
     def validate(self) -> list:
         """Always ``[]``: every graph is valid by construction (see the class
@@ -495,20 +515,20 @@ class Graph:
 
     def topo_order(self) -> list[int]:
         """Node ids in insertion order, which is topological (see class doc)."""
-        return list(range(len(self._nodes)))
+        return list(range(len(self._spec_col)))
 
     def input_nodes(self) -> list[Node]:
-        return [node for node in self._nodes if isinstance(node.spec, Input)]
+        return [node for node in self.nodes if isinstance(node.spec, Input)]
 
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        nodes = [{"id": node.id, "name": node.name, "kind": node.spec.kind,
-                  "attrs": {name: _json_value(getattr(node.spec, name))
-                            for name in _ATTR_NAMES[type(node.spec)]}}
-                 for node in self._nodes]
-        edges = [[src, port, node.id, dst_port] for node in self._nodes
-                 for dst_port, (src, port) in enumerate(node.inputs)]
+        nodes = [{"id": node_id, "name": name, "kind": spec.kind,
+                  "attrs": {attr: _json_value(getattr(spec, attr))
+                            for attr in _ATTR_NAMES[type(spec)]}}
+                 for node_id, (spec, name) in enumerate(zip(self._spec_col, self._name_col))]
+        edges = [[src, port, dst, dst_port] for dst, feeds in enumerate(self._input_col)
+                 for dst_port, (src, port) in enumerate(feeds)]
         return {"nodes": nodes, "edges": edges}
 
     def to_json(self) -> str:
@@ -523,7 +543,8 @@ class Graph:
         # specs that are distinct objects are formatted twice, to one text.
         texts: dict[int, tuple[str, str]] = {}
         nodes, edges = [], []
-        for node_id, spec, name, inputs in self._nodes:
+        for node_id, spec, name, inputs in zip(range(len(self)), self._spec_col,
+                                               self._name_col, self._input_col):
             text = texts.get(id(spec))
             if text is None:
                 attrs = ",".join([f'{_ATTR_PAD}"{attr}": {_attr_json(getattr(spec, attr))}'

@@ -1,12 +1,12 @@
 """Shape inference over whole graphs.
 
 Each node kind's shape rule is its spec's ``output_shapes`` in ``graph``.
-``shape_table`` walks a graph once in topological order, reading each
-node's inputs off the node, and computes the output shapes once per entry:
-a distinct spec object at distinct input shapes.  It returns the entry of
-each node and the entries, which ``infer_all`` turns into a total map from
-(node id, output port) to TensorShape and ``cost.graph_cost`` costs.  A
-graph is valid by construction, so neither re-checks it.
+``shape_table`` walks a graph's columns (``Graph.columns``) once, in id
+order, which is topological, and computes the output shapes once per
+entry: a distinct spec object at distinct input shapes.  It returns the
+entry of each node and the entries, which ``infer_all`` turns into a total
+map from (node id, output port) to TensorShape and ``cost.graph_cost``
+costs.  A graph is valid by construction, so neither re-checks it.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ def shape_table(graph: Graph) -> tuple[list[int], list[Entry]]:
     outputs: list[list[TensorShape]] = []  # per node id
     known: dict[tuple[int, tuple], int] = {}  # (id(spec), shape or shapes) -> entry
     inputs = 0
-    for _, spec, name, feeds in graph.nodes:
+    for spec, name, feeds in zip(*graph.columns()):
         if len(feeds) == 1:
             ((src, port),) = feeds
             key = (id(spec), outputs[src][port])

@@ -1,4 +1,5 @@
 """Structural graph behavior: construction, validation, ordering, JSON."""
+import gc
 import json
 import random
 import re
@@ -11,7 +12,7 @@ from pillarcost.graph import (
     Graph, GraphError, Input, MaxPool, Node, ReLU, Scatter, ShapeError, TensorShape,
     TransposedConv, _KIND_CLASSES,
 )
-from pillarcost.arch import build_pointpillars
+from pillarcost.arch import ArchConfig, build_pointpillars
 from pillarcost.core import Variant
 from pillarcost.cost import NodeCost, graph_cost
 from pillarcost.shapes import infer_all
@@ -320,9 +321,71 @@ class TestAddNode:
         assert g.edges == (Edge(a, 0, s, 0), Edge(s, 1, 2, 0), Edge(a, 0, 2, 1),
                            Edge(s, 0, 2, 2))
 
+    def test_a_negative_port_is_refused_and_graph_unchanged(self):
+        # port 0 is taken unchecked (every kind has an output); any other
+        # port, a negative one too, is checked against the producer's outputs
+        g = small_chain()
+        split = g.add_node(ChannelSplit((Fraction(1, 2),) * 2), [(3, 0)], name="split")
+        before = (g.nodes, g.edges)
+        for src, outputs in [(1, 1), (split, 2)]:
+            with pytest.raises(GraphError) as info:
+                g.add_node(ReLU(), [(src, -1)], name="bad")
+            assert str(info.value) == (f"node 'bad' references port -1 of node {src}, "
+                                       f"which has {outputs} outputs")
+            assert (g.nodes, g.edges) == before
+
     def test_inputs_of_unknown_node_rejected(self):
         with pytest.raises(GraphError, match="^no node with id 4$"):
             small_chain().inputs_of(4)
+        with pytest.raises(GraphError, match="^no node with id -1$"):
+            small_chain().node(-1)
+
+    @pytest.mark.parametrize("bad, text", [(True, "True"), (False, "False"), ("1", "'1'"),
+                                           (1.0, "1.0"), (None, "None"),
+                                           (Int(1), "1 of type Int")],
+                             ids=["true", "false", "str", "float", "none", "int_subclass"])
+    def test_a_node_id_that_is_not_an_int_is_refused(self, bad, text):
+        g = small_chain()
+        for read in (g.node, g.inputs_of):
+            with pytest.raises(GraphError) as info:
+                read(bad)
+            assert str(info.value) == f"node id {text} is not an int"
+
+
+class TestColumns:
+    """A graph keeps its nodes as columns; ``nodes`` and ``node`` build
+    ``Node`` tuples from them on each call."""
+
+    def test_a_built_graph_holds_no_node_tuple(self):
+        # counted against the Nodes that exist before the build, so that
+        # Nodes other tests keep alive do not count
+        def node_count() -> int:
+            gc.collect()
+            return sum(type(obj) is Node for obj in gc.get_objects())
+
+        before = node_count()
+        graph = build_pointpillars(Variant.SHUFFLENET_V2, ArchConfig(block_units=(48, 48, 48)))
+        assert len(graph) > 1000 and node_count() == before
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_nodes_node_and_json_agree(self, variant):
+        g = build_pointpillars(variant)
+        nodes = list(g.nodes)
+        assert nodes == [g.node(i) for i in range(len(g))]
+        assert nodes == list(Graph.from_json(g.to_json()).nodes)
+        assert all(type(node) is Node for node in nodes)
+
+    def test_each_call_builds_new_equal_tuples(self):
+        g = small_chain()
+        assert g.node(1) == g.node(1) and g.node(1) is not g.node(1)
+        assert g.nodes == g.nodes and g.nodes[1] is not g.nodes[1]
+
+    def test_columns_are_fresh_tuples_in_id_order(self):
+        g = small_chain()
+        specs, names, inputs = g.columns()
+        assert [tuple(node[1:]) for node in g.nodes] == list(zip(specs, names, inputs))
+        assert type(specs) is type(names) is type(inputs) is tuple
+        assert g.columns()[0] is not specs
 
 
 class TestSpec:

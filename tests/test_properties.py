@@ -17,7 +17,7 @@ from pillarcost.core import ExactDecimal, PillarcostError, Variant
 from pillarcost.cost import CostReport, graph_cost
 from pillarcost.graph import (
     Add, BatchNorm, ChannelShuffle, ChannelSplit, Concat, Conv, Graph, GraphError, Input,
-    MaxPool, ReLU, Scatter, TensorShape, TransposedConv,
+    MaxPool, ReLU, Scatter, TensorShape, TransposedConv, _KIND_CLASSES,
 )
 from pillarcost.shapes import ShapeError, infer_all, node_output_shape
 
@@ -114,6 +114,18 @@ def test_split_partitions_channels_exactly(shape, parts):
         return
     assert sum(s.channels for s in outs) == shape.channels
     assert all((s.height, s.width) == (shape.height, shape.width) for s in outs)
+
+
+@given(parts=st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=8))
+def test_every_kind_has_an_output_port(parts):
+    # add_node takes port 0 of any producer unchecked; this is what makes it valid
+    split = ChannelSplit(tuple(Fraction(part, sum(parts)) for part in parts))
+    one_of_each = [Input(TensorShape(1, 1, 1)), Conv(1, 1, 1), TransposedConv(1, 1, 1),
+                   BatchNorm(), ReLU(), MaxPool(1, 1), Add(), Concat(), split,
+                   ChannelShuffle(1), Scatter(1, 1)]
+    assert sorted(spec.kind for spec in one_of_each) == sorted(_KIND_CLASSES)
+    assert all(spec.num_outputs() >= 1 for spec in one_of_each)
+    assert split.num_outputs() == len(parts)
 
 
 @given(st.fractions(min_value="1/100", max_value="99/100"),

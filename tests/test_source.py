@@ -2,8 +2,9 @@
 that pyproject admits, it imports only the standard library and itself,
 it reads every name it imports, it checks nothing with ``assert``,
 which ``python -O`` strips, it runs no text as code, its commands
-write CSV and JSON only through the command line's one writer, and each
-node kind states its cost in one method."""
+write CSV and JSON only through the command line's one writer, each
+node kind states its cost in one method, and only ``graph`` knows how a
+graph stores its nodes."""
 import ast
 import re
 import sys
@@ -84,3 +85,29 @@ def test_node_kinds_state_their_cost_only_in_cost():
     assert [name for name, defs in methods.items() if defs & {"madds", "params"}] == ["NodeSpec"]
     assert {"NodeSpec", "_Conv", "BatchNorm"} <= {
         name for name, defs in methods.items() if "cost" in defs}
+
+
+def test_only_graph_reads_a_graphs_storage():
+    # the attributes Graph.__init__ sets; other modules read the nodes
+    # through Graph's methods, and shapes and cost through Graph.columns
+    tree = ast.parse((ROOT / "src" / "pillarcost" / "graph.py").read_text(encoding="utf-8"))
+    (graph,) = [cls for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "Graph"]
+    (init,) = [func for func in graph.body
+               if isinstance(func, ast.FunctionDef) and func.name == "__init__"]
+    storage = {node.attr for node in ast.walk(init)
+               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+    assert len(storage) >= 3
+    read = {}
+    for path in MODULES:
+        if path.name != "graph.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            read[path.name] = sorted({node.attr for node in ast.walk(tree)
+                                      if isinstance(node, ast.Attribute)} & storage)
+    assert read == {name: [] for name in read}
+
+
+@pytest.mark.parametrize("name", ["shapes.py", "cost.py"])
+def test_shape_walk_and_costing_build_no_node_tuples(name):
+    tree = ast.parse((ROOT / "src" / "pillarcost" / name).read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("nodes", "node")] == []
