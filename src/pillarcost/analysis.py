@@ -45,7 +45,7 @@ class DesignPoint(Record):
     fps_total: Fraction | None = None
 
     def __post_init__(self) -> None:
-        _set(self, "ap", dict(self.ap))  # the caller's dict may change later
+        _set(self, "ap", dict(self.ap))  # not the caller's dict, nor the shared default
         if self.gmadds <= 0:
             raise AnalysisError(f"{self.name}: gmadds must be positive")
         for field in ("fps_backbone", "fps_total"):

@@ -129,7 +129,8 @@ class Record:
     Fields are the annotated class attributes, in order, ``ClassVar`` ones
     excepted (annotations are read as text, as ``from __future__ import
     annotations`` leaves them, and never evaluated); a value is the field's
-    default, and a dict, list or set default is copied per record.  A class
+    default, shared by every record that takes it, so a class whose default
+    is mutable copies it in ``__post_init__`` (``DesignPoint.ap``).  A class
     that sets ``_check_of`` (annotation text -> function of value and field
     name that returns the value to store or raises) has each field checked
     by its annotation's check, in field order.  An annotation the map lacks,
@@ -150,7 +151,6 @@ class Record:
     _defaults: ClassVar[dict] = {}
     _check_of: ClassVar[dict | None] = None  # None: the fields are not checked
     _check_at: ClassVar[tuple] = ()  # (index, field, check), in field order
-    _copy_at: ClassVar[tuple] = ()  # (index, default) of each dict, list or set default
     _bind: ClassVar[type]  # binds a call's arguments to the fields, as Python does
     __post_init__ = None
 
@@ -169,8 +169,6 @@ class Record:
                 if kind not in cls._check_of:
                     raise TypeError(f"{cls.__qualname__}.{name}: no check for {kind!r}")
                 cls._check_at += ((fields.index(name), name, cls._check_of[kind]),)
-        cls._copy_at = tuple((fields.index(name), value) for name, value
-                             in cls._defaults.items() if type(value) in (dict, list, set))
         cls._bind = collections.namedtuple(cls.__name__, fields,
                                            defaults=cls._defaults.values())
         # Python names the function in a binding error by its __qualname__
@@ -179,9 +177,6 @@ class Record:
     def __init__(self, *args, **kwargs) -> None:
         cls = self.__class__
         values = [*cls._bind(*args, **kwargs)]
-        for index, default in cls._copy_at:
-            if values[index] is default:
-                values[index] = type(default)(default)
         for index, name, check in cls._check_at:
             values[index] = check(values[index], name)
         for name, value in zip(cls._fields, values):

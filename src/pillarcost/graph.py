@@ -2,9 +2,9 @@
 
 A graph keeps three columns indexed by node id: each node's spec (layer
 attributes only: no tensors, no weights), its name and its inputs, one
-(producer id, producer output port) pair per input port.  ``Node`` tuples
-are built from the columns on request.  Graphs are append-only during
-construction and treated as immutable afterwards.
+(producer id, producer output port) pair per input port.  ``Graph.columns``
+is how other modules read them.  Graphs are append-only during construction
+and treated as immutable afterwards.
 """
 from __future__ import annotations
 
@@ -375,17 +375,6 @@ class Edge(NamedTuple):
     dst_port: int
 
 
-class Node(NamedTuple):
-    """A node and its inputs: (producer id, producer port) per input port,
-    in port order.  A tuple: it compares equal to, and unpacks like,
-    ``(id, spec, name, inputs)``."""
-
-    id: int
-    spec: NodeSpec
-    name: str
-    inputs: tuple[tuple[int, int], ...]
-
-
 class Graph:
     """Append-only DAG of layer nodes, valid by construction.
 
@@ -393,7 +382,7 @@ class Graph:
     inputs, and accepts only producers that already exist, through output
     ports they have.  So node ids are dense, insertion order is topological,
     names are unique, and every node has exactly the inputs its kind needs.
-    Nodes are kept as columns (see the module doc), not as ``Node`` tuples.
+    Nodes are kept as columns (see the module doc), read through ``columns``.
     """
 
     def __init__(self) -> None:
@@ -408,11 +397,6 @@ class Graph:
         return tuple(self._spec_col), tuple(self._name_col), tuple(self._input_col)
 
     @property
-    def nodes(self) -> tuple[Node, ...]:
-        """A new ``Node`` per node, in id order, on each call."""
-        return tuple(map(Node, range(len(self)), *self.columns()))
-
-    @property
     def edges(self) -> tuple[Edge, ...]:
         """Every input as an edge, in consumer id order, then port order."""
         return tuple(Edge(src, port, dst, dst_port)
@@ -421,18 +405,6 @@ class Graph:
 
     def __len__(self) -> int:
         return len(self._spec_col)
-
-    def _check_id(self, node_id: int) -> int:
-        if type(node_id) is not int:
-            raise GraphError(f"node id {typed_repr(node_id)} is not an int")
-        if not 0 <= node_id < len(self._spec_col):
-            raise GraphError(f"no node with id {node_id}")
-        return node_id
-
-    def node(self, node_id: int) -> Node:
-        """A new ``Node`` for ``node_id`` on each call."""
-        i = self._check_id(node_id)
-        return Node(i, self._spec_col[i], self._name_col[i], self._input_col[i])
 
     def spec(self, cls: type[NodeSpec], *args) -> NodeSpec:
         """``cls(*args)``, made once per distinct value among this graph's
@@ -456,15 +428,19 @@ class Graph:
     def add_node(self, spec: NodeSpec, inputs: tuple[tuple[int, int], ...] | list = (),
                  name: str = "") -> int:
         """Append a node fed by ``inputs``, (producer id, output port) per
-        input port; a tuple is kept as it is, any other iterable copied.
+        input port; a tuple is kept as it is, a list copied.
 
         An empty name becomes ``<kind>_<id>``.  Raises GraphError, leaving
-        the graph unchanged, for a wrong number of inputs, an input that is
-        not a pair of integers or names no output, or a name that is not a
-        ``str``, holds a lone surrogate (UTF-8 cannot encode it) or is taken.
-        Port 0 needs no check: every kind has at least one output.
+        the graph unchanged, for inputs that are not a list or a tuple, a
+        wrong number of inputs, an input that is not a pair of integers or
+        names no output, or a name that is not a ``str``, holds a lone
+        surrogate (UTF-8 cannot encode it) or is taken.  Port 0 needs no
+        check: every kind has at least one output.
         """
-        inputs = tuple(inputs)
+        if type(inputs) is not tuple:
+            if not isinstance(inputs, (list, tuple)):
+                raise GraphError(f"node {name!r} inputs {inputs!r} are not a list or a tuple")
+            inputs = tuple(inputs)
         lo, hi = spec.arity
         if len(inputs) < lo or (hi is not None and len(inputs) > hi):
             want = f">= {lo}" if hi is None else (str(lo) if lo == hi else f"{lo}..{hi}")
@@ -506,7 +482,11 @@ class Graph:
 
     def inputs_of(self, node_id: int) -> list[tuple[int, int]]:
         """(producer id, producer port) per input port, in port order."""
-        return list(self._input_col[self._check_id(node_id)])
+        if type(node_id) is not int:
+            raise GraphError(f"node id {typed_repr(node_id)} is not an int")
+        if not 0 <= node_id < len(self._input_col):
+            raise GraphError(f"no node with id {node_id}")
+        return list(self._input_col[node_id])
 
     def validate(self) -> list:
         """Always ``[]``: every graph is valid by construction (see the class
@@ -516,9 +496,6 @@ class Graph:
     def topo_order(self) -> list[int]:
         """Node ids in insertion order, which is topological (see class doc)."""
         return list(range(len(self._spec_col)))
-
-    def input_nodes(self) -> list[Node]:
-        return [node for node in self.nodes if isinstance(node.spec, Input)]
 
     # -- serialization ------------------------------------------------------
 

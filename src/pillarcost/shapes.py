@@ -41,7 +41,8 @@ def shape_table(graph: Graph) -> tuple[list[int], list[Entry]]:
     outputs: list[list[TensorShape]] = []  # per node id
     known: dict[tuple[int, tuple], int] = {}  # (id(spec), shape or shapes) -> entry
     inputs = 0
-    for spec, name, feeds in zip(*graph.columns()):
+    columns = graph.columns()
+    for spec, name, feeds in zip(*columns):
         if len(feeds) == 1:
             ((src, port),) = feeds
             key = (id(spec), outputs[src][port])
@@ -55,7 +56,7 @@ def shape_table(graph: Graph) -> tuple[list[int], list[Entry]]:
             try:
                 out_shapes = node_output_shape(spec, in_shapes)
             except ShapeError as err:
-                inputs = len(graph.input_nodes())  # a later Input counts too
+                inputs = columns[2].count(())  # a later Input counts too
                 if inputs == 1:
                     raise ShapeError(f"{name}: {err}") from err
                 break

@@ -214,10 +214,9 @@ def test_all_variants_validate_and_share_scaffolding():
         assert len(report.per_node) == len(g)
         rows = [c for c in report.per_node if not c.name.startswith("backbone.")]
         block_out = {}
-        for i in range(len(g)):
-            name = g.node(i).name
+        for _, name, feeds in zip(*g.columns()):
             if name.startswith("neck.") and name.endswith(".deconv"):
-                (src, port), = g.node(i).inputs
+                (src, port), = feeds
                 block_out[name] = shapes[(src, port)]
         if base_rows is None:
             base_rows, base_boundaries = rows, block_out

@@ -11,7 +11,7 @@ from pillarcost.arch import (
 )
 from pillarcost.core import exact_fraction
 from pillarcost.cost import graph_cost
-from pillarcost.graph import Conv, Graph, ShapeError, TensorShape
+from pillarcost.graph import Conv, Graph, Input, ShapeError, TensorShape
 from pillarcost.shapes import infer_all
 
 ALL_VARIANTS = list(Variant)
@@ -284,14 +284,15 @@ class TestBasicUnit:
     @pytest.mark.parametrize("ratio, expands", [(1, False), (2, True)])
     def test_mobilenet_v2_expands_at_any_ratio_over_one(self, ratio, expands):
         g, _ = unit_graph(Variant.MOBILENET_V2, 64, 64, 1, mobilenet_v2_expand=ratio)
-        names = {node.name: node for node in g.nodes}
-        assert ("backbone.block1.unit1.expand.conv" in names) is expands
-        assert names["backbone.block1.unit1.dw.conv"].spec.out_channels == 64 * ratio
+        specs, names, _ = g.columns()
+        specs = dict(zip(names, specs))
+        assert ("backbone.block1.unit1.expand.conv" in specs) is expands
+        assert specs["backbone.block1.unit1.dw.conv"].out_channels == 64 * ratio
 
     def test_squeezenext_reduce_to_exactly_one_channel_builds_and_costs(self):
         g, _ = unit_graph(Variant.SQUEEZENEXT, 64, 64, 1, squeezenext_reduce=Fraction(1, 64))
-        names = {node.name: node for node in g.nodes}
-        assert names["backbone.block1.unit1.reduce.conv"].spec.out_channels == 1
+        specs, names, _ = g.columns()
+        assert dict(zip(names, specs))["backbone.block1.unit1.reduce.conv"].out_channels == 1
         assert len(graph_cost(g).per_node) == len(g)
         with pytest.raises(ArchError, match=(
                 r"^backbone\.block1\.unit1: ratio 1/128 of 64 channels is not a "
@@ -305,12 +306,13 @@ class TestBuildBackbone:
         # both go through one block walk: the same nodes, after their inputs
         g, outputs = build_backbone(variant)
         network = build_pointpillars(variant)
-        standalone = [(n.name, n.spec) for n in g.nodes[1:]]
-        assert [(n.name, n.spec) for n in network.nodes
-                if n.name.startswith("backbone.")] == standalone
-        deconvs = [n for n in network.nodes if n.name.endswith(".deconv")]
-        assert [g.node(o).name for o in outputs] == [
-            network.node(d.inputs[0][0]).name for d in deconvs]
+        specs, names, _ = g.columns()
+        net_specs, net_names, net_inputs = network.columns()
+        assert [(name, spec) for name, spec in zip(net_names, net_specs)
+                if name.startswith("backbone.")] == list(zip(names, specs))[1:]
+        assert [names[o] for o in outputs] == [
+            net_names[feeds[0][0]] for name, feeds in zip(net_names, net_inputs)
+            if name.endswith(".deconv")]
 
     def test_takes_a_variant_and_a_config_only(self):
         with pytest.raises(TypeError):
@@ -328,7 +330,7 @@ class TestBuildBackbone:
 
     def test_standalone_backbone_has_single_input(self):
         g, _ = build_backbone(Variant.BASE)
-        assert len(g.input_nodes()) == 1
+        assert [type(spec) for spec in g.columns()[0]].count(Input) == 1
 
 
 class TestBuildPointPillars:
@@ -360,7 +362,7 @@ class TestBuildPointPillars:
     def test_graphs_validate_and_infer(self, variant):
         g = build_pointpillars(variant)
         assert len(graph_cost(g).per_node) == len(g)
-        assert len(g.input_nodes()) == 1
+        assert [type(spec) for spec in g.columns()[0]].count(Input) == 1
         infer_all(g)
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -374,7 +376,7 @@ class TestBuildPointPillars:
     def test_head_output_shapes(self):
         g = build_pointpillars(Variant.BASE)
         shapes = infer_all(g)
-        by_name = {g.node(i).name: i for i in range(len(g))}
+        by_name = {name: i for i, name in enumerate(g.columns()[1])}
         assert shapes[(by_name["head.cls"], 0)] == TensorShape(18, 248, 216)
         assert shapes[(by_name["head.box"], 0)] == TensorShape(42, 248, 216)
         assert shapes[(by_name["head.dir"], 0)] == TensorShape(12, 248, 216)
@@ -430,11 +432,10 @@ def test_builds_keep_their_bytes_and_same_padding(config):
     for variant in ALL_VARIANTS:
         graph = build_pointpillars(variant, ArchConfig(**kwargs))
         digest.update(graph.to_json().encode())
-        for node in graph.nodes:
-            spec = node.spec
+        for spec, name, _ in zip(*graph.columns()):
             if isinstance(spec, Conv):
                 assert (spec.pad_h, spec.pad_w) == \
-                    (spec.kernel_h // 2, spec.kernel_w // 2), node.name
+                    (spec.kernel_h // 2, spec.kernel_w // 2), name
     assert digest.hexdigest() == want
 
 
@@ -445,20 +446,20 @@ class TestSpecSharing:
     @pytest.mark.parametrize("config", CONFIGS)
     @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.value)
     def test_one_object_per_distinct_spec_within_a_build(self, variant, config):
-        specs = [node.spec for node in build_pointpillars(variant, CONFIGS[config]).nodes]
+        specs = build_pointpillars(variant, CONFIGS[config]).columns()[0]
         assert len({id(spec) for spec in specs}) == len(set(specs))
 
     @pytest.mark.parametrize("config", CONFIGS)
     @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.value)
     def test_two_builds_share_no_conv(self, variant, config):
         first, second = (build_pointpillars(variant, CONFIGS[config]) for _ in range(2))
-        convs = [{id(node.spec) for node in g.nodes if isinstance(node.spec, Conv)}
+        convs = [{id(spec) for spec in g.columns()[0] if isinstance(spec, Conv)}
                  for g in (first, second)]
         assert convs[0] and not convs[0] & convs[1]
 
     def test_no_conv_spec_outlives_its_graph(self):
         graph = build_pointpillars(Variant.RESNET)
-        conv = weakref.ref(next(n.spec for n in graph.nodes if isinstance(n.spec, Conv)))
+        conv = weakref.ref(next(spec for spec in graph.columns()[0] if isinstance(spec, Conv)))
         del graph
         assert conv() is None
 

@@ -191,7 +191,7 @@ class TestGraphCost:
     def test_rows_follow_topo_order(self):
         g = tiny_graph()
         report = graph_cost(g)
-        names = [g.node(i).name for i in g.topo_order()]
+        names = [g.columns()[1][i] for i in g.topo_order()]
         assert [c.name for c in report.per_node] == names
 
     def test_per_stage_groups_by_leading_component(self):
@@ -227,12 +227,13 @@ class TestGraphCost:
     @pytest.mark.parametrize("count_batchnorm", [True, False])
     def test_single_walk(self, monkeypatch, count_batchnorm):
         """One shape inference per distinct (spec object, input shapes); no
-        validation pass, no per-node edge scan, no separate ordering pass
-        and no separate pass to count the Inputs."""
+        validation pass, no per-node edge scan and no separate ordering
+        pass."""
         graph = build_pointpillars(Variant.SHUFFLENET_V2)
         shapes = infer_all(graph)
-        distinct = {(id(node.spec), tuple(shapes[feed] for feed in node.inputs))
-                    for node in graph.nodes}
+        specs, _, inputs = graph.columns()
+        distinct = {(id(spec), tuple(shapes[feed] for feed in feeds))
+                    for spec, feeds in zip(specs, inputs)}
         calls = Counter()
 
         def count(owner, name):
@@ -243,7 +244,7 @@ class TestGraphCost:
                 return original(*args, **kwargs)
             monkeypatch.setattr(owner, name, counted)
 
-        for name in ("validate", "inputs_of", "topo_order", "input_nodes"):
+        for name in ("validate", "inputs_of", "topo_order"):
             count(Graph, name)
         count(pillarcost.shapes, "node_output_shape")
         report = graph_cost(graph, count_batchnorm=count_batchnorm)
@@ -363,10 +364,10 @@ class TestOncePerKey:
     def test_infer_all_matches_a_walk_without_sharing(self, variant):
         graph = build_pointpillars(variant, ArchConfig(block_units=(2, 2, 2)))
         expected = {}
-        for node in graph.nodes:
-            ins = [expected[feed] for feed in node.inputs]
-            for port, shape in enumerate(node.spec.output_shapes(ins)):
-                expected[(node.id, port)] = shape
+        for node_id, (spec, _, feeds) in enumerate(zip(*graph.columns())):
+            ins = [expected[feed] for feed in feeds]
+            for port, shape in enumerate(spec.output_shapes(ins)):
+                expected[(node_id, port)] = shape
         assert infer_all(graph) == expected
 
 

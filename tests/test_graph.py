@@ -1,5 +1,4 @@
 """Structural graph behavior: construction, validation, ordering, JSON."""
-import gc
 import json
 import random
 import re
@@ -9,10 +8,10 @@ import pytest
 
 from pillarcost.graph import (
     Add, BatchNorm, ChannelShuffle, ChannelSplit, Concat, Conv, Edge, FieldError,
-    Graph, GraphError, Input, MaxPool, Node, ReLU, Scatter, ShapeError, TensorShape,
+    Graph, GraphError, Input, MaxPool, ReLU, Scatter, ShapeError, TensorShape,
     TransposedConv, _KIND_CLASSES,
 )
-from pillarcost.arch import ArchConfig, build_pointpillars
+from pillarcost.arch import build_pointpillars
 from pillarcost.core import Variant
 from pillarcost.cost import NodeCost, graph_cost
 from pillarcost.shapes import infer_all
@@ -67,13 +66,10 @@ class TestRecords:
     @pytest.mark.parametrize("record, text, values", [
         (TensorShape(3, 4, 5), "TensorShape(channels=3, height=4, width=5)", (3, 4, 5)),
         (Edge(0, 1, 2, 0), "Edge(src=0, src_port=1, dst=2, dst_port=0)", (0, 1, 2, 0)),
-        (Node(1, ReLU(), "relu", ((0, 0),)),
-         "Node(id=1, spec=ReLU(), name='relu', inputs=((0, 0),))",
-         (1, ReLU(), "relu", ((0, 0),))),
         (NodeCost("conv", "conv", 432, 16),
          "NodeCost(name='conv', kind='conv', madds=432, params=16)",
          ("conv", "conv", 432, 16)),
-    ], ids=["TensorShape", "Edge", "Node", "NodeCost"])
+    ], ids=["TensorShape", "Edge", "NodeCost"])
     def test_repr_frozen_fields_and_tuple_equality(self, record, text, values):
         assert repr(record) == text
         field = text[text.index("(") + 1:text.index("=")]
@@ -211,22 +207,22 @@ class TestNodeSpecs:
         else:
             g.add_node(spec, name="node")
         restored = Graph.from_json(g.to_json())
-        assert restored.nodes[-1].spec == spec
+        assert restored.columns()[0][-1] == spec
         assert restored.to_json() == g.to_json()
 
 
 class TestAddNode:
     def test_ids_are_dense_insertion_order(self):
         g = small_chain()
-        assert [n.id for n in g.nodes] == [0, 1, 2, 3]
-        assert len(g) == 4
+        assert len(g) == 4 and list(map(len, g.columns())) == [4, 4, 4]
+        assert g.add_node(ReLU(), [(3, 0)]) == 4
 
     def test_unknown_input_rejected_and_graph_unchanged(self):
         g = small_chain()
-        before = (g.nodes, g.edges)
+        before = g.columns()
         with pytest.raises(GraphError, match="^node 'bad' references unknown input 99$"):
             g.add_node(ReLU(), [(99, 0)], name="bad")
-        assert (g.nodes, g.edges) == before
+        assert g.columns() == before
 
     def test_bad_port_rejected(self):
         g = small_chain()
@@ -251,11 +247,21 @@ class TestAddNode:
     def test_an_input_that_is_not_two_items_is_refused(self, bad):
         # unpacking it raises ValueError or TypeError, which add_node names
         g = small_chain()
-        before = (g.nodes, g.edges)
+        before = g.columns()
         with pytest.raises(GraphError) as info:
             g.add_node(ReLU(), [bad], name="bad")
         assert str(info.value) == f"node 'bad' input {bad!r} is not a pair of integers"
-        assert (g.nodes, g.edges) == before
+        assert g.columns() == before
+
+    @pytest.mark.parametrize("bad", [5, None, {(0, 0): "x"}], ids=["int", "none", "dict"])
+    def test_inputs_that_are_not_a_list_or_a_tuple_are_refused(self, bad):
+        # a dict would be read as its keys, so only a list or a tuple is taken
+        g = small_chain()
+        before = g.columns()
+        with pytest.raises(GraphError) as info:
+            g.add_node(ReLU(), bad, name="bad")
+        assert str(info.value) == f"node 'bad' inputs {bad!r} are not a list or a tuple"
+        assert g.columns() == before
 
     def test_arity_enforced(self):
         g = small_chain()
@@ -290,14 +296,14 @@ class TestAddNode:
                                    f"character {char!r} in position 4: surrogates not allowed")
         assert len(g) == 4
         g.add_node(ReLU(), [(3, 0)], name="pfn.é中")  # non-ASCII that UTF-8 encodes
-        assert g.node(4).name == "pfn.é中"
+        assert g.columns()[1][4] == "pfn.é中"
 
     def test_autogenerated_names_are_unique(self):
         g = Graph()
         a = g.add_node(Input(TensorShape(1, 2, 2)))
         g.add_node(ReLU(), [(a, 0)])
         g.add_node(ReLU(), [(1, 0)])
-        assert [n.name for n in g.nodes] == ["input_0", "relu_1", "relu_2"]
+        assert g.columns()[1] == ("input_0", "relu_1", "relu_2")
 
     def test_inputs_of_preserves_port_order(self):
         g = Graph()
@@ -306,7 +312,7 @@ class TestAddNode:
         c = g.add_node(ReLU(), [(a, 0)], name="r2")
         d = g.add_node(Concat(), [(c, 0), (b, 0)], name="cat")
         assert g.inputs_of(d) == [(c, 0), (b, 0)]
-        assert g.node(d).inputs == ((c, 0), (b, 0))
+        assert g.columns()[2][d] == ((c, 0), (b, 0))
 
     def test_node_inputs_match_inputs_of_and_edges(self):
         g = Graph()
@@ -314,9 +320,9 @@ class TestAddNode:
         s = g.add_node(ChannelSplit(fractions=(Fraction(1, 2), Fraction(1, 2))),
                        [(a, 0)], name="split")
         g.add_node(Concat(), [(s, 1), (a, 0), (s, 0)], name="cat")
-        inputs = [list(n.inputs) for n in g.nodes]
+        inputs = list(map(list, g.columns()[2]))
         assert inputs == [[], [(a, 0)], [(s, 1), (a, 0), (s, 0)]]
-        assert inputs == [g.inputs_of(n.id) for n in g.nodes]
+        assert inputs == [g.inputs_of(i) for i in range(len(g))]
         # edges are a view of the inputs: consumer id order, then port order
         assert g.edges == (Edge(a, 0, s, 0), Edge(s, 1, 2, 0), Edge(a, 0, 2, 1),
                            Edge(s, 0, 2, 2))
@@ -326,64 +332,48 @@ class TestAddNode:
         # port, a negative one too, is checked against the producer's outputs
         g = small_chain()
         split = g.add_node(ChannelSplit((Fraction(1, 2),) * 2), [(3, 0)], name="split")
-        before = (g.nodes, g.edges)
+        before = g.columns()
         for src, outputs in [(1, 1), (split, 2)]:
             with pytest.raises(GraphError) as info:
                 g.add_node(ReLU(), [(src, -1)], name="bad")
             assert str(info.value) == (f"node 'bad' references port -1 of node {src}, "
                                        f"which has {outputs} outputs")
-            assert (g.nodes, g.edges) == before
+            assert g.columns() == before
 
     def test_inputs_of_unknown_node_rejected(self):
         with pytest.raises(GraphError, match="^no node with id 4$"):
             small_chain().inputs_of(4)
         with pytest.raises(GraphError, match="^no node with id -1$"):
-            small_chain().node(-1)
+            small_chain().inputs_of(-1)
 
     @pytest.mark.parametrize("bad, text", [(True, "True"), (False, "False"), ("1", "'1'"),
                                            (1.0, "1.0"), (None, "None"),
                                            (Int(1), "1 of type Int")],
                              ids=["true", "false", "str", "float", "none", "int_subclass"])
     def test_a_node_id_that_is_not_an_int_is_refused(self, bad, text):
-        g = small_chain()
-        for read in (g.node, g.inputs_of):
-            with pytest.raises(GraphError) as info:
-                read(bad)
-            assert str(info.value) == f"node id {text} is not an int"
+        with pytest.raises(GraphError) as info:
+            small_chain().inputs_of(bad)
+        assert str(info.value) == f"node id {text} is not an int"
 
 
 class TestColumns:
-    """A graph keeps its nodes as columns; ``nodes`` and ``node`` build
-    ``Node`` tuples from them on each call."""
-
-    def test_a_built_graph_holds_no_node_tuple(self):
-        # counted against the Nodes that exist before the build, so that
-        # Nodes other tests keep alive do not count
-        def node_count() -> int:
-            gc.collect()
-            return sum(type(obj) is Node for obj in gc.get_objects())
-
-        before = node_count()
-        graph = build_pointpillars(Variant.SHUFFLENET_V2, ArchConfig(block_units=(48, 48, 48)))
-        assert len(graph) > 1000 and node_count() == before
+    """A graph keeps its nodes as columns, read through ``columns``."""
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_nodes_node_and_json_agree(self, variant):
+        # the columns, each node's inputs_of and the JSON round trip
         g = build_pointpillars(variant)
-        nodes = list(g.nodes)
-        assert nodes == [g.node(i) for i in range(len(g))]
-        assert nodes == list(Graph.from_json(g.to_json()).nodes)
-        assert all(type(node) is Node for node in nodes)
-
-    def test_each_call_builds_new_equal_tuples(self):
-        g = small_chain()
-        assert g.node(1) == g.node(1) and g.node(1) is not g.node(1)
-        assert g.nodes == g.nodes and g.nodes[1] is not g.nodes[1]
+        specs, names, inputs = g.columns()
+        assert len(specs) == len(names) == len(inputs) == len(g)
+        assert list(map(list, inputs)) == [g.inputs_of(i) for i in range(len(g))]
+        assert Graph.from_json(g.to_json()).columns() == (specs, names, inputs)
 
     def test_columns_are_fresh_tuples_in_id_order(self):
         g = small_chain()
         specs, names, inputs = g.columns()
-        assert [tuple(node[1:]) for node in g.nodes] == list(zip(specs, names, inputs))
+        assert names == ("in", "conv", "bn", "relu")
+        assert inputs == ((), ((0, 0),), ((1, 0),), ((2, 0),))
+        assert specs[1] == Conv(16, 3, 3, pad_h=1, pad_w=1)
         assert type(specs) is type(names) is type(inputs) is tuple
         assert g.columns()[0] is not specs
 
@@ -495,7 +485,7 @@ class TestJsonRoundTrip:
 
         restored = Graph.from_json(g.to_json())
         assert restored.to_json() == g.to_json()
-        assert [n.spec for n in restored.nodes] == [n.spec for n in g.nodes]
+        assert restored.columns()[0] == g.columns()[0]
         assert restored.edges == g.edges
 
     def test_nodes_and_edges_load_in_any_order(self):
@@ -663,7 +653,7 @@ class TestJsonRoundTrip:
     def test_a_non_ascii_name_loads_and_writes(self):
         text = small_chain().to_json().replace('"name": "relu"', r'"name": "pfn.\u00e9\u4e2d"')
         g = Graph.from_json(text)
-        assert "pfn.é中" in {node.name for node in g.nodes}
+        assert "pfn.é中" in g.columns()[1]
         assert "pfn.é中,relu," in graph_cost(g).to_csv().encode("utf-8").decode("utf-8")
 
     @pytest.mark.parametrize("attr, first, second", [
@@ -750,17 +740,17 @@ class TestJsonRoundTrip:
                        [(a, 0)], name=f"split_{side}")
         text = g.to_json()
         decoded = Graph.from_json(text)
-        assert decoded.node(0).spec is decoded.node(2).spec
-        assert decoded.node(1).spec is decoded.node(3).spec
-        assert Graph.from_json(text).node(0).spec is not decoded.node(0).spec
+        specs = decoded.columns()[0]
+        assert specs[0] is specs[2] and specs[1] is specs[3]
+        assert Graph.from_json(text).columns()[0][0] is not specs[0]
         assert decoded.to_json() == text
 
     def test_equal_specs_decode_to_one_object_per_call(self):
         text = two_equal_convs().to_json()
         g = Graph.from_json(text)
-        assert g.node(1).spec is g.node(2).spec
-        assert g.node(0).spec is not g.node(1).spec
-        assert Graph.from_json(text).node(1).spec is not g.node(1).spec
+        specs = g.columns()[0]
+        assert specs[1] is specs[2] and specs[0] is not specs[1]
+        assert Graph.from_json(text).columns()[0][1] is not specs[1]
         assert g.to_json() == text
 
     def test_huge_decimal_exponent_in_a_split_is_graph_error(self):
@@ -778,7 +768,7 @@ class TestJsonRoundTrip:
                          {"id": 1, "name": "split", "kind": "channel_split",
                           "attrs": {"fractions": [0.3, 0.7]}}],
                "edges": [[0, 0, 1, 0]]}
-        spec = Graph.from_json(json.dumps(doc)).node(1).spec
+        spec = Graph.from_json(json.dumps(doc)).columns()[0][1]
         assert spec.fractions == (Fraction(3, 10), Fraction(7, 10))
         assert [type(f) for f in spec.fractions] == [Fraction, Fraction]
 

@@ -199,7 +199,7 @@ def random_graph(rng: random.Random) -> Graph:
     for i in range(1, rng.randint(2, 9)):
         src = (rng.randrange(len(g)), 0)
         # only port 0 producers are used as sources, so any node qualifies
-        while g.node(src[0]).spec.num_outputs() == 0:
+        while g.columns()[0][src[0]].num_outputs() == 0:
             src = (rng.randrange(len(g)), 0)
         roll = rng.random()
         if roll < 0.35:
@@ -253,7 +253,7 @@ def _decoded(edges) -> str:
 
 
 def _port_error(node_id: int, ports: list[int]) -> str:
-    return (f"node {SHUFFLENET_V2.node(node_id).name!r} has input ports {sorted(ports)}; "
+    return (f"node {SHUFFLENET_V2.columns()[1][node_id]!r} has input ports {sorted(ports)}; "
             f"they must be 0..{len(ports) - 1}, each exactly once")
 
 
@@ -288,15 +288,16 @@ def test_one_edge_fault_raises_its_one_line_error(fault, seed, data):
     ports = [edge[3] for edge in edges if edge[2] == dst]
     random.Random(seed).shuffle(edges)
     got = _decoded(edges)
-    node = SHUFFLENET_V2.node(dst)
-    lo, hi = node.spec.arity
+    specs, names, _ = SHUFFLENET_V2.columns()
+    spec, name = specs[dst], names[dst]
+    lo, hi = spec.arity
     if sorted(ports) != list(range(len(ports))):
         assert got == _port_error(dst, ports)
     elif len(ports) < lo:  # the node lost its last port, which it needs
         want = lo if lo == hi else f">= {lo}"
-        assert got == f"{node.spec.kind} node {node.name!r} takes {want} inputs, got {len(ports)}"
+        assert got == f"{spec.kind} node {name!r} takes {want} inputs, got {len(ports)}"
     elif fault == "drop":  # the concat of three loses its last input and still loads
-        assert (node.spec.kind, len(ports)) == ("concat", 2)
+        assert (spec.kind, len(ports)) == ("concat", 2)
         assert json.loads(got)["edges"] == sorted(edges, key=lambda edge: edge[2:])
     else:
         assert got == STRAY
@@ -395,7 +396,7 @@ def assert_writers_match_reference(g: Graph) -> None:
     assert text == reference_json(g.to_json_dict())
     restored = Graph.from_json(text)
     assert restored.to_json() == text
-    assert [n.spec for n in restored.nodes] == [n.spec for n in g.nodes]
+    assert restored.columns()[0] == g.columns()[0]
     assert restored.edges == g.edges
     try:
         reports = [graph_cost(g), graph_cost(g, count_batchnorm=False)]

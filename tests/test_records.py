@@ -277,7 +277,7 @@ def test_graph_of_fieldless_kinds_round_trips_byte_identical():
     text = g.to_json()
     again = Graph.from_json(text)
     assert again.to_json() == text
-    assert [n.spec.kind for n in again.nodes] == [
+    assert [spec.kind for spec in again.columns()[0]] == [
         "input", "batch_norm", "relu", "add", "concat"]
 
 

@@ -3,11 +3,13 @@ that pyproject admits, it imports only the standard library and itself,
 it reads every name it imports, it checks nothing with ``assert``,
 which ``python -O`` strips, it runs no text as code, its commands
 write CSV and JSON only through the command line's one writer, each
-node kind states its cost in one method, and only ``graph`` knows how a
-graph stores its nodes."""
+node kind states its cost in one method, only ``graph`` knows how a
+graph stores its nodes, and ``Graph`` has no public method that nothing
+reads."""
 import ast
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -106,8 +108,38 @@ def test_only_graph_reads_a_graphs_storage():
     assert read == {name: [] for name in read}
 
 
+def attribute_reads(tree: ast.AST) -> Counter:
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+
+
+def graph_public_methods() -> dict:
+    tree = ast.parse((ROOT / "src" / "pillarcost" / "graph.py").read_text(encoding="utf-8"))
+    (graph,) = [cls for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "Graph"]
+    return {func.name: func for func in graph.body
+            if isinstance(func, ast.FunctionDef) and not func.name.startswith("_")}
+
+
+def test_every_public_graph_method_is_read():
+    # each public method or property of Graph is read in src/ or bench/*.py
+    # outside its own definition, or traced by name in bench/tracing.py
+    public = graph_public_methods()
+    read = Counter()
+    for path in [*MODULES, *sorted((ROOT / "bench").glob("*.py"))]:
+        read += attribute_reads(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    tracing = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    (traced,) = [ast.literal_eval(node.value) for node in tracing.body
+                 if isinstance(node, ast.Assign) and ast.unparse(node.targets) == "TRACED"]
+    traced = {attr.removeprefix("Graph.") for _, attr, _ in traced}
+    assert len(public) >= 5
+    assert sorted(name for name, func in public.items() if name not in traced
+                  and read[name] == attribute_reads(func)[name]) == []
+
+
 @pytest.mark.parametrize("name", ["shapes.py", "cost.py"])
 def test_shape_walk_and_costing_build_no_node_tuples(name):
+    # the shape walk and costing read a graph only through columns()
     tree = ast.parse((ROOT / "src" / "pillarcost" / name).read_text(encoding="utf-8"))
-    assert [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr in ("nodes", "node")] == []
+    reads = attribute_reads(tree)
+    assert "nodes" not in reads and "node" not in reads
+    assert set(reads) & set(graph_public_methods()) == {"columns"}

@@ -87,8 +87,9 @@ def test_one_add_node_and_one_shape_call_per_node(monkeypatch, variant):
     assert built == {"arch.build": 1, "graph.add_node": len(graph)}
     assert tracer.counters["arch.nodes_built"] == len(graph)
     shape = shapes.infer_all(graph)
-    distinct = {(id(node.spec), tuple(shape[feed] for feed in node.inputs))
-                for node in graph.nodes}
+    specs, _, inputs = graph.columns()
+    distinct = {(id(spec), tuple(shape[feed] for feed in feeds))
+                for spec, feeds in zip(specs, inputs)}
     assert costed == {"cost.graph_cost": 1, "shapes.node_output_shape": len(distinct)}
 
 
