@@ -9,7 +9,7 @@ from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
-from .core import PillarcostError, Record, _set, exact_fraction, read_json
+from .core import FrozenMap, PillarcostError, Record, _set, exact_fraction, read_json
 
 CLASSES = ("Car", "Pedestrian", "Cyclist")
 DIFFICULTIES = ("Easy", "Moderate", "Hard")
@@ -40,12 +40,12 @@ class DesignPoint(Record):
 
     name: str
     gmadds: Fraction
-    ap: dict[tuple[str, str], Fraction] = {}
+    ap: FrozenMap[tuple[str, str], Fraction] = FrozenMap()
     fps_backbone: Fraction | None = None
     fps_total: Fraction | None = None
 
     def __post_init__(self) -> None:
-        _set(self, "ap", dict(self.ap))  # not the caller's dict, nor the shared default
+        _set(self, "ap", FrozenMap(self.ap))  # not the caller's dict
         if self.gmadds <= 0:
             raise AnalysisError(f"{self.name}: gmadds must be positive")
         for field in ("fps_backbone", "fps_total"):
@@ -119,11 +119,11 @@ class TimingProfile(Record):
     """Fractional latency shares of named pipeline stages; shares may sum to
     less than 1, the remainder being unprofiled time."""
 
-    stage_fractions: dict[str, Fraction]
+    stage_fractions: FrozenMap[str, Fraction]
     base_latency_ms: Fraction
 
     def __post_init__(self) -> None:
-        _set(self, "stage_fractions", dict(self.stage_fractions))  # as DesignPoint.ap
+        _set(self, "stage_fractions", FrozenMap(self.stage_fractions))  # as DesignPoint.ap
         if self.base_latency_ms <= 0:
             raise AnalysisError("base latency must be positive")
         for stage, frac in self.stage_fractions.items():

@@ -164,7 +164,8 @@ _BATCH_NORM = BatchNorm()
 _RELU = ReLU()
 _ADD = Add()
 _CONCAT = Concat()
-_SPLIT_HALVES = ChannelSplit((Fraction(1, 2), Fraction(1, 2)))
+_HALF = Fraction(1, 2)
+_SPLIT_HALVES = ChannelSplit((_HALF, _HALF))
 _SHUFFLE_2 = ChannelShuffle(2)
 _POOL_3X3_S2 = MaxPool(3, 3, 2, 2, 1, 1)
 
@@ -389,9 +390,12 @@ def _block_of_units(unit, g, src, in_ch, out_ch, units, stride, prefix, cfg,
 
 def _block_darknet(g, src, in_ch, out_ch, units, stride, prefix, cfg,
                    first_block) -> int:
+    """An entry conv, then residual units whose 1x1 halves the width; a
+    one-unit block has no unit, so its width need not be even."""
     node = _cbr(g, src, f"{prefix}.entry", out_ch, stride=stride)
+    half = _frac_channels(out_ch, _HALF, prefix) if units > 1 else None
     for i in range(1, units):
-        node = _darknet_unit(g, node, out_ch, out_ch // 2, f"{prefix}.unit{i}")
+        node = _darknet_unit(g, node, out_ch, half, f"{prefix}.unit{i}")
     return node
 
 
@@ -400,11 +404,12 @@ def _block_cspdarknet(g, src, in_ch, out_ch, units, stride, prefix, cfg,
     """Cross-stage partial wrapper: the first block keeps the lane at full
     width (as the original CSP backbone does), later blocks halve it."""
     node = _cbr(g, src, f"{prefix}.entry", out_ch, stride=stride)
-    lane_ch = out_ch if first_block else out_ch // 2
+    half = _frac_channels(out_ch, _HALF, prefix) if units > 1 or not first_block else None
+    lane_ch = out_ch if first_block else half
     skip = _cbr(g, node, f"{prefix}.route_skip", lane_ch, (1, 1))
     lane = _cbr(g, node, f"{prefix}.route_lane", lane_ch, (1, 1))
     for i in range(1, units):
-        lane = _darknet_unit(g, lane, lane_ch, out_ch // 2, f"{prefix}.unit{i}")
+        lane = _darknet_unit(g, lane, lane_ch, half, f"{prefix}.unit{i}")
     lane = _cbr(g, lane, f"{prefix}.post", lane_ch, (1, 1))
     node = g.add_node(_CONCAT, ((skip, 0), (lane, 0)), f"{prefix}.concat")
     return _cbr(g, node, f"{prefix}.final", out_ch, (1, 1))
@@ -469,7 +474,8 @@ def build_pointpillars(variant: Variant, cfg: ArchConfig | None = None) -> Graph
     node = g.add_node(Scatter(cfg.pseudo_image_height, cfg.pseudo_image_width),
                       ((node, 0),), "pfn.scatter")
 
-    # neck: one transposed conv per backbone block output, then channel concat
+    # neck: one transposed conv per backbone block output, then a channel
+    # concat of the branches; a one-block network's neck is its one branch
     branches: list[int] = []
     for i, (src, out_ch, up) in enumerate(
             zip(_backbone(g, node, variant, cfg), cfg.neck_out_channels, cfg.neck_upsample)):
@@ -478,7 +484,8 @@ def build_pointpillars(variant: Variant, cfg: ArchConfig | None = None) -> Graph
                             ((src, 0),), f"{name}.deconv")
         branch = _bn_relu(g, branch, name)
         branches.append(branch)
-    neck = g.add_node(_CONCAT, tuple((b, 0) for b in branches), "neck.concat")
+    neck = branches[0] if len(branches) == 1 else \
+        g.add_node(_CONCAT, tuple((b, 0) for b in branches), "neck.concat")
 
     # SSD-style head: parallel 1x1 predictors (with bias; no BN follows)
     for name, out_ch in (

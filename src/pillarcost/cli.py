@@ -105,7 +105,7 @@ def _cmd_describe(args: argparse.Namespace) -> str:
     rows = [(stage, *sums) for stage, sums in report.per_stage().items()]
     stages = _render("table", (), rows, "{0:<12} {1:>16} {2:>12}",
                      title=("stage", "MAdd", "params"))
-    return (f"variant: {variant.value}\nnodes: {len(report.per_node)}\n\n{stages}\n"
+    return (f"variant: {variant.value}\nnodes: {len(report.names)}\n\n{stages}\n"
             f"total MAdd:   {report.total_madds} ({_gmadd_str(report.total_madds)} GMAdd)\n"
             f"total params: {report.total_params}\n")
 
@@ -116,7 +116,8 @@ def _cmd_cost(args: argparse.Namespace) -> str:
         return report.to_csv()
     if args.format == "json":
         return report.to_json() + "\n"
-    table = _render("table", (), list(report.per_node), "{0:<28} {1:<16} {2:>14} {3:>10}",
+    rows = list(zip(report.names, report.kinds, report.madds, report.params))
+    table = _render("table", (), rows, "{0:<28} {1:<16} {2:>14} {3:>10}",
                     title=("name", "kind", "MAdd", "params"))
     return (f"{table}TOTAL {_gmadd_str(report.total_madds)} GMAdd\n"
             f"TOTAL {report.total_params} params\n")

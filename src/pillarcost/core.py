@@ -2,8 +2,9 @@
 architecture errors, the backbone variants, the readers of numbers, JSON
 files and ``key = value`` items from outside (``exact_fraction``,
 ``read_json``, ``read_key_values``), how an error shows a value
-(``typed_repr``), the CSV field rule (``_csv_field``) and the frozen record
-base (``Record``).
+(``typed_repr``), the CSV field rule (``_csv_field``), the frozen record
+base (``Record``) and the read-only mapping a record field holds
+(``FrozenMap``).
 
 This module imports no graph code, so a command that only names the
 variants or reads the dataset loads nothing more than it needs.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import collections
 import json
+from collections.abc import Mapping
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -129,8 +131,9 @@ class Record:
     Fields are the annotated class attributes, in order, ``ClassVar`` ones
     excepted (annotations are read as text, as ``from __future__ import
     annotations`` leaves them, and never evaluated); a value is the field's
-    default, shared by every record that takes it, so a class whose default
-    is mutable copies it in ``__post_init__`` (``DesignPoint.ap``).  A class
+    default, shared by every record that takes it, so no default is
+    mutable: a field that holds a mapping stores a ``FrozenMap``
+    (``DesignPoint.ap``).  A class
     that sets ``_check_of`` (annotation text -> function of value and field
     name that returns the value to store or raises) has each field checked
     by its annotation's check, in field order.  An annotation the map lacks,
@@ -217,6 +220,36 @@ class Record:
 
 
 _set = object.__setattr__
+
+
+class FrozenMap(Mapping):
+    """A mapping that cannot be changed, so a record that holds one can be
+    hashed and keeps the value its checks saw.  It equals any mapping with
+    the same items, a plain dict too, and hashes as the frozenset of its
+    items."""
+
+    __slots__ = ("_dict",)
+
+    def __init__(self, items=()) -> None:
+        self._dict = dict(items)
+
+    def __getitem__(self, key):
+        return self._dict[key]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __len__(self) -> int:
+        return len(self._dict)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._dict.items()))
+
+    def __repr__(self) -> str:
+        return f"FrozenMap({self._dict!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self._dict,)
 
 
 class ArchError(PillarcostError):

@@ -26,21 +26,36 @@ class NodeCost(NamedTuple):
 
 
 class CostReport(Record):
-    """Per-node costs in topological order, plus aggregates.
+    """Per-node costs in topological order, as four columns of one length
+    (node ``i`` is item ``i`` of each), plus aggregates.
 
-    The per-stage sums are made on first use and kept beside the field, so
+    The per-stage sums are made on first use and kept beside the fields, so
     every aggregate and writer reads them; they are not a field, so ``==``,
     ``hash``, ``repr``, pickling and ``_replace`` do not see them.
     """
 
-    per_node: tuple[NodeCost, ...]
+    names: tuple[str, ...]
+    kinds: tuple[str, ...]
+    madds: tuple[int, ...]
+    params: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        lengths = [len(column) for column in self._values()]
+        if len(set(lengths)) > 1:  # zip would drop the rows past the shortest
+            raise ValueError("cost columns differ in length: " + ", ".join(
+                [f"{name} {length}" for name, length in zip(self._fields, lengths)]))
+
+    @property
+    def per_node(self) -> tuple[NodeCost, ...]:
+        """A ``NodeCost`` row per node, made from the columns on each call."""
+        return tuple(map(tuple.__new__, repeat(NodeCost), zip(*self._values())))
 
     def _sums(self) -> tuple[dict[str, tuple[int, int]], int, int]:
         """(per-stage (madds, params), total madds, total params), kept."""
         sums = getattr(self, "_kept_sums", None)
         if sums is None:
             stages: dict[str, tuple[int, int]] = {}
-            for name, _, madds, params in self.per_node:
+            for name, madds, params in zip(self.names, self.madds, self.params):
                 stage = name.partition(".")[0]
                 stage_madds, stage_params = stages.get(stage, (0, 0))
                 stages[stage] = (stage_madds + madds, stage_params + params)
@@ -67,7 +82,7 @@ class CostReport(Record):
         written by ``_csv_field`` and each row ended by a newline."""
         _, madds, params = self._sums()
         rows = [f"{_csv_field(name)},{kind},{node_madds},{node_params}\n"
-                for name, kind, node_madds, node_params in self.per_node]
+                for name, kind, node_madds, node_params in zip(*self._values())]
         return f"name,kind,madds,params\n{''.join(rows)}TOTAL,,{madds},{params}\n"
 
     def to_json(self) -> str:
@@ -77,9 +92,9 @@ class CostReport(Record):
         "total_params"}``, written directly as ``Graph.to_json`` is."""
         stages, madds, params = self._sums()
         rows = ",\n".join([
-            f'    {{\n      "kind": {_json_str(c.kind)},\n      "madds": {c.madds},\n'
-            f'      "name": {_json_str(c.name)},\n      "params": {c.params}\n    }}'
-            for c in self.per_node])
+            f'    {{\n      "kind": {_json_str(kind)},\n      "madds": {node_madds},\n'
+            f'      "name": {_json_str(name)},\n      "params": {node_params}\n    }}'
+            for name, kind, node_madds, node_params in zip(*self._values())])
         stages = ",\n".join([
             f'    {_json_str(stage)}: {{\n      "madds": {stage_madds},\n'
             f'      "params": {stage_params}\n    }}'
@@ -95,16 +110,16 @@ def graph_cost(graph: Graph, count_batchnorm: bool = True) -> CostReport:
 
     ``count_batchnorm=False`` treats BatchNorm as folded into the preceding
     convolution (0 MAdd, 0 params).  Each entry of ``shape_table`` is costed
-    once per call, at its own output shapes, and the rows are assembled from
-    the entry index by ``zip`` and ``map``, with no Python loop over the nodes.
+    once per call, at its own output shapes, and each column is picked from
+    the entries by the entry index, with no Python loop over the nodes.
     """
     index, entries = shape_table(graph)
     kinds, madds, params = zip(*[
         (spec.kind, *spec.cost(in_shapes, out_shapes))
         if count_batchnorm or not isinstance(spec, BatchNorm) else (spec.kind, 0, 0)
         for spec, in_shapes, out_shapes in entries])
-    # each node's entry's values; the extra item, which zip drops, keeps
-    # the result a tuple for a one-node graph
+    # each node's entry's values; the extra item, sliced off, keeps the
+    # result a tuple for a one-node graph
     pick = itemgetter(*index, 0)
-    rows = zip(graph.columns()[1], pick(kinds), pick(madds), pick(params))
-    return CostReport(tuple(map(tuple.__new__, repeat(NodeCost), rows)))
+    return CostReport(graph.columns()[1], pick(kinds)[:-1], pick(madds)[:-1],
+                      pick(params)[:-1])

@@ -101,6 +101,29 @@ class TestCost:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["total_madds"] > 0
 
+    def test_a_one_block_network_has_a_one_branch_neck(self, capsys):
+        # the head reads the neck's one branch; there is no Concat of one input
+        overrides = ["block_channels=[64]", "block_units=[4]", "block_strides=[2]",
+                     "neck_out_channels=[128]", "neck_upsample=[1]"]
+        code, out, err = invoke(capsys, "cost", "base", "--format", "csv",
+                                *[word for item in overrides for word in ("--set", item)])
+        assert (code, err) == (0, "")
+        graph = build_pointpillars(Variant.BASE, ArchConfig().with_overrides(overrides))
+        _, names, inputs = graph.columns()
+        branch = names.index("neck.branch1.relu")
+        assert "neck.concat" not in names
+        assert [feeds for name, feeds in zip(names, inputs) if name.startswith("head.")] == \
+            [((branch, 0),)] * 3
+        assert out == graph_cost(graph).to_csv()
+
+    @pytest.mark.parametrize("variant", ["Darknet", "CSPDarknet"])
+    def test_a_one_unit_darknet_block_may_have_an_odd_width(self, capsys, variant):
+        # the block has no residual unit, so nothing takes half its width
+        code, out, err = invoke(capsys, "describe", variant,
+                                "--set", "block_channels=[63,128,256]",
+                                "--set", "block_units=[1,6,6]")
+        assert (code, err) == (0, "") and "total MAdd:" in out
+
     def test_unknown_variant_is_domain_error(self, capsys):
         code, out, err = invoke(capsys, "cost", "VGG")
         assert code == 1
@@ -319,10 +342,15 @@ class TestExitCodes:
         (["describe", "base", "--set", "pseudo_image_height=5"],
          "neck.concat: concat spatial dims differ: TensorShape(channels=128, height=3, "
          "width=216) vs TensorShape(channels=128, height=4, width=216)"),
-        (["cost", "base", "--set", "block_channels=[64]", "--set", "block_units=[4]",
-          "--set", "block_strides=[2]", "--set", "neck_out_channels=[128]",
-          "--set", "neck_upsample=[1]"],
-         "concat node 'neck.concat' takes >= 2 inputs, got 1"),
+        (["cost", "Darknet", "--set", "block_channels=[1,2,32]"],
+         "backbone.block1: ratio 1/2 of 1 channels is not a positive integer"),
+        (["cost", "Darknet", "--set", "block_channels=[64,63,256]"],
+         "backbone.block2: ratio 1/2 of 63 channels is not a positive integer"),
+        (["cost", "CSPDarknet", "--set", "block_channels=[63,128,256]"],
+         "backbone.block1: ratio 1/2 of 63 channels is not a positive integer"),
+        (["cost", "CSPDarknet", "--set", "block_channels=[64,63,256]",
+          "--set", "block_units=[4,1,6]"],
+         "backbone.block2: ratio 1/2 of 63 channels is not a positive integer"),
         (["amdahl", "--profile", "{mmdet3d_timing.json}", "--speedup", "nosuch=2"],
          "stage 'nosuch' not in timing profile"),
         (["amdahl", "--profile", "{fpga_timing.json}", "--speedup", "backbone=0"],
@@ -350,7 +378,8 @@ class TestExitCodes:
          "{fraction_over_one}: bad timing profile: stage 'a' fraction 3/2 not in (0, 1]"),
     ], ids=["resnext_groups", "stride_3", "shufflenet_v1_groups", "odd_split", "xception_widen",
             "shufflenet_v1_widen", "shufflenet_v2_widen", "ratio", "neck_upsample",
-            "image_height", "one_block_neck", "unknown_stage", "zero_speedup",
+            "image_height", "darknet_half_of_one", "darknet_half_of_odd",
+            "cspdarknet_unit_half_of_odd", "cspdarknet_lane_half_of_odd", "unknown_stage", "zero_speedup",
             "speedup_no_equals", "pareto_no_ap", "plot_no_ap", "pareto_fps_zero",
             "pareto_fps_total_minus5", "speedup_two_equals", "set_two_equals",
             "set_no_equals", "plot_control_name", "newline_name", "profile_fraction_over_one"])

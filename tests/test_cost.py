@@ -1,5 +1,6 @@
 """Multiply-add and parameter accounting, checked against loop oracles."""
 import csv
+import gc
 import importlib
 import io
 import json
@@ -266,8 +267,8 @@ class TestGraphCost:
 
 
 class TestKeptSums:
-    """A report sums its stages once and keeps the sums beside its one
-    field; no reader, and nothing that compares or copies reports, can
+    """A report sums its stages once and keeps the sums beside its four
+    columns; no reader, and nothing that compares or copies reports, can
     tell."""
 
     @staticmethod
@@ -288,8 +289,8 @@ class TestKeptSums:
         assert (report.total_madds, report.total_params) == totals
 
     def test_a_read_report_equals_hashes_prints_and_pickles_as_a_fresh_one(self):
-        rows = graph_cost(tiny_graph()).per_node
-        read, fresh = self.read(CostReport(rows)), CostReport(rows)
+        columns = graph_cost(tiny_graph())._values()
+        read, fresh = self.read(CostReport(*columns)), CostReport(*columns)
         assert read == fresh and hash(read) == hash(fresh)
         assert repr(read) == repr(fresh)
         assert pickle.dumps(read) == pickle.dumps(fresh)
@@ -298,9 +299,10 @@ class TestKeptSums:
 
     def test_a_replaced_report_sums_its_own_rows(self):
         read = self.read(graph_cost(tiny_graph()))
-        head = read._replace(per_node=read.per_node[-1:])
+        head = read._replace(names=read.names[-1:], kinds=read.kinds[-1:],
+                             madds=read.madds[-1:], params=read.params[-1:])
         assert head.per_stage() == {"head": (4 * 16 * 64 + 4 * 64, 4 * 16 + 4)}
-        assert head.total_madds == read.per_node[-1].madds
+        assert head.total_madds == read.madds[-1]
         assert read._replace() == read and read._replace().to_csv() == read.to_csv()
 
 
@@ -382,4 +384,41 @@ def test_graph_cost_matches_independent_recount(monkeypatch, variant, units, cou
     graph = build_pointpillars(variant, units and ArchConfig(block_units=units))
     report = graph_cost(graph, count_batchnorm=count_batchnorm)
     assert list(report.per_node) == refcount.recount(graph.to_json_dict(), count_batchnorm)
+    assert report.per_node == tuple(zip(report.names, report.kinds, report.madds, report.params))
+    assert all(len(column) == len(graph) for column in report._values())
+
+
+class TestColumns:
+    """A report holds four columns of one length; its NodeCost rows are made
+    only when ``per_node`` is read."""
+
+    @pytest.mark.parametrize("at", range(4))
+    def test_columns_of_unequal_length_raise(self, at):
+        columns = [("a", "b"), ("conv", "relu"), (1, 0), (2, 0)]
+        columns[at] = columns[at][:1]
+        lengths = ", ".join(f"{name} {1 if i == at else 2}"
+                            for i, name in enumerate(CostReport._fields))
+        with pytest.raises(ValueError, match=f"^cost columns differ in length: {lengths}$"):
+            CostReport(*columns)
+        with pytest.raises(ValueError, match="^cost columns differ in length"):
+            CostReport(("a",), ("conv",), (1,), (2,))._replace(**{CostReport._fields[at]: ()})
+
+    def test_per_node_is_a_fresh_tuple_of_rows(self):
+        report = graph_cost(tiny_graph())
+        rows = report.per_node
+        assert rows == report.per_node and rows is not report.per_node
+        assert all(type(row) is NodeCost for row in rows)
+
+    def test_graph_cost_makes_no_node_cost(self):
+        graph = build_pointpillars(Variant.SHUFFLENET_V2, ArchConfig(block_units=(48, 48, 48)))
+        enabled = gc.isenabled()
+        gc.disable()  # a collection would stop tracking the rows it finds
+        try:
+            before = [o for o in gc.get_objects() if type(o) is NodeCost]
+            report = graph_cost(graph)
+            after = [o for o in gc.get_objects() if type(o) is NodeCost]
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(report.names) == len(graph) and len(after) == len(before)
 

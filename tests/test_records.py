@@ -14,10 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pillarcost.analysis import DesignPoint, TimingProfile
+from pillarcost.analysis import (
+    SCOPES, DesignPoint, TimingProfile, default_dataset_path, load_points, map_of, project_fps,
+)
 from pillarcost.arch import ArchConfig, ArchError
 from pillarcost.core import Record
-from pillarcost.cost import CostReport, NodeCost
+from pillarcost.cost import CostReport
 from pillarcost.graph import (
     Add, BatchNorm, ChannelShuffle, ChannelSplit, Concat, Conv, Graph, Input,
     MaxPool, ReLU, Scatter, TensorShape, TransposedConv,
@@ -60,20 +62,19 @@ CASES = [
      "resnext_width=Fraction(1, 1), resnext_groups=32)",
      (32,)),
     (DesignPoint, ("y", Fraction(7), {("Car", "Easy"): Fraction(1, 3)}, Fraction(10)),
-     "DesignPoint(name='y', gmadds=Fraction(7, 1), ap={('Car', 'Easy'): "
-     "Fraction(1, 3)}, fps_backbone=Fraction(10, 1), fps_total=None)",
+     "DesignPoint(name='y', gmadds=Fraction(7, 1), ap=FrozenMap({('Car', 'Easy'): "
+     "Fraction(1, 3)}), fps_backbone=Fraction(10, 1), fps_total=None)",
      ("y", Fraction(7))),
     (TimingProfile, ({"backbone": Fraction(1, 2)}, Fraction(25)),
-     "TimingProfile(stage_fractions={'backbone': Fraction(1, 2)}, "
+     "TimingProfile(stage_fractions=FrozenMap({'backbone': Fraction(1, 2)}), "
      "base_latency_ms=Fraction(25, 1))",
      ({"backbone": Fraction(1, 2)}, Fraction(26))),
-    (CostReport, ((NodeCost("a", "conv", 1, 2),),),
-     "CostReport(per_node=(NodeCost(name='a', kind='conv', madds=1, params=2),))",
-     ((),)),
+    (CostReport, (("a",), ("conv",), (1,), (2,)),
+     "CostReport(names=('a',), kinds=('conv',), madds=(1,), params=(2,))",
+     (("b",), ("conv",), (1,), (2,))),
 ]
 IDS = [case[0].__name__ for case in CASES]
 FIELDLESS = (ReLU, Add, BatchNorm, Concat)
-UNHASHABLE = (DesignPoint, TimingProfile)  # they hold a dict
 
 
 def test_every_record_class_is_covered():
@@ -90,11 +91,7 @@ class TestContract:
     def test_equality_and_hash_agree(self, cls, args, text, other):
         first, second = cls(*args), cls(*args)
         assert first == second and not first != second
-        if cls in UNHASHABLE:
-            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
-                hash(first)
-        else:
-            assert hash(first) == hash(second) == hash(first)
+        assert hash(first) == hash(second) == hash(first)
         if other is not None:
             assert cls(*other) != first
         assert first != tuple(getattr(first, name) for name in cls._fields)
@@ -148,7 +145,7 @@ MISSING = {
     Scatter: "2 required positional arguments: 'out_height' and 'out_width'",
     DesignPoint: "2 required positional arguments: 'name' and 'gmadds'",
     TimingProfile: "2 required positional arguments: 'stage_fractions' and 'base_latency_ms'",
-    CostReport: "1 required positional argument: 'per_node'",
+    CostReport: "4 required positional arguments: 'names', 'kinds', 'madds', and 'params'",
 }
 
 
@@ -282,10 +279,32 @@ def test_graph_of_fieldless_kinds_round_trips_byte_identical():
 
 
 def test_each_design_point_gets_a_fresh_ap_dict():
-    first, second = DesignPoint("a", Fraction(1)), DesignPoint("b", Fraction(1))
-    assert first.ap == {} and first.ap is not second.ap
-    first.ap[("Car", "Easy")] = Fraction(1)
-    assert DesignPoint("c", Fraction(1)).ap == {}
+    given = {("Car", "Easy"): Fraction(1)}
+    point = DesignPoint("a", Fraction(1), given)
+    given[("Car", "Easy")] = Fraction(2)
+    assert point.ap == {("Car", "Easy"): Fraction(1)}
+    assert DesignPoint("b", Fraction(1)).ap == {}
+
+
+@pytest.mark.parametrize("load, field, key, score", [
+    (lambda: load_points(default_dataset_path())[0], "ap", ("Car", "Easy"),
+     lambda point: [map_of(point, scope) for scope in SCOPES]),
+    (lambda: TimingProfile.from_file(default_dataset_path().parent / "fpga_timing.json"),
+     "stage_fractions", "backbone", lambda profile: project_fps(profile, {"backbone": 2})),
+], ids=["ap", "stage_fractions"])
+def test_a_mapping_field_cannot_change_after_its_checks(load, field, key, score):
+    record = load()
+    before, mapping = score(record), getattr(record, field)
+    with pytest.raises(TypeError, match="does not support item assignment"):
+        mapping[key] = 1000
+    with pytest.raises(TypeError, match="does not support item deletion"):
+        del mapping[key]
+    for name in ("update", "pop", "clear", "setdefault", "__ior__"):
+        assert not hasattr(mapping, name)
+    assert hash(record) == hash(copy.deepcopy(record))
+    assert hash(mapping) == hash(frozenset(dict(mapping).items()))
+    assert mapping == dict(mapping) and dict(mapping) == mapping and key in mapping
+    assert score(record) == before
 
 
 def test_a_replaced_record_is_checked():
