@@ -22,7 +22,7 @@ from .core import ArchError, Variant
 __version__ = "1.0.0"
 
 _LAZY = {name: module for module, names in (
-    ("arch", ("ArchConfig", "build_backbone", "build_pointpillars")),
+    ("arch", ("ArchConfig", "build_pointpillars")),
     ("cost", ("CostReport", "NodeCost", "graph_cost")),
     ("graph", ("Add", "BatchNorm", "ChannelShuffle", "ChannelSplit", "Concat",
                "Conv", "Graph", "GraphError", "Input", "MaxPool", "ReLU",

@@ -46,11 +46,11 @@ class DesignPoint(Record):
 
     def __post_init__(self) -> None:
         _set(self, "ap", FrozenMap(self.ap))  # not the caller's dict
-        if self.gmadds <= 0:
+        if not self.gmadds > 0:  # not <= 0, which nan passes
             raise AnalysisError(f"{self.name}: gmadds must be positive")
         for field in ("fps_backbone", "fps_total"):
             value = getattr(self, field)
-            if value is not None and value <= 0:
+            if value is not None and not value > 0:
                 raise AnalysisError(f"{self.name}: {field} must be positive")
         for key, value in self.ap.items():
             if not 0 <= value <= 100:
@@ -124,7 +124,7 @@ class TimingProfile(Record):
 
     def __post_init__(self) -> None:
         _set(self, "stage_fractions", FrozenMap(self.stage_fractions))  # as DesignPoint.ap
-        if self.base_latency_ms <= 0:
+        if not self.base_latency_ms > 0:  # as DesignPoint.gmadds
             raise AnalysisError("base latency must be positive")
         for stage, frac in self.stage_fractions.items():
             if not 0 < frac <= 1:

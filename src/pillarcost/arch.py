@@ -104,11 +104,8 @@ class ArchConfig(Record):
         if len(self.neck_out_channels) != len(self.neck_upsample) or \
                 len(self.neck_out_channels) != len(self.block_channels):
             raise ArchError("neck lists must match the number of blocks")
-
-    @property
-    def pseudo_image(self) -> TensorShape:
-        return TensorShape(self.pseudo_image_channels,
-                           self.pseudo_image_height, self.pseudo_image_width)
+        if not self.block_channels:
+            raise ArchError("block_channels must list at least one block")
 
     # -- loading and overrides ---------------------------------------------
 
@@ -435,28 +432,6 @@ _BLOCK_BUILDERS = {
 }
 
 
-def _backbone(g: Graph, node: int, variant: Variant, cfg: ArchConfig) -> list[int]:
-    """The strided blocks fed by ``node``; returns each block's output."""
-    in_ch = cfg.pseudo_image_channels
-    outputs: list[int] = []
-    for i, (out_ch, units, stride) in enumerate(
-            zip(cfg.block_channels, cfg.block_units, cfg.block_strides)):
-        node = _BLOCK_BUILDERS[variant](g, node, in_ch, out_ch, units, stride,
-                                        f"backbone.block{i + 1}", cfg, i == 0)
-        outputs.append(node)
-        in_ch = out_ch
-    return outputs
-
-
-def build_backbone(variant: Variant, cfg: ArchConfig | None = None) -> tuple[Graph, list[int]]:
-    """A standalone backbone: a fresh graph whose one input is the
-    pseudo-image; returns the graph and per-block outputs."""
-    cfg = cfg or _DEFAULT
-    g = Graph()
-    node = g.add_node(Input(cfg.pseudo_image), name="backbone.input")
-    return g, _backbone(g, node, variant, cfg)
-
-
 def build_pointpillars(variant: Variant, cfg: ArchConfig | None = None) -> Graph:
     """Full network graph: pfn -> scatter -> backbone -> neck -> head."""
     cfg = cfg or _DEFAULT
@@ -474,11 +449,20 @@ def build_pointpillars(variant: Variant, cfg: ArchConfig | None = None) -> Graph
     node = g.add_node(Scatter(cfg.pseudo_image_height, cfg.pseudo_image_width),
                       ((node, 0),), "pfn.scatter")
 
-    # neck: one transposed conv per backbone block output, then a channel
-    # concat of the branches; a one-block network's neck is its one branch
+    # backbone: the strided blocks, each fed by the one before
+    in_ch, outputs = cfg.pseudo_image_channels, []
+    for i, (out_ch, units, stride) in enumerate(
+            zip(cfg.block_channels, cfg.block_units, cfg.block_strides)):
+        node = _BLOCK_BUILDERS[variant](g, node, in_ch, out_ch, units, stride,
+                                        f"backbone.block{i + 1}", cfg, i == 0)
+        outputs.append(node)
+        in_ch = out_ch
+
+    # neck: one transposed conv per block output, then a channel concat of
+    # the branches; a one-block network's neck is its one branch
     branches: list[int] = []
     for i, (src, out_ch, up) in enumerate(
-            zip(_backbone(g, node, variant, cfg), cfg.neck_out_channels, cfg.neck_upsample)):
+            zip(outputs, cfg.neck_out_channels, cfg.neck_upsample)):
         name = f"neck.branch{i + 1}"
         branch = g.add_node(g.spec(TransposedConv, out_ch, up, up, up, up),
                             ((src, 0),), f"{name}.deconv")

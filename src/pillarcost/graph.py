@@ -365,16 +365,6 @@ _ATTR_NAMES = {cls: tuple(sorted(cls._fields))
 # Graph
 # --------------------------------------------------------------------------
 
-class Edge(NamedTuple):
-    """An input as an edge.  A tuple: it compares equal to, and unpacks
-    like, ``(src, src_port, dst, dst_port)``."""
-
-    src: int
-    src_port: int
-    dst: int
-    dst_port: int
-
-
 class Graph:
     """Append-only DAG of layer nodes, valid by construction.
 
@@ -397,9 +387,10 @@ class Graph:
         return tuple(self._spec_col), tuple(self._name_col), tuple(self._input_col)
 
     @property
-    def edges(self) -> tuple[Edge, ...]:
-        """Every input as an edge, in consumer id order, then port order."""
-        return tuple(Edge(src, port, dst, dst_port)
+    def edges(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Every input as an edge ``(src, src_port, dst, dst_port)``, in
+        consumer id order, then port order."""
+        return tuple((src, port, dst, dst_port)
                      for dst, feeds in enumerate(self._input_col)
                      for dst_port, (src, port) in enumerate(feeds))
 
@@ -504,9 +495,7 @@ class Graph:
                   "attrs": {attr: _json_value(getattr(spec, attr))
                             for attr in _ATTR_NAMES[type(spec)]}}
                  for node_id, (spec, name) in enumerate(zip(self._spec_col, self._name_col))]
-        edges = [[src, port, dst, dst_port] for dst, feeds in enumerate(self._input_col)
-                 for dst_port, (src, port) in enumerate(feeds)]
-        return {"nodes": nodes, "edges": edges}
+        return {"nodes": nodes, "edges": [list(edge) for edge in self.edges]}
 
     def to_json(self) -> str:
         """Exactly ``json.dumps(self.to_json_dict(), indent=2, sort_keys=True)``.

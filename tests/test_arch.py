@@ -7,7 +7,7 @@ import pytest
 
 import pillarcost.arch
 from pillarcost.arch import (
-    ArchConfig, ArchError, Variant, build_backbone, build_pointpillars,
+    ArchConfig, ArchError, Variant, build_pointpillars,
 )
 from pillarcost.core import exact_fraction
 from pillarcost.cost import graph_cost
@@ -42,7 +42,8 @@ class TestVariant:
 class TestArchConfig:
     def test_defaults(self):
         cfg = ArchConfig()
-        assert cfg.pseudo_image == TensorShape(64, 496, 432)
+        assert (cfg.pseudo_image_channels, cfg.pseudo_image_height,
+                cfg.pseudo_image_width) == (64, 496, 432)
         assert cfg.block_channels == (64, 128, 256)
 
     def test_list_length_mismatch_rejected(self):
@@ -50,6 +51,15 @@ class TestArchConfig:
             ArchConfig(block_units=(4, 6))
         with pytest.raises(ArchError):
             ArchConfig(neck_upsample=(1, 2))
+
+    @pytest.mark.parametrize("empty", [(), []], ids=["tuple", "list"])
+    def test_plan_with_no_blocks_rejected(self, empty):
+        # the lists agree in length, so only this check keeps the plan out
+        # of the build, whose neck concat would get no inputs
+        lists = ("block_channels", "block_units", "block_strides", "neck_out_channels",
+                 "neck_upsample")
+        with pytest.raises(ArchError, match=r"^block_channels must list at least one block$"):
+            ArchConfig(**dict.fromkeys(lists, empty))
 
     def test_non_positive_counts_rejected(self):
         with pytest.raises(ArchError):
@@ -228,14 +238,23 @@ class TestArchConfig:
         assert str(info.value) == "key 'max_pillars' given twice"
 
 
+def block_outputs(g) -> list[int]:
+    """Each backbone block's output: the producer of ``neck.branch<i>.deconv``."""
+    _, names, inputs = g.columns()
+    return [feeds[0][0] for name, feeds in zip(names, inputs)
+            if name.startswith("neck.branch") and name.endswith(".deconv")]
+
+
 def unit_graph(variant, in_ch, out_ch, stride, **knobs):
-    """A backbone of one block of two units on a 16x16 input: the strided
-    first unit, then one of stride 1 (Xception's block spans both)."""
+    """A network whose backbone is one block of two units on a 16x16
+    pseudo-image: the strided first unit, then one of stride 1 (Xception's
+    block spans both); returns the graph and the block's output."""
     cfg = ArchConfig(pseudo_image_channels=in_ch, pseudo_image_height=16,
                      pseudo_image_width=16, block_channels=(out_ch,), block_units=(2,),
                      block_strides=(stride,), neck_out_channels=(out_ch,),
                      neck_upsample=(1,), **knobs)
-    g, (out,) = build_backbone(variant, cfg)
+    g = build_pointpillars(variant, cfg)
+    (out,) = block_outputs(g)
     return g, out
 
 
@@ -243,7 +262,6 @@ def test_builds_given_no_config_share_one_default(monkeypatch):
     made = []
     monkeypatch.setattr(ArchConfig, "__post_init__", lambda self: made.append(self))
     graph = build_pointpillars(Variant.RESNET)
-    build_backbone(Variant.RESNET)
     assert made == []
     assert graph.to_json() == build_pointpillars(Variant.RESNET, ArchConfig()).to_json()
 
@@ -301,36 +319,17 @@ class TestBasicUnit:
 
 
 class TestBuildBackbone:
-    @pytest.mark.parametrize("variant", ALL_VARIANTS)
-    def test_network_backbone_is_the_standalone_one(self, variant):
-        # both go through one block walk: the same nodes, after their inputs
-        g, outputs = build_backbone(variant)
-        network = build_pointpillars(variant)
-        specs, names, _ = g.columns()
-        net_specs, net_names, net_inputs = network.columns()
-        assert [(name, spec) for name, spec in zip(net_names, net_specs)
-                if name.startswith("backbone.")] == list(zip(names, specs))[1:]
-        assert [names[o] for o in outputs] == [
-            net_names[feeds[0][0]] for name, feeds in zip(net_names, net_inputs)
-            if name.endswith(".deconv")]
-
-    def test_takes_a_variant_and_a_config_only(self):
-        with pytest.raises(TypeError):
-            build_backbone(Variant.BASE, None, Graph())
+    """The backbone stage of a built network, read at the block outputs."""
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_block_boundary_shapes_shared(self, variant):
-        g, outputs = build_backbone(variant)
+        g = build_pointpillars(variant)
         assert len(graph_cost(g).per_node) == len(g)
         shapes = infer_all(g)
-        assert [shapes[(o, 0)] for o in outputs] == [
+        assert [shapes[(o, 0)] for o in block_outputs(g)] == [
             TensorShape(64, 248, 216),
             TensorShape(128, 124, 108),
             TensorShape(256, 62, 54)]
-
-    def test_standalone_backbone_has_single_input(self):
-        g, _ = build_backbone(Variant.BASE)
-        assert [type(spec) for spec in g.columns()[0]].count(Input) == 1
 
 
 class TestBuildPointPillars:
@@ -340,22 +339,20 @@ class TestBuildPointPillars:
         # where the config said 3, while the other families honoured it
         with pytest.raises(ArchError, match=r"^block_strides\[0\]: stride must be 1 or 2, got 3$"):
             build_pointpillars(variant, ArchConfig(block_strides=(3, 2, 2)))
-        g, outputs = build_backbone(variant, ArchConfig(block_strides=(1, 2, 2)))
+        g = build_pointpillars(variant, ArchConfig(block_strides=(1, 2, 2)))
         shapes = infer_all(g)
-        assert [shapes[(out, 0)].height for out in outputs] == [496, 248, 124]
+        assert [shapes[(out, 0)].height for out in block_outputs(g)] == [496, 248, 124]
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_single_unit_blocks_build_and_cost(self, variant):
         # Xception's strided single-unit block used to project its skip with
         # stride 2 but not downsample its separable conv
-        cfg = ArchConfig(block_units=(1, 1, 1))
-        g, outputs = build_backbone(variant, cfg)
+        g = build_pointpillars(variant, ArchConfig(block_units=(1, 1, 1)))
         shapes = infer_all(g)
-        assert [shapes[(out, 0)] for out in outputs] == [
+        assert [shapes[(out, 0)] for out in block_outputs(g)] == [
             TensorShape(64, 248, 216),
             TensorShape(128, 124, 108),
             TensorShape(256, 62, 54)]
-        g = build_pointpillars(variant, cfg)
         assert len(graph_cost(g).per_node) == len(g)
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS)

@@ -376,13 +376,18 @@ class TestExitCodes:
          "{newline_name}: bad design point record: a b: gmadds must be positive"),
         (["amdahl", "--profile", "{fraction_over_one}"],
          "{fraction_over_one}: bad timing profile: stage 'a' fraction 3/2 not in (0, 1]"),
+        (["cost", "base", "--set", "block_channels=[]", "--set", "block_units=[]",
+          "--set", "block_strides=[]", "--set", "neck_out_channels=[]",
+          "--set", "neck_upsample=[]"],
+         "block_channels must list at least one block"),
     ], ids=["resnext_groups", "stride_3", "shufflenet_v1_groups", "odd_split", "xception_widen",
             "shufflenet_v1_widen", "shufflenet_v2_widen", "ratio", "neck_upsample",
             "image_height", "darknet_half_of_one", "darknet_half_of_odd",
             "cspdarknet_unit_half_of_odd", "cspdarknet_lane_half_of_odd", "unknown_stage", "zero_speedup",
             "speedup_no_equals", "pareto_no_ap", "plot_no_ap", "pareto_fps_zero",
             "pareto_fps_total_minus5", "speedup_two_equals", "set_two_equals",
-            "set_no_equals", "plot_control_name", "newline_name", "profile_fraction_over_one"])
+            "set_no_equals", "plot_control_name", "newline_name", "profile_fraction_over_one",
+            "no_blocks"])
     def test_error_line_is_pinned(self, capsys, tmp_path, argv, line):
         # the shipped dataset with its second point named "A\x01B"
         control_name = tmp_path / "control_name.json"

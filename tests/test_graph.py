@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from pillarcost.graph import (
-    Add, BatchNorm, ChannelShuffle, ChannelSplit, Concat, Conv, Edge, FieldError,
+    Add, BatchNorm, ChannelShuffle, ChannelSplit, Concat, Conv, FieldError,
     Graph, GraphError, Input, MaxPool, ReLU, Scatter, ShapeError, TensorShape,
     TransposedConv, _KIND_CLASSES,
 )
@@ -65,11 +65,10 @@ class TestRecords:
 
     @pytest.mark.parametrize("record, text, values", [
         (TensorShape(3, 4, 5), "TensorShape(channels=3, height=4, width=5)", (3, 4, 5)),
-        (Edge(0, 1, 2, 0), "Edge(src=0, src_port=1, dst=2, dst_port=0)", (0, 1, 2, 0)),
         (NodeCost("conv", "conv", 432, 16),
          "NodeCost(name='conv', kind='conv', madds=432, params=16)",
          ("conv", "conv", 432, 16)),
-    ], ids=["TensorShape", "Edge", "NodeCost"])
+    ], ids=["TensorShape", "NodeCost"])
     def test_repr_frozen_fields_and_tuple_equality(self, record, text, values):
         assert repr(record) == text
         field = text[text.index("(") + 1:text.index("=")]
@@ -324,8 +323,8 @@ class TestAddNode:
         assert inputs == [[], [(a, 0)], [(s, 1), (a, 0), (s, 0)]]
         assert inputs == [g.inputs_of(i) for i in range(len(g))]
         # edges are a view of the inputs: consumer id order, then port order
-        assert g.edges == (Edge(a, 0, s, 0), Edge(s, 1, 2, 0), Edge(a, 0, 2, 1),
-                           Edge(s, 0, 2, 2))
+        assert g.edges == ((a, 0, s, 0), (s, 1, 2, 0), (a, 0, 2, 1), (s, 0, 2, 2))
+        assert {type(edge) for edge in g.edges} == {tuple}
 
     def test_a_negative_port_is_refused_and_graph_unchanged(self):
         # port 0 is taken unchecked (every kind has an output); any other
@@ -458,7 +457,7 @@ class TestTopoOrder:
     def test_every_edge_respected(self):
         g = small_chain()
         pos = {nid: i for i, nid in enumerate(g.topo_order())}
-        assert all(pos[e.src] < pos[e.dst] for e in g.edges)
+        assert all(pos[src] < pos[dst] for src, _, dst, _ in g.edges)
 
     def test_invalid_graph_raises(self):
         doc = small_chain().to_json_dict()
@@ -497,6 +496,14 @@ class TestJsonRoundTrip:
         doc["nodes"].reverse()
         doc["edges"].reverse()
         assert Graph.from_json_dict(doc).to_json() == g.to_json()
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_edges_are_the_documents_edges_as_tuples(self, variant):
+        g = build_pointpillars(variant)
+        # to_json writes its edges itself; to_json_dict lists Graph.edges
+        for doc in (g.to_json_dict(), json.loads(g.to_json())):
+            assert g.edges == tuple(map(tuple, doc["edges"]))
+        assert len(g.edges) == sum(map(len, g.columns()[2]))
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_shuffled_edges_decode_as_sorted_ones(self, variant):

@@ -4,8 +4,8 @@ it reads every name it imports, it checks nothing with ``assert``,
 which ``python -O`` strips, it runs no text as code, its commands
 write CSV and JSON only through the command line's one writer, each
 node kind states its cost in one method, only ``graph`` knows how a
-graph stores its nodes, and ``Graph`` has no public method that nothing
-reads."""
+graph stores its nodes, and it defines no public function, class or
+method that nothing reads."""
 import ast
 import re
 import sys
@@ -120,20 +120,51 @@ def graph_public_methods() -> dict:
             if isinstance(func, ast.FunctionDef) and not func.name.startswith("_")}
 
 
+def name_reads(tree: ast.AST) -> Counter:
+    """Each name and attribute read in ``tree``, by name."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))
+                   and isinstance(node.ctx, ast.Load))
+
+
+def public_definitions() -> dict:
+    """``module.name`` and ``module.Class.name`` -> definition, for every
+    public top-level function and class of the package and each public
+    method of those classes."""
+    defs = {}
+    for path in MODULES:
+        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+                defs[f"{path.stem}.{node.name}"] = node
+                if isinstance(node, ast.ClassDef):
+                    defs.update((f"{path.stem}.{node.name}.{func.name}", func)
+                                for func in node.body if isinstance(func, ast.FunctionDef)
+                                and func.name[0] != "_")
+    return defs
+
+
+# public names that nothing in src/ or bench/ reads, and why they stay
+UNREAD_KEPT = {
+    "analysis.amdahl": "the one-stage reference that tests hold project_fps to",
+    "analysis.ratio_table": "README's library example; ROADMAP item 2 builds on it",
+}
+
+
 def test_every_public_graph_method_is_read():
-    # each public method or property of Graph is read in src/ or bench/*.py
-    # outside its own definition, or traced by name in bench/tracing.py
-    public = graph_public_methods()
+    # each public function, class and method of the package (Graph's
+    # methods among them) is read in src/ or bench/*.py outside its own
+    # definition, traced by name in bench/tracing.py, or kept on purpose
+    defs = public_definitions()
     read = Counter()
     for path in [*MODULES, *sorted((ROOT / "bench").glob("*.py"))]:
-        read += attribute_reads(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        read += name_reads(ast.parse(path.read_text(encoding="utf-8"), str(path)))
     tracing = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
     (traced,) = [ast.literal_eval(node.value) for node in tracing.body
                  if isinstance(node, ast.Assign) and ast.unparse(node.targets) == "TRACED"]
-    traced = {attr.removeprefix("Graph.") for _, attr, _ in traced}
-    assert len(public) >= 5
-    assert sorted(name for name, func in public.items() if name not in traced
-                  and read[name] == attribute_reads(func)[name]) == []
+    traced = {f"{module}.{attr}" for module, attr, _ in traced}
+    assert {"graph.Graph.edges", "arch.build_pointpillars", "cost.graph_cost"} <= defs.keys()
+    assert sorted(path for path, node in defs.items() if path not in traced
+                  and read[node.name] == name_reads(node)[node.name]) == sorted(UNREAD_KEPT)
 
 
 @pytest.mark.parametrize("name", ["shapes.py", "cost.py"])
