@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
+from math import inf
 from pathlib import Path
 
 from .core import FrozenMap, PillarcostError, Record, _set, exact_fraction, read_json
@@ -46,11 +47,11 @@ class DesignPoint(Record):
 
     def __post_init__(self) -> None:
         _set(self, "ap", FrozenMap(self.ap))  # not the caller's dict
-        if not self.gmadds > 0:  # not <= 0, which nan passes
+        if not 0 < self.gmadds < inf:  # not <= 0, which nan passes; inf has no ratio
             raise AnalysisError(f"{self.name}: gmadds must be positive")
         for field in ("fps_backbone", "fps_total"):
             value = getattr(self, field)
-            if value is not None and not value > 0:
+            if value is not None and not 0 < value < inf:
                 raise AnalysisError(f"{self.name}: {field} must be positive")
         for key, value in self.ap.items():
             if not 0 <= value <= 100:
@@ -124,7 +125,7 @@ class TimingProfile(Record):
 
     def __post_init__(self) -> None:
         _set(self, "stage_fractions", FrozenMap(self.stage_fractions))  # as DesignPoint.ap
-        if not self.base_latency_ms > 0:  # as DesignPoint.gmadds
+        if not 0 < self.base_latency_ms < inf:  # as DesignPoint.gmadds
             raise AnalysisError("base latency must be positive")
         for stage, frac in self.stage_fractions.items():
             if not 0 < frac <= 1:

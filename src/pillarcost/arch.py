@@ -370,19 +370,38 @@ _UNIT_BUILDERS = {
 # The config of a build given none; records are frozen, so builds share it
 _DEFAULT = ArchConfig()
 
+# _units copies a run's units only when the copies hold this many nodes or
+# more: below it, Graph.repeat's fixed cost (its checks and list set-up)
+# outweighs building the units one by one
+_COPY_FROM_NODES = 24
+
 
 # --------------------------------------------------------------------------
 # Blocks and full network
 # --------------------------------------------------------------------------
 
+def _units(g: Graph, node: int, names: list[str], unit) -> int:
+    """Equal units in a chain, one per name, each as ``unit(node, name)``
+    builds it.  When the copies of the first would hold ``_COPY_FROM_NODES``
+    nodes or more, ``Graph.repeat`` makes them; this relies on every unit
+    ending with its output."""
+    if not names:
+        return node
+    first = len(g)
+    last = unit(node, names[0])
+    if (len(g) - first) * (len(names) - 1) >= _COPY_FROM_NODES:
+        return g.repeat(first, node, names[0], names[1:])
+    for name in names[1:]:
+        last = unit(last, name)
+    return last
+
+
 def _block_of_units(unit, g, src, in_ch, out_ch, units, stride, prefix, cfg,
                     first_block) -> int:
     """``units`` basic units in a row; only the first is strided."""
-    node = src
-    for i in range(units):
-        node = unit(g, node, in_ch, out_ch, stride, f"{prefix}.unit{i + 1}", cfg)
-        in_ch, stride = out_ch, 1
-    return node
+    node = unit(g, src, in_ch, out_ch, stride, f"{prefix}.unit1", cfg)
+    return _units(g, node, [f"{prefix}.unit{i}" for i in range(2, units + 1)],
+                  lambda node, name: unit(g, node, out_ch, out_ch, 1, name, cfg))
 
 
 def _block_darknet(g, src, in_ch, out_ch, units, stride, prefix, cfg,
@@ -391,9 +410,8 @@ def _block_darknet(g, src, in_ch, out_ch, units, stride, prefix, cfg,
     one-unit block has no unit, so its width need not be even."""
     node = _cbr(g, src, f"{prefix}.entry", out_ch, stride=stride)
     half = _frac_channels(out_ch, _HALF, prefix) if units > 1 else None
-    for i in range(1, units):
-        node = _darknet_unit(g, node, out_ch, half, f"{prefix}.unit{i}")
-    return node
+    return _units(g, node, [f"{prefix}.unit{i}" for i in range(1, units)],
+                  lambda node, name: _darknet_unit(g, node, out_ch, half, name))
 
 
 def _block_cspdarknet(g, src, in_ch, out_ch, units, stride, prefix, cfg,
@@ -405,8 +423,8 @@ def _block_cspdarknet(g, src, in_ch, out_ch, units, stride, prefix, cfg,
     lane_ch = out_ch if first_block else half
     skip = _cbr(g, node, f"{prefix}.route_skip", lane_ch, (1, 1))
     lane = _cbr(g, node, f"{prefix}.route_lane", lane_ch, (1, 1))
-    for i in range(1, units):
-        lane = _darknet_unit(g, lane, lane_ch, half, f"{prefix}.unit{i}")
+    lane = _units(g, lane, [f"{prefix}.unit{i}" for i in range(1, units)],
+                  lambda node, name: _darknet_unit(g, node, lane_ch, half, name))
     lane = _cbr(g, lane, f"{prefix}.post", lane_ch, (1, 1))
     node = g.add_node(_CONCAT, ((skip, 0), (lane, 0)), f"{prefix}.concat")
     return _cbr(g, node, f"{prefix}.final", out_ch, (1, 1))
@@ -415,12 +433,15 @@ def _block_cspdarknet(g, src, in_ch, out_ch, units, stride, prefix, cfg,
 def _block_xception(g, src, in_ch, out_ch, units, stride, prefix, cfg,
                     first_block) -> int:
     """Each Xception block covers two of the original conv units; only the
-    first is strided."""
-    node = src
-    for index, start in enumerate(range(0, units, 2), 1):
-        node = _unit_xception(g, node, in_ch, out_ch, stride, f"{prefix}.block{index}",
-                              single=start + 1 == units)
-        in_ch, stride = out_ch, 1
+    first is strided, and an odd count ends with a ``single`` block."""
+    node = _unit_xception(g, src, in_ch, out_ch, stride, f"{prefix}.block1",
+                          single=units == 1)
+    pairs = units // 2
+    node = _units(g, node, [f"{prefix}.block{i}" for i in range(2, pairs + 1)],
+                  lambda node, name: _unit_xception(g, node, out_ch, out_ch, 1, name, False))
+    if units % 2 and pairs:
+        node = _unit_xception(g, node, out_ch, out_ch, 1, f"{prefix}.block{pairs + 1}",
+                              single=True)
     return node
 
 

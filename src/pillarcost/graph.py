@@ -368,10 +368,11 @@ _ATTR_NAMES = {cls: tuple(sorted(cls._fields))
 class Graph:
     """Append-only DAG of layer nodes, valid by construction.
 
-    ``add_node`` is the only writer.  It checks each node's arity, name and
+    Two methods write: ``add_node`` checks each new node's arity, name and
     inputs, and accepts only producers that already exist, through output
-    ports they have.  So node ids are dense, insertion order is topological,
-    names are unique, and every node has exactly the inputs its kind needs.
+    ports they have; ``repeat`` copies nodes that passed those checks.  So
+    node ids are dense, insertion order is topological, names are unique,
+    and every node has exactly the inputs its kind needs.
     Nodes are kept as columns (see the module doc), read through ``columns``.
     """
 
@@ -470,6 +471,63 @@ class Graph:
         self._input_col.append(inputs)
         names.add(name)
         return node_id
+
+    def repeat(self, first: int, src: int, label: str, labels: list[str] | tuple) -> int:
+        """Append one copy of the template, nodes ``first`` to the last, per
+        label, and return the last node's id.  Where the template is fed by
+        ``src``, its one producer outside, each copy is fed by the last node
+        of the copy before it, through the same port.
+
+        Copies share the template's specs and swap its names' ``label.``
+        prefix for their label's.  The template passed ``add_node``, so
+        only what copying can break is checked: a bad ``first`` or ``src``,
+        another producer outside or a port the last node lacks, a name
+        outside ``label.``, a label that is not an ASCII ``str``, or a new
+        name that repeats or is taken raises GraphError, and the graph is
+        left unchanged.
+        """
+        specs, n = self._spec_col, len(self._spec_col)
+        if not (type(first) is int and type(src) is int and 0 <= src < first < n):
+            raise GraphError(f"cannot repeat nodes {first!r}.. fed by {src!r}: "
+                             f"need 0 <= src < first < {n}")
+        ports = specs[-1].num_outputs()
+        # per template node: (src, port, None) if it has one input, else
+        # (0, 0, inputs); a feed from src is read as one from first - 1
+        template = []
+        for feeds in self._input_col[first:]:
+            if len(feeds) != 1 or feeds[0][0] < first:
+                for s, p in feeds:
+                    if s < first and (s != src or p >= ports):
+                        raise GraphError(
+                            f"cannot repeat nodes {first}..: they are fed by ({s}, {p}); "
+                            f"only ports of {src} that node {n - 1} has can feed them")
+                feeds = tuple([(first - 1 if s < first else s, p) for s, p in feeds])
+            template.append((*feeds[0], None) if len(feeds) == 1 else (0, 0, feeds))
+        if not (isinstance(labels, (list, tuple)) and {type(label), *map(type, labels)} == {str}
+                and "".join(labels).isascii()):
+            raise GraphError(f"label {label!r} is not a str, or labels {labels!r} are not "
+                             "ASCII strs")
+        prefix, cut = label + ".", len(label)
+        tails = [name[cut:] for name in self._name_col[first:] if name[:cut + 1] == prefix]
+        if len(tails) < n - first:
+            raise GraphError(f"cannot repeat nodes {first}..: not every name starts "
+                             f"with {prefix!r}")
+        new_names = [new + tail for new in labels for tail in tails]
+        names, count = self._names, len(self._names)
+        names.update(new_names)
+        if len(names) - count < len(new_names):
+            self._names = set(self._name_col)
+            raise GraphError(f"cannot repeat nodes {first}.. as {labels!r}: "
+                             "a name repeats or is taken")
+
+        size = n - first
+        specs.extend(specs[first:] * len(labels))
+        self._name_col.extend(new_names)
+        self._input_col.extend([
+            ((s + offset, p),) if feeds is None else tuple([(a + offset, b) for a, b in feeds])
+            for offset in range(size, size * len(labels) + 1, size)
+            for s, p, feeds in template])
+        return len(specs) - 1
 
     def inputs_of(self, node_id: int) -> list[tuple[int, int]]:
         """(producer id, producer port) per input port, in port order."""

@@ -60,9 +60,13 @@ class TestDesignPoint:
     def test_rejects_non_positive_cost(self):
         with pytest.raises(AnalysisError):
             point("x", 0, 50)
-        # nan is not <= 0 either; pareto_front would put it on the front
-        with pytest.raises(AnalysisError, match="^x: gmadds must be positive$"):
-            DesignPoint("x", float("nan"))
+        # nan is not <= 0 either; pareto_front would put it on the front, and
+        # ratio_table cannot take the exact ratio of inf
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(AnalysisError, match="^x: gmadds must be positive$"):
+                DesignPoint("x", value)
+        # finite however large: compared exactly, not through a float
+        assert DesignPoint("x", Fraction(10 ** 400)).gmadds == 10 ** 400
 
     def test_rejects_out_of_range_ap(self):
         with pytest.raises(AnalysisError):
@@ -76,8 +80,8 @@ class TestDesignPoint:
         assert map_of(checked) == 50
 
     @pytest.mark.parametrize("field", ["fps_backbone", "fps_total"])
-    @pytest.mark.parametrize("value", [0, -5, Fraction(-1, 2), float("nan")],
-                             ids=["zero", "minus5", "minus_half", "nan"])
+    @pytest.mark.parametrize("value", [0, -5, Fraction(-1, 2), float("nan"), float("inf")],
+                             ids=["zero", "minus5", "minus_half", "nan", "inf"])
     def test_rejects_non_positive_fps(self, field, value):
         with pytest.raises(AnalysisError, match=f"^x: {field} must be positive$"):
             point("x", 1, 50, **{field: value})
@@ -184,7 +188,8 @@ class TestTimingProfile:
 
     @pytest.mark.parametrize("latency", ["0", "-1", "-0.5"])
     def test_base_latency_must_be_positive(self, tmp_path, latency):
-        for value in (Fraction(latency), float("nan")):  # nan would project nan fps
+        # nan would project nan fps, and inf 0 fps
+        for value in (Fraction(latency), float("nan"), float("inf")):
             with pytest.raises(AnalysisError, match="^base latency must be positive$"):
                 TimingProfile({"backbone": Fraction(1, 2)}, base_latency_ms=value)
         path = tmp_path / "timing.json"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from pillarcost.analysis import DesignPoint, TimingProfile, amdahl, amdahl_max, \
     default_dataset_path, fmt2, load_points, map_of, pareto_front
+from pillarcost import arch
 from pillarcost.arch import ArchConfig, ArchError, build_pointpillars
 from pillarcost.cli import _csv_text
 from pillarcost.core import ExactDecimal, PillarcostError, Variant
@@ -703,3 +704,49 @@ def test_graph_json_loads_or_raises_pillarcost_error(text):
     except PillarcostError:
         return
     assert isinstance(graph, Graph)
+
+
+# -- copied units ----------------------------------------------------------
+
+def repeat_through_add_node(graph, first, src, label, labels):
+    """Graph.repeat's reference: every copied node appended by add_node."""
+    specs, names, inputs = graph.columns()
+    last = len(graph) - 1
+    for new in labels:
+        shift = len(graph) - first
+        for spec, name, feeds in zip(specs[first:], names[first:], inputs[first:]):
+            graph.add_node(spec, [(s + shift if s >= first else last, p) for s, p in feeds],
+                           new + name[len(label):])
+        last = len(graph) - 1
+    return last
+
+
+def units_one_by_one(g, node, names, unit):
+    """arch._units without copies: each unit built by its builder."""
+    for name in names:
+        node = unit(node, name)
+    return node
+
+
+@settings(max_examples=30, deadline=None)
+@given(units=st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)),
+       copy_from=st.sampled_from([1, arch._COPY_FROM_NODES]))
+def test_copied_units_equal_units_appended_one_by_one(units, copy_from):
+    """A build that copies units equals one whose copies go through add_node
+    and one that builds every unit: the copy is right, and every unit ends
+    with its output, which the chain of copies relies on.  Runs of 0 to 6
+    equal units and odd Xception counts are drawn; at ``copy_from`` 1 every
+    run of two or more units is copied."""
+    cfg = ArchConfig(block_units=units)
+    with pytest.MonkeyPatch.context() as threshold:
+        threshold.setattr(arch, "_COPY_FROM_NODES", copy_from)
+        for variant in Variant:
+            graph = build_pointpillars(variant, cfg)
+            want = (graph.to_json(), graph_cost(graph), graph_cost(graph, count_batchnorm=False))
+            for owner, attr, stand_in in ((Graph, "repeat", repeat_through_add_node),
+                                          (arch, "_units", units_one_by_one)):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(owner, attr, stand_in)
+                    other = build_pointpillars(variant, cfg)
+                assert (other.to_json(), graph_cost(other),
+                        graph_cost(other, count_batchnorm=False)) == want, (variant, attr)

@@ -68,13 +68,24 @@ def test_every_name_the_benchmark_calls_resolves():
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
 def test_one_add_node_and_one_shape_call_per_node(monkeypatch, variant):
     """The per-layer counts graph.add_node.calls, arch.nodes_built and
-    shapes.node_output_shape.calls stay comparable across changes: per node
-    built, a build calls Graph.add_node once, and graph_cost calls
-    shapes.node_output_shape once per distinct (spec object, input shapes)."""
+    shapes.node_output_shape.calls stay comparable across changes: a build
+    appends each node either by one Graph.add_node call or as part of a
+    Graph.repeat copy, and graph_cost calls shapes.node_output_shape once
+    per distinct (spec object, input shapes)."""
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     tracing = importlib.import_module("tracing")
-    arch, cost, shapes = (importlib.import_module(f"pillarcost.{name}")
-                          for name in ("arch", "cost", "shapes"))
+    arch, cost, graph_module, shapes = (importlib.import_module(f"pillarcost.{name}")
+                                        for name in ("arch", "cost", "graph", "shapes"))
+    copied = []  # nodes appended by each Graph.repeat call
+    repeat = graph_module.Graph.repeat
+
+    def counted_repeat(graph, *args):
+        before = len(graph)
+        last = repeat(graph, *args)
+        copied.append(len(graph) - before)
+        return last
+
+    monkeypatch.setattr(graph_module.Graph, "repeat", counted_repeat)
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -84,7 +95,7 @@ def test_one_add_node_and_one_shape_call_per_node(monkeypatch, variant):
     finally:
         tracer.uninstall()
     costed = Counter(span[0] for span in tracer.spans) - built
-    assert built == {"arch.build": 1, "graph.add_node": len(graph)}
+    assert built == {"arch.build": 1, "graph.add_node": len(graph) - sum(copied)}
     assert tracer.counters["arch.nodes_built"] == len(graph)
     shape = shapes.infer_all(graph)
     specs, _, inputs = graph.columns()
