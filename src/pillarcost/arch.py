@@ -370,30 +370,21 @@ _UNIT_BUILDERS = {
 # The config of a build given none; records are frozen, so builds share it
 _DEFAULT = ArchConfig()
 
-# _units copies a run's units only when the copies hold this many nodes or
-# more: below it, Graph.repeat's fixed cost (its checks and list set-up)
-# outweighs building the units one by one
-_COPY_FROM_NODES = 24
-
 
 # --------------------------------------------------------------------------
 # Blocks and full network
 # --------------------------------------------------------------------------
 
 def _units(g: Graph, node: int, names: list[str], unit) -> int:
-    """Equal units in a chain, one per name, each as ``unit(node, name)``
-    builds it.  When the copies of the first would hold ``_COPY_FROM_NODES``
-    nodes or more, ``Graph.repeat`` makes them; this relies on every unit
-    ending with its output."""
+    """Equal units in a chain, one per name: the first as ``unit(node,
+    name)`` builds it, then ``Graph.repeat`` copies it for the rest.  This
+    relies on ``node`` being the last node added, and on every unit ending
+    with its output."""
     if not names:
         return node
     first = len(g)
-    last = unit(node, names[0])
-    if (len(g) - first) * (len(names) - 1) >= _COPY_FROM_NODES:
-        return g.repeat(first, node, names[0], names[1:])
-    for name in names[1:]:
-        last = unit(last, name)
-    return last
+    unit(node, names[0])
+    return g.repeat(first, names[0], names[1:])
 
 
 def _block_of_units(unit, g, src, in_ch, out_ch, units, stride, prefix, cfg,

@@ -368,11 +368,11 @@ _ATTR_NAMES = {cls: tuple(sorted(cls._fields))
 class Graph:
     """Append-only DAG of layer nodes, valid by construction.
 
-    Two methods write: ``add_node`` checks each new node's arity, name and
-    inputs, and accepts only producers that already exist, through output
-    ports they have; ``repeat`` copies nodes that passed those checks.  So
-    node ids are dense, insertion order is topological, names are unique,
-    and every node has exactly the inputs its kind needs.
+    Two methods write: ``add_node`` checks each new node's kind, arity,
+    name and inputs, and accepts only producers that already exist, through
+    output ports they have; ``repeat`` copies nodes that passed those
+    checks.  So node ids are dense, insertion order is topological, names
+    are unique, and every node has exactly the inputs its kind needs.
     Nodes are kept as columns (see the module doc), read through ``columns``.
     """
 
@@ -423,12 +423,15 @@ class Graph:
         input port; a tuple is kept as it is, a list copied.
 
         An empty name becomes ``<kind>_<id>``.  Raises GraphError, leaving
-        the graph unchanged, for inputs that are not a list or a tuple, a
-        wrong number of inputs, an input that is not a pair of integers or
-        names no output, or a name that is not a ``str``, holds a lone
-        surrogate (UTF-8 cannot encode it) or is taken.  Port 0 needs no
-        check: every kind has at least one output.
+        the graph unchanged, for a spec that is not an instance of one of
+        the eleven kinds, inputs that are not a list or a tuple, a wrong
+        number of inputs, an input that is not a pair of integers or names
+        no output, or a name that is not a ``str``, holds a lone surrogate
+        (UTF-8 cannot encode it) or is taken.  Port 0 needs no check: every
+        kind has at least one output.
         """
+        if type(spec) not in _ATTR_NAMES:
+            raise GraphError(f"node {name!r} spec {spec!r} is not an instance of a node kind")
         if type(inputs) is not tuple:
             if not isinstance(inputs, (list, tuple)):
                 raise GraphError(f"node {name!r} inputs {inputs!r} are not a list or a tuple")
@@ -472,37 +475,30 @@ class Graph:
         names.add(name)
         return node_id
 
-    def repeat(self, first: int, src: int, label: str, labels: list[str] | tuple) -> int:
+    def repeat(self, first: int, label: str, labels: list[str] | tuple) -> int:
         """Append one copy of the template, nodes ``first`` to the last, per
-        label, and return the last node's id.  Where the template is fed by
-        ``src``, its one producer outside, each copy is fed by the last node
-        of the copy before it, through the same port.
+        label, and return the last node's id.  Only node ``first - 1`` may
+        feed the template from outside; where it does, each copy is fed by
+        the last node of the copy before it, through the same port.  So
+        each copy's feeds are the template's, moved on by its length.
 
         Copies share the template's specs and swap its names' ``label.``
         prefix for their label's.  The template passed ``add_node``, so
-        only what copying can break is checked: a bad ``first`` or ``src``,
-        another producer outside or a port the last node lacks, a name
-        outside ``label.``, a label that is not an ASCII ``str``, or a new
-        name that repeats or is taken raises GraphError, and the graph is
-        left unchanged.
+        only what copying can break is checked: a bad ``first``, a feed
+        from before ``first - 1`` or through a port the last node lacks, a
+        name outside ``label.``, a label that is not an ASCII ``str``, or a
+        new name that repeats or is taken raises GraphError, and the graph
+        is left unchanged.
         """
         specs, n = self._spec_col, len(self._spec_col)
-        if not (type(first) is int and type(src) is int and 0 <= src < first < n):
-            raise GraphError(f"cannot repeat nodes {first!r}.. fed by {src!r}: "
-                             f"need 0 <= src < first < {n}")
-        ports = specs[-1].num_outputs()
-        # per template node: (src, port, None) if it has one input, else
-        # (0, 0, inputs); a feed from src is read as one from first - 1
-        template = []
-        for feeds in self._input_col[first:]:
-            if len(feeds) != 1 or feeds[0][0] < first:
-                for s, p in feeds:
-                    if s < first and (s != src or p >= ports):
-                        raise GraphError(
-                            f"cannot repeat nodes {first}..: they are fed by ({s}, {p}); "
-                            f"only ports of {src} that node {n - 1} has can feed them")
-                feeds = tuple([(first - 1 if s < first else s, p) for s, p in feeds])
-            template.append((*feeds[0], None) if len(feeds) == 1 else (0, 0, feeds))
+        if not (type(first) is int and 0 < first < n):
+            raise GraphError(f"cannot repeat nodes {first!r}..: need 0 < first < {n}")
+        src, ports = first - 1, specs[-1].num_outputs()
+        template = self._input_col[first:]
+        for s, p in chain.from_iterable(template):
+            if s <= src and (s < src or p >= ports):
+                raise GraphError(f"cannot repeat nodes {first}..: they are fed by ({s}, {p}); "
+                                 f"only ports of {src} that node {n - 1} has can feed them")
         if not (isinstance(labels, (list, tuple)) and {type(label), *map(type, labels)} == {str}
                 and "".join(labels).isascii()):
             raise GraphError(f"label {label!r} is not a str, or labels {labels!r} are not "
@@ -524,9 +520,10 @@ class Graph:
         specs.extend(specs[first:] * len(labels))
         self._name_col.extend(new_names)
         self._input_col.extend([
-            ((s + offset, p),) if feeds is None else tuple([(a + offset, b) for a, b in feeds])
+            ((feeds[0][0] + offset, feeds[0][1]),) if len(feeds) == 1
+            else tuple([(s + offset, p) for s, p in feeds])
             for offset in range(size, size * len(labels) + 1, size)
-            for s, p, feeds in template])
+            for feeds in template])
         return len(specs) - 1
 
     def inputs_of(self, node_id: int) -> list[tuple[int, int]]:

@@ -262,6 +262,16 @@ class TestAddNode:
         assert str(info.value) == f"node 'bad' inputs {bad!r} are not a list or a tuple"
         assert g.columns() == before
 
+    @pytest.mark.parametrize("spec", [ReLU, "relu", None], ids=["class", "str", "none"])
+    def test_a_spec_that_is_not_a_node_kind_is_refused(self, spec):
+        # a kind's class has its arity, but cost and JSON know only instances
+        g = small_chain()
+        before = g.columns()
+        with pytest.raises(GraphError) as info:
+            g.add_node(spec, [(3, 0)], name="bad")
+        assert str(info.value) == f"node 'bad' spec {spec!r} is not an instance of a node kind"
+        assert g.columns() == before and g._names == set(before[1])
+
     def test_arity_enforced(self):
         g = small_chain()
         with pytest.raises(GraphError, match="^add node 'lonely_add' takes >= 2 inputs, got 1$"):
@@ -377,31 +387,31 @@ class TestColumns:
         assert g.columns()[0] is not specs
 
 
-def unit_to_repeat() -> tuple[Graph, int, int]:
+def unit_to_repeat() -> tuple[Graph, int]:
     """An input, a stem, and a residual unit ``u1`` fed by the stem: the
-    graph, the unit's first id and the stem's id."""
+    graph and the unit's first id."""
     g = Graph()
     x = g.add_node(Input(TensorShape(4, 8, 8)), name="in")
     stem = g.add_node(ReLU(), [(x, 0)], "stem")
     conv = g.add_node(Conv(4, 3, 3, pad_h=1, pad_w=1), [(stem, 0)], "u1.conv")
     bn = g.add_node(BatchNorm(), [(conv, 0)], "u1.bn")
     g.add_node(Add(), [(stem, 0), (bn, 0)], "u1.add")
-    return g, conv, stem
+    return g, conv
 
 
 class TestRepeat:
     """``repeat`` copies the nodes added last, each copy fed by the one before."""
 
     def test_copies_chain_and_share_specs(self):
-        g, first, stem = unit_to_repeat()
-        assert g.repeat(first, stem, "u1", ["u2", "u3"]) == 10
+        g, first = unit_to_repeat()
+        assert g.repeat(first, "u1", ["u2", "u3"]) == 10
         specs, names, inputs = g.columns()
         assert names[5:] == ("u2.conv", "u2.bn", "u2.add", "u3.conv", "u3.bn", "u3.add")
         assert inputs[5:] == (((4, 0),), ((5, 0),), ((4, 0), (6, 0)),
                               ((7, 0),), ((8, 0),), ((7, 0), (9, 0)))
         assert all(copy is spec for copy, spec in zip(specs[5:], specs[2:5] * 2))
         # as if each node had been added by add_node
-        want, *_ = unit_to_repeat()
+        want, _ = unit_to_repeat()
         for label in ("u2", "u3"):
             conv = want.add_node(Conv(4, 3, 3, pad_h=1, pad_w=1), [(len(want) - 1, 0)],
                                  f"{label}.conv")
@@ -412,10 +422,18 @@ class TestRepeat:
             g.add_node(ReLU(), [(0, 0)], "u3.bn")
 
     def test_no_label_appends_nothing(self):
-        g, first, stem = unit_to_repeat()
+        g, first = unit_to_repeat()
         before = g.columns()
-        assert g.repeat(first, stem, "u1", ()) == len(g) - 1 == 4
+        assert g.repeat(first, "u1", ()) == len(g) - 1 == 4
         assert g.columns() == before
+
+    def test_a_template_fed_by_nothing_outside_is_copied(self):
+        g = Graph()
+        g.add_node(Input(TensorShape(4, 8, 8)), name="in")
+        first = g.add_node(Input(TensorShape(4, 8, 8)), name="x1.in")
+        g.add_node(ReLU(), [(first, 0)], "x1.relu")
+        assert g.repeat(first, "x1", ["x2"]) == 4
+        assert g.columns()[2][3:] == ((), ((3, 0),))
 
     def test_a_port_the_last_node_has_feeds_each_copy(self):
         g = Graph()
@@ -423,7 +441,7 @@ class TestRepeat:
         split = g.add_node(ChannelSplit((Fraction(1, 2), Fraction(1, 2))), [(x, 0)], "split")
         first = g.add_node(ChannelSplit((Fraction(1, 2), Fraction(1, 2))), [(split, 1)],
                            "s1.split")
-        assert g.repeat(first, split, "s1", ["s2", "s3"]) == 4
+        assert g.repeat(first, "s1", ["s2", "s3"]) == 4
         assert g.columns()[2][3:] == (((2, 1),), ((3, 1),))
 
     @staticmethod
@@ -436,16 +454,14 @@ class TestRepeat:
         assert g.columns() == before
         assert g._names == set(before[1])  # no name of a refused copy is kept
 
-    @pytest.mark.parametrize("first, src", [
-        (True, 1), (2.0, 1), ("2", 1), (5, 1), (1, 1), (-1, 1), (2, True), (2, None),
-        (2, 2), (2, -1), (3, 1),
-    ], ids=["first-true", "first-float", "first-str", "first-past-end", "first-is-src",
-            "first-negative", "src-true", "src-none", "src-in-template", "src-negative",
-            "fed-by-another-node"])
-    def test_a_bad_first_or_src_is_refused(self, first, src):
-        # (3, 1): the template u1.bn, u1.add is fed by u1.conv, not only by the stem
-        g, *_ = unit_to_repeat()
-        self.refused(g, first, src, "u1", ["u2"])
+    @pytest.mark.parametrize("first", [True, 2.0, "2", 5, 0, -1, 3],
+                             ids=["first-true", "first-float", "first-str", "first-past-end",
+                                  "first-zero", "first-negative", "fed-by-another-node"])
+    def test_a_bad_first_or_src_is_refused(self, first):
+        # 3: the template u1.bn, u1.add is fed by u1.conv, its first - 1,
+        # and by the stem, a source before that
+        g, _ = unit_to_repeat()
+        self.refused(g, first, "u1", ["u2"])
 
     def test_a_template_fed_by_a_second_outside_node_is_refused(self):
         g = Graph()
@@ -453,50 +469,49 @@ class TestRepeat:
         stem = g.add_node(ReLU(), [(x, 0)], "stem")
         relu = g.add_node(ReLU(), [(stem, 0)], "u1.relu")
         g.add_node(Add(), [(x, 0), (relu, 0)], "u1.add")
-        self.refused(g, relu, stem, "u1", ["u2"])
-        self.refused(g, relu, x, "u1", ["u2"])
+        self.refused(g, relu, "u1", ["u2"])
 
     def test_a_port_the_last_node_lacks_is_refused(self):
         g = Graph()
         x = g.add_node(Input(TensorShape(8, 4, 4)), name="in")
         split = g.add_node(ChannelSplit((Fraction(1, 2), Fraction(1, 2))), [(x, 0)], "split")
         relu = g.add_node(ReLU(), [(split, 1)], "r1.relu")
-        self.refused(g, relu, split, "r1", ["r2"])
+        self.refused(g, relu, "r1", ["r2"])
 
     @pytest.mark.parametrize("label", ["u", "u1.conv", "", 1, None, Str("u1")],
                              ids=["prefix-without-dot", "longer", "empty", "int", "none",
                                   "str-subclass"])
     def test_a_name_outside_the_label_is_refused(self, label):
-        g, first, stem = unit_to_repeat()
-        self.refused(g, first, stem, label, ["u2"])
+        g, first = unit_to_repeat()
+        self.refused(g, first, label, ["u2"])
 
     def test_a_template_with_a_name_outside_the_label_is_refused(self):
-        g, first, stem = unit_to_repeat()
+        g, first = unit_to_repeat()
         g.add_node(ReLU(), [(first + 2, 0)], "v1.relu")
-        self.refused(g, first, stem, "u1", ["u2"])
+        self.refused(g, first, "u1", ["u2"])
 
     @pytest.mark.parametrize("labels", [
         [5], [None], [Str("u2")], ["u\xe9"], ["u\ud800"], "u2", None, (b"u2",), {"u2"},
     ], ids=["int", "none", "str-subclass", "non-ascii", "surrogate", "a-str", "labels-none",
             "bytes", "a-set"])
     def test_a_label_that_is_not_an_ascii_str_is_refused(self, labels):
-        g, first, stem = unit_to_repeat()
-        self.refused(g, first, stem, "u1", labels)
+        g, first = unit_to_repeat()
+        self.refused(g, first, "u1", labels)
 
     @pytest.mark.parametrize("labels", [["u2", "u2"], ["u1"], ["u2", "u1"], ["u2", "u3", "u2"]],
                              ids=["repeats", "taken", "taken-after-a-new-one",
                                   "repeats-later"])
     def test_a_new_name_that_repeats_or_is_taken_is_refused(self, labels):
-        g, first, stem = unit_to_repeat()
-        self.refused(g, first, stem, "u1", labels)
-        assert g.repeat(first, stem, "u1", ["u2", "u3"]) == 10  # nothing was kept
+        g, first = unit_to_repeat()
+        self.refused(g, first, "u1", labels)
+        assert g.repeat(first, "u1", ["u2", "u3"]) == 10  # nothing was kept
 
     def test_a_name_taken_before_the_template_is_refused(self):
         g = Graph()
         x = g.add_node(Input(TensorShape(4, 8, 8)), name="in")
         g.add_node(ReLU(), [(x, 0)], "u2.relu")
         first = g.add_node(ReLU(), [(1, 0)], "u1.relu")
-        self.refused(g, first, 1, "u1", ["u3", "u2"])
+        self.refused(g, first, "u1", ["u3", "u2"])
 
 
 class TestSpec:

@@ -708,17 +708,14 @@ def test_graph_json_loads_or_raises_pillarcost_error(text):
 
 # -- copied units ----------------------------------------------------------
 
-def repeat_through_add_node(graph, first, src, label, labels):
+def repeat_through_add_node(graph, first, label, labels):
     """Graph.repeat's reference: every copied node appended by add_node."""
     specs, names, inputs = graph.columns()
-    last = len(graph) - 1
     for new in labels:
         shift = len(graph) - first
         for spec, name, feeds in zip(specs[first:], names[first:], inputs[first:]):
-            graph.add_node(spec, [(s + shift if s >= first else last, p) for s, p in feeds],
-                           new + name[len(label):])
-        last = len(graph) - 1
-    return last
+            graph.add_node(spec, [(s + shift, p) for s, p in feeds], new + name[len(label):])
+    return len(graph) - 1
 
 
 def units_one_by_one(g, node, names, unit):
@@ -729,24 +726,20 @@ def units_one_by_one(g, node, names, unit):
 
 
 @settings(max_examples=30, deadline=None)
-@given(units=st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)),
-       copy_from=st.sampled_from([1, arch._COPY_FROM_NODES]))
-def test_copied_units_equal_units_appended_one_by_one(units, copy_from):
+@given(units=st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)))
+def test_copied_units_equal_units_appended_one_by_one(units):
     """A build that copies units equals one whose copies go through add_node
     and one that builds every unit: the copy is right, and every unit ends
     with its output, which the chain of copies relies on.  Runs of 0 to 6
-    equal units and odd Xception counts are drawn; at ``copy_from`` 1 every
-    run of two or more units is copied."""
+    equal units and odd Xception counts are drawn."""
     cfg = ArchConfig(block_units=units)
-    with pytest.MonkeyPatch.context() as threshold:
-        threshold.setattr(arch, "_COPY_FROM_NODES", copy_from)
-        for variant in Variant:
-            graph = build_pointpillars(variant, cfg)
-            want = (graph.to_json(), graph_cost(graph), graph_cost(graph, count_batchnorm=False))
-            for owner, attr, stand_in in ((Graph, "repeat", repeat_through_add_node),
-                                          (arch, "_units", units_one_by_one)):
-                with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(owner, attr, stand_in)
-                    other = build_pointpillars(variant, cfg)
-                assert (other.to_json(), graph_cost(other),
-                        graph_cost(other, count_batchnorm=False)) == want, (variant, attr)
+    for variant in Variant:
+        graph = build_pointpillars(variant, cfg)
+        want = (graph.to_json(), graph_cost(graph), graph_cost(graph, count_batchnorm=False))
+        for owner, attr, stand_in in ((Graph, "repeat", repeat_through_add_node),
+                                      (arch, "_units", units_one_by_one)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(owner, attr, stand_in)
+                other = build_pointpillars(variant, cfg)
+            assert (other.to_json(), graph_cost(other),
+                    graph_cost(other, count_batchnorm=False)) == want, (variant, attr)

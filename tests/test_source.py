@@ -4,8 +4,9 @@ it reads every name it imports, it checks nothing with ``assert``,
 which ``python -O`` strips, it runs no text as code, its commands
 write CSV and JSON only through the command line's one writer, each
 node kind states its cost in one method, only ``graph`` knows how a
-graph stores its nodes, and it defines no public function, class or
-method that nothing reads."""
+graph stores its nodes, only ``Graph.add_node`` and ``Graph.repeat``
+write them, and it defines no public function, class or method that
+nothing reads."""
 import ast
 import re
 import sys
@@ -89,9 +90,8 @@ def test_node_kinds_state_their_cost_only_in_cost():
         name for name, defs in methods.items() if "cost" in defs}
 
 
-def test_only_graph_reads_a_graphs_storage():
-    # the attributes Graph.__init__ sets; other modules read the nodes
-    # through Graph's methods, and shapes and cost through Graph.columns
+def graph_storage() -> tuple[ast.ClassDef, set[str]]:
+    """Graph's class definition and the attributes its ``__init__`` sets."""
     tree = ast.parse((ROOT / "src" / "pillarcost" / "graph.py").read_text(encoding="utf-8"))
     (graph,) = [cls for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "Graph"]
     (init,) = [func for func in graph.body
@@ -99,6 +99,13 @@ def test_only_graph_reads_a_graphs_storage():
     storage = {node.attr for node in ast.walk(init)
                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
     assert len(storage) >= 3
+    return graph, storage
+
+
+def test_only_graph_reads_a_graphs_storage():
+    # the attributes Graph.__init__ sets; other modules read the nodes
+    # through Graph's methods, and shapes and cost through Graph.columns
+    _, storage = graph_storage()
     read = {}
     for path in MODULES:
         if path.name != "graph.py":
@@ -106,6 +113,54 @@ def test_only_graph_reads_a_graphs_storage():
             read[path.name] = sorted({node.attr for node in ast.walk(tree)
                                       if isinstance(node, ast.Attribute)} & storage)
     assert read == {name: [] for name in read}
+
+
+MUTATORS = {"append", "extend", "insert", "add", "update", "setdefault", "pop", "popitem",
+            "remove", "discard", "clear", "sort", "reverse"}
+
+
+def storage_writes(func: ast.FunctionDef, storage: set[str]) -> set[str]:
+    """The storage attributes ``func`` writes: assigns or deletes, assigns
+    or deletes an item of, updates in place, or calls a mutating method
+    of, itself or through a local name bound to it."""
+    aliases = {}  # local name -> the storage attribute it was bound to
+    for node in ast.walk(func):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)
+                aliases.update((name.id, value.attr) for name, value in pairs
+                               if isinstance(name, ast.Name) and isinstance(value, ast.Attribute)
+                               and value.attr in storage)
+
+    def held(node: ast.AST) -> str | None:
+        if isinstance(node, ast.Attribute) and node.attr in storage:
+            return node.attr
+        return aliases.get(node.id) if isinstance(node, ast.Name) else None
+
+    written = set()
+    for node in ast.walk(func):
+        if isinstance(node, (ast.Attribute, ast.Subscript)) and not isinstance(node.ctx, ast.Load):
+            written.add(held(node) if isinstance(node, ast.Attribute) else held(node.value))
+        elif isinstance(node, ast.AugAssign):
+            written.add(held(node.target))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in MUTATORS:
+            written.add(held(node.func.value))
+    return written - {None}
+
+
+def test_only_add_node_and_repeat_write_a_graph():
+    # Graph's doc and README: two methods write a graph.  spec() fills its
+    # table of shared specs, which holds no node
+    graph, storage = graph_storage()
+    writes = {func.name: storage_writes(func, storage) for func in graph.body
+              if isinstance(func, ast.FunctionDef)}
+    assert writes["add_node"] >= {"_spec_col", "_name_col", "_input_col", "_names"}
+    assert writes["repeat"] >= {"_spec_col", "_name_col", "_input_col", "_names"}
+    assert {name: attrs for name, attrs in writes.items() if attrs and name not in
+            {"__init__", "add_node", "repeat"}} == {"spec": {"_shared_specs"}}
 
 
 def attribute_reads(tree: ast.AST) -> Counter:

@@ -71,7 +71,9 @@ def test_one_add_node_and_one_shape_call_per_node(monkeypatch, variant):
     shapes.node_output_shape.calls stay comparable across changes: a build
     appends each node either by one Graph.add_node call or as part of a
     Graph.repeat copy, and graph_cost calls shapes.node_output_shape once
-    per distinct (spec object, input shapes)."""
+    per distinct (spec object, input shapes).  Every variant's backbone
+    repeats a unit, and a build copies every run of equal units, so every
+    variant appends some nodes through Graph.repeat."""
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     tracing = importlib.import_module("tracing")
     arch, cost, graph_module, shapes = (importlib.import_module(f"pillarcost.{name}")
@@ -95,6 +97,7 @@ def test_one_add_node_and_one_shape_call_per_node(monkeypatch, variant):
     finally:
         tracer.uninstall()
     costed = Counter(span[0] for span in tracer.spans) - built
+    assert sum(copied) > 0
     assert built == {"arch.build": 1, "graph.add_node": len(graph) - sum(copied)}
     assert tracer.counters["arch.nodes_built"] == len(graph)
     shape = shapes.infer_all(graph)
