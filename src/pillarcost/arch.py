@@ -377,14 +377,17 @@ _DEFAULT = ArchConfig()
 
 def _units(g: Graph, node: int, names: list[str], unit) -> int:
     """Equal units in a chain, one per name: the first as ``unit(node,
-    name)`` builds it, then ``Graph.repeat`` copies it for the rest.  This
-    relies on ``node`` being the last node added, and on every unit ending
-    with its output."""
+    name)`` builds it, then ``Graph._repeat`` copies it for the rest.
+
+    ``_repeat`` checks nothing, so this is its contract: the template is
+    the nodes ``unit(node, name)`` builds; only ``node``, the last node
+    added before it, feeds it from outside, through port 0; each of its
+    names starts with ``name.``; and the unit ends with its output."""
     if not names:
         return node
     first = len(g)
     unit(node, names[0])
-    return g.repeat(first, names[0], names[1:])
+    return g._repeat(first, names[0], names[1:])
 
 
 def _block_of_units(unit, g, src, in_ch, out_ch, units, stride, prefix, cfg,

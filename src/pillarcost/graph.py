@@ -368,11 +368,12 @@ _ATTR_NAMES = {cls: tuple(sorted(cls._fields))
 class Graph:
     """Append-only DAG of layer nodes, valid by construction.
 
-    Two methods write: ``add_node`` checks each new node's kind, arity,
-    name and inputs, and accepts only producers that already exist, through
-    output ports they have; ``repeat`` copies nodes that passed those
-    checks.  So node ids are dense, insertion order is topological, names
-    are unique, and every node has exactly the inputs its kind needs.
+    ``add_node`` is the one public writer: it checks each new node's kind,
+    arity, name and inputs, and accepts only producers that already exist,
+    through output ports they have.  The network builder also appends
+    copies of nodes that passed those checks (``_repeat``).  So node ids
+    are dense, insertion order is topological, names are unique, and every
+    node has exactly the inputs its kind needs.
     Nodes are kept as columns (see the module doc), read through ``columns``.
     """
 
@@ -420,7 +421,8 @@ class Graph:
     def add_node(self, spec: NodeSpec, inputs: tuple[tuple[int, int], ...] | list = (),
                  name: str = "") -> int:
         """Append a node fed by ``inputs``, (producer id, output port) per
-        input port; a tuple is kept as it is, a list copied.
+        input port, and store them as a tuple of tuples, so that no caller
+        can change them afterwards.
 
         An empty name becomes ``<kind>_<id>``.  Raises GraphError, leaving
         the graph unchanged, for a spec that is not an instance of one of
@@ -442,7 +444,7 @@ class Graph:
             raise GraphError(
                 f"{spec.kind} node {name!r} takes {want} inputs, got {len(inputs)}")
         specs, names = self._spec_col, self._names
-        node_id = len(specs)
+        node_id, copy = len(specs), False
         try:
             for item in inputs:
                 src, port = item
@@ -454,6 +456,10 @@ class Graph:
                     raise GraphError(
                         f"node {name!r} references port {port} of node {src}, "
                         f"which has {specs[src].num_outputs()} outputs")
+                if type(item) is not tuple:
+                    copy = True
+            if copy:  # a list pair stays the caller's to change: keep its items
+                inputs = tuple([(src, port) for src, port in inputs])
         except (TypeError, ValueError):  # not two items, or not two integers
             raise GraphError(
                 f"node {name!r} input {item!r} is not a pair of integers") from None
@@ -475,50 +481,20 @@ class Graph:
         names.add(name)
         return node_id
 
-    def repeat(self, first: int, label: str, labels: list[str] | tuple) -> int:
+    def _repeat(self, first: int, label: str, labels: list[str]) -> int:
         """Append one copy of the template, nodes ``first`` to the last, per
-        label, and return the last node's id.  Only node ``first - 1`` may
-        feed the template from outside; where it does, each copy is fed by
-        the last node of the copy before it, through the same port.  So
-        each copy's feeds are the template's, moved on by its length.
-
-        Copies share the template's specs and swap its names' ``label.``
-        prefix for their label's.  The template passed ``add_node``, so
-        only what copying can break is checked: a bad ``first``, a feed
-        from before ``first - 1`` or through a port the last node lacks, a
-        name outside ``label.``, a label that is not an ASCII ``str``, or a
-        new name that repeats or is taken raises GraphError, and the graph
-        is left unchanged.
-        """
-        specs, n = self._spec_col, len(self._spec_col)
-        if not (type(first) is int and 0 < first < n):
-            raise GraphError(f"cannot repeat nodes {first!r}..: need 0 < first < {n}")
-        src, ports = first - 1, specs[-1].num_outputs()
-        template = self._input_col[first:]
-        for s, p in chain.from_iterable(template):
-            if s <= src and (s < src or p >= ports):
-                raise GraphError(f"cannot repeat nodes {first}..: they are fed by ({s}, {p}); "
-                                 f"only ports of {src} that node {n - 1} has can feed them")
-        if not (isinstance(labels, (list, tuple)) and {type(label), *map(type, labels)} == {str}
-                and "".join(labels).isascii()):
-            raise GraphError(f"label {label!r} is not a str, or labels {labels!r} are not "
-                             "ASCII strs")
-        prefix, cut = label + ".", len(label)
-        tails = [name[cut:] for name in self._name_col[first:] if name[:cut + 1] == prefix]
-        if len(tails) < n - first:
-            raise GraphError(f"cannot repeat nodes {first}..: not every name starts "
-                             f"with {prefix!r}")
+        label, and return the last node's id.  Copies share the template's
+        specs, swap its names' ``label`` prefix for their label, and take
+        its feeds moved on by its length: where node ``first - 1`` fed the
+        template, the last node of the copy before feeds each copy.  Nothing
+        is checked: ``arch._units``, the one caller, states what it passes."""
+        specs, size = self._spec_col, len(self._spec_col) - first
+        template, cut = self._input_col[first:], len(label)
+        tails = [name[cut:] for name in self._name_col[first:]]
         new_names = [new + tail for new in labels for tail in tails]
-        names, count = self._names, len(self._names)
-        names.update(new_names)
-        if len(names) - count < len(new_names):
-            self._names = set(self._name_col)
-            raise GraphError(f"cannot repeat nodes {first}.. as {labels!r}: "
-                             "a name repeats or is taken")
-
-        size = n - first
         specs.extend(specs[first:] * len(labels))
         self._name_col.extend(new_names)
+        self._names.update(new_names)
         self._input_col.extend([
             ((feeds[0][0] + offset, feeds[0][1]),) if len(feeds) == 1
             else tuple([(s + offset, p) for s, p in feeds])

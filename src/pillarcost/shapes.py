@@ -40,15 +40,15 @@ def shape_table(graph: Graph) -> tuple[list[int], list[Entry]]:
     entries: list[Entry] = []
     outputs: list[list[TensorShape]] = []  # per node id
     known: dict[tuple[int, tuple], int] = {}  # (id(spec), shape or shapes) -> entry
-    inputs = 0
-    columns = graph.columns()
-    for spec, name, feeds in zip(*columns):
+    specs, names, inputs = graph.columns()
+    count = inputs.count(())  # only an Input takes no inputs
+    if count != 1:
+        raise GraphError(f"shape inference needs exactly one input node, found {count}")
+    for spec, name, feeds in zip(specs, names, inputs):
         if len(feeds) == 1:
             ((src, port),) = feeds
             key = (id(spec), outputs[src][port])
         else:
-            if not feeds:  # only an Input takes no inputs
-                inputs += 1
             key = (id(spec), tuple([outputs[src][port] for src, port in feeds]))
         at = known.get(key)
         if at is None:
@@ -56,16 +56,11 @@ def shape_table(graph: Graph) -> tuple[list[int], list[Entry]]:
             try:
                 out_shapes = node_output_shape(spec, in_shapes)
             except ShapeError as err:
-                inputs = columns[2].count(())  # a later Input counts too
-                if inputs == 1:
-                    raise ShapeError(f"{name}: {err}") from err
-                break
+                raise ShapeError(f"{name}: {err}") from err
             at = known[key] = len(entries)
             entries.append((spec, in_shapes, out_shapes))
         index.append(at)
         outputs.append(entries[at][2])
-    if inputs != 1:
-        raise GraphError(f"shape inference needs exactly one input node, found {inputs}")
     return index, entries
 
 

@@ -262,6 +262,20 @@ class TestAddNode:
         assert str(info.value) == f"node 'bad' inputs {bad!r} are not a list or a tuple"
         assert g.columns() == before
 
+    def test_a_pair_that_is_a_list_is_stored_as_a_tuple(self):
+        # the caller keeps its lists: changing them later changes no graph
+        g = small_chain()
+        feed, second = [3, 0], [2, 0]
+        relu = g.add_node(ReLU(), [feed], "r")
+        add = g.add_node(Add(), ([relu, 0], second), "add")
+        want = (g.columns(), g.to_json(), graph_cost(g))
+        assert want[0][2][relu:] == (((3, 0),), ((relu, 0), (2, 0)))
+        feed[0] = 5
+        feed.append(7)
+        second[1] = 1
+        assert (g.columns(), g.to_json(), graph_cost(g)) == want
+        assert {type(pair) for pair in g.columns()[2][add]} == {tuple}
+
     @pytest.mark.parametrize("spec", [ReLU, "relu", None], ids=["class", "str", "none"])
     def test_a_spec_that_is_not_a_node_kind_is_refused(self, spec):
         # a kind's class has its arity, but cost and JSON know only instances
@@ -400,11 +414,11 @@ def unit_to_repeat() -> tuple[Graph, int]:
 
 
 class TestRepeat:
-    """``repeat`` copies the nodes added last, each copy fed by the one before."""
+    """``_repeat`` copies the nodes added last, each copy fed by the one before."""
 
     def test_copies_chain_and_share_specs(self):
         g, first = unit_to_repeat()
-        assert g.repeat(first, "u1", ["u2", "u3"]) == 10
+        assert g._repeat(first, "u1", ["u2", "u3"]) == 10
         specs, names, inputs = g.columns()
         assert names[5:] == ("u2.conv", "u2.bn", "u2.add", "u3.conv", "u3.bn", "u3.add")
         assert inputs[5:] == (((4, 0),), ((5, 0),), ((4, 0), (6, 0)),
@@ -424,7 +438,7 @@ class TestRepeat:
     def test_no_label_appends_nothing(self):
         g, first = unit_to_repeat()
         before = g.columns()
-        assert g.repeat(first, "u1", ()) == len(g) - 1 == 4
+        assert g._repeat(first, "u1", ()) == len(g) - 1 == 4
         assert g.columns() == before
 
     def test_a_template_fed_by_nothing_outside_is_copied(self):
@@ -432,7 +446,7 @@ class TestRepeat:
         g.add_node(Input(TensorShape(4, 8, 8)), name="in")
         first = g.add_node(Input(TensorShape(4, 8, 8)), name="x1.in")
         g.add_node(ReLU(), [(first, 0)], "x1.relu")
-        assert g.repeat(first, "x1", ["x2"]) == 4
+        assert g._repeat(first, "x1", ["x2"]) == 4
         assert g.columns()[2][3:] == ((), ((3, 0),))
 
     def test_a_port_the_last_node_has_feeds_each_copy(self):
@@ -441,77 +455,8 @@ class TestRepeat:
         split = g.add_node(ChannelSplit((Fraction(1, 2), Fraction(1, 2))), [(x, 0)], "split")
         first = g.add_node(ChannelSplit((Fraction(1, 2), Fraction(1, 2))), [(split, 1)],
                            "s1.split")
-        assert g.repeat(first, "s1", ["s2", "s3"]) == 4
+        assert g._repeat(first, "s1", ["s2", "s3"]) == 4
         assert g.columns()[2][3:] == (((2, 1),), ((3, 1),))
-
-    @staticmethod
-    def refused(g: Graph, *args) -> None:
-        """``g.repeat(*args)`` raises GraphError and leaves ``g`` as it was."""
-        before = g.columns()
-        with pytest.raises(GraphError):
-            g.repeat(*args)
-        assert len(g) == len(before[0])
-        assert g.columns() == before
-        assert g._names == set(before[1])  # no name of a refused copy is kept
-
-    @pytest.mark.parametrize("first", [True, 2.0, "2", 5, 0, -1, 3],
-                             ids=["first-true", "first-float", "first-str", "first-past-end",
-                                  "first-zero", "first-negative", "fed-by-another-node"])
-    def test_a_bad_first_or_src_is_refused(self, first):
-        # 3: the template u1.bn, u1.add is fed by u1.conv, its first - 1,
-        # and by the stem, a source before that
-        g, _ = unit_to_repeat()
-        self.refused(g, first, "u1", ["u2"])
-
-    def test_a_template_fed_by_a_second_outside_node_is_refused(self):
-        g = Graph()
-        x = g.add_node(Input(TensorShape(4, 8, 8)), name="in")
-        stem = g.add_node(ReLU(), [(x, 0)], "stem")
-        relu = g.add_node(ReLU(), [(stem, 0)], "u1.relu")
-        g.add_node(Add(), [(x, 0), (relu, 0)], "u1.add")
-        self.refused(g, relu, "u1", ["u2"])
-
-    def test_a_port_the_last_node_lacks_is_refused(self):
-        g = Graph()
-        x = g.add_node(Input(TensorShape(8, 4, 4)), name="in")
-        split = g.add_node(ChannelSplit((Fraction(1, 2), Fraction(1, 2))), [(x, 0)], "split")
-        relu = g.add_node(ReLU(), [(split, 1)], "r1.relu")
-        self.refused(g, relu, "r1", ["r2"])
-
-    @pytest.mark.parametrize("label", ["u", "u1.conv", "", 1, None, Str("u1")],
-                             ids=["prefix-without-dot", "longer", "empty", "int", "none",
-                                  "str-subclass"])
-    def test_a_name_outside_the_label_is_refused(self, label):
-        g, first = unit_to_repeat()
-        self.refused(g, first, label, ["u2"])
-
-    def test_a_template_with_a_name_outside_the_label_is_refused(self):
-        g, first = unit_to_repeat()
-        g.add_node(ReLU(), [(first + 2, 0)], "v1.relu")
-        self.refused(g, first, "u1", ["u2"])
-
-    @pytest.mark.parametrize("labels", [
-        [5], [None], [Str("u2")], ["u\xe9"], ["u\ud800"], "u2", None, (b"u2",), {"u2"},
-    ], ids=["int", "none", "str-subclass", "non-ascii", "surrogate", "a-str", "labels-none",
-            "bytes", "a-set"])
-    def test_a_label_that_is_not_an_ascii_str_is_refused(self, labels):
-        g, first = unit_to_repeat()
-        self.refused(g, first, "u1", labels)
-
-    @pytest.mark.parametrize("labels", [["u2", "u2"], ["u1"], ["u2", "u1"], ["u2", "u3", "u2"]],
-                             ids=["repeats", "taken", "taken-after-a-new-one",
-                                  "repeats-later"])
-    def test_a_new_name_that_repeats_or_is_taken_is_refused(self, labels):
-        g, first = unit_to_repeat()
-        self.refused(g, first, "u1", labels)
-        assert g.repeat(first, "u1", ["u2", "u3"]) == 10  # nothing was kept
-
-    def test_a_name_taken_before_the_template_is_refused(self):
-        g = Graph()
-        x = g.add_node(Input(TensorShape(4, 8, 8)), name="in")
-        g.add_node(ReLU(), [(x, 0)], "u2.relu")
-        first = g.add_node(ReLU(), [(1, 0)], "u1.relu")
-        self.refused(g, first, "u1", ["u3", "u2"])
 
 
 class TestSpec:

@@ -709,7 +709,7 @@ def test_graph_json_loads_or_raises_pillarcost_error(text):
 # -- copied units ----------------------------------------------------------
 
 def repeat_through_add_node(graph, first, label, labels):
-    """Graph.repeat's reference: every copied node appended by add_node."""
+    """Graph._repeat's reference: every copied node appended by add_node."""
     specs, names, inputs = graph.columns()
     for new in labels:
         shift = len(graph) - first
@@ -725,21 +725,36 @@ def units_one_by_one(g, node, names, unit):
     return node
 
 
+def assert_checked_as_add_node_checks(graph):
+    """Graph._repeat checks nothing, so a build is checked here for what
+    add_node checks of each node: every feed names an earlier node through
+    a port that node has, and the names are unique."""
+    specs, names, inputs = graph.columns()
+    for node, feeds in enumerate(inputs):
+        assert all(type(src) is type(port) is int and 0 <= src < node
+                   and 0 <= port < specs[src].num_outputs() for src, port in feeds), node
+    assert len(set(names)) == len(names)
+    assert graph._names == set(names)
+
+
 @settings(max_examples=30, deadline=None)
 @given(units=st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)))
 def test_copied_units_equal_units_appended_one_by_one(units):
     """A build that copies units equals one whose copies go through add_node
     and one that builds every unit: the copy is right, and every unit ends
-    with its output, which the chain of copies relies on.  Runs of 0 to 6
-    equal units and odd Xception counts are drawn."""
+    with its output, which the chain of copies relies on.  Every build
+    holds what add_node checks.  Runs of 0 to 6 equal units and odd
+    Xception counts are drawn."""
     cfg = ArchConfig(block_units=units)
     for variant in Variant:
         graph = build_pointpillars(variant, cfg)
+        assert_checked_as_add_node_checks(graph)
         want = (graph.to_json(), graph_cost(graph), graph_cost(graph, count_batchnorm=False))
-        for owner, attr, stand_in in ((Graph, "repeat", repeat_through_add_node),
+        for owner, attr, stand_in in ((Graph, "_repeat", repeat_through_add_node),
                                       (arch, "_units", units_one_by_one)):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(owner, attr, stand_in)
                 other = build_pointpillars(variant, cfg)
+            assert_checked_as_add_node_checks(other)
             assert (other.to_json(), graph_cost(other),
                     graph_cost(other, count_batchnorm=False)) == want, (variant, attr)

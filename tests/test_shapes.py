@@ -227,8 +227,8 @@ class TestErrorTexts:
     @pytest.mark.parametrize("second_input_first", [True, False],
                              ids=["before-the-fault", "after-the-fault"])
     def test_input_count_is_raised_before_a_shape_error(self, second_input_first):
-        # the walk counts Inputs as it goes, so a second Input after the
-        # node whose shapes fail must still win
+        # the Inputs are counted before the walk, so a second Input after
+        # the node whose shapes fail must still win
         g = Graph()
         a = g.add_node(Input(TensorShape(8, 4, 4)), name="a")
         if second_input_first:

@@ -4,9 +4,9 @@ it reads every name it imports, it checks nothing with ``assert``,
 which ``python -O`` strips, it runs no text as code, its commands
 write CSV and JSON only through the command line's one writer, each
 node kind states its cost in one method, only ``graph`` knows how a
-graph stores its nodes, only ``Graph.add_node`` and ``Graph.repeat``
-write them, and it defines no public function, class or method that
-nothing reads."""
+graph stores its nodes, only ``Graph.add_node`` and ``Graph._repeat``
+write them, only ``arch`` calls ``_repeat``, and it defines no public
+function, class or method that nothing reads."""
 import ast
 import re
 import sys
@@ -152,15 +152,25 @@ def storage_writes(func: ast.FunctionDef, storage: set[str]) -> set[str]:
 
 
 def test_only_add_node_and_repeat_write_a_graph():
-    # Graph's doc and README: two methods write a graph.  spec() fills its
-    # table of shared specs, which holds no node
+    # Graph's doc and README: add_node is the one public writer, and the
+    # builder's copier _repeat the one private one.  spec() fills its table
+    # of shared specs, which holds no node
     graph, storage = graph_storage()
     writes = {func.name: storage_writes(func, storage) for func in graph.body
               if isinstance(func, ast.FunctionDef)}
     assert writes["add_node"] >= {"_spec_col", "_name_col", "_input_col", "_names"}
-    assert writes["repeat"] >= {"_spec_col", "_name_col", "_input_col", "_names"}
+    assert writes["_repeat"] >= {"_spec_col", "_name_col", "_input_col", "_names"}
     assert {name: attrs for name, attrs in writes.items() if attrs and name not in
-            {"__init__", "add_node", "repeat"}} == {"spec": {"_shared_specs"}}
+            {"__init__", "add_node", "_repeat"}} == {"spec": {"_shared_specs"}}
+
+
+def test_only_arch_calls_the_unit_copier():
+    # Graph._repeat checks nothing; arch._units states what it passes, so
+    # no other module may call it
+    reads = {path.stem: name_reads(ast.parse(path.read_text(encoding="utf-8")))["_repeat"]
+             for path in MODULES}
+    assert reads.pop("arch") >= 1
+    assert set(reads.values()) == {0}
 
 
 def attribute_reads(tree: ast.AST) -> Counter:

@@ -70,16 +70,16 @@ def test_one_add_node_and_one_shape_call_per_node(monkeypatch, variant):
     """The per-layer counts graph.add_node.calls, arch.nodes_built and
     shapes.node_output_shape.calls stay comparable across changes: a build
     appends each node either by one Graph.add_node call or as part of a
-    Graph.repeat copy, and graph_cost calls shapes.node_output_shape once
+    Graph._repeat copy, and graph_cost calls shapes.node_output_shape once
     per distinct (spec object, input shapes).  Every variant's backbone
     repeats a unit, and a build copies every run of equal units, so every
-    variant appends some nodes through Graph.repeat."""
+    variant appends some nodes through Graph._repeat."""
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     tracing = importlib.import_module("tracing")
     arch, cost, graph_module, shapes = (importlib.import_module(f"pillarcost.{name}")
                                         for name in ("arch", "cost", "graph", "shapes"))
-    copied = []  # nodes appended by each Graph.repeat call
-    repeat = graph_module.Graph.repeat
+    copied = []  # nodes appended by each Graph._repeat call
+    repeat = graph_module.Graph._repeat
 
     def counted_repeat(graph, *args):
         before = len(graph)
@@ -87,7 +87,7 @@ def test_one_add_node_and_one_shape_call_per_node(monkeypatch, variant):
         copied.append(len(graph) - before)
         return last
 
-    monkeypatch.setattr(graph_module.Graph, "repeat", counted_repeat)
+    monkeypatch.setattr(graph_module.Graph, "_repeat", counted_repeat)
     tracer = tracing.Tracer()
     tracer.install()
     try:
