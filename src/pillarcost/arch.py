@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 from .core import (  # ArchError and Variant are re-exported
@@ -152,11 +152,23 @@ def _parse_values(items) -> dict:
 
 
 # --------------------------------------------------------------------------
-# Specs.  Specs are frozen, so nodes with equal specs can share one object.
+# Specs.  Specs are frozen, so nodes with equal specs, in one graph or in
+# many, can share one object.  Each spec here is a module constant (its
+# arguments are literals) or comes from ``_spec``.
 # --------------------------------------------------------------------------
 
-# The specs whose arguments are literals here, shared by every graph; the
-# ones made from config values come from each graph's table (``Graph.spec``)
+@lru_cache(maxsize=256, typed=True)
+def _spec(cls, *args):
+    """``cls(*args)``, made once per distinct value for every build.  The
+    arguments are exact ints and bools (``ArchConfig`` refuses int
+    subclasses) or a ``TensorShape``, so ``typed`` keeps ``1`` and ``True``
+    apart; a miss is checked by ``cls`` itself, and an error is not cached.
+    Every variant at paper size and at ``block_units`` 12, 24 and 48 makes
+    52 distinct specs, so the bound of 256 evicts none of them, yet keeps a
+    session that sweeps widths from growing without limit."""
+    return cls(*args)
+
+
 _BATCH_NORM = BatchNorm()
 _RELU = ReLU()
 _ADD = Add()
@@ -177,8 +189,8 @@ def _conv(g: Graph, src: int, name: str, out_ch: int,
     """Conv fed by output ``port`` of ``src`` (ChannelSplit has several),
     "same"-padded: each side is padded by half the kernel, rounded down.
     Its channels are checked against ``groups`` by the shape walk."""
-    spec = g.spec(Conv, out_ch, kernel[0], kernel[1], stride, stride,
-                  kernel[0] // 2, kernel[1] // 2, groups, bias)
+    spec = _spec(Conv, out_ch, kernel[0], kernel[1], stride, stride,
+                 kernel[0] // 2, kernel[1] // 2, groups, bias)
     return g.add_node(spec, ((src, port),), name)
 
 
@@ -280,7 +292,7 @@ def _unit_mobilenet_v2(g, src, in_ch, out_ch, stride, name, cfg) -> int:
 
 def _shuffle_branch(g, src, name, out_ch, stride, groups) -> int:
     node = _cbr(g, src, f"{name}.gconv1", out_ch, (1, 1), groups=groups)
-    node = g.add_node(g.spec(ChannelShuffle, groups), ((node, 0),), f"{name}.shuffle")
+    node = g.add_node(_spec(ChannelShuffle, groups), ((node, 0),), f"{name}.shuffle")
     node = _dw(g, node, f"{name}.dw", out_ch, stride, relu=False)
     return _cbr(g, node, f"{name}.gconv2", out_ch, (1, 1), groups=groups, relu=False)
 
@@ -454,14 +466,13 @@ def build_pointpillars(variant: Variant, cfg: ArchConfig | None = None) -> Graph
 
     # pillar feature encoder: a linear layer over (features x pillars x points)
     # modeled as a 1x1 conv, then a max-reduction over the points axis
+    points = cfg.points_per_pillar
     pfn_in = g.add_node(
-        Input(TensorShape(cfg.pfn_in_features, cfg.max_pillars,
-                          cfg.points_per_pillar)),
+        _spec(Input, TensorShape(cfg.pfn_in_features, cfg.max_pillars, points)),
         name="pfn.input")
     node = _cbr(g, pfn_in, "pfn.linear", cfg.pseudo_image_channels, (1, 1))
-    node = g.add_node(MaxPool(1, cfg.points_per_pillar, 1, cfg.points_per_pillar),
-                      ((node, 0),), "pfn.maxpool")
-    node = g.add_node(Scatter(cfg.pseudo_image_height, cfg.pseudo_image_width),
+    node = g.add_node(_spec(MaxPool, 1, points, 1, points), ((node, 0),), "pfn.maxpool")
+    node = g.add_node(_spec(Scatter, cfg.pseudo_image_height, cfg.pseudo_image_width),
                       ((node, 0),), "pfn.scatter")
 
     # backbone: the strided blocks, each fed by the one before
@@ -479,7 +490,7 @@ def build_pointpillars(variant: Variant, cfg: ArchConfig | None = None) -> Graph
     for i, (src, out_ch, up) in enumerate(
             zip(outputs, cfg.neck_out_channels, cfg.neck_upsample)):
         name = f"neck.branch{i + 1}"
-        branch = g.add_node(g.spec(TransposedConv, out_ch, up, up, up, up),
+        branch = g.add_node(_spec(TransposedConv, out_ch, up, up, up, up),
                             ((src, 0),), f"{name}.deconv")
         branch = _bn_relu(g, branch, name)
         branches.append(branch)

@@ -375,6 +375,7 @@ class Graph:
     are dense, insertion order is topological, names are unique, and every
     node has exactly the inputs its kind needs.
     Nodes are kept as columns (see the module doc), read through ``columns``.
+    A graph keeps no spec table: ``arch`` shares equal specs across builds.
     """
 
     def __init__(self) -> None:
@@ -382,7 +383,6 @@ class Graph:
         self._name_col: list[str] = []
         self._input_col: list[tuple[tuple[int, int], ...]] = []
         self._names: set[str] = set()
-        self._shared_specs: dict[tuple[type, bytes], NodeSpec] = {}  # see spec()
 
     def columns(self) -> tuple[tuple[NodeSpec, ...], tuple[str, ...], tuple[tuple, ...]]:
         """(spec, name, inputs) per node id: three fresh tuples."""
@@ -398,25 +398,6 @@ class Graph:
 
     def __len__(self) -> int:
         return len(self._spec_col)
-
-    def spec(self, cls: type[NodeSpec], *args) -> NodeSpec:
-        """``cls(*args)``, made once per distinct value among this graph's
-        nodes, so that nodes with equal specs share one object.  Keyed by
-        the class and ``marshal.dumps(args, 0)``, the rule
-        ``from_json_dict`` uses: marshal writes each value with its exact
-        type at any depth, so ``1``, ``True`` and ``1.0`` never share a
-        spec, nor do ``[3, 8, 8]`` and ``(3, 8, 8)``.  Arguments marshal
-        refuses (an int or tuple subclass such as ``TensorShape``, or a
-        ``Fraction``) are built unshared, so they are checked every time.
-        The table dies with the graph."""
-        try:
-            key = (cls, marshal.dumps(args, 0))
-        except ValueError:
-            return cls(*args)
-        spec = self._shared_specs.get(key)
-        if spec is None:
-            spec = self._shared_specs[key] = cls(*args)
-        return spec
 
     def add_node(self, spec: NodeSpec, inputs: tuple[tuple[int, int], ...] | list = (),
                  name: str = "") -> int:

@@ -1,17 +1,17 @@
 """Architecture construction: config handling, units, blocks, full networks."""
 import hashlib
-import weakref
+import re
 from fractions import Fraction
 
 import pytest
 
 import pillarcost.arch
 from pillarcost.arch import (
-    ArchConfig, ArchError, Variant, build_pointpillars,
+    ArchConfig, ArchError, Variant, _spec, build_pointpillars,
 )
 from pillarcost.core import exact_fraction
 from pillarcost.cost import graph_cost
-from pillarcost.graph import Conv, Graph, Input, ShapeError, TensorShape
+from pillarcost.graph import Conv, FieldError, Input, ShapeError, TensorShape
 from pillarcost.shapes import infer_all
 
 ALL_VARIANTS = list(Variant)
@@ -436,9 +436,34 @@ def test_builds_keep_their_bytes_and_same_padding(config):
     assert digest.hexdigest() == want
 
 
+class TestSpec:
+    """``arch._spec`` makes each distinct spec once for every build."""
+
+    BIASED = (16, 1, 1, 1, 1, 0, 0, 1, True)
+
+    def test_equal_arguments_return_one_object(self):
+        first = _spec(Conv, *self.BIASED)
+        assert _spec(Conv, *self.BIASED) is first
+        assert first == Conv(16, 1, 1, has_bias=True)
+        assert _spec(Conv, 32, *self.BIASED[1:]) == Conv(32, 1, 1, has_bias=True)
+
+    @pytest.mark.parametrize("position,value,message", [
+        (8, 1, "has_bias must be a bool, got 1"),
+        (0, I(16), "out_channels must be an integer >= 1, got 16 of type I"),
+        (1, True, "kernel_h must be an integer >= 1, got True"),
+    ], ids=["int-for-bool", "int-subclass", "bool-for-int"])
+    def test_an_equal_argument_of_another_type_is_still_checked(self, position, value,
+                                                                 message):
+        _spec(Conv, *self.BIASED)
+        args = list(self.BIASED)
+        args[position] = value
+        with pytest.raises(FieldError, match=f"^{re.escape(message)}$"):
+            _spec(Conv, *args)
+
+
 class TestSpecSharing:
-    """Nodes with equal specs share one spec object within a build, and
-    builds share only the specs whose arguments are literals."""
+    """Nodes with equal specs share one spec object, within a build and
+    across builds."""
 
     @pytest.mark.parametrize("config", CONFIGS)
     @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.value)
@@ -448,17 +473,11 @@ class TestSpecSharing:
 
     @pytest.mark.parametrize("config", CONFIGS)
     @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.value)
-    def test_two_builds_share_no_conv(self, variant, config):
-        first, second = (build_pointpillars(variant, CONFIGS[config]) for _ in range(2))
-        convs = [{id(spec) for spec in g.columns()[0] if isinstance(spec, Conv)}
-                 for g in (first, second)]
-        assert convs[0] and not convs[0] & convs[1]
-
-    def test_no_conv_spec_outlives_its_graph(self):
-        graph = build_pointpillars(Variant.RESNET)
-        conv = weakref.ref(next(spec for spec in graph.columns()[0] if isinstance(spec, Conv)))
-        del graph
-        assert conv() is None
+    def test_two_builds_share_every_spec(self, variant, config):
+        first, second = (build_pointpillars(variant, CONFIGS[config]).columns()[0]
+                         for _ in range(2))
+        assert len(first) == len(second)
+        assert [a for a, b in zip(first, second) if a is not b] == []
 
     def test_int_subclass_channel_still_rejected(self):
         # block 3's width equals block 2's in value, but not in type: the
@@ -485,12 +504,16 @@ class TestSpecSharing:
                 return f"{type(err).__name__}: {err}"
 
         shared = outcome()
-        monkeypatch.setattr(Graph, "spec", lambda g, cls, *args: cls(*args))
-        assert shared == outcome()
+        made = []  # the stand-in is called, so the patch reaches the builders
+        monkeypatch.setattr(pillarcost.arch, "_spec",
+                            lambda cls, *args: made.append(cls) or cls(*args))
+        assert shared == outcome() and made
 
     def test_builds_leave_no_state_in_the_module(self):
-        """Each graph holds its own spec table, so building every variant
-        grows no container at the module level of ``pillarcost.arch``."""
+        """``_spec``'s table is the only state a build leaves in
+        ``pillarcost.arch``: building every variant at every test config
+        grows no other container at its module level, and the table stays
+        within its bound."""
         def sizes():
             return {name: len(value) for name, value in vars(pillarcost.arch).items()
                     # a class such as Variant has a length too, but no state
@@ -500,3 +523,5 @@ class TestSpecSharing:
         graphs = [build_pointpillars(variant, cfg)
                   for variant in ALL_VARIANTS for cfg in CONFIGS.values()]
         assert graphs and sizes() == before
+        info = _spec.cache_info()
+        assert 0 < info.currsize <= info.maxsize

@@ -5,7 +5,8 @@ which ``python -O`` strips, it runs no text as code, its commands
 write CSV and JSON only through the command line's one writer, each
 node kind states its cost in one method, only ``graph`` knows how a
 graph stores its nodes, only ``Graph.add_node`` and ``Graph._repeat``
-write them, only ``arch`` calls ``_repeat``, and it defines no public
+write them, only ``arch`` calls ``_repeat``, ``arch`` makes each spec as
+a module constant or through ``_spec``, and it defines no public
 function, class or method that nothing reads."""
 import ast
 import re
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import pillarcost
+from pillarcost.graph import _KIND_CLASSES
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "pillarcost").glob("*.py"))
@@ -153,15 +155,14 @@ def storage_writes(func: ast.FunctionDef, storage: set[str]) -> set[str]:
 
 def test_only_add_node_and_repeat_write_a_graph():
     # Graph's doc and README: add_node is the one public writer, and the
-    # builder's copier _repeat the one private one.  spec() fills its table
-    # of shared specs, which holds no node
+    # builder's copier _repeat the one private one
     graph, storage = graph_storage()
     writes = {func.name: storage_writes(func, storage) for func in graph.body
               if isinstance(func, ast.FunctionDef)}
     assert writes["add_node"] >= {"_spec_col", "_name_col", "_input_col", "_names"}
     assert writes["_repeat"] >= {"_spec_col", "_name_col", "_input_col", "_names"}
     assert {name: attrs for name, attrs in writes.items() if attrs and name not in
-            {"__init__", "add_node", "_repeat"}} == {"spec": {"_shared_specs"}}
+            {"__init__", "add_node", "_repeat"}} == {}
 
 
 def test_only_arch_calls_the_unit_copier():
@@ -171,6 +172,25 @@ def test_only_arch_calls_the_unit_copier():
              for path in MODULES}
     assert reads.pop("arch") >= 1
     assert set(reads.values()) == {0}
+
+
+def test_arch_makes_each_spec_as_a_constant_or_through_spec():
+    # every spec a build holds is a module constant of arch or comes from
+    # _spec, the one table all builds share: inside a function, a node
+    # kind's class is only ever the first argument of a _spec call
+    tree = ast.parse((ROOT / "src" / "pillarcost" / "arch.py").read_text(encoding="utf-8"))
+    kinds = {cls.__name__ for cls in _KIND_CLASSES.values()}
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.Lambda))]
+    interned = {id(node.args[0]) for func in functions for node in ast.walk(func)
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "_spec"
+                and node.args}
+    named = [node for func in functions for node in ast.walk(func)
+             if isinstance(node, ast.Name) and node.id in kinds
+             or isinstance(node, ast.Attribute) and node.attr in kinds]
+    assert len(named) >= 6
+    assert sorted({(node.lineno, ast.unparse(node)) for node in named
+                   if id(node) not in interned}) == []
 
 
 def attribute_reads(tree: ast.AST) -> Counter:
